@@ -20,16 +20,21 @@ from .errors import FormatError
 VERSION = 1
 
 
-def pack(magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
-    """Serialize metadata and named float64 arrays."""
+def layout(magic: str, meta: dict, arrays: Mapping[str, np.ndarray]
+           ) -> tuple[bytes, list[np.ndarray]]:
+    """The length-prefixed header and the arrays as written, in file order.
+
+    The arrays come back C-contiguous little-endian float64, so their
+    buffers are the data section's bytes without a further copy.
+    """
     entries = []
-    blobs = []
+    datas = []
     offset = 0
     for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        data = np.ascontiguousarray(arr, dtype="<f8")
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(data)
-        offset += len(data)
+        datas.append(data)
+        offset += data.nbytes
     header = {
         "magic": magic,
         "version": VERSION,
@@ -37,7 +42,13 @@ def pack(magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return struct.pack("<I", len(header_bytes)) + header_bytes + b"".join(blobs)
+    return struct.pack("<I", len(header_bytes)) + header_bytes, datas
+
+
+def pack(magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
+    """Serialize metadata and named float64 arrays."""
+    prefix, datas = layout(magic, meta, arrays)
+    return b"".join([prefix, *map(memoryview, datas)])
 
 
 def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -47,3 +47,12 @@ class GalleryTooSmall(SoftalignError):
 
 class ConfigError(SoftalignError):
     """Run configuration is invalid (bad key, bad value, bad combination)."""
+
+
+class NonFiniteValue(SoftalignError):
+    """Training produced a non-finite head output, loss component or gradient."""
+
+    def __init__(self, message: str, step: int = -1, name: str = ""):
+        super().__init__(message)
+        self.step = step
+        self.name = name

@@ -36,7 +36,7 @@ from .errors import BatchTooSmall, DegenerateRow, DegenerateTargets, ShapeMismat
 from .numkit import as_matrix
 from .objectives import LossConfig
 
-SELECTORS = ("clip", "soft", "soft_re", "total", "mixed_gamma")
+SELECTORS = ("clip", "label_smooth", "soft", "soft_re", "total", "mixed_gamma")
 
 # Off-diagonal mass below this cannot be renormalized (matches the
 # disentangle_negatives threshold).

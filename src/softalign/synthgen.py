@@ -12,7 +12,9 @@ latent, so the oracle sees through the noise the model is fed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import hashlib
+from dataclasses import asdict, dataclass, field
+
 import numpy as np
 
 from . import container
@@ -23,6 +25,9 @@ MAGIC = "SALB"
 _ARRAY_FIELDS = (
     "image_features", "text_features", "roi_features", "tag_features", "relevance",
 )
+
+# parameter-free pooling over a ROI sequence's region axis
+ROI_POOLS = {"mean": np.mean, "max": np.max, "min": np.min}
 
 
 @dataclass(frozen=True)
@@ -92,10 +97,34 @@ class SynthDataset:
     tag_features: np.ndarray     # (n, d_tag)
     relevance: np.ndarray        # (n, n), symmetric, unit diagonal
     spec: SynthSpec
+    _pooled: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def n(self) -> int:
         return self.spec.n_samples
+
+    def pooled_rois(self, mode: str) -> np.ndarray:
+        """The (n, d_roi) ROI view pooled over its regions by a ROI_POOLS mode.
+
+        Pooled once per dataset and mode, on first use; the cached array is
+        read-only. Its rows equal pooling each sample's sequence on its own,
+        bit for bit, because the reduction runs over the region axis.
+        """
+        pooled = self._pooled.get(mode)
+        if pooled is None:
+            if mode not in ROI_POOLS:
+                raise ValueError(
+                    f"mode must be one of {tuple(ROI_POOLS)}, got {mode!r}"
+                )
+            pooled = ROI_POOLS[mode](self.roi_features, axis=1)
+            pooled.flags.writeable = False
+            self._pooled[mode] = pooled
+        return pooled
+
+    def __getstate__(self):
+        # a copy sent to another process pools for itself
+        return {**self.__dict__, "_pooled": {}}
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -190,9 +219,13 @@ def generate(spec: SynthSpec) -> SynthDataset:
     )
 
 
-def to_bytes(dataset: SynthDataset) -> bytes:
+def _contents(dataset: SynthDataset) -> tuple[dict, dict[str, np.ndarray]]:
     arrays = {name: getattr(dataset, name) for name in _ARRAY_FIELDS}
-    return container.pack(MAGIC, {"spec": dataset.spec.to_dict()}, arrays)
+    return {"spec": dataset.spec.to_dict()}, arrays
+
+
+def to_bytes(dataset: SynthDataset) -> bytes:
+    return container.pack(MAGIC, *_contents(dataset))
 
 
 def save(dataset: SynthDataset, path) -> None:
@@ -230,7 +263,13 @@ def load(path) -> SynthDataset:
 
 
 def dataset_hash(dataset: SynthDataset) -> str:
-    """Short stable content hash used in result metadata."""
-    import hashlib
+    """Short stable content hash used in result metadata.
 
-    return hashlib.sha256(to_bytes(dataset)).hexdigest()[:16]
+    The sha256 of the dataset's container bytes, fed piece by piece so the
+    file image is never assembled in memory.
+    """
+    prefix, datas = container.layout(MAGIC, *_contents(dataset))
+    digest = hashlib.sha256(prefix)
+    for data in datas:
+        digest.update(data)
+    return digest.hexdigest()[:16]

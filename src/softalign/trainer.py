@@ -2,11 +2,12 @@
 
 Each modality (image, text, roi, tag) gets a two-layer tanh head that
 projects its raw view to a shared embedding dimension; the ROI view is
-first pooled over its M features (mean/max/min or a single-query
-attention). Heads are trained with AdamW (decoupled weight decay) under a
-linear-warmup + cosine-anneal schedule. Everything is deterministic given
-the config seed: per-epoch shuffles are re-derived from (seed, epoch), so
-resuming from a checkpoint replays the exact uninterrupted trajectory.
+first pooled over its M features (mean/max/min, pooled once per dataset,
+or a single-query attention). Heads are trained with AdamW (decoupled
+weight decay) under a linear-warmup + cosine-anneal schedule. Everything
+is deterministic given the config seed: per-epoch shuffles are re-derived
+from (seed, epoch), so resuming from a checkpoint replays the exact
+uninterrupted trajectory.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from .errors import (
     EmptySequence,
     FormatError,
     IndexOutOfRange,
+    NonFiniteValue,
     ShapeMismatch,
 )
 from .objectives import LossConfig
-from .synthgen import SynthDataset
+from .synthgen import ROI_POOLS, SynthDataset
 
 CKPT_MAGIC = "SALB-CKPT"
 
-AGGREGATION_MODES = ("mean", "max", "min", "attention")
-LOSS_VARIANTS = ("clip", "label_smooth", "soft", "soft_re", "total", "mixed_gamma")
+AGGREGATION_MODES = (*ROI_POOLS, "attention")
+LOSS_VARIANTS = gradcheck.SELECTORS
 
 _MODALITIES = ("image", "text", "roi", "tag")
 # the temperature parameters are adapted but never decayed
@@ -195,12 +197,8 @@ def roi_aggregate(rois, mode: str, attention: Optional[AttentionParams] = None
         raise ShapeMismatch(f"rois must be (M, d), got shape {rois.shape}")
     if rois.shape[0] < 1:
         raise EmptySequence("cannot aggregate an empty ROI sequence")
-    if mode == "mean":
-        return rois.mean(axis=0)
-    if mode == "max":
-        return rois.max(axis=0)
-    if mode == "min":
-        return rois.min(axis=0)
+    if mode in ROI_POOLS:
+        return ROI_POOLS[mode](rois, axis=0)
     if mode == "attention":
         if attention is None:
             raise ValueError("attention aggregation needs AttentionParams")
@@ -241,14 +239,14 @@ def _attention_backward(d_pooled: np.ndarray, p: AttentionParams, cache) -> dict
 
 
 def _aggregate_for_batch(state: TrainState, rois: np.ndarray):
-    mode = state.config.roi_aggregation
-    if mode == "mean":
-        return rois.mean(axis=1), None
-    if mode == "max":
-        return rois.max(axis=1), None
-    if mode == "min":
-        return rois.min(axis=1), None
-    return _attention_batch(rois, state.attention_params())
+    """ROI head input and its backward cache.
+
+    Attention pools the gathered (N, M, d) sequence; the parameter-free
+    modes arrive already pooled from the dataset's cache.
+    """
+    if state.config.roi_aggregation == "attention":
+        return _attention_batch(rois, state.attention_params())
+    return rois, None
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,13 @@ def _head_backward(state: TrainState, mod: str, d_out: np.ndarray, cache,
     return grads, d_x
 
 
-def _gather_views(dataset: SynthDataset, indices: np.ndarray) -> dict:
+def _gather_views(dataset: SynthDataset, indices: np.ndarray,
+                  roi_mode: str) -> dict:
+    """The batch's rows of every view.
+
+    The ROI view is the (N, M, d_roi) sequence for attention pooling and
+    rows of the dataset's pooled (n, d_roi) cache for the other modes.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size < 2:
         raise BatchTooSmall(f"need at least 2 indices, got {idx.size}")
@@ -288,17 +292,19 @@ def _gather_views(dataset: SynthDataset, indices: np.ndarray) -> dict:
             f"indices must be in [0, {dataset.n}), got range "
             f"[{int(idx.min())}, {int(idx.max())}]"
         )
+    rois = (dataset.roi_features if roi_mode == "attention"
+            else dataset.pooled_rois(roi_mode))
     return {
         "image": dataset.image_features[idx],
         "text": dataset.text_features[idx],
-        "roi": dataset.roi_features[idx],
+        "roi": rois[idx],
         "tag": dataset.tag_features[idx],
     }
 
 
 def _forward_raw(state: TrainState, dataset: SynthDataset, indices):
     """Raw (pre-normalization) head outputs plus backward caches."""
-    views = _gather_views(dataset, indices)
+    views = _gather_views(dataset, indices, state.config.roi_aggregation)
     pooled, agg_cache = _aggregate_for_batch(state, views["roi"])
     inputs = {"image": views["image"], "text": views["text"],
               "roi": pooled, "tag": views["tag"]}
@@ -319,9 +325,13 @@ def forward_batch(state: TrainState, dataset: SynthDataset, indices):
 
 
 def loss_and_grads(state: TrainState, dataset: SynthDataset, indices):
-    """(loss value, components, parameter gradients) for one batch."""
+    """(loss value, components, parameter gradients) for one batch.
+
+    Raises NonFiniteValue if a head output is not finite.
+    """
     cfg = state.config
     raw, caches, agg_cache = _forward_raw(state, dataset, indices)
+    _require_finite(raw, "head output")
     value, comps, bundle = gradcheck.backward_with_components(
         cfg.loss_variant, raw["image"], raw["text"], raw["roi"], raw["tag"],
         state.temperature, cfg.loss,
@@ -390,6 +400,17 @@ def optimizer_step(state: TrainState, grads: dict, lr: float,
     return state
 
 
+def _require_finite(values: dict, what: str) -> None:
+    """Raise NonFiniteValue naming the first non-finite entry of ``values``."""
+    # a finite sum of squares proves every entry finite; only overflow
+    # needs the elementwise scan
+    with np.errstate(over="ignore"):
+        for name, x in values.items():
+            flat = np.ravel(x)
+            if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
+                raise NonFiniteValue(f"{what} {name!r} is not finite", name=name)
+
+
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng((seed, 2, epoch)).permutation(n)
 
@@ -412,6 +433,9 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     short batch; shuffles derive from (seed, epoch) so a resumed run is
     bitwise identical to an uninterrupted one. ``stop_at_step`` interrupts
     early without changing the schedule (checkpoint and resume later).
+    A non-finite head output, loss component or gradient raises
+    NonFiniteValue before the update, leaving the state at the last
+    finite step.
     """
     total = total_steps_for(dataset, cfg)
     batches = dataset.n // cfg.batch_size
@@ -427,7 +451,13 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             perm = _epoch_permutation(cfg.seed, epoch, dataset.n)
             perm_epoch = epoch
         indices = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-        value, comps, grads = loss_and_grads(state, dataset, indices)
+        try:
+            value, comps, grads = loss_and_grads(state, dataset, indices)
+            _require_finite(comps, "loss component")
+            _require_finite(grads, "gradient")
+        except NonFiniteValue as exc:
+            raise NonFiniteValue(f"step {step}: {exc}", step=step,
+                                 name=exc.name) from exc
         if cfg.grad_clip is not None:
             norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
             if norm > cfg.grad_clip:

@@ -86,7 +86,7 @@ def pilot():
 
 
 def test_criterion_1_gradient_fidelity():
-    """All five selectors, 10 seeds, N in {2,4,8}, D in {4,16}, both
+    """All six selectors, 10 seeds, N in {2,4,8}, D in {4,16}, both
     stop-gradient settings: max relative error < 1e-5 at eps = 1e-5."""
     t0 = time.time()
     worst = 0.0
@@ -103,7 +103,7 @@ def test_criterion_1_gradient_fidelity():
     elapsed = time.time() - t0
     ok = not failures
     in_budget = elapsed < 60.0
-    detail = (f"600 configs, worst rel err {worst:.3e}, {elapsed:.1f}s "
+    detail = (f"720 configs, worst rel err {worst:.3e}, {elapsed:.1f}s "
               f"({active_backend()} backend)")
     if active_backend() == "numba":
         ok = ok and in_budget

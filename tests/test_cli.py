@@ -71,6 +71,14 @@ def test_grad_check_stdout_json(capsys):
     assert report["n"] == 4 and report["d"] == 8
 
 
+def test_grad_check_label_smooth(capsys):
+    assert main(["grad-check", "--loss", "label_smooth", "--n", "4", "--d", "8",
+                 "--seed", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert report["selector"] == "label_smooth"
+
+
 def test_grad_check_to_file(workdir):
     out = workdir / "report.json"
     assert main(["grad-check", "--loss", "clip", "--n", "2", "--d", "4",
@@ -195,6 +203,22 @@ class TestRuntimeErrors:
         assert main(["train", "--data", str(bad),
                      "--out", str(tmp_path / "y.ckpt")]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_non_finite_training_writes_no_checkpoint(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from softalign.synthgen import SynthSpec, generate, save
+
+        ds = generate(SynthSpec(n_samples=60, d_roi=5, rois_per_image=2, seed=2))
+        text = ds.text_features.copy()
+        text[:, 0] = np.nan
+        data = tmp_path / "nan.salb"
+        save(replace(ds, text_features=text), data)
+        ckpt = tmp_path / "y.ckpt"
+        assert main(["train", "--data", str(data), "--out", str(ckpt),
+                     *FAST]) == 2
+        assert "NonFiniteValue" in capsys.readouterr().err
+        assert not ckpt.exists()
 
 
 class TestConfigFile:

@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,20 @@ class TestRoundTrip:
         c = generate(small_spec(seed=4))
         assert dataset_hash(a) == dataset_hash(b)
         assert dataset_hash(a) != dataset_hash(c)
+
+    def test_hash_is_sha256_of_container_bytes(self):
+        ds = generate(small_spec())
+        expected = hashlib.sha256(to_bytes(ds)).hexdigest()[:16]
+        assert dataset_hash(ds) == expected
+
+    def test_pooled_cache_not_pickled(self):
+        ds = generate(small_spec())
+        size = len(pickle.dumps(ds))
+        pooled = ds.pooled_rois("max")
+        assert len(pickle.dumps(ds)) == size
+        copy = pickle.loads(pickle.dumps(ds))
+        np.testing.assert_array_equal(copy.pooled_rois("max"), pooled)
+        assert not copy.pooled_rois("max").flags.writeable
 
 
 class TestContainer:

@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from softalign import trainer
 from softalign.errors import (
     BatchTooSmall,
     EmptySequence,
     FormatError,
     IndexOutOfRange,
+    NonFiniteValue,
     ShapeMismatch,
 )
 from softalign.objectives import LossConfig
@@ -85,6 +87,65 @@ class TestForwardBatch:
         state = init_state(small_dataset.spec, small_config)
         with pytest.raises(BatchTooSmall):
             forward_batch(state, small_dataset, [0])
+
+
+class TestPooledRoiCache:
+    """Parameter-free modes read the dataset's pooled ROI view."""
+
+    @staticmethod
+    def _roi_input(dataset, mode, idx):
+        state = init_state(dataset.spec, TrainConfig(roi_aggregation=mode))
+        _, caches, agg_cache = trainer._forward_raw(state, dataset, idx)
+        assert agg_cache is None
+        return caches["roi"]["x"]
+
+    @pytest.mark.parametrize("mode", ["mean", "max", "min"])
+    def test_head_input_matches_per_sample_pooling(self, small_dataset, mode):
+        rng = np.random.default_rng(5)
+        n = small_dataset.n
+        index_sets = [rng.choice(n, size=25, replace=False) for _ in range(5)]
+        index_sets += [rng.integers(0, n, size=40), [7, 7, 3, 7], np.arange(n)]
+        for idx in index_sets:
+            got = self._roi_input(small_dataset, mode, idx)
+            expected = np.stack([
+                roi_aggregate(small_dataset.roi_features[i], mode) for i in idx
+            ])
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_attention_receives_sequence(self, small_dataset, monkeypatch):
+        seen = []
+        original = trainer._attention_batch
+
+        def spy(rois, params):
+            seen.append(rois.copy())
+            return original(rois, params)
+
+        monkeypatch.setattr(trainer, "_attention_batch", spy)
+        state = init_state(small_dataset.spec,
+                           TrainConfig(roi_aggregation="attention"))
+        idx = np.array([4, 1, 4, 9])
+        trainer._forward_raw(state, small_dataset, idx)
+        (rois,) = seen
+        np.testing.assert_array_equal(rois, small_dataset.roi_features[idx])
+
+    def test_datasets_do_not_share_cache(self):
+        spec = SynthSpec(n_samples=40, d_roi=6, rois_per_image=3, seed=1)
+        a, b = generate(spec), generate(replace(spec, seed=2))
+        twin = replace(a)
+        assert not np.array_equal(a.pooled_rois("mean"), b.pooled_rois("mean"))
+        assert twin.pooled_rois("mean") is not a.pooled_rois("mean")
+        assert a.pooled_rois("mean") is a.pooled_rois("mean")
+
+    def test_cached_array_is_read_only(self, small_dataset):
+        for mode in ("mean", "max", "min"):
+            pooled = small_dataset.pooled_rois(mode)
+            with pytest.raises(ValueError):
+                pooled[0, 0] = 1.0
+
+    def test_unknown_mode(self, small_dataset):
+        with pytest.raises(ValueError):
+            small_dataset.pooled_rois("attention")
 
 
 class TestSchedule:
@@ -216,6 +277,36 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=small_dataset.n + 1)
         with pytest.raises(BatchTooSmall):
             total_steps_for(small_dataset, cfg)
+
+    def test_non_finite_input_stops_before_update(self, small_dataset,
+                                                  small_config):
+        bad_sample = 17
+        image = small_dataset.image_features.copy()
+        image[bad_sample, 3] = np.nan
+        bad = replace(small_dataset, image_features=image)
+        perm = trainer._epoch_permutation(small_config.seed, 0, bad.n)
+        position = int(np.flatnonzero(perm == bad_sample)[0])
+        expected_step = position // small_config.batch_size
+        state = init_state(bad.spec, small_config)
+        with pytest.raises(NonFiniteValue, match="'image'") as info:
+            train(bad, small_config, state=state)
+        assert (info.value.step, info.value.name) == (expected_step, "image")
+        assert f"step {expected_step}" in str(info.value)
+        assert state.step == expected_step
+        clean, _ = train(small_dataset, small_config, stop_at_step=expected_step)
+        for k in clean.params:
+            np.testing.assert_array_equal(state.params[k], clean.params[k])
+
+    def test_non_finite_gradient_named(self):
+        grads = {"image.w1": np.ones((2, 2)), "text.b1": np.array([0.0, np.inf])}
+        with pytest.raises(NonFiniteValue, match="text.b1") as info:
+            trainer._require_finite(grads, "gradient")
+        assert info.value.name == "text.b1"
+        # finite entries whose squares overflow are accepted
+        trainer._require_finite({"w": np.full(4, 1e308)}, "gradient")
+        with pytest.raises(NonFiniteValue, match="'total'"):
+            trainer._require_finite({"clip": 1.0, "total": float("nan")},
+                                    "loss component")
 
     def test_grad_clip_caps_norm(self, small_dataset):
         cfg = TrainConfig(epochs=1, batch_size=25, seed=3, grad_clip=1e-6)

@@ -1,53 +1,51 @@
-"""Hot numeric kernels: numba-compiled loops with a pure-numpy fallback.
+"""Hot numeric kernels: row softmax variants, their VJP, KL rows and AdamW.
 
-The backend is picked once at import time from the ``SALB_BACKEND``
-environment variable ("numba" or "numpy"). Default is "numba" when the
-package is importable, otherwise the numpy path is used. Both paths
-implement identical math; results differ only by floating-point summation
-order (pairwise vs sequential), which the test suite bounds at 1e-12.
-
-All kernels take C-contiguous float64 arrays. The masked variants operate
+Plain numpy, dtype-generic: the trainer runs them on float64 and the
+finite-difference oracle on ``longdouble``. The masked variants operate
 on square matrices and exclude the diagonal from the row normalization;
 their diagonal outputs are exactly 0.
+
+This is the package's only kernel path. The module keeps its own name
+(rather than living in :mod:`softalign.numkit`) because the benchmark
+harness imports it as ``softalign.backend``, records
+:func:`active_backend` in its environment record and times
+``backend.adamw_update`` by wrapping the module attribute; callers
+therefore reach every kernel through the module, not a copied reference.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def active_backend() -> str:
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
-def _np_softmax_rows(z: np.ndarray) -> np.ndarray:
+
+def softmax_rows(z: np.ndarray) -> np.ndarray:
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _np_logsoftmax_rows(z: np.ndarray) -> np.ndarray:
+def logsoftmax_rows(z: np.ndarray) -> np.ndarray:
     zmax = z.max(axis=1, keepdims=True)
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return shifted - lse
 
 
-def _np_masked_softmax_rows(z: np.ndarray) -> np.ndarray:
-    n = z.shape[0]
+def masked_softmax_rows(z: np.ndarray) -> np.ndarray:
     masked = z.copy()
     np.fill_diagonal(masked, -np.inf)
     zmax = masked.max(axis=1, keepdims=True)
     e = np.exp(masked - zmax)
     np.fill_diagonal(e, 0.0)
-    out = e / e.sum(axis=1, keepdims=True)
-    return out
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _np_masked_logsoftmax_rows(z: np.ndarray) -> np.ndarray:
+def masked_logsoftmax_rows(z: np.ndarray) -> np.ndarray:
     masked = z.copy()
     np.fill_diagonal(masked, -np.inf)
     zmax = masked.max(axis=1, keepdims=True)
@@ -60,212 +58,21 @@ def _np_masked_logsoftmax_rows(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_softmax_vjp_rows(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+def softmax_vjp_rows(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     inner = (p * g).sum(axis=1, keepdims=True)
     return p * (g - inner)
 
 
-def _np_kl_term_rows(a: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+def kl_term_rows(a: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     # sum_j a_ij * (log_a_ij - log_b_ij); entries with a_ij == 0 contribute 0
     return (a * (log_a - log_b)).sum(axis=1)
 
 
-def _np_adamw_update(p, g, m, v, lr, wd, beta1, beta2, eps, bc1, bc2):
+def adamw_update(p, g, m, v, lr, wd, beta1, beta2, eps, bc1, bc2):
+    """One in-place AdamW step on flat parameter ``p`` and moments ``m``, ``v``."""
     p *= 1.0 - lr * wd
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * (g * g)
     p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-_NUMPY_KERNELS = {
-    "softmax_rows": _np_softmax_rows,
-    "logsoftmax_rows": _np_logsoftmax_rows,
-    "masked_softmax_rows": _np_masked_softmax_rows,
-    "masked_logsoftmax_rows": _np_masked_logsoftmax_rows,
-    "softmax_vjp_rows": _np_softmax_vjp_rows,
-    "kl_term_rows": _np_kl_term_rows,
-    "adamw_update": _np_adamw_update,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - sandbox always has numba
-    njit = None
-    NUMBA_AVAILABLE = False
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _nb_softmax_rows(z):
-        n, m = z.shape
-        out = np.empty((n, m))
-        for i in range(n):
-            zmax = z[i, 0]
-            for j in range(1, m):
-                if z[i, j] > zmax:
-                    zmax = z[i, j]
-            total = 0.0
-            for j in range(m):
-                e = math.exp(z[i, j] - zmax)
-                out[i, j] = e
-                total += e
-            for j in range(m):
-                out[i, j] /= total
-        return out
-
-    @njit(cache=True)
-    def _nb_logsoftmax_rows(z):
-        n, m = z.shape
-        out = np.empty((n, m))
-        for i in range(n):
-            zmax = z[i, 0]
-            for j in range(1, m):
-                if z[i, j] > zmax:
-                    zmax = z[i, j]
-            total = 0.0
-            for j in range(m):
-                total += math.exp(z[i, j] - zmax)
-            lse = math.log(total)
-            for j in range(m):
-                out[i, j] = z[i, j] - zmax - lse
-        return out
-
-    @njit(cache=True)
-    def _nb_masked_softmax_rows(z):
-        n = z.shape[0]
-        out = np.zeros((n, n))
-        for i in range(n):
-            zmax = -np.inf
-            for j in range(n):
-                if j != i and z[i, j] > zmax:
-                    zmax = z[i, j]
-            total = 0.0
-            for j in range(n):
-                if j != i:
-                    e = math.exp(z[i, j] - zmax)
-                    out[i, j] = e
-                    total += e
-            for j in range(n):
-                if j != i:
-                    out[i, j] /= total
-        return out
-
-    @njit(cache=True)
-    def _nb_masked_logsoftmax_rows(z):
-        n = z.shape[0]
-        out = np.zeros((n, n))
-        for i in range(n):
-            zmax = -np.inf
-            for j in range(n):
-                if j != i and z[i, j] > zmax:
-                    zmax = z[i, j]
-            total = 0.0
-            for j in range(n):
-                if j != i:
-                    total += math.exp(z[i, j] - zmax)
-            lse = math.log(total)
-            for j in range(n):
-                if j != i:
-                    out[i, j] = z[i, j] - zmax - lse
-        return out
-
-    @njit(cache=True)
-    def _nb_softmax_vjp_rows(p, g):
-        n, m = p.shape
-        out = np.empty((n, m))
-        for i in range(n):
-            inner = 0.0
-            for j in range(m):
-                inner += p[i, j] * g[i, j]
-            for j in range(m):
-                out[i, j] = p[i, j] * (g[i, j] - inner)
-        return out
-
-    @njit(cache=True)
-    def _nb_kl_term_rows(a, log_a, log_b):
-        n, m = a.shape
-        out = np.empty(n)
-        for i in range(n):
-            total = 0.0
-            for j in range(m):
-                total += a[i, j] * (log_a[i, j] - log_b[i, j])
-            out[i] = total
-        return out
-
-    @njit(cache=True)
-    def _nb_adamw_update(p, g, m, v, lr, wd, beta1, beta2, eps, bc1, bc2):
-        k = p.shape[0]
-        decay = 1.0 - lr * wd
-        for i in range(k):
-            p[i] *= decay
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            p[i] -= lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
-
-    _NUMBA_KERNELS = {
-        "softmax_rows": _nb_softmax_rows,
-        "logsoftmax_rows": _nb_logsoftmax_rows,
-        "masked_softmax_rows": _nb_masked_softmax_rows,
-        "masked_logsoftmax_rows": _nb_masked_logsoftmax_rows,
-        "softmax_vjp_rows": _nb_softmax_vjp_rows,
-        "kl_term_rows": _nb_kl_term_rows,
-        "adamw_update": _nb_adamw_update,
-    }
-else:  # pragma: no cover
-    _NUMBA_KERNELS = None
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_requested = os.environ.get("SALB_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    raise ValueError(
-        f"SALB_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-if _requested == "numba" and NUMBA_AVAILABLE:
-    ACTIVE_BACKEND = "numba"
-    _ACTIVE = _NUMBA_KERNELS
-else:
-    ACTIVE_BACKEND = "numpy"
-    _ACTIVE = _NUMPY_KERNELS
-
-softmax_rows = _ACTIVE["softmax_rows"]
-logsoftmax_rows = _ACTIVE["logsoftmax_rows"]
-masked_softmax_rows = _ACTIVE["masked_softmax_rows"]
-masked_logsoftmax_rows = _ACTIVE["masked_logsoftmax_rows"]
-softmax_vjp_rows = _ACTIVE["softmax_vjp_rows"]
-kl_term_rows = _ACTIVE["kl_term_rows"]
-adamw_update = _ACTIVE["adamw_update"]
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return ACTIVE_BACKEND
-
-
-def kernel_table(name: str) -> dict:
-    """Kernel dict for an explicit backend ("numba" or "numpy").
-
-    Used by the benchmark and the backend-agreement tests; raises if the
-    numba backend is requested but numba is not importable.
-    """
-    if name == "numpy":
-        return _NUMPY_KERNELS
-    if name == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return _NUMBA_KERNELS
-    raise ValueError(f"unknown backend {name!r}")

@@ -21,7 +21,7 @@ TAU_MAX = 100.0
 
 # Off-diagonal mass below this means the positive has fully saturated the
 # row and no negative structure is recoverable.
-_MIN_NEGATIVE_MASS = 1e-12
+MIN_NEGATIVE_MASS = 1e-12
 
 
 @dataclass
@@ -155,10 +155,10 @@ def disentangle_negatives(p) -> NegDisentangled:
     mask = ~np.eye(n, dtype=bool)
     compact = p[mask].reshape(n, n - 1)
     neg_mass = compact.sum(axis=1)
-    if (neg_mass < _MIN_NEGATIVE_MASS).any():
-        bad = int(np.argmax(neg_mass < _MIN_NEGATIVE_MASS))
+    if (neg_mass < MIN_NEGATIVE_MASS).any():
+        bad = int(np.argmax(neg_mass < MIN_NEGATIVE_MASS))
         raise DegenerateRow(
-            f"row {bad} has off-diagonal mass {neg_mass[bad]:.3e} < {_MIN_NEGATIVE_MASS}"
+            f"row {bad} has off-diagonal mass {neg_mass[bad]:.3e} < {MIN_NEGATIVE_MASS}"
         )
     compact = compact / neg_mass[:, None]
     return NegDisentangled(inner=compact, batch_size=n)

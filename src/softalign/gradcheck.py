@@ -31,16 +31,18 @@ from typing import Optional
 import numpy as np
 
 from . import backend
-from .distributions import Temperature
+from .distributions import (
+    MIN_NEGATIVE_MASS,
+    TAU_MAX,
+    TAU_MIN,
+    Temperature,
+    label_smooth_targets,
+)
 from .errors import BatchTooSmall, DegenerateRow, DegenerateTargets, ShapeMismatch
 from .numkit import as_matrix
 from .objectives import LossConfig
 
 SELECTORS = ("clip", "label_smooth", "soft", "soft_re", "total", "mixed_gamma")
-
-# Off-diagonal mass below this cannot be renormalized (matches the
-# disentangle_negatives threshold).
-_MIN_NEGATIVE_MASS = 1e-12
 
 _INPUT_NAMES = ("v", "t", "r", "a")
 
@@ -138,13 +140,10 @@ class _Graph:
                  frozen_targets: Optional[dict] = None,
                  target_collector: Optional[dict] = None,
                  dtype=np.float64):
-        # non-float64 dtypes (the finite-difference oracle runs in extended
-        # precision) use the dtype-generic numpy kernels
-        self.kern = (backend.kernel_table("numpy") if dtype != np.float64
-                     else backend.kernel_table(backend.ACTIVE_BACKEND))
-        raw = {}
-        for name, x in zip(_INPUT_NAMES, (v, t, r, a)):
-            raw[name] = as_matrix(x, name).astype(dtype, copy=False)
+        # inputs are validated in the graph dtype, so the oracle's
+        # extended-precision perturbations are not rounded to float64
+        raw = {name: as_matrix(x, name, dtype)
+               for name, x in zip(_INPUT_NAMES, (v, t, r, a))}
         n = raw["v"].shape[0]
         for name in _INPUT_NAMES:
             if raw[name].shape[0] != n:
@@ -181,7 +180,7 @@ class _Graph:
         # log_inv_tau stays smooth at the oracle's precision
         self._inv_tau = {
             group: np.clip(np.exp(dtype(temp.log_inv_tau)),
-                           dtype(0.01), dtype(100.0))
+                           dtype(1.0 / TAU_MAX), dtype(1.0 / TAU_MIN))
             for group, temp in self.temps.items()
         }
 
@@ -209,29 +208,29 @@ class _Graph:
 
     def softmax(self, key) -> np.ndarray:
         if key not in self._soft:
-            self._soft[key] = self.kern["softmax_rows"](self.z(key))
+            self._soft[key] = backend.softmax_rows(self.z(key))
         return self._soft[key]
 
     def logsoftmax(self, key) -> np.ndarray:
         if key not in self._logsoft:
-            self._logsoft[key] = self.kern["logsoftmax_rows"](self.z(key))
+            self._logsoft[key] = backend.logsoftmax_rows(self.z(key))
         return self._logsoft[key]
 
     def masked_softmax(self, key) -> np.ndarray:
         if key not in self._masked:
-            self._masked[key] = self.kern["masked_softmax_rows"](self.z(key))
+            self._masked[key] = backend.masked_softmax_rows(self.z(key))
         return self._masked[key]
 
     def masked_logsoftmax(self, key) -> np.ndarray:
         if key not in self._masked_log:
-            self._masked_log[key] = self.kern["masked_logsoftmax_rows"](self.z(key))
+            self._masked_log[key] = backend.masked_logsoftmax_rows(self.z(key))
         return self._masked_log[key]
 
     def vjp(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return self.kern["softmax_vjp_rows"](p, g)
+        return backend.softmax_vjp_rows(p, g)
 
     def kl_term_rows(self, a, log_a, log_b) -> np.ndarray:
-        return self.kern["kl_term_rows"](a, log_a, log_b)
+        return backend.kl_term_rows(a, log_a, log_b)
 
     def add_dz(self, key, contribution: np.ndarray) -> None:
         if key in self._dz:
@@ -362,8 +361,8 @@ def _disent_targets(graph: _Graph, guid_key, tag):
     # sum the off-diagonal entries directly: computing 1 - t_ii instead
     # loses ~8 digits when the guidance softmax saturates
     s = (t * graph._offdiag).sum(axis=1)
-    if (s < _MIN_NEGATIVE_MASS).any():
-        bad = int(np.argmax(s < _MIN_NEGATIVE_MASS))
+    if (s < MIN_NEGATIVE_MASS).any():
+        bad = int(np.argmax(s < MIN_NEGATIVE_MASS))
         raise DegenerateRow(
             f"target row {bad} has off-diagonal mass {s[bad]:.3e}; "
             "cannot renormalize negatives (beta too small?)"
@@ -388,8 +387,8 @@ def _soft_disent_direction(graph: _Graph, pred_key, guid_key, weight: float,
     n = graph.n
     p_full = graph.softmax(pred_key)
     pred_neg_mass = (p_full * graph._offdiag).sum(axis=1)
-    if (pred_neg_mass < _MIN_NEGATIVE_MASS).any():
-        bad = int(np.argmax(pred_neg_mass < _MIN_NEGATIVE_MASS))
+    if (pred_neg_mass < MIN_NEGATIVE_MASS).any():
+        bad = int(np.argmax(pred_neg_mass < MIN_NEGATIVE_MASS))
         raise DegenerateRow(
             f"prediction row {bad} has off-diagonal mass {pred_neg_mass[bad]:.3e}"
         )
@@ -477,9 +476,7 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
                  + _clip_direction(graph, k_ti, 0.5, y))
         components["clip"] = value
     elif selector == "label_smooth":
-        n = graph.n
-        smoothed = np.full((n, n), cfg.alpha / (n - 1))
-        np.fill_diagonal(smoothed, 1.0 - cfg.alpha)
+        smoothed = label_smooth_targets(graph.n, cfg.alpha)
         value = (_clip_direction(graph, k_it, 0.5, smoothed)
                  + _clip_direction(graph, k_ti, 0.5, smoothed))
         components["label_smooth"] = value
@@ -618,7 +615,8 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in [1e-7, 1e-3], got {epsilon}")
     dtype = np.longdouble if np.finfo(np.longdouble).eps < 1e-18 else np.float64
-    inputs = {name: as_matrix(x, name).astype(dtype)
+    # copies: the loop below perturbs them in place
+    inputs = {name: as_matrix(x, name, dtype).copy()
               for name, x in zip(_INPUT_NAMES, (v, t, r, a))}
     frozen = None
     if cfg.stop_gradient_targets:

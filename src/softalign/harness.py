@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import backend, synthgen, trainer
 from .errors import GalleryTooSmall
@@ -105,6 +104,25 @@ def _pair_ranks(sims: np.ndarray) -> np.ndarray:
     return greater + ties_before
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied entries share their mean rank."""
+    order = np.argsort(x)  # tie order is irrelevant: ties share a rank
+    xs = x[order]
+    first = np.concatenate(([True], xs[1:] != xs[:-1]))
+    bounds = np.concatenate((np.flatnonzero(first), [x.size]))
+    group = np.cumsum(first) - 1
+    ranks = np.empty(x.size)
+    # a tie group spanning sorted positions [b_k, b_{k+1}) holds ranks
+    # b_k + 1 .. b_{k+1}, whose mean is (b_k + b_{k+1} + 1) / 2
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
+def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman rank correlation: Pearson correlation of average ranks."""
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+
+
 def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray) -> RetrievalResult:
     """Metrics from an explicit similarity matrix (rows: v queries)."""
     sims = np.asarray(sims, dtype=np.float64)
@@ -119,7 +137,7 @@ def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray) -> RetrievalResul
     if np.ptp(sims[off]) == 0.0 or np.ptp(relevance[off]) == 0.0:
         rho = 0.0  # constant input: no monotone association measurable
     else:
-        rho = stats.spearmanr(sims[off], relevance[off]).statistic
+        rho = spearman_rho(sims[off], relevance[off])
     return RetrievalResult(
         r1_v2t=float((ranks_v2t < 1).mean()),
         r5_v2t=float((ranks_v2t < 5).mean()),

@@ -19,9 +19,13 @@ Seed = int
 _MIN_ROW_NORM = 1e-300
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and coerce ``x`` to a finite float64 2-D array."""
-    m = np.ascontiguousarray(x, dtype=np.float64)
+def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
+    """Validate and coerce ``x`` to a finite 2-D array of ``dtype``.
+
+    Everything but the finite-difference oracle, which validates its
+    extended-precision inputs without rounding them, uses float64.
+    """
+    m = np.ascontiguousarray(x, dtype=dtype)
     if m.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:

@@ -154,6 +154,17 @@ class TestFiniteDifferenceProperties:
             np.testing.assert_allclose(d, 0.0, atol=1e-9)
         assert abs(fd.d_log_inv_tau) < 1e-9
 
+    def test_extended_precision_inputs_not_rounded(self):
+        # a perturbed oracle input must reach the graph unrounded
+        ld = np.longdouble
+        v, t, r, a = (x.astype(ld) for x in random_inputs(3, n=3, d=4))
+        v[0, 0] = ld(1) + ld("1e-5")
+        graph = gradcheck._Graph(v, t, r, a, Temperature.from_tau(0.07),
+                                 LossConfig(), dtype=ld)
+        for name, x in zip("vtra", (v, t, r, a)):
+            assert graph.raw[name].dtype == ld
+            assert np.array_equal(graph.raw[name], x)
+
     def test_epsilon_range_enforced(self):
         v, t, r, a = random_inputs(0, n=2, d=4)
         tau = Temperature.from_tau(0.07)

@@ -15,6 +15,7 @@ from softalign.harness import (
     logit_profile,
     retrieval_eval,
     retrieval_metrics,
+    spearman_rho,
     train_and_eval,
     write_results_csv,
     write_results_json,
@@ -71,6 +72,16 @@ class TestRetrievalMetrics:
         state, _ = train(tiny_dataset, tiny_config)
         with pytest.raises(GalleryTooSmall):
             retrieval_eval(state, tiny_dataset, indices=np.arange(5))
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_spearman_matches_scipy(self, tied):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(3000)
+        y = 0.4 * x + rng.standard_normal(3000)
+        if tied:
+            x, y = np.round(x, 1), np.round(y)
+        assert abs(spearman_rho(x, y) - stats.spearmanr(x, y).statistic) < 1e-12
 
 
 class TestLogitProfile:

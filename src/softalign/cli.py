@@ -2,7 +2,10 @@
 
 Run configuration comes from an optional JSON file (sections "synth",
 "train", "loss"; unknown keys are rejected) with individual flags layered
-on top; --seed overrides the seed everywhere. Exit codes: 0 success,
+on top; --seed overrides the seed everywhere. The config flags mirror the
+fields of SynthSpec, TrainConfig and LossConfig: each field with help
+metadata is a flag named after it (``batch_size`` -> ``--batch-size``),
+and the file sections take the same field names. Exit codes: 0 success,
 1 validation/usage error, 2 runtime error. The SALB_LOG environment
 variable (error | info | debug) sets log verbosity on stderr. Data goes
 to files; stdout is used only for the grad-check report when --out is
@@ -12,26 +15,24 @@ omitted.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
 import sys
-from dataclasses import fields as dataclass_fields
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import gradcheck, harness, synthgen, trainer
 from .errors import ConfigError, DegenerateTargets, SoftalignError, SpecInvalid
-from .objectives import DIVERGENCES, SUPERVISION_FORMS, LossConfig
+from .objectives import LossConfig
 from .synthgen import SynthSpec
-from .trainer import AGGREGATION_MODES, LOSS_VARIANTS, TrainConfig
+from .trainer import TrainConfig
 
 log = logging.getLogger("softalign")
 
 _VALIDATION_ERRORS = (ConfigError, SpecInvalid, DegenerateTargets, ValueError)
-
-_LOSS_DEFAULTS = LossConfig()
-_TRAIN_DEFAULTS = TrainConfig()
-_SYNTH_DEFAULTS = SynthSpec()
 
 
 class _UsageError(Exception):
@@ -86,66 +87,23 @@ def _section(args, name: str) -> dict:
     return _load_config_file(cfg).get(name, {})
 
 
-def _overrides(args, cls) -> dict:
-    out = {}
-    for f in dataclass_fields(cls):
+def _build(args, cls, section: str, **fixed):
+    """A config from its file section, overridden by flags, then ``fixed``.
+
+    ``cls.from_dict`` rejects unknown keys.
+    """
+    merged = dict(_section(args, section))
+    for f in fields(cls):
         value = getattr(args, f.name, None)
         if value is not None:
-            out[f.name] = value
-    return out
+            merged[f.name] = value
+    merged.update(fixed)
+    return cls.from_dict(merged)
 
 
-def _build_loss(args) -> LossConfig:
-    merged = dict(_section(args, "loss"))
-    unknown = set(merged) - set(LossConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown LossConfig keys: {sorted(unknown)}")
-    merged.update(_overrides(args, LossConfig))
-    return LossConfig(**merged)
-
-
-def _build_train(args, loss: LossConfig) -> TrainConfig:
-    merged = dict(_section(args, "train"))
-    merged.pop("loss", None)
-    unknown = set(merged) - set(TrainConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown TrainConfig keys: {sorted(unknown)}")
-    merged.update(_overrides(args, TrainConfig))
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
-    merged["loss"] = loss
-    return TrainConfig(**merged)
-
-
-def _build_synth(args) -> SynthSpec:
-    merged = dict(_section(args, "synth"))
-    unknown = set(merged) - set(SynthSpec.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown SynthSpec keys: {sorted(unknown)}")
-    merged.update(_overrides(args, SynthSpec))
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
-    return SynthSpec(**merged)
-
-
-def _check_loss_feasible(cfg: TrainConfig) -> None:
-    """Reject combinations whose soft targets are degenerate, before work."""
-    loss, variant = cfg.loss, cfg.loss_variant
-    uses_soft = variant in ("soft", "soft_re", "total", "mixed_gamma")
-    uses_re = variant == "soft_re" or (
-        variant in ("total", "mixed_gamma") and loss.lambda_re > 0.0
-    )
-    if uses_soft and loss.beta == 0.0 and loss.divergence != "forward_kl":
-        raise DegenerateTargets(
-            "beta=0 with a non-forward divergence: the reversed KL term is "
-            "unbounded on one-hot targets. Use --divergence forward_kl or beta > 0."
-        )
-    if uses_re and loss.beta == 0.0:
-        raise ConfigError(
-            "beta=0 gives one-hot targets with no negative mass to "
-            "renormalize (DegenerateRow); the relation-enhanced term is "
-            "undefined. Set beta > 0 or disable it (lambda_re=0)."
-        )
+def _train_config(args) -> TrainConfig:
+    return _build(args, TrainConfig, "train",
+                  loss=_build(args, LossConfig, "loss"))
 
 
 def _ensure_writable(path, force: bool) -> None:
@@ -166,97 +124,31 @@ def _add_common(p) -> None:
                    help="overwrite existing output files")
 
 
-def _add_synth_flags(p) -> None:
-    g = p.add_argument_group("synthetic data")
-    d = _SYNTH_DEFAULTS
-    g.add_argument("--n-samples", type=int, dest="n_samples",
-                   help=f"number of paired samples (default: {d.n_samples})")
-    g.add_argument("--n-concepts", type=int, dest="n_concepts",
-                   help=f"shared latent concepts (default: {d.n_concepts})")
-    g.add_argument("--latent-dim", type=int, dest="latent_dim",
-                   help=f"latent dimension (default: {d.latent_dim})")
-    g.add_argument("--concepts-per-sample", type=int, dest="concepts_per_sample",
-                   help=f"active concepts per sample (default: {d.concepts_per_sample})")
-    g.add_argument("--d-image", type=int, dest="d_image",
-                   help=f"image view width (default: {d.d_image})")
-    g.add_argument("--d-text", type=int, dest="d_text",
-                   help=f"text view width (default: {d.d_text})")
-    g.add_argument("--d-roi", type=int, dest="d_roi",
-                   help=f"ROI feature width (default: {d.d_roi})")
-    g.add_argument("--d-tag", type=int, dest="d_tag",
-                   help=f"tag view width (default: {d.d_tag})")
-    g.add_argument("--rois-per-image", type=int, dest="rois_per_image",
-                   help=f"ROI features per sample (default: {d.rois_per_image})")
-    for view in ("image", "text", "roi", "tag"):
-        default = getattr(d, f"noise_sigma_{view}")
-        g.add_argument(f"--noise-sigma-{view}", type=float,
-                       dest=f"noise_sigma_{view}",
-                       help=f"{view} view noise sigma (default: {default})")
-    g.add_argument("--faulty-positive-rate", type=float, dest="faulty_positive_rate",
-                   help="fraction of samples whose text view is unrelated "
-                        f"(default: {d.faulty_positive_rate})")
+def _add_config_flags(p, cls, title: str) -> None:
+    """One flag per field of ``cls`` that has help metadata.
 
-
-def _add_loss_flags(p) -> None:
-    g = p.add_argument_group("objective")
-    d = _LOSS_DEFAULTS
-    g.add_argument("--tau-init", type=float, dest="tau_init",
-                   help=f"initial learnable temperature (default: {d.tau_init})")
-    g.add_argument("--alpha", type=float,
-                   help=f"label smoothing amount (default: {d.alpha})")
-    g.add_argument("--beta", type=float,
-                   help=f"soft-target mixing coefficient (default: {d.beta})")
-    g.add_argument("--gamma", type=float,
-                   help=f"guidance mixing weight (default: {d.gamma})")
-    g.add_argument("--lambda-re", type=float, dest="lambda_re",
-                   help=f"relation-enhanced term weight (default: {d.lambda_re})")
-    g.add_argument("--mu-clip", type=float, dest="mu_clip",
-                   help=f"contrastive term weight (default: {d.mu_clip})")
-    g.add_argument("--divergence", choices=DIVERGENCES,
-                   help=f"soft-loss divergence (default: {d.divergence})")
-    g.add_argument("--supervision-form", choices=SUPERVISION_FORMS,
-                   dest="supervision_form",
-                   help=f"guidance assignment (default: {d.supervision_form})")
-    g.add_argument("--stop-gradient-targets", action=argparse.BooleanOptionalAction,
-                   dest="stop_gradient_targets", default=None,
-                   help=f"detach softened targets (default: {d.stop_gradient_targets})")
-    g.add_argument("--target-floor", type=float, dest="target_floor",
-                   help=f"floor inside logs (default: {d.target_floor})")
-    g.add_argument("--split-guidance-temperature",
-                   action=argparse.BooleanOptionalAction,
-                   dest="split_guidance_temperature", default=None,
-                   help="learn a separate temperature for the guidance branch "
-                        f"(default: {d.split_guidance_temperature})")
-
-
-def _add_train_flags(p) -> None:
-    g = p.add_argument_group("training")
-    d = _TRAIN_DEFAULTS
-    g.add_argument("--epochs", type=int,
-                   help=f"training epochs (default: {d.epochs})")
-    g.add_argument("--max-steps", type=int, dest="max_steps",
-                   help="step cap overriding epochs (default: none)")
-    g.add_argument("--batch-size", type=int, dest="batch_size",
-                   help=f"batch size (default: {d.batch_size})")
-    g.add_argument("--peak-lr", type=float, dest="peak_lr",
-                   help=f"peak learning rate (default: {d.peak_lr})")
-    g.add_argument("--warmup-fraction", type=float, dest="warmup_fraction",
-                   help=f"linear warmup fraction (default: {d.warmup_fraction})")
-    g.add_argument("--weight-decay", type=float, dest="weight_decay",
-                   help=f"decoupled weight decay (default: {d.weight_decay})")
-    g.add_argument("--roi-aggregation", choices=AGGREGATION_MODES,
-                   dest="roi_aggregation",
-                   help=f"ROI pooling mode (default: {d.roi_aggregation})")
-    g.add_argument("--hidden-dim", type=int, dest="hidden_dim",
-                   help=f"encoder hidden width (default: {d.hidden_dim})")
-    g.add_argument("--embed-dim", type=int, dest="embed_dim",
-                   help=f"shared embedding width (default: {d.embed_dim})")
-    g.add_argument("--attention-dim", type=int, dest="attention_dim",
-                   help=f"attention pool key width (default: {d.attention_dim})")
-    g.add_argument("--grad-clip", type=float, dest="grad_clip",
-                   help="global gradient-norm clip (default: off)")
-    g.add_argument("--loss-variant", choices=LOSS_VARIANTS, dest="loss_variant",
-                   help=f"objective variant to train (default: {d.loss_variant})")
+    ``--`` plus the field name with ``-`` for ``_``; the type is the
+    field's annotation (``Optional`` unwrapped), and a bool field takes
+    ``--name/--no-name``. Every default is None, so a flag left out
+    leaves the config file's value (or the field default) in place.
+    """
+    g = p.add_argument_group(title)
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if "help" not in f.metadata:
+            continue
+        kind = hints[f.name]
+        if type(None) in typing.get_args(kind):  # Optional[X] -> X
+            kind = next(a for a in typing.get_args(kind) if a is not type(None))
+        name = "--" + f.name.replace("_", "-")
+        text = f"{f.metadata['help']} (default: {f.default})"
+        if kind is bool:
+            g.add_argument(name, action=argparse.BooleanOptionalAction,
+                           dest=f.name, default=None, help=text)
+        else:
+            g.add_argument(name, type=None if kind is str else kind,
+                           choices=f.metadata.get("choices"), dest=f.name,
+                           help=text)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +156,7 @@ def _add_train_flags(p) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
-    spec = _build_synth(args)
+    spec = _build(args, SynthSpec, "synth")
     _ensure_writable(args.out, args.force)
     log.info("generating dataset: n=%d, K=%d, seed=%d",
              spec.n_samples, spec.n_concepts, spec.seed)
@@ -275,9 +167,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    loss = _build_loss(args)
-    cfg = _build_train(args, loss)
-    _check_loss_feasible(cfg)
+    cfg = _train_config(args)
     _ensure_writable(args.out, args.force)
     if args.metrics:
         _ensure_writable(args.metrics, args.force)
@@ -289,9 +179,8 @@ def _cmd_train(args) -> int:
     trainer.save_checkpoint(state, args.out)
     log.info("wrote %s (step %d)", args.out, state.step)
     if args.metrics:
-        import csv as _csv
         with open(args.metrics, "w", newline="") as fh:
-            writer = _csv.DictWriter(
+            writer = csv.DictWriter(
                 fh, fieldnames=["step", "lr", "total", "clip", "soft",
                                 "soft_re", "tau"])
             writer.writeheader()
@@ -323,15 +212,13 @@ def _emit_rows(rows, out_path) -> None:
 
 
 def _cmd_ablate(args) -> int:
-    loss = _build_loss(args)
-    cfg = _build_train(args, loss)
+    cfg = _train_config(args)
     _ensure_writable(args.out, args.force)
     dataset = synthgen.load(args.data)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
     rows = []
-    from dataclasses import replace as _replace
     for seed in seeds:
-        suite_rows, _ = harness.ablation_suite(dataset, _replace(cfg, seed=seed))
+        suite_rows, _ = harness.ablation_suite(dataset, replace(cfg, seed=seed))
         rows.extend(suite_rows)
     _emit_rows(rows, args.out)
     return 0
@@ -345,12 +232,9 @@ def _parse_values(text: str, flag: str) -> list[float]:
 
 
 def _cmd_sweep_beta(args) -> int:
-    loss = _build_loss(args)
-    cfg = _build_train(args, loss)
+    cfg = _train_config(args)
     _ensure_writable(args.out, args.force)
     betas = _parse_values(args.betas, "--betas")
-    if any(b < 0 or b > 1 for b in betas):
-        raise ConfigError("--betas values must be in [0, 1]")
     dataset = synthgen.load(args.data)
     rows = harness.beta_sweep(dataset, cfg, betas, jobs=args.jobs)
     _emit_rows(rows, args.out)
@@ -358,12 +242,9 @@ def _cmd_sweep_beta(args) -> int:
 
 
 def _cmd_sweep_gamma(args) -> int:
-    loss = _build_loss(args)
-    cfg = _build_train(args, loss)
+    cfg = _train_config(args)
     _ensure_writable(args.out, args.force)
     gammas = _parse_values(args.gammas, "--gammas")
-    if any(g < 0 or g > 1 for g in gammas):
-        raise ConfigError("--gammas values must be in [0, 1]")
     dataset = synthgen.load(args.data)
     rows = harness.gamma_sweep(dataset, cfg, gammas, jobs=args.jobs)
     _emit_rows(rows, args.out)
@@ -371,11 +252,7 @@ def _cmd_sweep_gamma(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    loss = _build_loss(args)
-    if args.loss not in gradcheck.SELECTORS:
-        raise ConfigError(
-            f"--loss must be one of {gradcheck.SELECTORS}, got {args.loss!r}"
-        )
+    loss = _build(args, LossConfig, "loss")
     report = gradcheck.check_gradients(
         args.loss, seed=args.seed if args.seed is not None else 0,
         n=args.n, d=args.d, cfg=loss,
@@ -417,14 +294,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     _add_common(p)
-    _add_synth_flags(p)
+    _add_config_flags(p, SynthSpec, "synthetic data")
     p.add_argument("--out", required=True, help="output dataset path (.salb)")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train encoders on a dataset")
     _add_common(p)
-    _add_train_flags(p)
-    _add_loss_flags(p)
+    _add_config_flags(p, TrainConfig, "training")
+    _add_config_flags(p, LossConfig, "objective")
     p.add_argument("--data", required=True, help="input dataset path")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--resume", help="resume from an existing checkpoint")
@@ -440,8 +317,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="train and score the objective variants")
     _add_common(p)
-    _add_train_flags(p)
-    _add_loss_flags(p)
+    _add_config_flags(p, TrainConfig, "training")
+    _add_config_flags(p, LossConfig, "objective")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output CSV (JSON written alongside)")
     p.add_argument("--seeds", help="comma-separated seeds (default: the config seed)")
@@ -449,8 +326,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep-beta", help="sweep the target-mixing coefficient")
     _add_common(p)
-    _add_train_flags(p)
-    _add_loss_flags(p)
+    _add_config_flags(p, TrainConfig, "training")
+    _add_config_flags(p, LossConfig, "objective")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--betas", required=True, help="comma-separated values in [0, 1]")
@@ -460,8 +337,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep-gamma", help="sweep the guidance-mixing weight")
     _add_common(p)
-    _add_train_flags(p)
-    _add_loss_flags(p)
+    _add_config_flags(p, TrainConfig, "training")
+    _add_config_flags(p, LossConfig, "objective")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--gammas", required=True, help="comma-separated values in [0, 1]")
@@ -472,10 +349,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("grad-check",
                        help="verify analytic gradients against central differences")
     _add_common(p)
-    _add_loss_flags(p)
-    p.add_argument("--loss", default="total",
-                   help=f"loss selector, one of {', '.join(gradcheck.SELECTORS)} "
-                        "(default: total)")
+    _add_config_flags(p, LossConfig, "objective")
+    p.add_argument("--loss", default="total", choices=gradcheck.SELECTORS,
+                   help="loss selector (default: total)")
     p.add_argument("--n", type=int, default=4, help="batch size (default: 4)")
     p.add_argument("--d", type=int, default=8, help="embedding dim (default: 8)")
     p.add_argument("--tolerance", type=float, default=1e-5,

@@ -38,11 +38,16 @@ from .distributions import (
     Temperature,
     label_smooth_targets,
 )
-from .errors import BatchTooSmall, DegenerateRow, DegenerateTargets, ShapeMismatch
+from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
 from .numkit import as_matrix
-from .objectives import LossConfig
+from .objectives import (
+    LOSS_VARIANTS,
+    SOFT_TARGET_VARIANTS,
+    SUPERVISION_FORMS,
+    LossConfig,
+)
 
-SELECTORS = ("clip", "label_smooth", "soft", "soft_re", "total", "mixed_gamma")
+SELECTORS = LOSS_VARIANTS
 
 _INPUT_NAMES = ("v", "t", "r", "a")
 
@@ -262,13 +267,9 @@ class _Graph:
 
 def _guidance_keys(graph: _Graph, form: str, r_name: str, a_name: str):
     """Logit keys of the (v2l, l2v) guidance distributions for a form."""
-    pairs = {
-        "R2R_A2A": ((r_name, r_name), (a_name, a_name)),
-        "A2A_R2R": ((a_name, a_name), (r_name, r_name)),
-        "R2A_A2R": ((r_name, a_name), (a_name, r_name)),
-        "A2R_R2A": ((a_name, r_name), (r_name, a_name)),
-    }[form]
-    return tuple(graph.key(src, dst, guidance=True) for src, dst in pairs)
+    names = {"r": r_name, "a": a_name}
+    return tuple(graph.key(names[src], names[dst], guidance=True)
+                 for src, dst in SUPERVISION_FORMS[form])
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +303,6 @@ def _soft_plain_direction(graph: _Graph, pred_key, guid_key, weight: float,
                           tag):
     """One direction of the softened-target loss on full distributions."""
     cfg = graph.cfg
-    if cfg.beta == 0.0 and cfg.divergence != "forward_kl":
-        raise DegenerateTargets(
-            "beta=0 makes the targets one-hot; the reversed KL term is unbounded"
-        )
     n = graph.n
     p = graph.softmax(pred_key)
     ln_p = graph.logsoftmax(pred_key)
@@ -380,10 +377,6 @@ def _soft_disent_direction(graph: _Graph, pred_key, guid_key, weight: float,
                            tag):
     """One direction of the relation-enhanced (negative-disentangled) loss."""
     cfg = graph.cfg
-    if cfg.beta == 0.0 and cfg.divergence != "forward_kl":
-        raise DegenerateTargets(
-            "beta=0 makes the targets one-hot; the reversed KL term is unbounded"
-        )
     n = graph.n
     p_full = graph.softmax(pred_key)
     pred_neg_mass = (p_full * graph._offdiag).sum(axis=1)
@@ -454,11 +447,13 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
          target_collector: Optional[dict] = None,
          dtype=np.float64):
     """Evaluate one loss selector; returns (value, components, graph)."""
+    cfg.check(selector)
     graph = _Graph(v, t, r, a, tau, cfg, guidance_tau,
                    want_grad=want_grad, frozen_targets=frozen_targets,
                    target_collector=target_collector, dtype=dtype)
     k_it = graph.key("v", "t", guidance=False)
     k_ti = graph.key("t", "v", guidance=False)
+    with_re = cfg.uses_relation_term(selector)
     components: dict = {}
 
     def soft_pair(bundle: str, disentangled: bool, weight: float) -> float:
@@ -489,7 +484,7 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     elif selector == "total":
         soft = soft_pair("ra", disentangled=False, weight=1.0)
         soft_re = (soft_pair("ra", disentangled=True, weight=cfg.lambda_re)
-                   / cfg.lambda_re) if cfg.lambda_re > 0.0 else 0.0
+                   / cfg.lambda_re) if with_re else 0.0
         y = graph._eye
         clip = (_clip_direction(graph, k_it, 0.5 * cfg.mu_clip, y)
                 + _clip_direction(graph, k_ti, 0.5 * cfg.mu_clip, y))
@@ -501,23 +496,20 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
         components.update(
             soft=soft, soft_re=soft_re, clip=clip_value, total=value
         )
-    elif selector == "mixed_gamma":
+    else:  # mixed_gamma
         gamma = cfg.gamma
         value = 0.0
         if gamma > 0.0:
             value += soft_pair("ra", disentangled=False, weight=gamma)
-            if cfg.lambda_re > 0.0:
+            if with_re:
                 value += soft_pair("ra", disentangled=True,
                                    weight=gamma * cfg.lambda_re)
         if gamma < 1.0:
             value += soft_pair("it", disentangled=False, weight=1.0 - gamma)
-            if cfg.lambda_re > 0.0:
+            if with_re:
                 value += soft_pair("it", disentangled=True,
                                    weight=(1.0 - gamma) * cfg.lambda_re)
         components["mixed_gamma"] = value
-    else:
-        raise ValueError(f"unknown loss selector {selector!r}; "
-                         f"expected one of {SELECTORS}")
     components.setdefault("total", value)
     return value, components, graph
 
@@ -586,16 +578,11 @@ def _live_inputs(selector: str, cfg: LossConfig) -> set:
     forward; its central difference is exactly zero and is recorded
     without evaluation.
     """
-    if selector in ("clip", "label_smooth"):
-        return {"v", "t"}
-    if selector in ("soft", "soft_re", "total", "mixed_gamma"):
-        live = {"v", "t"}
-        if not cfg.stop_gradient_targets and (
-            selector != "mixed_gamma" or cfg.gamma > 0.0
-        ):
-            live |= {"r", "a"}
-        return live
-    return set(_INPUT_NAMES)
+    live = {"v", "t"}
+    if (selector in SOFT_TARGET_VARIANTS and not cfg.stop_gradient_targets
+            and (selector != "mixed_gamma" or cfg.gamma > 0.0)):
+        live |= {"r", "a"}
+    return live
 
 
 def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import backend, synthgen, trainer
-from .errors import GalleryTooSmall
+from .errors import DegenerateTargets, GalleryTooSmall
 from .synthgen import SynthDataset
 from .trainer import TrainConfig, TrainState
 
@@ -240,10 +240,14 @@ def ablation_variants(base: TrainConfig) -> list[tuple[str, TrainConfig]]:
 
 def ablation_suite(dataset: SynthDataset, base: TrainConfig
                    ) -> tuple[list[ResultRow], dict[str, TrainState]]:
-    """Train and evaluate all five variants under one shared seed."""
+    """Train and evaluate all five variants under one shared seed.
+
+    Every variant's config is built, and so validated, before any training.
+    """
+    variants = ablation_variants(base)
     ds_hash = synthgen.dataset_hash(dataset)
     rows, states = [], {}
-    for name, cfg in ablation_variants(base):
+    for name, cfg in variants:
         log.info("ablation variant %s (seed %d)", name, cfg.seed)
         row, state = train_and_eval(dataset, cfg, ds_hash, variant=name)
         rows.append(row)
@@ -255,37 +259,35 @@ def beta_sweep(dataset: SynthDataset, base: TrainConfig,
                betas: Sequence[float], jobs: int = 1) -> list[ResultRow]:
     """Target-mixing sweep, with and without the relation-enhanced term.
 
-    Points where beta=0 meets a non-forward divergence are skipped with a
-    logged reason (the reversed KL term is unbounded on one-hot targets).
+    Every point's config is built before any training. Points whose
+    targets are degenerate (beta=0, see :meth:`LossConfig.check`) are
+    skipped with a logged reason.
     """
-    ds_hash = synthgen.dataset_hash(dataset)
     points = []
     for beta in betas:
         for variant, lam in (("with_re", max(base.loss.lambda_re, 1.0)),
                              ("without_re", 0.0)):
-            if beta == 0.0 and base.loss.divergence != "forward_kl":
-                log.warning(
-                    "skipping beta=0.0 (%s): DegenerateTargets under %s "
-                    "divergence (one-hot targets make the reversed term "
-                    "unbounded)", variant, base.loss.divergence,
-                )
+            try:
+                cfg = replace(base, loss_variant="total",
+                              loss=replace(base.loss, beta=beta, lambda_re=lam))
+            except DegenerateTargets as exc:
+                log.warning("skipping beta=%s (%s): %s: %s",
+                            beta, variant, type(exc).__name__, exc)
                 continue
-            cfg = replace(base, loss_variant="total",
-                          loss=replace(base.loss, beta=beta, lambda_re=lam))
             points.append((variant, cfg))
-    return _run_points(dataset, points, ds_hash, jobs)
+    return _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
 
 
 def gamma_sweep(dataset: SynthDataset, base: TrainConfig,
                 gammas: Sequence[float], jobs: int = 1) -> list[ResultRow]:
-    """Guidance-mixing sweep (contrastive term excluded by construction)."""
-    ds_hash = synthgen.dataset_hash(dataset)
-    points = []
-    for gamma in gammas:
-        cfg = replace(base, loss_variant="mixed_gamma",
-                      loss=replace(base.loss, gamma=gamma))
-        points.append(("mixed", cfg))
-    return _run_points(dataset, points, ds_hash, jobs)
+    """Guidance-mixing sweep (contrastive term excluded by construction).
+
+    Every point's config is built, and so validated, before any training.
+    """
+    points = [("mixed", replace(base, loss_variant="mixed_gamma",
+                                loss=replace(base.loss, gamma=gamma)))
+              for gamma in gammas]
+    return _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
 
 
 def _run_one_point(args) -> ResultRow:

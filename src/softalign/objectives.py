@@ -4,9 +4,15 @@ Everything here works in distribution space: the contrastive cross-entropy
 baseline, forward/symmetric KL and JS divergences, the softened-target
 losses under intra-modal guidance, their negative-disentangled
 ("relation-enhanced") variants, the combined objective, and the
-guidance-mixing ablation loss. Gradients live in :mod:`softalign.gradcheck`,
-which re-derives these values in log space and is cross-checked against
-this module.
+guidance-mixing ablation loss. This module is the independent reference
+forward: training and the gradients run on the log-space graph in
+:mod:`softalign.gradcheck`, and the acceptance criteria check that graph
+against the values computed here.
+
+It also holds the rules of the objective's configuration: which loss
+variants exist, which of them use softened targets or the
+relation-enhanced term (:meth:`LossConfig.check`), and which guidance
+distributions each supervision form assigns (``SUPERVISION_FORMS``).
 """
 
 from __future__ import annotations
@@ -25,11 +31,22 @@ from .distributions import (
     mix_targets,
     one_hot_targets,
 )
+from .config import check_choices, flag, from_dict
 from .errors import BatchTooSmall, DegenerateTargets, ShapeMismatch
 from .numkit import as_matrix
 
 DIVERGENCES = ("forward_kl", "symmetric_kl", "js")
-SUPERVISION_FORMS = ("R2R_A2A", "A2A_R2R", "R2A_A2R", "A2R_R2A")
+# supervision form -> the (source, destination) batches of its v2l and l2v
+# guidance distributions; "r" is the ROI batch, "a" the tag batch
+SUPERVISION_FORMS = {
+    "R2R_A2A": (("r", "r"), ("a", "a")),
+    "A2A_R2R": (("a", "a"), ("r", "r")),
+    "R2A_A2R": (("r", "a"), ("a", "r")),
+    "A2R_R2A": (("a", "r"), ("r", "a")),
+}
+LOSS_VARIANTS = ("clip", "label_smooth", "soft", "soft_re", "total", "mixed_gamma")
+# variants whose targets mix the one-hot labels with intra-modal guidance
+SOFT_TARGET_VARIANTS = ("soft", "soft_re", "total", "mixed_gamma")
 
 Dist = Union[np.ndarray, NegDisentangled]
 
@@ -38,17 +55,18 @@ Dist = Union[np.ndarray, NegDisentangled]
 class LossConfig:
     """All scalar hyperparameters of the objective."""
 
-    tau_init: float = 0.07
-    alpha: float = 0.2
-    beta: float = 0.3
-    gamma: float = 1.0
-    lambda_re: float = 1.0
-    mu_clip: float = 0.5
-    divergence: str = "symmetric_kl"
-    supervision_form: str = "R2R_A2A"
-    stop_gradient_targets: bool = True
-    target_floor: float = 1e-12
-    split_guidance_temperature: bool = False
+    tau_init: float = flag(0.07, "initial learnable temperature")
+    alpha: float = flag(0.2, "label smoothing amount")
+    beta: float = flag(0.3, "soft-target mixing coefficient")
+    gamma: float = flag(1.0, "guidance mixing weight")
+    lambda_re: float = flag(1.0, "relation-enhanced term weight")
+    mu_clip: float = flag(0.5, "contrastive term weight")
+    divergence: str = flag("symmetric_kl", "soft-loss divergence", DIVERGENCES)
+    supervision_form: str = flag("R2R_A2A", "guidance assignment", SUPERVISION_FORMS)
+    stop_gradient_targets: bool = flag(True, "detach softened targets")
+    target_floor: float = flag(1e-12, "floor inside logs")
+    split_guidance_temperature: bool = flag(
+        False, "learn a separate temperature for the guidance branch")
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -61,17 +79,44 @@ class LossConfig:
             raise ValueError("lambda_re and mu_clip must be >= 0")
         if self.tau_init <= 0.0:
             raise ValueError(f"tau_init must be positive, got {self.tau_init}")
-        if self.divergence not in DIVERGENCES:
-            raise ValueError(
-                f"divergence must be one of {DIVERGENCES}, got {self.divergence!r}"
-            )
-        if self.supervision_form not in SUPERVISION_FORMS:
-            raise ValueError(
-                f"supervision_form must be one of {SUPERVISION_FORMS}, "
-                f"got {self.supervision_form!r}"
-            )
+        check_choices(self)
         if self.target_floor <= 0.0:
             raise ValueError("target_floor must be positive")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LossConfig":
+        return from_dict(cls, d)
+
+    def uses_relation_term(self, variant: str) -> bool:
+        """Whether ``variant`` evaluates the negative-disentangled term."""
+        return variant == "soft_re" or (
+            variant in ("total", "mixed_gamma") and self.lambda_re > 0.0
+        )
+
+    def check(self, variant: str) -> None:
+        """Reject a loss variant this config cannot evaluate.
+
+        At beta=0 the softened targets are one-hot: the reversed KL term of
+        a non-forward divergence is unbounded on them, and the
+        negative-disentangled targets have no mass left to renormalize.
+        """
+        if variant not in LOSS_VARIANTS:
+            raise ValueError(
+                f"unknown loss variant {variant!r}; expected one of {LOSS_VARIANTS}"
+            )
+        if self.beta != 0.0 or variant not in SOFT_TARGET_VARIANTS:
+            return
+        if self.divergence != "forward_kl":
+            raise DegenerateTargets(
+                "beta=0 makes the targets one-hot; the reversed KL term is "
+                "unbounded there. Use divergence='forward_kl' or beta > 0."
+            )
+        if self.uses_relation_term(variant):
+            raise DegenerateTargets(
+                "beta=0 gives one-hot targets with no negative mass to "
+                "renormalize; the relation-enhanced term is undefined. "
+                "Set beta > 0 or disable it (lambda_re=0)."
+            )
 
 
 @dataclass(frozen=True)
@@ -113,20 +158,16 @@ class DistBundle:
 
     def guidance(self, form: str) -> tuple[np.ndarray, np.ndarray]:
         """(v2l guidance, l2v guidance) for a supervision form."""
-        if form == "R2R_A2A":
-            return self.p_rr, self.p_aa
-        if form == "A2A_R2R":
-            return self.p_aa, self.p_rr
-        if form in ("R2A_A2R", "A2R_R2A"):
-            if self.p_ra is None or self.p_ar is None:
-                raise ValueError(
-                    f"supervision form {form} needs the cross distributions "
-                    "p_ra/p_ar, which this bundle does not carry"
-                )
-            if form == "R2A_A2R":
-                return self.p_ra, self.p_ar
-            return self.p_ar, self.p_ra
-        raise ValueError(f"unknown supervision form {form!r}")
+        if form not in SUPERVISION_FORMS:
+            raise ValueError(f"unknown supervision form {form!r}")
+        pair = tuple(getattr(self, f"p_{src}{dst}")
+                     for src, dst in SUPERVISION_FORMS[form])
+        if pair[0] is None or pair[1] is None:
+            raise ValueError(
+                f"supervision form {form} needs the cross distributions "
+                "p_ra/p_ar, which this bundle does not carry"
+            )
+        return pair
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +253,7 @@ def build_distributions(
     p_rr = intra_modal_dist(r, g_tau)
     p_aa = intra_modal_dist(a, g_tau)
     p_ra = p_ar = None
-    if cfg.supervision_form in ("R2A_A2R", "A2R_R2A"):
+    if any(src != dst for src, dst in SUPERVISION_FORMS[cfg.supervision_form]):
         p_ra = cross_modal_dist(r, a, g_tau)
         p_ar = cross_modal_dist(a, r, g_tau)
     return DistBundle(p_it=p_it, p_ti=p_ti, p_rr=p_rr, p_aa=p_aa, p_ra=p_ra, p_ar=p_ar)
@@ -224,23 +265,20 @@ def _mixed_targets(dists: DistBundle, cfg: LossConfig) -> tuple[np.ndarray, np.n
     return mix_targets(y, g_v2l, cfg.beta), mix_targets(y, g_l2v, cfg.beta)
 
 
-def _check_soft_preconditions(dists: DistBundle, cfg: LossConfig) -> None:
+def _check_soft_preconditions(dists: DistBundle, cfg: LossConfig,
+                              variant: str) -> None:
     shapes = {dists.p_it.shape, dists.p_ti.shape, dists.p_rr.shape, dists.p_aa.shape}
     if len(shapes) != 1:
         raise ShapeMismatch(f"distribution shapes differ: {sorted(shapes)}")
     n = dists.n
     if dists.p_it.shape != (n, n):
         raise ShapeMismatch(f"distributions must be square, got {dists.p_it.shape}")
-    if cfg.beta == 0.0 and cfg.divergence != "forward_kl":
-        raise DegenerateTargets(
-            "beta=0 makes the targets one-hot; the reversed KL term is "
-            "unbounded there. Use divergence='forward_kl' or beta > 0."
-        )
+    cfg.check(variant)
 
 
 def soft_loss_directions(dists: DistBundle, cfg: LossConfig) -> tuple[float, float]:
     """(v2l, l2v) softened-target divergences, before direction averaging."""
-    _check_soft_preconditions(dists, cfg)
+    _check_soft_preconditions(dists, cfg, "soft")
     t_v2l, t_l2v = _mixed_targets(dists, cfg)
     floor = cfg.target_floor
     return (
@@ -259,7 +297,7 @@ def relation_enhanced_soft_loss_directions(
     dists: DistBundle, cfg: LossConfig
 ) -> tuple[float, float]:
     """(v2l, l2v) divergences on negative-disentangled distributions."""
-    _check_soft_preconditions(dists, cfg)
+    _check_soft_preconditions(dists, cfg, "soft_re")
     if dists.n < 2:
         raise BatchTooSmall("relation-enhanced loss needs N >= 2")
     t_v2l, t_l2v = _mixed_targets(dists, cfg)

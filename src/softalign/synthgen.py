@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import container
+from . import config, container
+from .config import flag
 from .errors import FormatError, SpecInvalid
 
 MAGIC = "SALB"
@@ -34,20 +35,21 @@ ROI_POOLS = {"mean": np.mean, "max": np.max, "min": np.min}
 class SynthSpec:
     """Generation parameters; defaults define the standard benchmark set."""
 
-    n_samples: int = 2000
-    n_concepts: int = 20
-    latent_dim: int = 32
-    concepts_per_sample: int = 3
-    d_image: int = 64
-    d_text: int = 48
-    d_roi: int = 2052
-    d_tag: int = 32
-    rois_per_image: int = 10
-    noise_sigma_image: float = 0.05
-    noise_sigma_text: float = 0.05
-    noise_sigma_roi: float = 0.05
-    noise_sigma_tag: float = 0.05
-    faulty_positive_rate: float = 0.1
+    n_samples: int = flag(2000, "number of paired samples")
+    n_concepts: int = flag(20, "shared latent concepts")
+    latent_dim: int = flag(32, "latent dimension")
+    concepts_per_sample: int = flag(3, "active concepts per sample")
+    d_image: int = flag(64, "image view width")
+    d_text: int = flag(48, "text view width")
+    d_roi: int = flag(2052, "ROI feature width")
+    d_tag: int = flag(32, "tag view width")
+    rois_per_image: int = flag(10, "ROI features per sample")
+    noise_sigma_image: float = flag(0.05, "image view noise sigma")
+    noise_sigma_text: float = flag(0.05, "text view noise sigma")
+    noise_sigma_roi: float = flag(0.05, "roi view noise sigma")
+    noise_sigma_tag: float = flag(0.05, "tag view noise sigma")
+    faulty_positive_rate: float = flag(
+        0.1, "fraction of samples whose text view is unrelated")
     seed: int = 0
 
     def __post_init__(self):
@@ -81,10 +83,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise SpecInvalid(f"unknown SynthSpec keys: {sorted(unknown)}")
-        return cls(**d)
+        return config.from_dict(cls, d, SpecInvalid)
 
 
 @dataclass(frozen=True)

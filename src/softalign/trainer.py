@@ -13,28 +13,29 @@ uninterrupted trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from . import backend, container, gradcheck
+from . import backend, config, container, gradcheck
+from .config import flag
 from .distributions import Temperature
 from .errors import (
     BatchTooSmall,
+    ConfigError,
     EmptySequence,
     FormatError,
     IndexOutOfRange,
     NonFiniteValue,
     ShapeMismatch,
 )
-from .objectives import LossConfig
+from .objectives import LOSS_VARIANTS, LossConfig
 from .synthgen import ROI_POOLS, SynthDataset
 
 CKPT_MAGIC = "SALB-CKPT"
 
 AGGREGATION_MODES = (*ROI_POOLS, "attention")
-LOSS_VARIANTS = gradcheck.SELECTORS
 
 _MODALITIES = ("image", "text", "roi", "tag")
 # the temperature parameters are adapted but never decayed
@@ -43,24 +44,28 @@ _NO_DECAY = ("tau_log_inv", "tau_log_inv_guidance")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization and architecture settings for one training run."""
+    """Optimization and architecture settings for one training run.
 
-    epochs: int = 40
-    max_steps: Optional[int] = None
-    batch_size: int = 64
-    peak_lr: float = 3e-3
-    warmup_fraction: float = 0.10
-    weight_decay: float = 0.2
+    Construction fails for a loss variant the loss config cannot evaluate
+    (:meth:`LossConfig.check`).
+    """
+
+    epochs: int = flag(40, "training epochs")
+    max_steps: Optional[int] = flag(None, "step cap overriding epochs")
+    batch_size: int = flag(64, "batch size")
+    peak_lr: float = flag(3e-3, "peak learning rate")
+    warmup_fraction: float = flag(0.10, "linear warmup fraction")
+    weight_decay: float = flag(0.2, "decoupled weight decay")
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    roi_aggregation: str = "mean"
-    hidden_dim: int = 64
-    embed_dim: int = 32
-    attention_dim: int = 32
-    grad_clip: Optional[float] = None
+    roi_aggregation: str = flag("mean", "ROI pooling mode", AGGREGATION_MODES)
+    hidden_dim: int = flag(64, "encoder hidden width")
+    embed_dim: int = flag(32, "shared embedding width")
+    attention_dim: int = flag(32, "attention pool key width")
+    grad_clip: Optional[float] = flag(None, "global gradient-norm clip")
     seed: int = 0
-    loss_variant: str = "total"
+    loss_variant: str = flag("total", "objective variant to train", LOSS_VARIANTS)
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
@@ -82,37 +87,23 @@ class TrainConfig:
             raise ValueError("optimizer betas must be in [0, 1)")
         if self.adam_eps <= 0:
             raise ValueError("adam_eps must be positive")
-        if self.roi_aggregation not in AGGREGATION_MODES:
-            raise ValueError(
-                f"roi_aggregation must be one of {AGGREGATION_MODES}, "
-                f"got {self.roi_aggregation!r}"
-            )
-        if self.loss_variant not in LOSS_VARIANTS:
-            raise ValueError(
-                f"loss_variant must be one of {LOSS_VARIANTS}, got {self.loss_variant!r}"
-            )
+        config.check_choices(self)
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive when set")
         for name in ("hidden_dim", "embed_dim", "attention_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        self.loss.check(self.loss_variant)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown TrainConfig keys: {sorted(unknown)}")
         d = dict(d)
-        if "loss" in d and isinstance(d["loss"], dict):
-            loss_d = d["loss"]
-            unknown_loss = set(loss_d) - set(LossConfig.__dataclass_fields__)
-            if unknown_loss:
-                raise ValueError(f"unknown LossConfig keys: {sorted(unknown_loss)}")
-            d["loss"] = LossConfig(**loss_d)
-        return cls(**d)
+        if isinstance(d.get("loss"), dict):
+            d["loss"] = LossConfig.from_dict(d["loss"])
+        return config.from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -435,12 +426,22 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     early without changing the schedule (checkpoint and resume later).
     A non-finite head output, loss component or gradient raises
     NonFiniteValue before the update, leaving the state at the last
-    finite step.
+    finite step. A resumed ``state`` must have been trained under ``cfg``
+    up to ``max_steps``; any other difference raises ConfigError.
     """
     total = total_steps_for(dataset, cfg)
     batches = dataset.n // cfg.batch_size
     if state is None:
         state = init_state(dataset.spec, cfg)
+    else:
+        changed = [f.name for f in fields(cfg) if f.name != "max_steps"
+                   and getattr(cfg, f.name) != getattr(state.config, f.name)]
+        if changed:
+            raise ConfigError(
+                f"cannot resume: the checkpoint was trained with different "
+                f"{', '.join(changed)}; only max_steps may change"
+            )
+        state.config = cfg
     end = total if stop_at_step is None else min(total, stop_at_step)
     metrics: list[dict] = []
     perm_epoch = -1

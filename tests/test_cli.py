@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from softalign.cli import main
+from softalign import trainer
+from softalign.cli import build_parser, main
 from softalign.harness import RESULT_COLUMNS
 
 TINY = ["--n-samples", "120", "--n-concepts", "8", "--latent-dim", "12",
@@ -62,6 +64,19 @@ def test_resume_matches_uninterrupted(workdir):
     assert done.exists()
 
 
+def test_resume_with_different_beta_rejected(workdir, capsys):
+    data = workdir / "data.salb"
+    part = workdir / "part_b.ckpt"
+    done = workdir / "done_b.ckpt"
+    base = ["train", "--data", str(data), *FAST, "--seed", "6"]
+    assert main(base + ["--max-steps", "3", "--out", str(part)]) == 0
+    capsys.readouterr()
+    assert main(base + ["--beta", "0.9", "--resume", str(part),
+                        "--out", str(done)]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert not done.exists()
+
+
 def test_grad_check_stdout_json(capsys):
     assert main(["grad-check", "--loss", "total", "--n", "4", "--d", "8",
                  "--seed", "0"]) == 0
@@ -109,6 +124,26 @@ def test_ablate_emits_csv_and_json(workdir):
         assert len(list(reader)) == 5
     mirror = json.loads((workdir / "ablate.json").read_text())
     assert len(mirror) == 5
+
+
+@pytest.mark.parametrize("argv, error", [
+    # soft_re_fkl turns the relation-enhanced term on, undefined at beta=0
+    (["ablate", "--seeds", "0", "--beta", "0", "--divergence", "forward_kl",
+      "--lambda-re", "0"], "DegenerateTargets"),
+    (["sweep-beta", "--betas", "0.3,1.5"], "ValueError"),
+    (["sweep-gamma", "--gammas", "0,-0.1"], "ValueError"),
+])
+def test_infeasible_suite_fails_before_training(workdir, monkeypatch, capsys,
+                                                argv, error):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a suite point")
+
+    monkeypatch.setattr(trainer, "train", no_training)
+    out = workdir / "infeasible.csv"
+    assert main([*argv, "--data", str(workdir / "data.salb"), *FAST,
+                 "--out", str(out)]) == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 def test_sweep_beta(workdir):
@@ -269,3 +304,102 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+# The config flags of each subcommand, as (option strings, dest, type or
+# action, choices). Derived from the config dataclasses; this list pins
+# them so that no flag is added or dropped silently.
+_COMMON_FLAGS = [
+    (("--config",), "config", "_StoreAction", None),
+    (("--seed",), "seed", "int", None),
+    (("--force",), "force", "_StoreTrueAction", None),
+]
+_SYNTH_FLAGS = [
+    (("--n-samples",), "n_samples", "int", None),
+    (("--n-concepts",), "n_concepts", "int", None),
+    (("--latent-dim",), "latent_dim", "int", None),
+    (("--concepts-per-sample",), "concepts_per_sample", "int", None),
+    (("--d-image",), "d_image", "int", None),
+    (("--d-text",), "d_text", "int", None),
+    (("--d-roi",), "d_roi", "int", None),
+    (("--d-tag",), "d_tag", "int", None),
+    (("--rois-per-image",), "rois_per_image", "int", None),
+    (("--noise-sigma-image",), "noise_sigma_image", "float", None),
+    (("--noise-sigma-text",), "noise_sigma_text", "float", None),
+    (("--noise-sigma-roi",), "noise_sigma_roi", "float", None),
+    (("--noise-sigma-tag",), "noise_sigma_tag", "float", None),
+    (("--faulty-positive-rate",), "faulty_positive_rate", "float", None),
+]
+_VARIANTS = ("clip", "label_smooth", "soft", "soft_re", "total", "mixed_gamma")
+_TRAIN_FLAGS = [
+    (("--epochs",), "epochs", "int", None),
+    (("--max-steps",), "max_steps", "int", None),
+    (("--batch-size",), "batch_size", "int", None),
+    (("--peak-lr",), "peak_lr", "float", None),
+    (("--warmup-fraction",), "warmup_fraction", "float", None),
+    (("--weight-decay",), "weight_decay", "float", None),
+    (("--roi-aggregation",), "roi_aggregation", "_StoreAction",
+     ("mean", "max", "min", "attention")),
+    (("--hidden-dim",), "hidden_dim", "int", None),
+    (("--embed-dim",), "embed_dim", "int", None),
+    (("--attention-dim",), "attention_dim", "int", None),
+    (("--grad-clip",), "grad_clip", "float", None),
+    (("--loss-variant",), "loss_variant", "_StoreAction", _VARIANTS),
+]
+_LOSS_FLAGS = [
+    (("--tau-init",), "tau_init", "float", None),
+    (("--alpha",), "alpha", "float", None),
+    (("--beta",), "beta", "float", None),
+    (("--gamma",), "gamma", "float", None),
+    (("--lambda-re",), "lambda_re", "float", None),
+    (("--mu-clip",), "mu_clip", "float", None),
+    (("--divergence",), "divergence", "_StoreAction",
+     ("forward_kl", "symmetric_kl", "js")),
+    (("--supervision-form",), "supervision_form", "_StoreAction",
+     ("R2R_A2A", "A2A_R2R", "R2A_A2R", "A2R_R2A")),
+    (("--stop-gradient-targets", "--no-stop-gradient-targets"),
+     "stop_gradient_targets", "BooleanOptionalAction", None),
+    (("--target-floor",), "target_floor", "float", None),
+    (("--split-guidance-temperature", "--no-split-guidance-temperature"),
+     "split_guidance_temperature", "BooleanOptionalAction", None),
+]
+_DATA_OUT = [
+    (("--data",), "data", "_StoreAction", None),
+    (("--out",), "out", "_StoreAction", None),
+]
+_SWEEP_JOBS = [(("--jobs",), "jobs", "int", None)]
+EXPECTED_FLAGS = {
+    "gen-data": _COMMON_FLAGS + _SYNTH_FLAGS
+    + [(("--out",), "out", "_StoreAction", None)],
+    "train": _COMMON_FLAGS + _TRAIN_FLAGS + _LOSS_FLAGS + _DATA_OUT + [
+        (("--resume",), "resume", "_StoreAction", None),
+        (("--metrics",), "metrics", "_StoreAction", None),
+    ],
+    "ablate": _COMMON_FLAGS + _TRAIN_FLAGS + _LOSS_FLAGS + _DATA_OUT
+    + [(("--seeds",), "seeds", "_StoreAction", None)],
+    "sweep-beta": _COMMON_FLAGS + _TRAIN_FLAGS + _LOSS_FLAGS + _DATA_OUT
+    + [(("--betas",), "betas", "_StoreAction", None)] + _SWEEP_JOBS,
+    "sweep-gamma": _COMMON_FLAGS + _TRAIN_FLAGS + _LOSS_FLAGS + _DATA_OUT
+    + [(("--gammas",), "gammas", "_StoreAction", None)] + _SWEEP_JOBS,
+    "grad-check": _COMMON_FLAGS + _LOSS_FLAGS + [
+        (("--loss",), "loss", "_StoreAction", _VARIANTS),
+        (("--n",), "n", "int", None),
+        (("--d",), "d", "int", None),
+        (("--tolerance",), "tolerance", "float", None),
+        (("--epsilon",), "epsilon", "float", None),
+        (("--out",), "out", "_StoreAction", None),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))
+def test_flag_set(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    table = [
+        (tuple(a.option_strings), a.dest,
+         a.type.__name__ if a.type else type(a).__name__,
+         tuple(a.choices) if a.choices is not None else None)
+        for a in subparsers.choices[command]._actions if a.dest != "help"
+    ]
+    assert table == EXPECTED_FLAGS[command]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from softalign.distributions import Temperature
-from softalign.errors import DegenerateTargets
+from softalign.errors import DegenerateTargets, SoftalignError
 from softalign.numkit import stable_row_softmax
-from softalign.objectives import LossConfig, cross_entropy_rows
+from softalign.objectives import DIVERGENCES, LossConfig, cross_entropy_rows
 from softalign import gradcheck
 from softalign.gradcheck import (
     SELECTORS,
@@ -227,3 +227,33 @@ class TestForwardValueSemantics:
         assert tau.clamp_active
         _, g = backward("clip", v, t, r, a, tau, LossConfig())
         assert g.d_log_inv_tau == 0.0
+
+
+@pytest.mark.parametrize("lambda_re", [0.0, 1.0])
+@pytest.mark.parametrize("divergence", DIVERGENCES)
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_loss_config_check_matches_graph(selector, beta, divergence, lambda_re):
+    cfg = LossConfig(beta=beta, divergence=divergence, lambda_re=lambda_re)
+    degenerate = (
+        beta == 0.0
+        and selector in ("soft", "soft_re", "total", "mixed_gamma")
+        and (divergence != "forward_kl" or selector == "soft_re"
+             or (selector in ("total", "mixed_gamma") and lambda_re > 0.0))
+    )
+    v, t, r, a = random_inputs(7)
+    tau = Temperature.from_tau(0.07)
+    if not degenerate:
+        cfg.check(selector)
+        assert np.isfinite(forward_value(selector, v, t, r, a, tau, cfg))
+        return
+    with pytest.raises(SoftalignError) as by_check:
+        cfg.check(selector)
+    with pytest.raises(SoftalignError) as by_graph:
+        forward_value(selector, v, t, r, a, tau, cfg)
+    assert type(by_check.value) is type(by_graph.value) is DegenerateTargets
+
+
+def test_loss_config_check_rejects_unknown_variant():
+    with pytest.raises(ValueError):
+        LossConfig().check("cosine")

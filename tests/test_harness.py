@@ -180,6 +180,16 @@ class TestSweeps:
         assert {r.beta for r in rows} == {0.5}
         assert any("DegenerateTargets" in rec.message for rec in caplog.records)
 
+    def test_beta_zero_forward_kl_runs_without_relation(self, tiny_dataset,
+                                                        tiny_config, caplog):
+        base = replace(tiny_config,
+                       loss=replace(tiny_config.loss, divergence="forward_kl"))
+        with caplog.at_level("WARNING", logger="softalign"):
+            rows = beta_sweep(tiny_dataset, base, [0.0, 0.5])
+        assert [(r.variant, r.beta) for r in rows] == [
+            ("without_re", 0.0), ("with_re", 0.5), ("without_re", 0.5)]
+        assert any("DegenerateTargets" in rec.message for rec in caplog.records)
+
     def test_beta_one_stable(self, tiny_dataset, tiny_config):
         rows = beta_sweep(tiny_dataset, tiny_config, [1.0])
         assert len(rows) == 2

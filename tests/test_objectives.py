@@ -174,6 +174,14 @@ class TestSoftLoss:
             with pytest.raises(DegenerateTargets):
                 soft_loss(bundle, cfg)
 
+    def test_relation_term_at_beta_zero_rejected(self, rng):
+        # the reference raises what LossConfig.check and the graph raise
+        cfg = LossConfig(beta=0.0, divergence="forward_kl")
+        bundle, _, _ = _bundle(rng, cfg=cfg)
+        assert np.isfinite(soft_loss(bundle, cfg))
+        with pytest.raises(DegenerateTargets):
+            relation_enhanced_soft_loss(bundle, cfg)
+
 
 def _brute_relation_enhanced(bundle, cfg):
     """Independent oracle: explicit per-row lists, no shared code paths."""

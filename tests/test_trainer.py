@@ -7,6 +7,8 @@ import pytest
 from softalign import trainer
 from softalign.errors import (
     BatchTooSmall,
+    ConfigError,
+    DegenerateTargets,
     EmptySequence,
     FormatError,
     IndexOutOfRange,
@@ -255,6 +257,21 @@ class TestTrainLoop:
             np.testing.assert_array_equal(full.m[k], resumed.m[k])
             np.testing.assert_array_equal(full.v[k], resumed.v[k])
 
+    def test_resume_under_different_config_rejected(self, small_dataset,
+                                                    small_config):
+        part, _ = train(small_dataset, small_config, stop_at_step=3)
+        other = replace(small_config,
+                        loss=replace(small_config.loss, beta=0.9))
+        with pytest.raises(ConfigError, match="loss"):
+            train(small_dataset, other, state=part)
+        assert part.step == 3 and part.config == small_config
+
+    def test_resume_adopts_new_max_steps(self, small_dataset, small_config):
+        part, _ = train(small_dataset, replace(small_config, max_steps=3))
+        resumed, _ = train(small_dataset, small_config, state=part)
+        assert resumed.config == small_config
+        assert resumed.step == total_steps_for(small_dataset, small_config)
+
     def test_frozen_guidance_heads(self, small_dataset):
         # detached targets + no contrastive or relation terms: the roi/tag
         # branches get zero gradient; with decay off they cannot move
@@ -428,3 +445,8 @@ class TestTrainConfigValidation:
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+    def test_rejects_degenerate_loss(self):
+        with pytest.raises(DegenerateTargets):
+            TrainConfig(loss=LossConfig(beta=0.0))
+        TrainConfig(loss_variant="clip", loss=LossConfig(beta=0.0))

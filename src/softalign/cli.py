@@ -80,19 +80,17 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _section(args, name: str) -> dict:
-    cfg = getattr(args, "config", None)
-    if not cfg:
-        return {}
-    return _load_config_file(cfg).get(name, {})
+def _config_file(args) -> dict:
+    """The ``--config`` file's sections, or {} without one."""
+    return _load_config_file(args.config) if args.config else {}
 
 
-def _build(args, cls, section: str, **fixed):
+def _build(args, cls, section: dict, **fixed):
     """A config from its file section, overridden by flags, then ``fixed``.
 
     ``cls.from_dict`` rejects unknown keys.
     """
-    merged = dict(_section(args, section))
+    merged = dict(section)
     for f in fields(cls):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -102,8 +100,9 @@ def _build(args, cls, section: str, **fixed):
 
 
 def _train_config(args) -> TrainConfig:
-    return _build(args, TrainConfig, "train",
-                  loss=_build(args, LossConfig, "loss"))
+    sections = _config_file(args)
+    return _build(args, TrainConfig, sections.get("train", {}),
+                  loss=_build(args, LossConfig, sections.get("loss", {})))
 
 
 def _ensure_writable(path, force: bool) -> None:
@@ -156,7 +155,7 @@ def _add_config_flags(p, cls, title: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
-    spec = _build(args, SynthSpec, "synth")
+    spec = _build(args, SynthSpec, _config_file(args).get("synth", {}))
     _ensure_writable(args.out, args.force)
     log.info("generating dataset: n=%d, K=%d, seed=%d",
              spec.n_samples, spec.n_concepts, spec.seed)
@@ -214,11 +213,14 @@ def _emit_rows(rows, out_path) -> None:
 def _cmd_ablate(args) -> int:
     cfg = _train_config(args)
     _ensure_writable(args.out, args.force)
-    dataset = synthgen.load(args.data)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    bases = [replace(cfg, seed=seed) for seed in seeds]
+    for base in bases:  # every variant is validated before the data loads
+        harness.ablation_variants(base)
+    dataset = synthgen.load(args.data)
     rows = []
-    for seed in seeds:
-        suite_rows, _ = harness.ablation_suite(dataset, replace(cfg, seed=seed))
+    for base in bases:
+        suite_rows, _ = harness.ablation_suite(dataset, base)
         rows.extend(suite_rows)
     _emit_rows(rows, args.out)
     return 0
@@ -234,9 +236,8 @@ def _parse_values(text: str, flag: str) -> list[float]:
 def _cmd_sweep_beta(args) -> int:
     cfg = _train_config(args)
     _ensure_writable(args.out, args.force)
-    betas = _parse_values(args.betas, "--betas")
-    dataset = synthgen.load(args.data)
-    rows = harness.beta_sweep(dataset, cfg, betas, jobs=args.jobs)
+    points = harness.beta_points(cfg, _parse_values(args.betas, "--betas"))
+    rows = harness.sweep(synthgen.load(args.data), points, jobs=args.jobs)
     _emit_rows(rows, args.out)
     return 0
 
@@ -244,15 +245,14 @@ def _cmd_sweep_beta(args) -> int:
 def _cmd_sweep_gamma(args) -> int:
     cfg = _train_config(args)
     _ensure_writable(args.out, args.force)
-    gammas = _parse_values(args.gammas, "--gammas")
-    dataset = synthgen.load(args.data)
-    rows = harness.gamma_sweep(dataset, cfg, gammas, jobs=args.jobs)
+    points = harness.gamma_points(cfg, _parse_values(args.gammas, "--gammas"))
+    rows = harness.sweep(synthgen.load(args.data), points, jobs=args.jobs)
     _emit_rows(rows, args.out)
     return 0
 
 
 def _cmd_grad_check(args) -> int:
-    loss = _build(args, LossConfig, "loss")
+    loss = _build(args, LossConfig, _config_file(args).get("loss", {}))
     report = gradcheck.check_gradients(
         args.loss, seed=args.seed if args.seed is not None else 0,
         n=args.n, d=args.d, cfg=loss,

@@ -3,13 +3,15 @@
 Layout: a 4-byte little-endian unsigned header length, the UTF-8 JSON
 header, then the arrays back to back. The header carries a magic string,
 a format version, caller metadata, and per-array name/shape/offset
-(offsets relative to the start of the data section). Round-trips are
-bitwise exact.
+(offsets relative to the start of the data section, each array starting
+where the previous one ends). Round-trips are bitwise exact; a header
+whose array entries do not describe that layout raises ``FormatError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Mapping
 
@@ -51,6 +53,29 @@ def pack(magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> bytes:
     return b"".join([prefix, *map(memoryview, datas)])
 
 
+def _check_entry(entry, offset: int) -> tuple[str, tuple[int, ...]]:
+    """(name, shape) of one header array entry that must start at ``offset``.
+
+    Arrays lie back to back in header order, as :func:`layout` writes them.
+    """
+    if not isinstance(entry, dict):
+        raise FormatError(f"array entry must be an object, got {entry!r}")
+    name, shape = entry.get("name"), entry.get("shape")
+    if not isinstance(name, str):
+        raise FormatError(f"array entry name must be a string, got {name!r}")
+    if not (isinstance(shape, list) and all(
+            type(dim) is int and dim >= 0 for dim in shape)):
+        raise FormatError(
+            f"array {name!r}: shape must be a list of non-negative ints, got {shape!r}"
+        )
+    if type(entry.get("offset")) is not int or entry["offset"] != offset:
+        raise FormatError(
+            f"array {name!r}: offset {entry.get('offset')!r} does not follow "
+            f"the previous array (expected {offset})"
+        )
+    return name, tuple(shape)
+
+
 def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Parse a container; returns (meta, arrays). Raises FormatError."""
     if len(blob) < 4:
@@ -64,26 +89,34 @@ def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray
         header = json.loads(blob[4:4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError("header must be a JSON object")
     magic = header.get("magic")
     if magic != expected_magic:
         raise FormatError(f"bad magic: expected {expected_magic!r}, got {magic!r}")
     version = header.get("version")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version!r} (expected {VERSION})")
-    data = blob[4 + header_len:]
+    entries = header.get("arrays", [])
+    if not isinstance(entries, list):
+        raise FormatError("header 'arrays' must be a list")
+    start = 4 + header_len
     arrays = {}
-    for entry in header.get("arrays", []):
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        count = int(np.prod(shape)) if shape else 1
+    offset = 0
+    for entry in entries:
+        name, shape = _check_entry(entry, offset)
+        count = math.prod(shape)
         end = offset + count * 8
-        if end > len(data):
+        if start + end > len(blob):
             raise FormatError(
                 f"truncated data: array {name!r} needs bytes up to {end}, "
-                f"data section has {len(data)}"
+                f"data section has {len(blob) - start}"
             )
+        # one copy per array, straight out of the file's bytes
         arrays[name] = np.frombuffer(
-            data[offset:end], dtype="<f8"
+            blob, dtype="<f8", count=count, offset=start + offset
         ).reshape(shape).copy()
+        offset = end
     return header.get("meta", {}), arrays
 
 

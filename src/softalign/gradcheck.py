@@ -2,9 +2,15 @@
 
 The forward math mirrors :mod:`softalign.objectives` but is computed in
 log space (log-softmax instead of log of stored probabilities), which
-keeps every term smooth; the two paths agree to ~1e-12 and are
-cross-checked in the test suite. Gradients are hand-derived per stage and
-composed:
+keeps every term smooth; both paths floor only exact zeros inside logs
+(:func:`softalign.numkit.floored_log`), and
+``tests/test_gradcheck.py::test_graph_matches_reference`` checks that
+they agree to 1e-12 relative on every selector, divergence and
+supervision form. The softened-target and relation-enhanced terms are
+one per-direction divergence (:func:`_soft_direction`); the
+relation-enhanced case drops the positive from both rows, renormalizes
+the negatives and chains the target gradient through that
+renormalization. Gradients are hand-derived per stage and composed:
 
 * softmax rows:       dz = p * (g - sum_j p_j g_j)         (vjp)
 * forward KL:         dz_pred = p - t
@@ -39,7 +45,7 @@ from .distributions import (
     label_smooth_targets,
 )
 from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
-from .numkit import as_matrix
+from .numkit import as_matrix, floored_log
 from .objectives import (
     LOSS_VARIANTS,
     SOFT_TARGET_VARIANTS,
@@ -125,18 +131,13 @@ class GradCheckReport:
 # computation graph
 # ---------------------------------------------------------------------------
 
-def _guarded_log(m: np.ndarray, floor: float) -> np.ndarray:
-    # log of positive entries is exact; only true zeros hit the floor
-    return np.log(np.where(m > 0.0, m, floor))
-
-
 class _Graph:
     """Shared state of one forward (and optional backward) evaluation.
 
-    Logits and softmax matrices are cached by (source, destination,
-    temperature group); gradient contributions accumulate per logits key
-    and are pushed through the temperature scaling and row normalization
-    in :meth:`finalize`.
+    Logits and the row kernels applied to them are cached by (source,
+    destination, temperature group); gradient contributions accumulate
+    per logits key and are pushed through the temperature scaling and row
+    normalization in :meth:`finalize`.
     """
 
     def __init__(self, v, t, r, a, tau: Temperature, cfg: LossConfig,
@@ -190,10 +191,7 @@ class _Graph:
         }
 
         self._z: dict = {}
-        self._soft: dict = {}
-        self._logsoft: dict = {}
-        self._masked: dict = {}
-        self._masked_log: dict = {}
+        self._rows: dict = {}
         self._dz: dict = {}
         self._eye = np.eye(n, dtype=dtype)
         self._offdiag = ~np.eye(n, dtype=bool)
@@ -211,31 +209,11 @@ class _Graph:
             self._z[key] = sims * self._inv_tau[group]
         return self._z[key]
 
-    def softmax(self, key) -> np.ndarray:
-        if key not in self._soft:
-            self._soft[key] = backend.softmax_rows(self.z(key))
-        return self._soft[key]
-
-    def logsoftmax(self, key) -> np.ndarray:
-        if key not in self._logsoft:
-            self._logsoft[key] = backend.logsoftmax_rows(self.z(key))
-        return self._logsoft[key]
-
-    def masked_softmax(self, key) -> np.ndarray:
-        if key not in self._masked:
-            self._masked[key] = backend.masked_softmax_rows(self.z(key))
-        return self._masked[key]
-
-    def masked_logsoftmax(self, key) -> np.ndarray:
-        if key not in self._masked_log:
-            self._masked_log[key] = backend.masked_logsoftmax_rows(self.z(key))
-        return self._masked_log[key]
-
-    def vjp(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return backend.softmax_vjp_rows(p, g)
-
-    def kl_term_rows(self, a, log_a, log_b) -> np.ndarray:
-        return backend.kl_term_rows(a, log_a, log_b)
+    def rows(self, kernel, key) -> np.ndarray:
+        """A ``backend`` row kernel (softmax or its variants) of logits ``key``."""
+        if (kernel, key) not in self._rows:
+            self._rows[kernel, key] = kernel(self.z(key))
+        return self._rows[kernel, key]
 
     def add_dz(self, key, contribution: np.ndarray) -> None:
         if key in self._dz:
@@ -279,160 +257,128 @@ def _guidance_keys(graph: _Graph, form: str, r_name: str, a_name: str):
 def _clip_direction(graph: _Graph, pred_key, weight: float,
                     targets: np.ndarray):
     """Cross-entropy of fixed targets against one softmax direction."""
-    ln_p = graph.logsoftmax(pred_key)
+    ln_p = graph.rows(backend.logsoftmax_rows, pred_key)
     value = weight * -(targets * ln_p).sum(axis=1).mean()
     if graph.want_grad and weight != 0.0:
-        p = graph.softmax(pred_key)
+        p = graph.rows(backend.softmax_rows, pred_key)
         graph.add_dz(pred_key, (weight / graph.n) * (p - targets))
     return value
 
 
-def _plain_targets(graph: _Graph, guid_key, tag) -> tuple[np.ndarray, np.ndarray]:
+def _require_negative_mass(mass: np.ndarray, side: str) -> None:
+    if (mass < MIN_NEGATIVE_MASS).any():
+        bad = int(np.argmax(mass < MIN_NEGATIVE_MASS))
+        raise DegenerateRow(
+            f"{side} row {bad} has off-diagonal mass {mass[bad]:.3e}; "
+            "cannot renormalize negatives"
+        )
+
+
+def _targets(graph: _Graph, guid_key, tag, disentangled: bool):
+    """Softened targets of one direction as (t, log t, s).
+
+    ``t = (1 - beta) I + beta G``. Disentangled, the diagonal is dropped
+    and the rest divided by the off-diagonal mass ``s`` (diagonals of
+    ``t`` and ``log t`` are 0); plain, ``s`` is None.
+    """
     cfg = graph.cfg
     if graph.frozen is not None:
         return graph.frozen[tag]
-    g = graph.softmax(guid_key)
+    g = graph.rows(backend.softmax_rows, guid_key)
     t = (1.0 - cfg.beta) * graph._eye + cfg.beta * g
-    ln_t = _guarded_log(t, cfg.target_floor)
+    s = None
+    if disentangled:
+        # sum the off-diagonal entries directly: computing 1 - t_ii instead
+        # loses ~8 digits when the guidance softmax saturates
+        s = (t * graph._offdiag).sum(axis=1)
+        _require_negative_mass(s, "target")
+        t = t / s[:, None]
+        np.fill_diagonal(t, 0.0)
+    ln_t = floored_log(t, cfg.target_floor)
+    if disentangled:
+        np.fill_diagonal(ln_t, 0.0)
     if graph.collector is not None:
-        graph.collector[tag] = (t, ln_t)
-    return t, ln_t
+        graph.collector[tag] = (t, ln_t, s)
+    return t, ln_t, s
 
 
-def _soft_plain_direction(graph: _Graph, pred_key, guid_key, weight: float,
-                          tag):
-    """One direction of the softened-target loss on full distributions."""
+def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
+                    disentangled: bool):
+    """One direction of the softened-target divergence.
+
+    ``disentangled`` gives the relation-enhanced term: the positive is
+    dropped from both rows and the negatives renormalized, so the
+    prediction side uses the masked softmax, every gradient term is
+    zeroed on the diagonal (``where(off, x, 1)`` keeps logs and divisions
+    finite there), and the target gradient is chained through the
+    renormalization.
+    """
     cfg = graph.cfg
-    n = graph.n
-    p = graph.softmax(pred_key)
-    ln_p = graph.logsoftmax(pred_key)
-    t, ln_t = _plain_targets(graph, guid_key, tag)
-    mode = cfg.divergence
-    c = weight / n
-    grads_to_targets = (
-        graph.want_grad and not cfg.stop_gradient_targets and weight != 0.0
-    )
+    if disentangled:
+        off = graph._offdiag
+        p_full = graph.rows(backend.softmax_rows, pred_key)
+        _require_negative_mass((p_full * off).sum(axis=1), "prediction")
+        p = graph.rows(backend.masked_softmax_rows, pred_key)
+        ln_p = graph.rows(backend.masked_logsoftmax_rows, pred_key)
 
+        def mask(x):
+            return np.where(off, x, 0.0)
+
+        def safe(x):
+            return np.where(off, x, 1.0)
+    else:
+        p = graph.rows(backend.softmax_rows, pred_key)
+        ln_p = graph.rows(backend.logsoftmax_rows, pred_key)
+
+        def mask(x):
+            return x
+        safe = mask
+    t, ln_t, s = _targets(graph, guid_key, tag, disentangled)
+    kl = backend.kl_term_rows
+    vjp = backend.softmax_vjp_rows
+    # the finite-difference oracle runs this forward-only thousands of
+    # times, so gradient terms are built only when asked for
+    grad_p = graph.want_grad and weight != 0.0
+    grad_t = grad_p and not cfg.stop_gradient_targets
+    # dz: gradient w.r.t. the prediction logits; h: w.r.t. the targets t,
+    # before the chain through s and the guidance softmax
+    dz = h = None
+
+    mode = cfg.divergence
     if mode == "forward_kl":
-        value = graph.kl_term_rows(t, ln_t, ln_p).mean()
-        if graph.want_grad and weight != 0.0:
-            graph.add_dz(pred_key, c * (p - t))
-        if grads_to_targets:
-            h = cfg.beta * (ln_t - ln_p + 1.0)
-            g = graph.softmax(guid_key)
-            graph.add_dz(guid_key, c * graph.vjp(g, h))
+        value = kl(t, ln_t, ln_p).mean()
+        if grad_p:
+            dz = p - t
+        if grad_t:
+            h = mask(ln_t - ln_p + 1.0)
     elif mode == "symmetric_kl":
-        u = ln_p - ln_t
-        fwd = graph.kl_term_rows(t, ln_t, ln_p)
-        rev = graph.kl_term_rows(p, ln_p, ln_t)
-        value = 0.5 * (fwd + rev).mean()
-        if graph.want_grad and weight != 0.0:
-            dz = 0.5 * (p - t) + 0.5 * graph.vjp(p, u)
-            graph.add_dz(pred_key, c * dz)
-        if grads_to_targets:
-            h = cfg.beta * (0.5 * (ln_t - ln_p + 1.0) - 0.5 * (p / t))
-            g = graph.softmax(guid_key)
-            graph.add_dz(guid_key, c * graph.vjp(g, h))
+        value = 0.5 * (kl(t, ln_t, ln_p) + kl(p, ln_p, ln_t)).mean()
+        if grad_p:
+            dz = 0.5 * (p - t) + 0.5 * vjp(p, mask(ln_p - ln_t))
+        if grad_t:
+            h = mask(0.5 * (ln_t - ln_p + 1.0) - 0.5 * mask(p / safe(t)))
     elif mode == "js":
-        m = 0.5 * (t + p)
-        ln_m = np.log(m)
-        value = 0.5 * (graph.kl_term_rows(t, ln_t, ln_m)
-                       + graph.kl_term_rows(p, ln_p, ln_m)).mean()
-        if graph.want_grad and weight != 0.0:
-            graph.add_dz(pred_key, c * graph.vjp(p, 0.5 * (ln_p - ln_m)))
-        if grads_to_targets:
-            h = cfg.beta * 0.5 * (ln_t - ln_m)
-            g = graph.softmax(guid_key)
-            graph.add_dz(guid_key, c * graph.vjp(g, h))
+        ln_m = mask(np.log(safe(0.5 * (t + p))))
+        value = 0.5 * (kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m)).mean()
+        if grad_p:
+            dz = vjp(p, mask(0.5 * (ln_p - ln_m)))
+        if grad_t:
+            h = mask(0.5 * (ln_t - ln_m))
     else:  # pragma: no cover - LossConfig validates
         raise ValueError(f"unknown divergence {mode!r}")
-    return weight * value
 
-
-def _disent_targets(graph: _Graph, guid_key, tag):
-    cfg = graph.cfg
-    if graph.frozen is not None:
-        return graph.frozen[tag]
-    g = graph.softmax(guid_key)
-    t = (1.0 - cfg.beta) * graph._eye + cfg.beta * g
-    # sum the off-diagonal entries directly: computing 1 - t_ii instead
-    # loses ~8 digits when the guidance softmax saturates
-    s = (t * graph._offdiag).sum(axis=1)
-    if (s < MIN_NEGATIVE_MASS).any():
-        bad = int(np.argmax(s < MIN_NEGATIVE_MASS))
-        raise DegenerateRow(
-            f"target row {bad} has off-diagonal mass {s[bad]:.3e}; "
-            "cannot renormalize negatives (beta too small?)"
-        )
-    q_t = t / s[:, None]
-    np.fill_diagonal(q_t, 0.0)
-    ln_q_t = _guarded_log(q_t, cfg.target_floor)
-    np.fill_diagonal(ln_q_t, 0.0)
-    if graph.collector is not None:
-        graph.collector[tag] = (q_t, ln_q_t, s)
-    return q_t, ln_q_t, s
-
-
-def _soft_disent_direction(graph: _Graph, pred_key, guid_key, weight: float,
-                           tag):
-    """One direction of the relation-enhanced (negative-disentangled) loss."""
-    cfg = graph.cfg
-    n = graph.n
-    p_full = graph.softmax(pred_key)
-    pred_neg_mass = (p_full * graph._offdiag).sum(axis=1)
-    if (pred_neg_mass < MIN_NEGATIVE_MASS).any():
-        bad = int(np.argmax(pred_neg_mass < MIN_NEGATIVE_MASS))
-        raise DegenerateRow(
-            f"prediction row {bad} has off-diagonal mass {pred_neg_mass[bad]:.3e}"
-        )
-    q_p = graph.masked_softmax(pred_key)
-    ln_q_p = graph.masked_logsoftmax(pred_key)
-    q_t, ln_q_t, s = _disent_targets(graph, guid_key, tag)
-    mode = cfg.divergence
-    c = weight / n
-    grads_to_targets = (
-        graph.want_grad and not cfg.stop_gradient_targets and weight != 0.0
-    )
-    off = graph._offdiag
-
-    def _target_chain(h: np.ndarray) -> None:
-        # h: free gradient w.r.t. q_t (diagonal entries must be zero)
-        d_t = np.where(off, h / s[:, None], 0.0)
-        diag_grad = (h * q_t).sum(axis=1) / s
-        d_t[np.arange(n), np.arange(n)] = diag_grad
-        g = graph.softmax(guid_key)
-        graph.add_dz(guid_key, c * graph.vjp(g, cfg.beta * d_t))
-
-    if mode == "forward_kl":
-        value = graph.kl_term_rows(q_t, ln_q_t, ln_q_p).mean()
-        if graph.want_grad and weight != 0.0:
-            graph.add_dz(pred_key, c * (q_p - q_t))
-        if grads_to_targets:
-            _target_chain(np.where(off, ln_q_t - ln_q_p + 1.0, 0.0))
-    elif mode == "symmetric_kl":
-        u = np.where(off, ln_q_p - ln_q_t, 0.0)
-        fwd = graph.kl_term_rows(q_t, ln_q_t, ln_q_p)
-        rev = graph.kl_term_rows(q_p, ln_q_p, ln_q_t)
-        value = 0.5 * (fwd + rev).mean()
-        if graph.want_grad and weight != 0.0:
-            dz = 0.5 * (q_p - q_t) + 0.5 * graph.vjp(q_p, u)
-            graph.add_dz(pred_key, c * dz)
-        if grads_to_targets:
-            ratio = np.where(off, q_p / np.where(off, q_t, 1.0), 0.0)
-            h = np.where(off, 0.5 * (ln_q_t - ln_q_p + 1.0) - 0.5 * ratio, 0.0)
-            _target_chain(h)
-    elif mode == "js":
-        m = 0.5 * (q_t + q_p)
-        ln_m = np.where(off, np.log(np.where(off, m, 1.0)), 0.0)
-        value = 0.5 * (graph.kl_term_rows(q_t, ln_q_t, ln_m)
-                       + graph.kl_term_rows(q_p, ln_q_p, ln_m)).mean()
-        if graph.want_grad and weight != 0.0:
-            h_p = np.where(off, 0.5 * (ln_q_p - ln_m), 0.0)
-            graph.add_dz(pred_key, c * graph.vjp(q_p, h_p))
-        if grads_to_targets:
-            _target_chain(np.where(off, 0.5 * (ln_q_t - ln_m), 0.0))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown divergence {mode!r}")
+    c = weight / graph.n
+    if dz is not None:
+        graph.add_dz(pred_key, c * dz)
+    if h is not None:
+        if disentangled:
+            # through q = t / s with s = 1 - t_ii: h / s off the diagonal,
+            # sum_j h_j q_j / s on it
+            d_t = np.where(off, h / s[:, None], 0.0)
+            np.fill_diagonal(d_t, (h * t).sum(axis=1) / s)
+            h = d_t
+        g = graph.rows(backend.softmax_rows, guid_key)
+        graph.add_dz(guid_key, c * vjp(g, cfg.beta * h))
     return weight * value
 
 
@@ -459,28 +405,19 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     def soft_pair(bundle: str, disentangled: bool, weight: float) -> float:
         r_name, a_name = ("r", "a") if bundle == "ra" else ("v", "t")
         g_v2l, g_l2v = _guidance_keys(graph, cfg.supervision_form, r_name, a_name)
-        fn = _soft_disent_direction if disentangled else _soft_plain_direction
         kind = "re" if disentangled else "soft"
-        v2l = fn(graph, k_it, g_v2l, 0.5 * weight, (bundle, "v2l", kind))
-        l2v = fn(graph, k_ti, g_l2v, 0.5 * weight, (bundle, "l2v", kind))
-        return v2l + l2v
+        return (_soft_direction(graph, k_it, g_v2l, 0.5 * weight,
+                                (bundle, "v2l", kind), disentangled)
+                + _soft_direction(graph, k_ti, g_l2v, 0.5 * weight,
+                                  (bundle, "l2v", kind), disentangled))
 
-    if selector == "clip":
-        y = graph._eye
+    if selector in ("clip", "label_smooth"):
+        y = (graph._eye if selector == "clip"
+             else label_smooth_targets(graph.n, cfg.alpha))
         value = (_clip_direction(graph, k_it, 0.5, y)
                  + _clip_direction(graph, k_ti, 0.5, y))
-        components["clip"] = value
-    elif selector == "label_smooth":
-        smoothed = label_smooth_targets(graph.n, cfg.alpha)
-        value = (_clip_direction(graph, k_it, 0.5, smoothed)
-                 + _clip_direction(graph, k_ti, 0.5, smoothed))
-        components["label_smooth"] = value
-    elif selector == "soft":
-        value = soft_pair("ra", disentangled=False, weight=1.0)
-        components["soft"] = value
-    elif selector == "soft_re":
-        value = soft_pair("ra", disentangled=True, weight=1.0)
-        components["soft_re"] = value
+    elif selector in ("soft", "soft_re"):
+        value = soft_pair("ra", disentangled=selector == "soft_re", weight=1.0)
     elif selector == "total":
         soft = soft_pair("ra", disentangled=False, weight=1.0)
         soft_re = (soft_pair("ra", disentangled=True, weight=cfg.lambda_re)
@@ -489,13 +426,11 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
         clip = (_clip_direction(graph, k_it, 0.5 * cfg.mu_clip, y)
                 + _clip_direction(graph, k_ti, 0.5 * cfg.mu_clip, y))
         clip_value = clip / cfg.mu_clip if cfg.mu_clip > 0.0 else (
-            0.5 * -(np.diagonal(graph.logsoftmax(k_it))
-                    + np.diagonal(graph.logsoftmax(k_ti))).mean()
+            0.5 * -(np.diagonal(graph.rows(backend.logsoftmax_rows, k_it))
+                    + np.diagonal(graph.rows(backend.logsoftmax_rows, k_ti))).mean()
         )
         value = soft + cfg.lambda_re * soft_re + cfg.mu_clip * clip_value
-        components.update(
-            soft=soft, soft_re=soft_re, clip=clip_value, total=value
-        )
+        components.update(soft=soft, soft_re=soft_re, clip=clip_value)
     else:  # mixed_gamma
         gamma = cfg.gamma
         value = 0.0
@@ -509,8 +444,8 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
             if with_re:
                 value += soft_pair("it", disentangled=True,
                                    weight=(1.0 - gamma) * cfg.lambda_re)
-        components["mixed_gamma"] = value
-    components.setdefault("total", value)
+    components[selector] = value
+    components["total"] = value
     return value, components, graph
 
 
@@ -521,14 +456,6 @@ def forward_value(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     value, _, _ = _run(selector, v, t, r, a, tau, cfg, guidance_tau,
                        frozen_targets=frozen_targets)
     return float(value)
-
-
-def loss_components(selector: str, v, t, r, a, tau: Temperature,
-                    cfg: LossConfig,
-                    guidance_tau: Optional[Temperature] = None) -> dict:
-    """Named component values of one selector evaluation."""
-    _, components, _ = _run(selector, v, t, r, a, tau, cfg, guidance_tau)
-    return components
 
 
 def collect_targets(selector: str, v, t, r, a, tau: Temperature,

@@ -255,13 +255,13 @@ def ablation_suite(dataset: SynthDataset, base: TrainConfig
     return rows, states
 
 
-def beta_sweep(dataset: SynthDataset, base: TrainConfig,
-               betas: Sequence[float], jobs: int = 1) -> list[ResultRow]:
-    """Target-mixing sweep, with and without the relation-enhanced term.
+def beta_points(base: TrainConfig, betas: Sequence[float]
+                ) -> list[tuple[str, TrainConfig]]:
+    """Target-mixing sweep points, with and without the relation-enhanced term.
 
-    Every point's config is built before any training. Points whose
-    targets are degenerate (beta=0, see :meth:`LossConfig.check`) are
-    skipped with a logged reason.
+    Points whose targets are degenerate (beta=0, see
+    :meth:`LossConfig.check`) are skipped with a logged reason; any other
+    invalid value raises.
     """
     points = []
     for beta in betas:
@@ -275,19 +275,33 @@ def beta_sweep(dataset: SynthDataset, base: TrainConfig,
                             beta, variant, type(exc).__name__, exc)
                 continue
             points.append((variant, cfg))
+    return points
+
+
+def gamma_points(base: TrainConfig, gammas: Sequence[float]
+                 ) -> list[tuple[str, TrainConfig]]:
+    """Guidance-mixing sweep points (contrastive term excluded by construction)."""
+    return [("mixed", replace(base, loss_variant="mixed_gamma",
+                              loss=replace(base.loss, gamma=gamma)))
+            for gamma in gammas]
+
+
+def sweep(dataset: SynthDataset, points: Sequence[tuple[str, TrainConfig]],
+          jobs: int = 1) -> list[ResultRow]:
+    """Train and evaluate built sweep points, one row each, in order."""
     return _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
+
+
+def beta_sweep(dataset: SynthDataset, base: TrainConfig,
+               betas: Sequence[float], jobs: int = 1) -> list[ResultRow]:
+    """:func:`sweep` over :func:`beta_points`; every point is built first."""
+    return sweep(dataset, beta_points(base, betas), jobs)
 
 
 def gamma_sweep(dataset: SynthDataset, base: TrainConfig,
                 gammas: Sequence[float], jobs: int = 1) -> list[ResultRow]:
-    """Guidance-mixing sweep (contrastive term excluded by construction).
-
-    Every point's config is built, and so validated, before any training.
-    """
-    points = [("mixed", replace(base, loss_variant="mixed_gamma",
-                                loss=replace(base.loss, gamma=gamma)))
-              for gamma in gammas]
-    return _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
+    """:func:`sweep` over :func:`gamma_points`; every point is built first."""
+    return sweep(dataset, gamma_points(base, gammas), jobs)
 
 
 def _run_one_point(args) -> ResultRow:

@@ -71,6 +71,16 @@ def stable_row_softmax(logits) -> np.ndarray:
     return backend.softmax_rows(z)
 
 
+def floored_log(m: np.ndarray, floor: float) -> np.ndarray:
+    """Entrywise log in which only exact zeros are replaced by ``floor``.
+
+    Positive entries keep their exact log, however small, so a reference
+    computed from stored probabilities agrees with one computed in log
+    space; the floor only keeps ``0 * log(0)`` terms finite.
+    """
+    return np.log(np.where(m > 0.0, m, floor))
+
+
 def gaussian_matrix(rows: int, cols: int, seed: Seed) -> np.ndarray:
     """I.i.d. standard-normal matrix, deterministic given the seed."""
     if rows < 1 or cols < 1:

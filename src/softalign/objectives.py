@@ -33,7 +33,7 @@ from .distributions import (
 )
 from .config import check_choices, flag, from_dict
 from .errors import BatchTooSmall, DegenerateTargets, ShapeMismatch
-from .numkit import as_matrix
+from .numkit import as_matrix, floored_log
 
 DIVERGENCES = ("forward_kl", "symmetric_kl", "js")
 # supervision form -> the (source, destination) batches of its v2l and l2v
@@ -174,10 +174,6 @@ class DistBundle:
 # divergences on explicit distributions
 # ---------------------------------------------------------------------------
 
-def _floored_log(m: np.ndarray, floor: float) -> np.ndarray:
-    return np.log(np.maximum(m, floor))
-
-
 def _unwrap_pair(a: Dist, b: Dist) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(a, NegDisentangled) != isinstance(b, NegDisentangled):
         raise ShapeMismatch("mixed plain and neg-disentangled operands")
@@ -193,13 +189,13 @@ def _unwrap_pair(a: Dist, b: Dist) -> tuple[np.ndarray, np.ndarray]:
 def cross_entropy_rows(targets: Dist, preds: Dist, floor: float = 1e-12) -> float:
     """Mean over rows of -sum_j t_ij * log(p_ij), with 0*log(.) = 0."""
     t, p = _unwrap_pair(targets, preds)
-    return float(-(t * _floored_log(p, floor)).sum(axis=1).mean())
+    return float(-(t * floored_log(p, floor)).sum(axis=1).mean())
 
 
 def kl_rows(targets: Dist, preds: Dist, floor: float = 1e-12) -> float:
     """Mean over rows of KL(target_i || pred_i)."""
     t, p = _unwrap_pair(targets, preds)
-    rows = (t * (_floored_log(t, floor) - _floored_log(p, floor))).sum(axis=1)
+    rows = (t * (floored_log(t, floor) - floored_log(p, floor))).sum(axis=1)
     return float(rows.mean())
 
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from softalign import trainer
+from softalign import cli, synthgen, trainer
 from softalign.cli import build_parser, main
 from softalign.harness import RESULT_COLUMNS
 
@@ -138,7 +138,11 @@ def test_infeasible_suite_fails_before_training(workdir, monkeypatch, capsys,
     def no_training(*args, **kwargs):
         raise AssertionError("trained a suite point")
 
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
     monkeypatch.setattr(trainer, "train", no_training)
+    monkeypatch.setattr(synthgen, "load", no_loading)
     out = workdir / "infeasible.csv"
     assert main([*argv, "--data", str(workdir / "data.salb"), *FAST,
                  "--out", str(out)]) == 1
@@ -272,6 +276,24 @@ class TestConfigFile:
         ds = load(out)
         assert ds.spec.n_samples == 90  # flag beats config file
         assert ds.spec.n_concepts == 8
+
+    def test_file_parsed_once(self, workdir, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"epochs": 1, "batch_size": 30},
+                                   "loss": {"beta": 0.4}}))
+        parsed = []
+        load_config_file = cli._load_config_file
+
+        def counting(path):
+            parsed.append(path)
+            return load_config_file(path)
+
+        monkeypatch.setattr(cli, "_load_config_file", counting)
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(workdir / "data.salb"),
+                     "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert parsed == [str(cfg)]
+        assert trainer.load_checkpoint(tmp_path / "m.ckpt").config.loss.beta == 0.4
 
     def test_seed_flag_overrides_everywhere(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,11 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from softalign.distributions import Temperature
+from softalign.distributions import (
+    Temperature,
+    cross_modal_dist,
+    label_smooth_targets,
+)
 from softalign.errors import DegenerateTargets, SoftalignError
-from softalign.numkit import stable_row_softmax
-from softalign.objectives import DIVERGENCES, LossConfig, cross_entropy_rows
-from softalign import gradcheck
+from softalign.numkit import l2_normalize_rows, stable_row_softmax
+from softalign.objectives import (
+    DIVERGENCES,
+    SUPERVISION_FORMS,
+    LossConfig,
+    cross_entropy_rows,
+)
+from softalign import gradcheck, objectives
 from softalign.gradcheck import (
     SELECTORS,
     backward,
@@ -76,10 +85,12 @@ class TestBackwardAgainstFiniteDifferences:
 
     @pytest.mark.parametrize("divergence", ["forward_kl", "js"])
     def test_alternative_divergences(self, divergence):
-        cfg = LossConfig(divergence=divergence, stop_gradient_targets=False)
-        for selector in ("soft", "soft_re", "total"):
-            rep = check_gradients(selector, seed=2, n=4, d=8, cfg=cfg)
-            assert rep.passed, rep.to_json()
+        for stop_grad in (True, False):
+            cfg = LossConfig(divergence=divergence, gamma=0.4,
+                             stop_gradient_targets=stop_grad)
+            for selector in ("soft", "soft_re", "total", "mixed_gamma"):
+                rep = check_gradients(selector, seed=2, n=4, d=8, cfg=cfg)
+                assert rep.passed, (stop_grad, rep.to_json())
 
     @pytest.mark.parametrize("form", ["A2A_R2R", "R2A_A2R", "A2R_R2A"])
     def test_supervision_forms(self, form):
@@ -257,3 +268,57 @@ def test_loss_config_check_matches_graph(selector, beta, divergence, lambda_re):
 def test_loss_config_check_rejects_unknown_variant():
     with pytest.raises(ValueError):
         LossConfig().check("cosine")
+
+
+def _reference_value(selector, v, t, r, a, tau, cfg, g_tau):
+    """The same selector evaluated by the objectives.py reference forward."""
+    if selector == "clip":
+        return objectives.clip_loss(v, t, tau, cfg.target_floor)
+    if selector == "label_smooth":
+        y = label_smooth_targets(v.shape[0], cfg.alpha)
+        return 0.5 * (cross_entropy_rows(y, cross_modal_dist(v, t, tau))
+                      + cross_entropy_rows(y, cross_modal_dist(t, v, tau)))
+    if selector == "mixed_gamma":
+        return objectives.mixed_guidance_loss(v, t, r, a, tau, cfg.gamma, cfg,
+                                              guidance_tau=g_tau)
+    if selector == "total":
+        return objectives.softclip_total(v, t, r, a, tau, cfg,
+                                         guidance_tau=g_tau).total
+    dists = objectives.build_distributions(v, t, r, a, tau, cfg, g_tau)
+    if selector == "soft":
+        return objectives.soft_loss(dists, cfg)
+    return objectives.relation_enhanced_soft_loss(dists, cfg)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SoftalignError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("form", list(SUPERVISION_FORMS))
+@pytest.mark.parametrize("stop_grad", [True, False])
+@pytest.mark.parametrize("divergence", DIVERGENCES)
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_graph_matches_reference(selector, divergence, stop_grad, form, split):
+    # beta=0 makes some combinations infeasible: both paths must then
+    # raise the same error
+    tau = Temperature.from_tau(0.07)
+    g_tau = Temperature.from_tau(0.2) if split else None
+    for n in (2, 5, 12):
+        v, t, r, a = map(l2_normalize_rows, random_inputs(n, n=n, d=6))
+        for beta in (0.0, 0.3):
+            cfg = LossConfig(beta=beta, divergence=divergence, gamma=0.4,
+                             stop_gradient_targets=stop_grad,
+                             supervision_form=form,
+                             split_guidance_temperature=split)
+            graph = _outcome(lambda: forward_value(
+                selector, v, t, r, a, tau, cfg, guidance_tau=g_tau))
+            ref = _outcome(lambda: _reference_value(
+                selector, v, t, r, a, tau, cfg, g_tau))
+            if isinstance(ref, type) or isinstance(graph, type):
+                assert graph is ref, (n, beta, graph, ref)
+            else:
+                assert abs(graph - ref) <= 1e-12 * max(1.0, abs(ref)), (n, beta)

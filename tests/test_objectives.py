@@ -95,6 +95,14 @@ class TestDivergences:
             if np.abs(a - b).max() > 1e-6:
                 assert kl_rows(a, b) > 0.0
 
+    def test_kl_floors_only_exact_zeros(self):
+        # a tiny positive prediction keeps its exact log; flooring it at
+        # 1e-12 would understate the divergence by about 0.5 * 18.4
+        t = np.array([[0.5, 0.5, 0.0]])
+        p = np.array([[1.0 - 1e-12, 1e-20, 1e-12]])
+        exact = 0.5 * (math.log(0.5 / (1.0 - 1e-12)) + math.log(0.5 / 1e-20))
+        assert abs(kl_rows(t, p) - exact) < 1e-12 * exact
+
     def test_sym_kl_frozen_value(self):
         a, b = np.array([[0.8, 0.2]]), np.array([[0.2, 0.8]])
         assert abs(sym_kl_rows(a, b) - SYM_KL_82_28) < 1e-15

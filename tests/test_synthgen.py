@@ -1,5 +1,7 @@
 import hashlib
+import json
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -201,3 +203,29 @@ class TestContainer:
         container.write(path, "SALB", {}, {"x": np.ones(2)})
         with pytest.raises(FormatError):
             container.read(path, "SALB-CKPT")
+
+    @pytest.mark.parametrize("arrays", [
+        {"x": {"shape": [2], "offset": 0}},
+        ["x"],
+        [{"name": "x", "shape": [2]}],
+        [{"name": 3, "shape": [2], "offset": 0}],
+        [{"name": "x", "shape": "x", "offset": 0}],
+        [{"name": "x", "shape": [-1], "offset": 0}],
+        [{"name": "x", "shape": [2.0], "offset": 0}],
+        [{"name": "x", "shape": [True], "offset": 0}],
+        [{"name": "x", "shape": [1], "offset": 4}],
+        [{"name": "x", "shape": [1], "offset": "0"}],
+        [{"name": "x", "shape": [1], "offset": 0},
+         {"name": "y", "shape": [1], "offset": 16}],
+        [{"name": "x", "shape": [5], "offset": 0}],
+    ], ids=["not-a-list", "not-an-object", "missing-offset", "int-name",
+            "string-shape", "negative-dim", "float-dim", "bool-dim",
+            "misaligned-offset", "string-offset", "gap", "truncated"])
+    def test_malformed_array_entry(self, arrays):
+        # a 4-float data section under each header
+        header = json.dumps({"magic": "SALB", "version": container.VERSION,
+                             "meta": {}, "arrays": arrays}).encode()
+        blob = (struct.pack("<I", len(header)) + header
+                + np.arange(4.0).astype("<f8").tobytes())
+        with pytest.raises(FormatError):
+            container.unpack(blob, "SALB")

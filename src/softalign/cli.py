@@ -179,9 +179,7 @@ def _cmd_train(args) -> int:
     log.info("wrote %s (step %d)", args.out, state.step)
     if args.metrics:
         with open(args.metrics, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["step", "lr", "total", "clip", "soft",
-                                "soft_re", "tau"])
+            writer = csv.DictWriter(fh, fieldnames=trainer.METRIC_COLUMNS)
             writer.writeheader()
             writer.writerows(metrics)
         log.info("wrote %s", args.metrics)

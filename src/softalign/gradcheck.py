@@ -6,11 +6,14 @@ keeps every term smooth; both paths floor only exact zeros inside logs
 (:func:`softalign.numkit.floored_log`), and
 ``tests/test_gradcheck.py::test_graph_matches_reference`` checks that
 they agree to 1e-12 relative on every selector, divergence and
-supervision form. The softened-target and relation-enhanced terms are
-one per-direction divergence (:func:`_soft_direction`); the
-relation-enhanced case drops the positive from both rows, renormalizes
-the negatives and chains the target gradient through that
-renormalization. Gradients are hand-derived per stage and composed:
+supervision form. A selector sums the weighted terms
+:meth:`LossConfig.terms` lists, each a v2l and an l2v direction with
+fixed (:func:`_clip_direction`) or softened (:func:`_soft_direction`)
+targets; the relation-enhanced case of the latter drops the positive
+from both rows, renormalizes the negatives and chains the target
+gradient through that renormalization. A direction returns its
+unweighted divergence; the weight scales its gradient and the sum.
+Gradients are hand-derived per stage and composed:
 
 * softmax rows:       dz = p * (g - sum_j p_j g_j)         (vjp)
 * forward KL:         dz_pred = p - t
@@ -46,16 +49,13 @@ from .distributions import (
 )
 from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
 from .numkit import as_matrix, floored_log
-from .objectives import (
-    LOSS_VARIANTS,
-    SOFT_TARGET_VARIANTS,
-    SUPERVISION_FORMS,
-    LossConfig,
-)
+from .objectives import LOSS_VARIANTS, SUPERVISION_FORMS, LossConfig
 
 SELECTORS = LOSS_VARIANTS
 
 _INPUT_NAMES = ("v", "t", "r", "a")
+# the inputs each guidance bundle puts in place of the ROI and tag batches
+_BUNDLE_INPUTS = {"ra": {"r": "r", "a": "a"}, "it": {"r": "v", "a": "t"}}
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,9 @@ class _Graph:
         )
 
 
-def _guidance_keys(graph: _Graph, form: str, r_name: str, a_name: str):
-    """Logit keys of the (v2l, l2v) guidance distributions for a form."""
-    names = {"r": r_name, "a": a_name}
+def _guidance_keys(graph: _Graph, form: str, bundle: str):
+    """Logit keys of a bundle's (v2l, l2v) guidance distributions for a form."""
+    names = _BUNDLE_INPUTS[bundle]
     return tuple(graph.key(names[src], names[dst], guidance=True)
                  for src, dst in SUPERVISION_FORMS[form])
 
@@ -256,9 +256,10 @@ def _guidance_keys(graph: _Graph, form: str, r_name: str, a_name: str):
 
 def _clip_direction(graph: _Graph, pred_key, weight: float,
                     targets: np.ndarray):
-    """Cross-entropy of fixed targets against one softmax direction."""
+    """Cross-entropy of fixed targets against one softmax direction,
+    unweighted; ``weight`` scales the gradient only."""
     ln_p = graph.rows(backend.logsoftmax_rows, pred_key)
-    value = weight * -(targets * ln_p).sum(axis=1).mean()
+    value = -(targets * ln_p).sum(axis=1).mean()
     if graph.want_grad and weight != 0.0:
         p = graph.rows(backend.softmax_rows, pred_key)
         graph.add_dz(pred_key, (weight / graph.n) * (p - targets))
@@ -304,10 +305,11 @@ def _targets(graph: _Graph, guid_key, tag, disentangled: bool):
 
 def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
                     disentangled: bool):
-    """One direction of the softened-target divergence.
+    """One direction of the softened-target divergence, unweighted.
 
-    ``disentangled`` gives the relation-enhanced term: the positive is
-    dropped from both rows and the negatives renormalized, so the
+    ``weight`` scales the gradient only. ``disentangled`` gives the
+    relation-enhanced term: the positive is dropped from both rows and
+    the negatives renormalized, so the
     prediction side uses the masked softmax, every gradient term is
     zeroed on the diagonal (``where(off, x, 1)`` keeps logs and divisions
     finite there), and the target gradient is chained through the
@@ -379,7 +381,7 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
             h = d_t
         g = graph.rows(backend.softmax_rows, guid_key)
         graph.add_dz(guid_key, c * vjp(g, cfg.beta * h))
-    return weight * value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -392,69 +394,45 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
          frozen_targets: Optional[dict] = None,
          target_collector: Optional[dict] = None,
          dtype=np.float64):
-    """Evaluate one loss selector; returns (value, components, graph)."""
+    """Evaluate one loss selector; returns (value, components, graph).
+
+    ``components`` holds each term's unweighted value under its component
+    name, and the value under the selector's name and ``total``.
+    """
     cfg.check(selector)
     graph = _Graph(v, t, r, a, tau, cfg, guidance_tau,
                    want_grad=want_grad, frozen_targets=frozen_targets,
                    target_collector=target_collector, dtype=dtype)
     k_it = graph.key("v", "t", guidance=False)
     k_ti = graph.key("t", "v", guidance=False)
-    with_re = cfg.uses_relation_term(selector)
-    components: dict = {}
-
-    def soft_pair(bundle: str, disentangled: bool, weight: float) -> float:
-        r_name, a_name = ("r", "a") if bundle == "ra" else ("v", "t")
-        g_v2l, g_l2v = _guidance_keys(graph, cfg.supervision_form, r_name, a_name)
-        kind = "re" if disentangled else "soft"
-        return (_soft_direction(graph, k_it, g_v2l, 0.5 * weight,
-                                (bundle, "v2l", kind), disentangled)
-                + _soft_direction(graph, k_ti, g_l2v, 0.5 * weight,
-                                  (bundle, "l2v", kind), disentangled))
-
-    if selector in ("clip", "label_smooth"):
-        y = (graph._eye if selector == "clip"
-             else label_smooth_targets(graph.n, cfg.alpha))
-        value = (_clip_direction(graph, k_it, 0.5, y)
-                 + _clip_direction(graph, k_ti, 0.5, y))
-    elif selector in ("soft", "soft_re"):
-        value = soft_pair("ra", disentangled=selector == "soft_re", weight=1.0)
-    elif selector == "total":
-        soft = soft_pair("ra", disentangled=False, weight=1.0)
-        soft_re = (soft_pair("ra", disentangled=True, weight=cfg.lambda_re)
-                   / cfg.lambda_re) if with_re else 0.0
-        y = graph._eye
-        clip = (_clip_direction(graph, k_it, 0.5 * cfg.mu_clip, y)
-                + _clip_direction(graph, k_ti, 0.5 * cfg.mu_clip, y))
-        clip_value = clip / cfg.mu_clip if cfg.mu_clip > 0.0 else (
-            0.5 * -(np.diagonal(graph.rows(backend.logsoftmax_rows, k_it))
-                    + np.diagonal(graph.rows(backend.logsoftmax_rows, k_ti))).mean()
-        )
-        value = soft + cfg.lambda_re * soft_re + cfg.mu_clip * clip_value
-        components.update(soft=soft, soft_re=soft_re, clip=clip_value)
-    else:  # mixed_gamma
-        gamma = cfg.gamma
-        value = 0.0
-        if gamma > 0.0:
-            value += soft_pair("ra", disentangled=False, weight=gamma)
-            if with_re:
-                value += soft_pair("ra", disentangled=True,
-                                   weight=gamma * cfg.lambda_re)
-        if gamma < 1.0:
-            value += soft_pair("it", disentangled=False, weight=1.0 - gamma)
-            if with_re:
-                value += soft_pair("it", disentangled=True,
-                                   weight=(1.0 - gamma) * cfg.lambda_re)
+    # total reports the relation-enhanced part as 0 when lambda_re leaves it out
+    components: dict = {"soft_re": 0.0} if selector == "total" else {}
+    value = 0.0
+    for component, bundle, kind, weight in cfg.terms(selector):
+        w = 0.5 * weight  # each direction carries half the term
+        if kind in ("clip", "label_smooth"):
+            y = (graph._eye if kind == "clip"
+                 else label_smooth_targets(graph.n, cfg.alpha))
+            v2l = _clip_direction(graph, k_it, w, y)
+            l2v = _clip_direction(graph, k_ti, w, y)
+        else:
+            g_v2l, g_l2v = _guidance_keys(graph, cfg.supervision_form, bundle)
+            disentangled = kind == "soft_re"
+            v2l = _soft_direction(graph, k_it, g_v2l, w, (bundle, "v2l", kind),
+                                  disentangled)
+            l2v = _soft_direction(graph, k_ti, g_l2v, w, (bundle, "l2v", kind),
+                                  disentangled)
+        components[component] = 0.5 * v2l + 0.5 * l2v
+        value += w * v2l + w * l2v
     components[selector] = value
     components["total"] = value
     return value, components, graph
 
 
 def forward_value(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
-                  guidance_tau: Optional[Temperature] = None,
-                  frozen_targets: Optional[dict] = None) -> float:
+                  guidance_tau: Optional[Temperature] = None) -> float:
     """Forward value of one loss selector (no gradients)."""
-    value, _, _ = _run(selector, v, t, r, a, tau, cfg, guidance_tau,
-                       frozen_targets=frozen_targets)
+    value, _, _ = _run(selector, v, t, r, a, tau, cfg, guidance_tau)
     return float(value)
 
 
@@ -506,8 +484,8 @@ def _live_inputs(selector: str, cfg: LossConfig) -> set:
     without evaluation.
     """
     live = {"v", "t"}
-    if (selector in SOFT_TARGET_VARIANTS and not cfg.stop_gradient_targets
-            and (selector != "mixed_gamma" or cfg.gamma > 0.0)):
+    if not cfg.stop_gradient_targets and any(
+            bundle == "ra" for _, bundle, _, _ in cfg.terms(selector)):
         live |= {"r", "a"}
     return live
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import backend, synthgen, trainer
-from .errors import DegenerateTargets, GalleryTooSmall
+from .errors import ConfigError, DegenerateTargets, GalleryTooSmall
 from .synthgen import SynthDataset
 from .trainer import TrainConfig, TrainState
 
@@ -261,7 +261,7 @@ def beta_points(base: TrainConfig, betas: Sequence[float]
 
     Points whose targets are degenerate (beta=0, see
     :meth:`LossConfig.check`) are skipped with a logged reason; any other
-    invalid value raises.
+    invalid value raises, as does a sweep with no point left.
     """
     points = []
     for beta in betas:
@@ -275,15 +275,22 @@ def beta_points(base: TrainConfig, betas: Sequence[float]
                             beta, variant, type(exc).__name__, exc)
                 continue
             points.append((variant, cfg))
-    return points
+    return _require_points(points, betas)
 
 
 def gamma_points(base: TrainConfig, gammas: Sequence[float]
                  ) -> list[tuple[str, TrainConfig]]:
     """Guidance-mixing sweep points (contrastive term excluded by construction)."""
-    return [("mixed", replace(base, loss_variant="mixed_gamma",
-                              loss=replace(base.loss, gamma=gamma)))
-            for gamma in gammas]
+    points = [("mixed", replace(base, loss_variant="mixed_gamma",
+                                loss=replace(base.loss, gamma=gamma)))
+              for gamma in gammas]
+    return _require_points(points, gammas)
+
+
+def _require_points(points: list, values: Sequence[float]) -> list:
+    if not points:
+        raise ConfigError(f"no sweep point to run for the values {list(values)}")
+    return points
 
 
 def sweep(dataset: SynthDataset, points: Sequence[tuple[str, TrainConfig]],

@@ -10,9 +10,10 @@ forward: training and the gradients run on the log-space graph in
 against the values computed here.
 
 It also holds the rules of the objective's configuration: which loss
-variants exist, which of them use softened targets or the
-relation-enhanced term (:meth:`LossConfig.check`), and which guidance
-distributions each supervision form assigns (``SUPERVISION_FORMS``).
+variants exist, which weighted terms each one sums
+(:meth:`LossConfig.terms`, which the graph evaluates and
+:meth:`LossConfig.check` reads), and which guidance distributions each
+supervision form assigns (``SUPERVISION_FORMS``).
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ SUPERVISION_FORMS = {
     "A2R_R2A": (("a", "r"), ("r", "a")),
 }
 LOSS_VARIANTS = ("clip", "label_smooth", "soft", "soft_re", "total", "mixed_gamma")
-# variants whose targets mix the one-hot labels with intra-modal guidance
-SOFT_TARGET_VARIANTS = ("soft", "soft_re", "total", "mixed_gamma")
 
 Dist = Union[np.ndarray, NegDisentangled]
 
@@ -87,11 +86,35 @@ class LossConfig:
     def from_dict(cls, d: dict) -> "LossConfig":
         return from_dict(cls, d)
 
-    def uses_relation_term(self, variant: str) -> bool:
-        """Whether ``variant`` evaluates the negative-disentangled term."""
-        return variant == "soft_re" or (
-            variant in ("total", "mixed_gamma") and self.lambda_re > 0.0
-        )
+    def terms(self, variant: str) -> tuple[tuple[str, str, str, float], ...]:
+        """The terms ``variant`` sums, in order: (component, bundle, kind, weight).
+
+        ``kind`` is ``clip`` or ``label_smooth`` (fixed targets), or ``soft``
+        or ``soft_re`` (softened targets, plain or relation-enhanced).
+        ``bundle`` is where the guidance comes from: ``ra`` the ROI/tag
+        batches, ``it`` the image/text batches; the fixed-target kinds use
+        no guidance and say ``it``. ``component`` names the term's
+        unweighted value. ``total`` is soft + lambda_re * soft_re +
+        mu_clip * clip; ``mixed_gamma`` is gamma * (soft + lambda_re *
+        soft_re, guided by ra) + (1 - gamma) * (the same guided by it). A
+        soft_re term or a bundle whose weight is 0 is left out.
+        """
+        if variant not in LOSS_VARIANTS:
+            raise ValueError(
+                f"unknown loss variant {variant!r}; expected one of {LOSS_VARIANTS}"
+            )
+        if variant in ("clip", "label_smooth", "soft", "soft_re"):
+            bundle = "ra" if variant.startswith("soft") else "it"
+            return ((variant, bundle, variant, 1.0),)
+        guided = [(kind, w) for kind, w in (("soft", 1.0), ("soft_re", self.lambda_re))
+                  if w > 0.0]
+        if variant == "total":
+            return (*((kind, "ra", kind, w) for kind, w in guided),
+                    ("clip", "it", "clip", self.mu_clip))
+        bundles = (("ra", self.gamma), ("it", 1.0 - self.gamma))
+        return tuple((f"{kind}_{bundle}", bundle, kind, gw * w)
+                     for bundle, gw in bundles if gw > 0.0
+                     for kind, w in guided)
 
     def check(self, variant: str) -> None:
         """Reject a loss variant this config cannot evaluate.
@@ -100,18 +123,15 @@ class LossConfig:
         a non-forward divergence is unbounded on them, and the
         negative-disentangled targets have no mass left to renormalize.
         """
-        if variant not in LOSS_VARIANTS:
-            raise ValueError(
-                f"unknown loss variant {variant!r}; expected one of {LOSS_VARIANTS}"
-            )
-        if self.beta != 0.0 or variant not in SOFT_TARGET_VARIANTS:
+        kinds = {kind for _, _, kind, _ in self.terms(variant)}
+        if self.beta != 0.0 or not kinds & {"soft", "soft_re"}:
             return
         if self.divergence != "forward_kl":
             raise DegenerateTargets(
                 "beta=0 makes the targets one-hot; the reversed KL term is "
                 "unbounded there. Use divergence='forward_kl' or beta > 0."
             )
-        if self.uses_relation_term(variant):
+        if "soft_re" in kinds:
             raise DegenerateTargets(
                 "beta=0 gives one-hot targets with no negative mass to "
                 "renormalize; the relation-enhanced term is undefined. "

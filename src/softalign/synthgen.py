@@ -229,12 +229,11 @@ def to_bytes(dataset: SynthDataset) -> bytes:
 
 def save(dataset: SynthDataset, path) -> None:
     """Write the dataset container; round-trips bitwise."""
-    with open(path, "wb") as fh:
-        fh.write(to_bytes(dataset))
+    container.write(path, MAGIC, *_contents(dataset))
 
 
-def from_bytes(blob: bytes) -> SynthDataset:
-    meta, arrays = container.unpack(blob, MAGIC)
+def _dataset(meta: dict, arrays: dict[str, np.ndarray]) -> SynthDataset:
+    """The dataset a parsed container holds, checked against its spec."""
     if "spec" not in meta:
         raise FormatError("dataset header is missing the generation spec")
     spec = SynthSpec.from_dict(meta["spec"])
@@ -256,9 +255,12 @@ def from_bytes(blob: bytes) -> SynthDataset:
     return SynthDataset(spec=spec, **{name: arrays[name] for name in _ARRAY_FIELDS})
 
 
+def from_bytes(blob: bytes) -> SynthDataset:
+    return _dataset(*container.unpack(blob, MAGIC))
+
+
 def load(path) -> SynthDataset:
-    with open(path, "rb") as fh:
-        return from_bytes(fh.read())
+    return _dataset(*container.read(path, MAGIC))
 
 
 def dataset_hash(dataset: SynthDataset) -> str:

@@ -37,6 +37,9 @@ CKPT_MAGIC = "SALB-CKPT"
 
 AGGREGATION_MODES = (*ROI_POOLS, "attention")
 
+# keys of each step's metrics record, in CSV column order
+METRIC_COLUMNS = ("step", "lr", "total", "clip", "soft", "soft_re", "tau")
+
 _MODALITIES = ("image", "text", "roi", "tag")
 # the temperature parameters are adapted but never decayed
 _NO_DECAY = ("tau_log_inv", "tau_log_inv_guidance")
@@ -341,12 +344,7 @@ def loss_and_grads(state: TrainState, dataset: SynthDataset, indices):
                                              agg_cache))
     grads["tau_log_inv"] = np.array([bundle.d_log_inv_tau])
     if "tau_log_inv_guidance" in state.params:
-        grads["tau_log_inv_guidance"] = np.array(
-            [bundle.d_log_inv_tau_guidance or 0.0]
-        )
-    for name, p in state.params.items():
-        if name not in grads:
-            grads[name] = np.zeros_like(p)
+        grads["tau_log_inv_guidance"] = np.array([bundle.d_log_inv_tau_guidance])
     return value, comps, grads
 
 
@@ -466,15 +464,10 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
                 grads = {k: g * scale for k, g in grads.items()}
         lr = lr_at(step, total, cfg)
         optimizer_step(state, grads, lr, cfg)
-        metrics.append({
-            "step": step,
-            "lr": lr,
-            "total": value,
-            "clip": comps.get("clip", 0.0),
-            "soft": comps.get("soft", 0.0),
-            "soft_re": comps.get("soft_re", 0.0),
-            "tau": state.temperature.tau,
-        })
+        record = {**comps, "step": step, "lr": lr, "total": value,
+                  "tau": state.temperature.tau}
+        # a column the variant has no component for reads 0
+        metrics.append({key: record.get(key, 0.0) for key in METRIC_COLUMNS})
     return state, metrics
 
 

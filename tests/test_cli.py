@@ -132,6 +132,9 @@ def test_ablate_emits_csv_and_json(workdir):
       "--lambda-re", "0"], "DegenerateTargets"),
     (["sweep-beta", "--betas", "0.3,1.5"], "ValueError"),
     (["sweep-gamma", "--gammas", "0,-0.1"], "ValueError"),
+    # every point skipped or none given: nothing to run
+    (["sweep-beta", "--betas", "0"], "ConfigError"),
+    (["sweep-gamma", "--gammas", ","], "ConfigError"),
 ])
 def test_infeasible_suite_fails_before_training(workdir, monkeypatch, capsys,
                                                 argv, error):

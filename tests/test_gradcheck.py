@@ -245,7 +245,6 @@ class TestForwardValueSemantics:
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 @pytest.mark.parametrize("selector", SELECTORS)
 def test_loss_config_check_matches_graph(selector, beta, divergence, lambda_re):
-    cfg = LossConfig(beta=beta, divergence=divergence, lambda_re=lambda_re)
     degenerate = (
         beta == 0.0
         and selector in ("soft", "soft_re", "total", "mixed_gamma")
@@ -254,20 +253,73 @@ def test_loss_config_check_matches_graph(selector, beta, divergence, lambda_re):
     )
     v, t, r, a = random_inputs(7)
     tau = Temperature.from_tau(0.07)
-    if not degenerate:
-        cfg.check(selector)
-        assert np.isfinite(forward_value(selector, v, t, r, a, tau, cfg))
-        return
-    with pytest.raises(SoftalignError) as by_check:
-        cfg.check(selector)
-    with pytest.raises(SoftalignError) as by_graph:
-        forward_value(selector, v, t, r, a, tau, cfg)
-    assert type(by_check.value) is type(by_graph.value) is DegenerateTargets
+    # gamma 0 and 1 leave one guidance bundle out of mixed_gamma
+    for gamma in (0.0, 1.0):
+        cfg = LossConfig(beta=beta, divergence=divergence, lambda_re=lambda_re,
+                         gamma=gamma)
+        if not degenerate:
+            cfg.check(selector)
+            assert np.isfinite(forward_value(selector, v, t, r, a, tau, cfg))
+            continue
+        with pytest.raises(SoftalignError) as by_check:
+            cfg.check(selector)
+        with pytest.raises(SoftalignError) as by_graph:
+            forward_value(selector, v, t, r, a, tau, cfg)
+        assert type(by_check.value) is type(by_graph.value) is DegenerateTargets
 
 
 def test_loss_config_check_rejects_unknown_variant():
     with pytest.raises(ValueError):
         LossConfig().check("cosine")
+
+
+def test_loss_config_terms():
+    cfg = LossConfig(lambda_re=0.5, mu_clip=0.0, gamma=0.25)
+    assert cfg.terms("label_smooth") == (
+        ("label_smooth", "it", "label_smooth", 1.0),)
+    assert cfg.terms("soft_re") == (("soft_re", "ra", "soft_re", 1.0),)
+    assert cfg.terms("total") == (
+        ("soft", "ra", "soft", 1.0), ("soft_re", "ra", "soft_re", 0.5),
+        ("clip", "it", "clip", 0.0))
+    assert cfg.terms("mixed_gamma") == (
+        ("soft_ra", "ra", "soft", 0.25), ("soft_re_ra", "ra", "soft_re", 0.125),
+        ("soft_it", "it", "soft", 0.75), ("soft_re_it", "it", "soft_re", 0.375))
+    off = LossConfig(lambda_re=0.0, gamma=1.0)
+    assert [kind for _, _, kind, _ in off.terms("total")] == ["soft", "clip"]
+    assert off.terms("mixed_gamma") == (("soft_ra", "ra", "soft", 1.0),)
+
+
+@pytest.mark.parametrize("lambda_re", [0.0, 1.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("stop_grad", [True, False])
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_live_inputs_match_analytic_gradients(selector, stop_grad, gamma,
+                                              lambda_re):
+    # the oracle skips exactly the inputs whose analytic gradient is zero
+    cfg = LossConfig(stop_gradient_targets=stop_grad, gamma=gamma,
+                     lambda_re=lambda_re)
+    v, t, r, a = random_inputs(12, n=4, d=5)
+    _, g = backward(selector, v, t, r, a, Temperature.from_tau(0.07), cfg)
+    live = gradcheck._live_inputs(selector, cfg)
+    for name in ("v", "t", "r", "a"):
+        assert bool(g.by_name(name).any()) == (name in live), name
+
+
+@pytest.mark.parametrize("lambda_re, mu_clip", [(0.0, 0.5), (1.0, 0.0), (0.0, 0.0)])
+def test_total_components_of_left_out_terms(lambda_re, mu_clip):
+    # mu_clip=0 still reports the contrastive value; lambda_re=0 reports 0
+    v, t, r, a = map(l2_normalize_rows, random_inputs(13, n=5, d=6))
+    tau = Temperature.from_tau(0.07)
+    cfg = LossConfig(lambda_re=lambda_re, mu_clip=mu_clip)
+    value, comps, _ = gradcheck.backward_with_components(
+        "total", v, t, r, a, tau, cfg)
+    ref = objectives.softclip_total(v, t, r, a, tau, cfg)
+    assert abs(comps["clip"] - objectives.clip_loss(v, t, tau)) <= 1e-12
+    assert abs(comps["soft"] - ref.soft) <= 1e-12
+    if lambda_re == 0.0:
+        assert comps["soft_re"] == 0.0
+    assert comps["total"] == value
+    assert abs(value - ref.total) <= 1e-12 * abs(ref.total)
 
 
 def _reference_value(selector, v, t, r, a, tau, cfg, g_tau):

@@ -240,6 +240,7 @@ class TestTrainLoop:
     def test_logs_finite_and_tau_clamped(self, small_state):
         _, metrics = small_state
         for row in metrics:
+            assert tuple(row) == trainer.METRIC_COLUMNS
             assert all(np.isfinite(v) for v in row.values())
             assert 0.01 <= row["tau"] <= 100.0
 
@@ -329,6 +330,21 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=25, seed=3, grad_clip=1e-6)
         state, metrics = train(small_dataset, cfg)
         assert all(np.isfinite(m["total"]) for m in metrics)
+
+
+@pytest.mark.parametrize("variant", ["clip", "total", "mixed_gamma"])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("aggregation", ["mean", "attention"])
+def test_every_parameter_has_a_gradient(small_dataset, aggregation, split,
+                                        variant):
+    loss = LossConfig(split_guidance_temperature=split)
+    cfg = TrainConfig(batch_size=25, seed=4, loss=loss, loss_variant=variant,
+                      roi_aggregation=aggregation, attention_dim=8)
+    state = init_state(small_dataset.spec, cfg)
+    _, _, grads = loss_and_grads(state, small_dataset, np.arange(25))
+    assert set(grads) == set(state.params)
+    for name, g in grads.items():
+        assert g.shape == state.params[name].shape and np.isfinite(g).all(), name
 
 
 class TestAttentionTraining:

@@ -1,0 +1,112 @@
+"""Digest the loss graph's outputs over a fixed grid, one line per selector.
+
+Run it on two trees and compare the lines to check that a refactor of the
+graph is bitwise neutral:
+
+    PYTHONPATH=src python3 tools/graph_digest.py
+
+Each line holds three sha256 digests:
+
+* ``grads``: the four input gradients and both temperature gradients of
+  ``gradcheck.backward_with_components``, or the exception type it raises;
+* ``values``: its value and components (sorted by name), or the exception;
+* ``fd``: ``gradcheck.finite_difference_grad`` (the extended-precision
+  oracle) on a smaller grid.
+
+The graph grid is divergence x stop-gradient x supervision form x split
+temperature x beta {0, 0.3} x N {2, 5} for every selector, crossed with
+lambda_re {0, 0.7, 1} x mu_clip {0, 0.3, 0.5} for ``total`` and lambda_re x
+gamma {0, 0.4, 1} for ``mixed_gamma``: 4,224 cases. The oracle grid is
+selector x stop-gradient x divergence x (lambda_re, mu_clip, gamma) in
+{(0, 0, 0), (0.7, 0.3, 0.4), (1, 0.5, 1)} at beta 0.3, N=3, d=3: 108 cases.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import struct
+
+import numpy as np
+
+from softalign import gradcheck
+from softalign.distributions import Temperature
+from softalign.errors import SoftalignError
+from softalign.objectives import DIVERGENCES, SUPERVISION_FORMS, LossConfig
+
+WEIGHTS = (0.0, 0.7, 1.0)
+EXTRA = {
+    "total": [dict(lambda_re=lam, mu_clip=mu)
+              for lam in WEIGHTS for mu in (0.0, 0.3, 0.5)],
+    "mixed_gamma": [dict(lambda_re=lam, gamma=gamma)
+                    for lam in WEIGHTS for gamma in (0.0, 0.4, 1.0)],
+}
+FD_WEIGHTS = [dict(lambda_re=0.0, mu_clip=0.0, gamma=0.0),
+              dict(lambda_re=0.7, mu_clip=0.3, gamma=0.4),
+              dict(lambda_re=1.0, mu_clip=0.5, gamma=1.0)]
+
+
+def _inputs(n: int, d: int):
+    rng = np.random.default_rng((n, d))
+    return [rng.standard_normal((n, d)) for _ in range(4)]
+
+
+def _scalar(x) -> bytes:
+    return b"none" if x is None else struct.pack("<d", x)
+
+
+def _grads(bundle) -> bytes:
+    arrays = (bundle.d_v, bundle.d_t, bundle.d_r, bundle.d_a)
+    return (b"".join(np.ascontiguousarray(g, dtype="<f8").tobytes() for g in arrays)
+            + _scalar(bundle.d_log_inv_tau) + _scalar(bundle.d_log_inv_tau_guidance))
+
+
+def _graph_case(selector, n, cfg, split, grads, values) -> None:
+    v, t, r, a = _inputs(n, 6)
+    g_tau = Temperature.from_tau(0.2) if split else None
+    try:
+        value, comps, bundle = gradcheck.backward_with_components(
+            selector, v, t, r, a, Temperature.from_tau(0.07), cfg,
+            guidance_tau=g_tau)
+    except (SoftalignError, ValueError) as exc:
+        grads.update(type(exc).__name__.encode())
+        values.update(type(exc).__name__.encode())
+        return
+    grads.update(_grads(bundle))
+    values.update(_scalar(value))
+    for name in sorted(comps):
+        values.update(name.encode() + _scalar(comps[name]))
+
+
+def _fd_case(selector, cfg, fd) -> None:
+    v, t, r, a = _inputs(3, 3)
+    try:
+        bundle = gradcheck.finite_difference_grad(
+            selector, v, t, r, a, Temperature.from_tau(0.07), cfg)
+    except (SoftalignError, ValueError) as exc:
+        fd.update(type(exc).__name__.encode())
+        return
+    fd.update(_grads(bundle))
+
+
+def main() -> None:
+    for selector in gradcheck.SELECTORS:
+        grads, values, fd = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+        base = itertools.product(DIVERGENCES, (True, False), SUPERVISION_FORMS,
+                                 (False, True), (0.0, 0.3), (2, 5))
+        for (div, sg, form, split, beta, n), extra in itertools.product(
+                base, EXTRA.get(selector, [{}])):
+            cfg = LossConfig(divergence=div, stop_gradient_targets=sg,
+                             supervision_form=form, beta=beta,
+                             split_guidance_temperature=split, **extra)
+            _graph_case(selector, n, cfg, split, grads, values)
+        for sg, div, weights in itertools.product((True, False), DIVERGENCES,
+                                                  FD_WEIGHTS):
+            cfg = LossConfig(divergence=div, stop_gradient_targets=sg, **weights)
+            _fd_case(selector, cfg, fd)
+        print(f"{selector:<13} grads={grads.hexdigest()} "
+              f"values={values.hexdigest()} fd={fd.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

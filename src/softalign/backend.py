@@ -1,9 +1,12 @@
 """Hot numeric kernels: row softmax variants, their VJP, KL rows and AdamW.
 
 Plain numpy, dtype-generic: the trainer runs them on float64 and the
-finite-difference oracle on ``longdouble``. The masked variants operate
-on square matrices and exclude the diagonal from the row normalization;
-their diagonal outputs are exactly 0.
+finite-difference oracle on ``longdouble``. Every row kernel reduces over
+the last axis, so it takes one matrix or a stack of them with a leading
+batch axis, ``(B, N, N)``, and treats each slice as it would on its own.
+The masked variants operate on square trailing ``(N, N)`` matrices and
+exclude the diagonal from the row normalization; their diagonal outputs
+are exactly 0. :func:`fill_diagonal` writes those diagonals.
 
 This is the package's only kernel path. The module keeps its own name
 (rather than living in :mod:`softalign.numkit`) because the benchmark
@@ -23,49 +26,62 @@ def active_backend() -> str:
     return "numpy"
 
 
+def fill_diagonal(x: np.ndarray, value) -> None:
+    """Set the diagonal of every trailing ``(N, N)`` matrix of ``x`` in place.
+
+    ``value`` is a scalar or broadcasts against the ``(..., N)`` diagonals.
+    The write goes through a strided view of the flattened matrices, so
+    ``x`` must be C-contiguous (every caller passes a fresh array).
+    """
+    if not x.flags.c_contiguous:
+        raise ValueError("fill_diagonal needs a C-contiguous array")
+    n = x.shape[-1]
+    x.reshape(*x.shape[:-2], n * n)[..., ::n + 1] = value
+
+
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     e = np.exp(z - zmax)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logsoftmax_rows(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
 
 
 def masked_softmax_rows(z: np.ndarray) -> np.ndarray:
     masked = z.copy()
-    np.fill_diagonal(masked, -np.inf)
-    zmax = masked.max(axis=1, keepdims=True)
+    fill_diagonal(masked, -np.inf)
+    zmax = masked.max(axis=-1, keepdims=True)
     e = np.exp(masked - zmax)
-    np.fill_diagonal(e, 0.0)
-    return e / e.sum(axis=1, keepdims=True)
+    fill_diagonal(e, 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def masked_logsoftmax_rows(z: np.ndarray) -> np.ndarray:
     masked = z.copy()
-    np.fill_diagonal(masked, -np.inf)
-    zmax = masked.max(axis=1, keepdims=True)
+    fill_diagonal(masked, -np.inf)
+    zmax = masked.max(axis=-1, keepdims=True)
     shifted = masked - zmax
     e = np.exp(shifted)
-    np.fill_diagonal(e, 0.0)
-    lse = np.log(e.sum(axis=1, keepdims=True))
+    fill_diagonal(e, 0.0)
+    lse = np.log(e.sum(axis=-1, keepdims=True))
     out = shifted - lse
-    np.fill_diagonal(out, 0.0)
+    fill_diagonal(out, 0.0)
     return out
 
 
 def softmax_vjp_rows(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    inner = (p * g).sum(axis=1, keepdims=True)
+    inner = (p * g).sum(axis=-1, keepdims=True)
     return p * (g - inner)
 
 
 def kl_term_rows(a: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     # sum_j a_ij * (log_a_ij - log_b_ij); entries with a_ij == 0 contribute 0
-    return (a * (log_a - log_b)).sum(axis=1)
+    return (a * (log_a - log_b)).sum(axis=-1)
 
 
 def adamw_update(p, g, m, v, lr, wd, beta1, beta2, eps, bc1, bc2):

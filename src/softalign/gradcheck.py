@@ -20,7 +20,7 @@ Gradients are hand-derived per stage and composed:
 * reverse KL:         dz_pred = vjp(p, log p - log t)
 * JS:                 dz_pred = vjp(p, 0.5 * log(p / m)),  m = (t + p) / 2
 * target mixing:      dG = beta * dT
-* disentangling:      dT_offdiag = h / s,  dT_diag = sum_j h_j q_j / s
+* disentangling:      dT_offdiag = (h - sum_j h_j q_j) / s,  dT_diag = 0
 * logits:             z = (x yT) / tau;  dx = dz y / tau,  dy = dzT x / tau
 * temperature:        d log(1/tau) = sum(dz * z)           (0 when clamped)
 * row normalization:  dx_raw = (dx - <dx, x> x) / ||x_raw||
@@ -29,6 +29,14 @@ With ``stop_gradient_targets`` the softened targets are treated as
 constants: their branches receive no gradient, and the finite-difference
 oracle evaluates the forward against targets frozen at the base point so
 both sides differentiate the same function.
+
+The forward also takes inputs with a leading batch axis, ``(B, N, D)``:
+row kernels reduce over the last axis, logits are batched matmuls and a
+direction's value is one number per stack entry, so :func:`_run` returns
+a ``(B,)`` value. Inputs without the axis broadcast against those with
+it. The finite-difference oracle stacks all ``±eps`` perturbations of one
+input and evaluates them in one forward. The backward (:meth:`_Graph.finalize`)
+takes plain ``(N, D)`` matrices only.
 """
 
 from __future__ import annotations
@@ -56,6 +64,16 @@ SELECTORS = LOSS_VARIANTS
 _INPUT_NAMES = ("v", "t", "r", "a")
 # the inputs each guidance bundle puts in place of the ROI and tag batches
 _BUNDLE_INPUTS = {"ra": {"r": "r", "a": "a"}, "it": {"r": "v", "a": "t"}}
+
+
+def _as_input(x, name: str, dtype) -> np.ndarray:
+    """One graph input: an ``(N, D)`` matrix through :func:`as_matrix`, or a
+    ``(B, N, D)`` stack of them validated the same way."""
+    if np.ndim(x) != 3:
+        return as_matrix(x, name, dtype)
+    x = np.asarray(x)
+    b, n, d = x.shape
+    return as_matrix(x.reshape(b * n, d), name, dtype).reshape(b, n, d)
 
 
 @dataclass(frozen=True)
@@ -148,20 +166,22 @@ class _Graph:
                  dtype=np.float64):
         # inputs are validated in the graph dtype, so the oracle's
         # extended-precision perturbations are not rounded to float64
-        raw = {name: as_matrix(x, name, dtype)
+        raw = {name: _as_input(x, name, dtype)
                for name, x in zip(_INPUT_NAMES, (v, t, r, a))}
-        n = raw["v"].shape[0]
+        n = raw["v"].shape[-2]
         for name in _INPUT_NAMES:
-            if raw[name].shape[0] != n:
+            if raw[name].shape[-2] != n:
                 raise ShapeMismatch(
-                    f"batch sizes differ: v has {n} rows, {name} has {raw[name].shape[0]}"
+                    f"batch sizes differ: v has {n} rows, {name} has {raw[name].shape[-2]}"
                 )
         if n < 2:
             raise BatchTooSmall(f"need at least 2 rows, got {n}")
-        if raw["v"].shape != raw["t"].shape:
+        if raw["v"].shape[-1] != raw["t"].shape[-1]:
             raise ShapeMismatch(f"v/t shapes differ: {raw['v'].shape} vs {raw['t'].shape}")
-        if raw["r"].shape != raw["a"].shape:
+        if raw["r"].shape[-1] != raw["a"].shape[-1]:
             raise ShapeMismatch(f"r/a shapes differ: {raw['r'].shape} vs {raw['a'].shape}")
+        if want_grad and any(m.ndim == 3 for m in raw.values()):
+            raise ValueError("the backward takes (N, D) inputs, not stacks")
 
         self.cfg = cfg
         self.n = n
@@ -170,11 +190,11 @@ class _Graph:
         self.collector = target_collector
 
         self.raw = raw
-        self.norms = {k: np.sqrt((m * m).sum(axis=1)) for k, m in raw.items()}
+        self.norms = {k: np.sqrt((m * m).sum(axis=-1)) for k, m in raw.items()}
         for name, nr in self.norms.items():
             if (nr < 1e-300).any():
                 raise ValueError(f"input {name} has a zero row")
-        self.unit = {k: raw[k] / self.norms[k][:, None] for k in raw}
+        self.unit = {k: raw[k] / self.norms[k][..., None] for k in raw}
 
         self.split = cfg.split_guidance_temperature
         if self.split and guidance_tau is None:
@@ -205,7 +225,7 @@ class _Graph:
     def z(self, key) -> np.ndarray:
         if key not in self._z:
             src, dst, group = key
-            sims = self.unit[src] @ self.unit[dst].T
+            sims = self.unit[src] @ np.swapaxes(self.unit[dst], -1, -2)
             self._z[key] = sims * self._inv_tau[group]
         return self._z[key]
 
@@ -259,7 +279,7 @@ def _clip_direction(graph: _Graph, pred_key, weight: float,
     """Cross-entropy of fixed targets against one softmax direction,
     unweighted; ``weight`` scales the gradient only."""
     ln_p = graph.rows(backend.logsoftmax_rows, pred_key)
-    value = -(targets * ln_p).sum(axis=1).mean()
+    value = -(targets * ln_p).sum(axis=-1).mean(axis=-1)
     if graph.want_grad and weight != 0.0:
         p = graph.rows(backend.softmax_rows, pred_key)
         graph.add_dz(pred_key, (weight / graph.n) * (p - targets))
@@ -267,10 +287,13 @@ def _clip_direction(graph: _Graph, pred_key, weight: float,
 
 
 def _require_negative_mass(mass: np.ndarray, side: str) -> None:
-    if (mass < MIN_NEGATIVE_MASS).any():
-        bad = int(np.argmax(mass < MIN_NEGATIVE_MASS))
+    """Reject rows of ``mass``, ``(N,)`` or ``(B, N)``, below the floor."""
+    low = mass < MIN_NEGATIVE_MASS
+    if low.any():
+        bad = np.unravel_index(int(np.argmax(low)), mass.shape)
+        where = f"row {bad[-1]}" + (f" of stack entry {bad[0]}" if len(bad) > 1 else "")
         raise DegenerateRow(
-            f"{side} row {bad} has off-diagonal mass {mass[bad]:.3e}; "
+            f"{side} {where} has off-diagonal mass {mass[bad]:.3e}; "
             "cannot renormalize negatives"
         )
 
@@ -291,13 +314,13 @@ def _targets(graph: _Graph, guid_key, tag, disentangled: bool):
     if disentangled:
         # sum the off-diagonal entries directly: computing 1 - t_ii instead
         # loses ~8 digits when the guidance softmax saturates
-        s = (t * graph._offdiag).sum(axis=1)
+        s = (t * graph._offdiag).sum(axis=-1)
         _require_negative_mass(s, "target")
-        t = t / s[:, None]
-        np.fill_diagonal(t, 0.0)
+        t = t / s[..., None]
+        backend.fill_diagonal(t, 0.0)
     ln_t = floored_log(t, cfg.target_floor)
     if disentangled:
-        np.fill_diagonal(ln_t, 0.0)
+        backend.fill_diagonal(ln_t, 0.0)
     if graph.collector is not None:
         graph.collector[tag] = (t, ln_t, s)
     return t, ln_t, s
@@ -319,7 +342,7 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
     if disentangled:
         off = graph._offdiag
         p_full = graph.rows(backend.softmax_rows, pred_key)
-        _require_negative_mass((p_full * off).sum(axis=1), "prediction")
+        _require_negative_mass((p_full * off).sum(axis=-1), "prediction")
         p = graph.rows(backend.masked_softmax_rows, pred_key)
         ln_p = graph.rows(backend.masked_logsoftmax_rows, pred_key)
 
@@ -338,8 +361,8 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
     t, ln_t, s = _targets(graph, guid_key, tag, disentangled)
     kl = backend.kl_term_rows
     vjp = backend.softmax_vjp_rows
-    # the finite-difference oracle runs this forward-only thousands of
-    # times, so gradient terms are built only when asked for
+    # the finite-difference oracle runs this forward-only, so gradient
+    # terms are built only when asked for
     grad_p = graph.want_grad and weight != 0.0
     grad_t = grad_p and not cfg.stop_gradient_targets
     # dz: gradient w.r.t. the prediction logits; h: w.r.t. the targets t,
@@ -348,20 +371,20 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
 
     mode = cfg.divergence
     if mode == "forward_kl":
-        value = kl(t, ln_t, ln_p).mean()
+        value = kl(t, ln_t, ln_p).mean(axis=-1)
         if grad_p:
             dz = p - t
         if grad_t:
             h = mask(ln_t - ln_p + 1.0)
     elif mode == "symmetric_kl":
-        value = 0.5 * (kl(t, ln_t, ln_p) + kl(p, ln_p, ln_t)).mean()
+        value = 0.5 * (kl(t, ln_t, ln_p) + kl(p, ln_p, ln_t)).mean(axis=-1)
         if grad_p:
             dz = 0.5 * (p - t) + 0.5 * vjp(p, mask(ln_p - ln_t))
         if grad_t:
             h = mask(0.5 * (ln_t - ln_p + 1.0) - 0.5 * mask(p / safe(t)))
     elif mode == "js":
         ln_m = mask(np.log(safe(0.5 * (t + p))))
-        value = 0.5 * (kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m)).mean()
+        value = 0.5 * (kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m)).mean(axis=-1)
         if grad_p:
             dz = vjp(p, mask(0.5 * (ln_p - ln_m)))
         if grad_t:
@@ -374,11 +397,13 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
         graph.add_dz(pred_key, c * dz)
     if h is not None:
         if disentangled:
-            # through q = t / s with s = 1 - t_ii: h / s off the diagonal,
-            # sum_j h_j q_j / s on it
-            d_t = np.where(off, h / s[:, None], 0.0)
-            np.fill_diagonal(d_t, (h * t).sum(axis=1) / s)
-            h = d_t
+            # through q = t / s with s the off-diagonal sum:
+            # (h - sum_k h_k q_k) / s off the diagonal, 0 on it. Any form
+            # that differs by a per-row constant is equal after the softmax
+            # VJP, but a constant of size 1/s leaves rounding times 1/s
+            # behind when the guidance row saturates and s is tiny
+            inner = (h * t).sum(axis=-1, keepdims=True)
+            h = np.where(off, (h - inner) / s[..., None], 0.0)
         g = graph.rows(backend.softmax_rows, guid_key)
         graph.add_dz(guid_key, c * vjp(g, cfg.beta * h))
     return value
@@ -397,7 +422,8 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     """Evaluate one loss selector; returns (value, components, graph).
 
     ``components`` holds each term's unweighted value under its component
-    name, and the value under the selector's name and ``total``.
+    name, and the value under the selector's name and ``total``. With a
+    ``(B, N, D)`` stack among the inputs, each of them is a ``(B,)`` array.
     """
     cfg.check(selector)
     graph = _Graph(v, t, r, a, tau, cfg, guidance_tau,
@@ -494,21 +520,24 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
                            cfg: LossConfig, epsilon: float = 1e-5,
                            guidance_tau: Optional[Temperature] = None
                            ) -> GradientBundle:
-    """Central-difference gradients, coordinate by coordinate.
+    """Central-difference gradients, one batched forward per input.
 
-    Perturbations are applied to the pre-normalization inputs. With
-    ``stop_gradient_targets`` the softened targets are computed once at
-    the base point and held fixed, matching the function the analytic
-    backward differentiates. The forward passes run in extended precision
-    where the platform provides it, which keeps the difference quotient's
-    rounding floor far below the comparison tolerance; the perturbation
-    math itself is the plain central formula.
+    Perturbations are applied to the pre-normalization inputs. For each
+    input the forward consumes, the ``2k`` copies perturbed by ``+eps``
+    (stack rows ``0..k-1``) and ``-eps`` (rows ``k..2k-1``) at each of its
+    ``k`` coordinates are stacked along a leading axis and evaluated in
+    one :func:`_run`; the temperature derivatives take two scalar
+    forwards each. With ``stop_gradient_targets`` the softened targets are
+    computed once at the base point and held fixed, matching the function
+    the analytic backward differentiates. The forward passes run in
+    extended precision where the platform provides it, which keeps the
+    difference quotient's rounding floor far below the comparison
+    tolerance; the perturbation math itself is the plain central formula.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in [1e-7, 1e-3], got {epsilon}")
     dtype = np.longdouble if np.finfo(np.longdouble).eps < 1e-18 else np.float64
-    # copies: the loop below perturbs them in place
-    inputs = {name: as_matrix(x, name, dtype).copy()
+    inputs = {name: as_matrix(x, name, dtype)
               for name, x in zip(_INPUT_NAMES, (v, t, r, a))}
     frozen = None
     if cfg.stop_gradient_targets:
@@ -516,9 +545,10 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
                                  inputs["r"], inputs["a"], tau, cfg,
                                  guidance_tau, dtype=dtype)
 
-    def f(tau_eval: Temperature, g_tau_eval: Optional[Temperature]):
-        value, _, _ = _run(selector, inputs["v"], inputs["t"], inputs["r"],
-                           inputs["a"], tau_eval, cfg,
+    def f(tau_eval: Temperature, g_tau_eval: Optional[Temperature], **stack):
+        args = {**inputs, **stack}
+        value, _, _ = _run(selector, args["v"], args["t"], args["r"],
+                           args["a"], tau_eval, cfg,
                            guidance_tau=g_tau_eval, frozen_targets=frozen,
                            dtype=dtype)
         return value
@@ -527,19 +557,17 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
     grads = {}
     for name in _INPUT_NAMES:
         x = inputs[name]
-        g = np.zeros(x.shape)
-        if name in live:
-            flat = x.reshape(-1)
-            gflat = g.reshape(-1)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + epsilon
-                f_plus = f(tau, guidance_tau)
-                flat[idx] = orig - epsilon
-                f_minus = f(tau, guidance_tau)
-                flat[idx] = orig
-                gflat[idx] = float((f_plus - f_minus) / (2.0 * epsilon))
-        grads[name] = g
+        if name not in live:
+            grads[name] = np.zeros(x.shape)
+            continue
+        k = x.size
+        coord = np.arange(k)
+        stack = np.repeat(x.reshape(1, k), 2 * k, axis=0)
+        stack[coord, coord] = x.reshape(-1) + epsilon
+        stack[k + coord, coord] = x.reshape(-1) - epsilon
+        values = f(tau, guidance_tau, **{name: stack.reshape(2 * k, *x.shape)})
+        diff = (values[:k] - values[k:]) / (2.0 * epsilon)
+        grads[name] = diff.astype(np.float64).reshape(x.shape)
 
     ell = tau.log_inv_tau
     d_log = float(

@@ -86,7 +86,8 @@ def pilot():
 
 def test_criterion_1_gradient_fidelity():
     """All six selectors, 10 seeds, N in {2,4,8}, D in {4,16}, both
-    stop-gradient settings: max relative error < 1e-5 at eps = 1e-5."""
+    stop-gradient settings: max relative error < 1e-5 at eps = 1e-5,
+    within 60 s."""
     t0 = time.time()
     worst = 0.0
     failures = []
@@ -100,12 +101,11 @@ def test_criterion_1_gradient_fidelity():
                 if not rep.passed:
                     failures.append((selector, stop_grad, seed, n, d))
     elapsed = time.time() - t0
-    # the 60 s budget is reported, not asserted: the one-coordinate-at-a-time
-    # oracle needs about 80 s on 2 cores until its perturbations are batched
-    detail = (f"720 configs, worst rel err {worst:.3e}, {elapsed:.1f}s "
-              "[60s budget not asserted]")
-    _report("criterion 1 gradient fidelity", not failures, detail)
+    ok = not failures and elapsed < 60.0
+    detail = f"720 configs, worst rel err {worst:.3e}, {elapsed:.1f}s (budget 60s)"
+    _report("criterion 1 gradient fidelity", ok, detail)
     assert not failures, failures[:5]
+    assert elapsed < 60.0, detail
 
 
 def test_criterion_2_reduction_identity():

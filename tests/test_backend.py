@@ -28,6 +28,47 @@ def test_masked_softmax_excludes_diagonal(name, rng):
     np.testing.assert_allclose(out, kernel(z2), atol=1e-15)
 
 
+ROW_KERNELS = {
+    "softmax_rows": 1,
+    "logsoftmax_rows": 1,
+    "masked_softmax_rows": 1,
+    "masked_logsoftmax_rows": 1,
+    "softmax_vjp_rows": 2,
+    "kl_term_rows": 3,
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+def test_row_kernel_on_stack_matches_each_slice(name, dtype, rng):
+    kernel = getattr(backend, name)
+    args = [rng.standard_normal((7, 5, 5)).astype(dtype)
+            for _ in range(ROW_KERNELS[name])]
+    if name == "kl_term_rows":
+        args[0] = backend.softmax_rows(args[0])
+    stacked = kernel(*args)
+    for b in range(7):
+        one = kernel(*(x[b] for x in args))
+        assert stacked[b].dtype == one.dtype == dtype
+        assert np.array_equal(stacked[b], one)
+    if name.startswith("masked"):
+        assert (np.diagonal(stacked, axis1=-2, axis2=-1) == 0.0).all()
+
+
+@pytest.mark.parametrize("value", [0.0, -np.inf, np.arange(4.0)])
+def test_fill_diagonal_matches_numpy(value, rng):
+    x = rng.standard_normal((4, 4))
+    expected = x.copy()
+    np.fill_diagonal(expected, value)
+    backend.fill_diagonal(x, value)
+    assert np.array_equal(x, expected)
+
+
+def test_fill_diagonal_rejects_a_view_it_cannot_write():
+    with pytest.raises(ValueError):
+        backend.fill_diagonal(np.ones((4, 4)).T, 0.0)
+
+
 def test_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from softalign.distributions import (
     Temperature,
     cross_modal_dist,
     label_smooth_targets,
 )
-from softalign.errors import DegenerateTargets, SoftalignError
+from softalign.errors import DegenerateRow, DegenerateTargets, SoftalignError
 from softalign.numkit import l2_normalize_rows, stable_row_softmax
 from softalign.objectives import (
     DIVERGENCES,
@@ -165,6 +167,20 @@ class TestFiniteDifferenceProperties:
             np.testing.assert_allclose(d, 0.0, atol=1e-9)
         assert abs(fd.d_log_inv_tau) < 1e-9
 
+    @pytest.mark.parametrize("divergence", DIVERGENCES)
+    def test_constant_loss_exact_zero_analytic_gradient(self, divergence):
+        # seed 393 saturates the ROI guidance rows (off-diagonal target
+        # mass s about 6e-12): a target gradient carrying a per-row
+        # constant of size 1/s leaves ~5e-5 of rounding in d log(1/tau)
+        # of this identically-zero loss
+        rng = np.random.default_rng(393)
+        v, t, r, a = (rng.standard_normal((2, 2)) for _ in range(4))
+        cfg = LossConfig(divergence=divergence, stop_gradient_targets=False)
+        _, g = backward("soft_re", v, t, r, a, Temperature.from_tau(0.07), cfg)
+        for d in (g.d_v, g.d_t, g.d_r, g.d_a):
+            assert not d.any()
+        assert g.d_log_inv_tau == 0.0
+
     def test_extended_precision_inputs_not_rounded(self):
         # a perturbed oracle input must reach the graph unrounded
         ld = np.longdouble
@@ -183,6 +199,64 @@ class TestFiniteDifferenceProperties:
             with pytest.raises(ValueError):
                 finite_difference_grad("clip", v, t, r, a, tau, LossConfig(),
                                        epsilon=eps)
+
+
+def _per_coordinate_fd(selector, v, t, r, a, tau, cfg, epsilon=1e-5):
+    """The oracle's input gradients one coordinate at a time: two scalar
+    longdouble forwards per coordinate of every input."""
+    ld = np.longdouble
+    inputs = {name: np.array(x, dtype=ld) for name, x in zip("vtra", (v, t, r, a))}
+    frozen = None
+    if cfg.stop_gradient_targets:
+        frozen = gradcheck.collect_targets(selector, *inputs.values(), tau, cfg,
+                                           dtype=ld)
+    grads = {}
+    for name, x in inputs.items():
+        g = np.zeros(x.shape)
+        for i in np.ndindex(x.shape):
+            values = []
+            for step in (epsilon, -epsilon):
+                bumped = dict(inputs)
+                bumped[name] = x.copy()
+                bumped[name][i] += step
+                value, _, _ = gradcheck._run(selector, *bumped.values(), tau, cfg,
+                                             frozen_targets=frozen, dtype=ld)
+                values.append(value)
+            g[i] = float((values[0] - values[1]) / (2.0 * epsilon))
+        grads[name] = g
+    return grads
+
+
+@pytest.mark.parametrize("divergence", DIVERGENCES)
+@pytest.mark.parametrize("stop_grad", [True, False])
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_batched_oracle_matches_per_coordinate_loop(selector, stop_grad,
+                                                    divergence):
+    # n != d, so a perturbation written at the transposed index would
+    # land on a different coordinate (or outside the matrix)
+    v, t, r, a = random_inputs(21, n=3, d=5)
+    cfg = LossConfig(divergence=divergence, stop_gradient_targets=stop_grad,
+                     gamma=0.4)
+    tau = Temperature.from_tau(0.07)
+    batched = finite_difference_grad(selector, v, t, r, a, tau, cfg)
+    looped = _per_coordinate_fd(selector, v, t, r, a, tau, cfg)
+    for name in "vtra":
+        np.testing.assert_allclose(batched.by_name(name), looped[name],
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_oracle_stack_names_the_degenerate_entry():
+    # one stacked copy saturates a disentangled target row; the error
+    # names both the row and the stack entry
+    v, t, r, a = random_inputs(3, n=3, d=4)
+    tau = Temperature.from_tau(0.07)
+    stack = np.repeat(r[None], 2, axis=0)
+    stack[1] = 0.0
+    stack[1, :, 0] = [1.0, -1.0, -1.0]
+    a_close = stack[1].copy()
+    with pytest.raises(DegenerateRow, match=r"row \d+ of stack entry 1"):
+        gradcheck._run("soft_re", v, t, stack, a_close, tau,
+                       LossConfig(beta=1.0, stop_gradient_targets=False))
 
 
 class TestCheckGradients:
@@ -374,3 +448,25 @@ def test_graph_matches_reference(selector, divergence, stop_grad, form, split):
                 assert graph is ref, (n, beta, graph, ref)
             else:
                 assert abs(graph - ref) <= 1e-12 * max(1.0, abs(ref)), (n, beta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(selector=st.sampled_from(SELECTORS),
+       divergence=st.sampled_from(DIVERGENCES),
+       stop_grad=st.booleans(),
+       n=st.integers(2, 8), d=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_check_gradients_property(selector, divergence, stop_grad, n, d, seed):
+    cfg = LossConfig(divergence=divergence, stop_gradient_targets=stop_grad)
+    try:
+        rep = check_gradients(selector, seed=seed, n=n, d=d, cfg=cfg)
+    except DegenerateRow:
+        # a saturated disentangled row at the base point is rejected by
+        # design; anywhere else it is a failure
+        rng = np.random.default_rng(seed)
+        v, t, r, a = (rng.standard_normal((n, d)) for _ in range(4))
+        with pytest.raises(DegenerateRow):
+            forward_value(selector, v, t, r, a,
+                          Temperature.from_tau(cfg.tau_init), cfg)
+        reject()
+    assert rep.passed, rep.to_json()

@@ -18,7 +18,9 @@ temperature x beta {0, 0.3} x N {2, 5} for every selector, crossed with
 lambda_re {0, 0.7, 1} x mu_clip {0, 0.3, 0.5} for ``total`` and lambda_re x
 gamma {0, 0.4, 1} for ``mixed_gamma``: 4,224 cases. The oracle grid is
 selector x stop-gradient x divergence x (lambda_re, mu_clip, gamma) in
-{(0, 0, 0), (0.7, 0.3, 0.4), (1, 0.5, 1)} at beta 0.3, N=3, d=3: 108 cases.
+{(0, 0, 0), (0.7, 0.3, 0.4), (1, 0.5, 1)} x (N, d) in {(3, 3), (4, 2),
+(5, 3)} at beta 0.3: 324 cases. The non-square shapes make a transposed
+perturbation index change the ``fd`` digest.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXTRA = {
 FD_WEIGHTS = [dict(lambda_re=0.0, mu_clip=0.0, gamma=0.0),
               dict(lambda_re=0.7, mu_clip=0.3, gamma=0.4),
               dict(lambda_re=1.0, mu_clip=0.5, gamma=1.0)]
+FD_SHAPES = ((3, 3), (4, 2), (5, 3))
 
 
 def _inputs(n: int, d: int):
@@ -78,8 +81,8 @@ def _graph_case(selector, n, cfg, split, grads, values) -> None:
         values.update(name.encode() + _scalar(comps[name]))
 
 
-def _fd_case(selector, cfg, fd) -> None:
-    v, t, r, a = _inputs(3, 3)
+def _fd_case(selector, cfg, n, d, fd) -> None:
+    v, t, r, a = _inputs(n, d)
     try:
         bundle = gradcheck.finite_difference_grad(
             selector, v, t, r, a, Temperature.from_tau(0.07), cfg)
@@ -100,10 +103,10 @@ def main() -> None:
                              supervision_form=form, beta=beta,
                              split_guidance_temperature=split, **extra)
             _graph_case(selector, n, cfg, split, grads, values)
-        for sg, div, weights in itertools.product((True, False), DIVERGENCES,
-                                                  FD_WEIGHTS):
+        for sg, div, weights, (n, d) in itertools.product(
+                (True, False), DIVERGENCES, FD_WEIGHTS, FD_SHAPES):
             cfg = LossConfig(divergence=div, stop_gradient_targets=sg, **weights)
-            _fd_case(selector, cfg, fd)
+            _fd_case(selector, cfg, n, d, fd)
         print(f"{selector:<13} grads={grads.hexdigest()} "
               f"values={values.hexdigest()} fd={fd.hexdigest()}")
 

@@ -20,11 +20,10 @@ import json
 import logging
 import os
 import sys
-import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import gradcheck, harness, synthgen, trainer
+from . import config, gradcheck, harness, synthgen, trainer
 from .errors import ConfigError, DegenerateTargets, SoftalignError, SpecInvalid
 from .objectives import LossConfig
 from .synthgen import SynthSpec
@@ -127,20 +126,20 @@ def _add_config_flags(p, cls, title: str) -> None:
     """One flag per field of ``cls`` that has help metadata.
 
     ``--`` plus the field name with ``-`` for ``_``; the type is the
-    field's annotation (``Optional`` unwrapped), and a bool field takes
+    field's (:func:`config.field_types`), and a bool field takes
     ``--name/--no-name``. Every default is None, so a flag left out
     leaves the config file's value (or the field default) in place.
     """
     g = p.add_argument_group(title)
-    hints = typing.get_type_hints(cls)
+    types = config.field_types(cls)
     for f in fields(cls):
         if "help" not in f.metadata:
             continue
-        kind = hints[f.name]
-        if type(None) in typing.get_args(kind):  # Optional[X] -> X
-            kind = next(a for a in typing.get_args(kind) if a is not type(None))
+        kind, _ = types[f.name]
         name = "--" + f.name.replace("_", "-")
-        text = f"{f.metadata['help']} (default: {f.default})"
+        rule = config.bounds(f)
+        text = f"{f.metadata['help']} (default: {f.default}" + (
+            f"; {rule})" if rule else ")")
         if kind is bool:
             g.add_argument(name, action=argparse.BooleanOptionalAction,
                            dest=f.name, default=None, help=text)

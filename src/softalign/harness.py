@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,11 +50,7 @@ class RetrievalResult:
     spearman: float
 
     def to_dict(self) -> dict:
-        return {
-            "r1_v2t": self.r1_v2t, "r5_v2t": self.r5_v2t, "r10_v2t": self.r10_v2t,
-            "r1_t2v": self.r1_t2v, "r5_t2v": self.r5_t2v, "r10_t2v": self.r10_t2v,
-            "spearman": self.spearman,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

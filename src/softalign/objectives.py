@@ -23,6 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import config
+from .config import flag
 from .distributions import (
     NegDisentangled,
     Temperature,
@@ -32,7 +34,6 @@ from .distributions import (
     mix_targets,
     one_hot_targets,
 )
-from .config import check_choices, flag, from_dict
 from .errors import BatchTooSmall, DegenerateTargets, ShapeMismatch
 from .numkit import as_matrix, floored_log
 
@@ -54,37 +55,25 @@ Dist = Union[np.ndarray, NegDisentangled]
 class LossConfig:
     """All scalar hyperparameters of the objective."""
 
-    tau_init: float = flag(0.07, "initial learnable temperature")
-    alpha: float = flag(0.2, "label smoothing amount")
-    beta: float = flag(0.3, "soft-target mixing coefficient")
-    gamma: float = flag(1.0, "guidance mixing weight")
-    lambda_re: float = flag(1.0, "relation-enhanced term weight")
-    mu_clip: float = flag(0.5, "contrastive term weight")
+    tau_init: float = flag(0.07, "initial learnable temperature", gt=0)
+    alpha: float = flag(0.2, "label smoothing amount", ge=0, lt=1)
+    beta: float = flag(0.3, "soft-target mixing coefficient", ge=0, le=1)
+    gamma: float = flag(1.0, "guidance mixing weight", ge=0, le=1)
+    lambda_re: float = flag(1.0, "relation-enhanced term weight", ge=0)
+    mu_clip: float = flag(0.5, "contrastive term weight", ge=0)
     divergence: str = flag("symmetric_kl", "soft-loss divergence", DIVERGENCES)
     supervision_form: str = flag("R2R_A2A", "guidance assignment", SUPERVISION_FORMS)
     stop_gradient_targets: bool = flag(True, "detach softened targets")
-    target_floor: float = flag(1e-12, "floor inside logs")
+    target_floor: float = flag(1e-12, "floor inside logs", gt=0)
     split_guidance_temperature: bool = flag(
         False, "learn a separate temperature for the guidance branch")
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.lambda_re < 0.0 or self.mu_clip < 0.0:
-            raise ValueError("lambda_re and mu_clip must be >= 0")
-        if self.tau_init <= 0.0:
-            raise ValueError(f"tau_init must be positive, got {self.tau_init}")
-        check_choices(self)
-        if self.target_floor <= 0.0:
-            raise ValueError("target_floor must be positive")
+        config.check(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossConfig":
-        return from_dict(cls, d)
+        return config.from_dict(cls, d)
 
     def terms(self, variant: str) -> tuple[tuple[str, str, str, float], ...]:
         """The terms ``variant`` sums, in order: (component, bundle, kind, weight).

@@ -35,48 +35,28 @@ ROI_POOLS = {"mean": np.mean, "max": np.max, "min": np.min}
 class SynthSpec:
     """Generation parameters; defaults define the standard benchmark set."""
 
-    n_samples: int = flag(2000, "number of paired samples")
-    n_concepts: int = flag(20, "shared latent concepts")
-    latent_dim: int = flag(32, "latent dimension")
-    concepts_per_sample: int = flag(3, "active concepts per sample")
-    d_image: int = flag(64, "image view width")
-    d_text: int = flag(48, "text view width")
-    d_roi: int = flag(2052, "ROI feature width")
-    d_tag: int = flag(32, "tag view width")
-    rois_per_image: int = flag(10, "ROI features per sample")
-    noise_sigma_image: float = flag(0.05, "image view noise sigma")
-    noise_sigma_text: float = flag(0.05, "text view noise sigma")
-    noise_sigma_roi: float = flag(0.05, "roi view noise sigma")
-    noise_sigma_tag: float = flag(0.05, "tag view noise sigma")
+    n_samples: int = flag(2000, "number of paired samples", ge=1)
+    n_concepts: int = flag(20, "shared latent concepts", ge=1)
+    latent_dim: int = flag(32, "latent dimension", ge=1)
+    concepts_per_sample: int = flag(3, "active concepts per sample", ge=1)
+    d_image: int = flag(64, "image view width", ge=1)
+    d_text: int = flag(48, "text view width", ge=1)
+    d_roi: int = flag(2052, "ROI feature width", ge=1)
+    d_tag: int = flag(32, "tag view width", ge=1)
+    rois_per_image: int = flag(10, "ROI features per sample", ge=1)
+    noise_sigma_image: float = flag(0.05, "image view noise sigma", ge=0)
+    noise_sigma_text: float = flag(0.05, "text view noise sigma", ge=0)
+    noise_sigma_roi: float = flag(0.05, "roi view noise sigma", ge=0)
+    noise_sigma_tag: float = flag(0.05, "tag view noise sigma", ge=0)
     faulty_positive_rate: float = flag(
-        0.1, "fraction of samples whose text view is unrelated")
-    seed: int = 0
+        0.1, "fraction of samples whose text view is unrelated", ge=0, lt=1)
+    seed: int = flag(0, ge=0)
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise SpecInvalid(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.n_concepts < 1:
-            raise SpecInvalid(f"n_concepts must be >= 1, got {self.n_concepts}")
-        if self.latent_dim < 1:
-            raise SpecInvalid(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if not 1 <= self.concepts_per_sample <= self.n_concepts:
-            raise SpecInvalid(
-                f"concepts_per_sample must be in [1, n_concepts={self.n_concepts}], "
-                f"got {self.concepts_per_sample}"
-            )
-        for name in ("d_image", "d_text", "d_roi", "d_tag", "rois_per_image"):
-            if getattr(self, name) < 1:
-                raise SpecInvalid(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("noise_sigma_image", "noise_sigma_text",
-                     "noise_sigma_roi", "noise_sigma_tag"):
-            if getattr(self, name) < 0:
-                raise SpecInvalid(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.faulty_positive_rate < 1.0:
-            raise SpecInvalid(
-                f"faulty_positive_rate must be in [0, 1), got {self.faulty_positive_rate}"
-            )
-        if self.seed < 0:
-            raise SpecInvalid(f"seed must be >= 0, got {self.seed}")
+        config.check(self, SpecInvalid)
+        if self.concepts_per_sample > self.n_concepts:
+            raise SpecInvalid(f"concepts_per_sample must be <= n_concepts="
+                              f"{self.n_concepts}, got {self.concepts_per_sample}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -234,9 +214,10 @@ def save(dataset: SynthDataset, path) -> None:
 
 def _dataset(meta: dict, arrays: dict[str, np.ndarray]) -> SynthDataset:
     """The dataset a parsed container holds, checked against its spec."""
-    if "spec" not in meta:
-        raise FormatError("dataset header is missing the generation spec")
-    spec = SynthSpec.from_dict(meta["spec"])
+    try:
+        spec = SynthSpec.from_dict(meta["spec"])
+    except (KeyError, TypeError, SpecInvalid) as exc:
+        raise FormatError(f"dataset header has no valid spec: {exc!r}") from exc
     missing = [name for name in _ARRAY_FIELDS if name not in arrays]
     if missing:
         raise FormatError(f"dataset is missing arrays: {missing}")

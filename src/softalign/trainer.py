@@ -53,49 +53,26 @@ class TrainConfig:
     (:meth:`LossConfig.check`).
     """
 
-    epochs: int = flag(40, "training epochs")
-    max_steps: Optional[int] = flag(None, "step cap overriding epochs")
-    batch_size: int = flag(64, "batch size")
-    peak_lr: float = flag(3e-3, "peak learning rate")
-    warmup_fraction: float = flag(0.10, "linear warmup fraction")
-    weight_decay: float = flag(0.2, "decoupled weight decay")
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
+    epochs: int = flag(40, "training epochs", ge=0)
+    max_steps: Optional[int] = flag(None, "step cap overriding epochs", ge=0)
+    batch_size: int = flag(64, "batch size", ge=2)
+    peak_lr: float = flag(3e-3, "peak learning rate", gt=0)
+    warmup_fraction: float = flag(0.10, "linear warmup fraction", ge=0, lt=1)
+    weight_decay: float = flag(0.2, "decoupled weight decay", ge=0)
+    beta1: float = flag(0.9, ge=0, lt=1)
+    beta2: float = flag(0.999, ge=0, lt=1)
+    adam_eps: float = flag(1e-8, gt=0)
     roi_aggregation: str = flag("mean", "ROI pooling mode", AGGREGATION_MODES)
-    hidden_dim: int = flag(64, "encoder hidden width")
-    embed_dim: int = flag(32, "shared embedding width")
-    attention_dim: int = flag(32, "attention pool key width")
-    grad_clip: Optional[float] = flag(None, "global gradient-norm clip")
-    seed: int = 0
+    hidden_dim: int = flag(64, "encoder hidden width", ge=1)
+    embed_dim: int = flag(32, "shared embedding width", ge=1)
+    attention_dim: int = flag(32, "attention pool key width", ge=1)
+    grad_clip: Optional[float] = flag(None, "global gradient-norm clip", gt=0)
+    seed: int = flag(0, ge=0)
     loss_variant: str = flag("total", "objective variant to train", LOSS_VARIANTS)
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.peak_lr <= 0:
-            raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError(
-                f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
-            )
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("optimizer betas must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
-        config.check_choices(self)
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive when set")
-        for name in ("hidden_dim", "embed_dim", "attention_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        config.check(self)
         self.loss.check(self.loss_variant)
 
     def to_dict(self) -> dict:
@@ -363,10 +340,9 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def optimizer_step(state: TrainState, grads: dict, lr: float,
-                   cfg: Optional[TrainConfig] = None) -> TrainState:
-    """One AdamW update (in place); decay is decoupled from the moments."""
-    cfg = cfg or state.config
+def optimizer_step(state: TrainState, grads: dict, lr: float) -> TrainState:
+    """One AdamW update under ``state.config`` (in place); decay is decoupled."""
+    cfg = state.config
     t = state.step + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
@@ -463,7 +439,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
                 scale = cfg.grad_clip / norm
                 grads = {k: g * scale for k, g in grads.items()}
         lr = lr_at(step, total, cfg)
-        optimizer_step(state, grads, lr, cfg)
+        optimizer_step(state, grads, lr)
         record = {**comps, "step": step, "lr": lr, "total": value,
                   "tau": state.temperature.tau}
         # a column the variant has no component for reads 0

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from softalign import cli, synthgen, trainer
+from softalign import cli, container, synthgen, trainer
 from softalign.cli import build_parser, main
 from softalign.harness import RESULT_COLUMNS
 
@@ -153,6 +153,28 @@ def test_infeasible_suite_fails_before_training(workdir, monkeypatch, capsys,
     assert not out.exists() and not out.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize("sections, argv", [
+    ({"train": {"batch_size": 16.5}}, []),
+    ({"train": {"batch_size": "16"}}, []),
+    ({"loss": {"stop_gradient_targets": "false"}}, []),
+    ({}, ["--seed", "-1"]),
+    ({}, ["--peak-lr", "nan"]),
+], ids=["float-int", "string-int", "string-bool", "negative-seed", "nan-flag"])
+def test_bad_config_value_fails_before_loading(workdir, monkeypatch, capsys,
+                                               tmp_path, sections, argv):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
+    monkeypatch.setattr(synthgen, "load", no_loading)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(sections))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(cfg), *argv,
+                 "--data", str(workdir / "data.salb"), "--out", str(out)]) == 1
+    assert "ValueError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_beta(workdir):
     data = workdir / "data.salb"
     out = workdir / "beta.csv"
@@ -245,6 +267,15 @@ class TestRuntimeErrors:
         assert main(["train", "--data", str(bad),
                      "--out", str(tmp_path / "y.ckpt")]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_invalid_dataset_spec(self, workdir, tmp_path, capsys):
+        meta, arrays = container.read(workdir / "data.salb", synthgen.MAGIC)
+        meta["spec"]["n_samples"] = str(meta["spec"]["n_samples"])
+        bad = tmp_path / "bad_spec.salb"
+        bad.write_bytes(container.pack(synthgen.MAGIC, meta, arrays))
+        assert main(["train", "--data", str(bad),
+                     "--out", str(tmp_path / "y.ckpt")]) == 2
+        assert "FormatError" in capsys.readouterr().err
 
     def test_non_finite_training_writes_no_checkpoint(self, tmp_path, capsys):
         from dataclasses import replace

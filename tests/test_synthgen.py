@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from softalign import container
 from softalign.errors import FormatError, SpecInvalid
@@ -160,6 +163,21 @@ class TestRoundTrip:
         with pytest.raises(FormatError, match="image_features"):
             from_bytes(to_bytes(wrong))
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta["spec"].update(d_roi=8.0),
+        lambda meta: meta["spec"].update(n_samples="60"),
+        lambda meta: meta["spec"].update(noise_sigma_image=-0.5),
+        lambda meta: meta["spec"].update(bogus=1),
+        lambda meta: meta.update(spec=3),
+        lambda meta: meta.pop("spec"),
+    ], ids=["float-int", "string-int", "negative", "unknown-key",
+            "not-a-mapping", "missing"])
+    def test_invalid_header_spec(self, edit):
+        meta, arrays = container.unpack(to_bytes(generate(small_spec())), "SALB")
+        edit(meta)
+        with pytest.raises(FormatError, match="no valid spec"):
+            from_bytes(container.pack("SALB", meta, arrays))
+
     def test_hash_stable_and_content_sensitive(self):
         a = generate(small_spec())
         b = generate(small_spec())
@@ -203,6 +221,23 @@ class TestContainer:
         container.write(path, "SALB", {}, {"x": np.ones(2)})
         with pytest.raises(FormatError):
             container.read(path, "SALB-CKPT")
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(arrays=st.dictionaries(
+        st.text(max_size=4),
+        st.lists(st.integers(0, 3), max_size=3).flatmap(
+            lambda shape: hnp.arrays(np.float64, tuple(shape))),
+        max_size=4))
+    def test_pack_unpack_bitwise_and_every_truncation_fails(self, arrays):
+        blob = container.pack("SALB", {"k": 1}, arrays)
+        meta, back = container.unpack(blob, "SALB")
+        assert meta == {"k": 1} and list(back) == list(arrays)
+        for name, arr in arrays.items():
+            assert back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes()
+        for cut in range(len(blob)):
+            with pytest.raises(FormatError):
+                container.unpack(blob[:cut], "SALB")
 
     @pytest.mark.parametrize("arrays", [
         {"x": {"shape": [2], "offset": 0}},

@@ -176,20 +176,20 @@ class TestOptimizerStep:
                          d_text=3, d_roi=3, d_tag=3, rois_per_image=2,
                          concepts_per_sample=1, seed=0)
         cfg = TrainConfig(batch_size=2, weight_decay=wd, seed=0)
-        return init_state(spec, cfg), cfg
+        return init_state(spec, cfg)
 
     def test_zero_gradients_no_decay_fixed_point(self):
-        state, cfg = self._tiny_state(wd=0.0)
+        state = self._tiny_state(wd=0.0)
         before = {k: p.copy() for k, p in state.params.items()}
-        optimizer_step(state, {}, lr=0.1, cfg=cfg)
+        optimizer_step(state, {}, lr=0.1)
         for k, p in state.params.items():
             np.testing.assert_array_equal(p, before[k])
         assert state.step == 1
 
     def test_zero_gradients_decoupled_decay(self):
-        state, cfg = self._tiny_state(wd=0.2)
+        state = self._tiny_state(wd=0.2)
         before = {k: p.copy() for k, p in state.params.items()}
-        optimizer_step(state, {}, lr=0.1, cfg=cfg)
+        optimizer_step(state, {}, lr=0.1)
         for k, p in state.params.items():
             if k.startswith("tau"):
                 np.testing.assert_array_equal(p, before[k])  # never decayed
@@ -197,21 +197,21 @@ class TestOptimizerStep:
                 np.testing.assert_allclose(p, 0.98 * before[k], rtol=1e-15)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
-        state, cfg = self._tiny_state(wd=0.0)
+        state = self._tiny_state(wd=0.0)
         lr = 0.01
         g = {k: np.full_like(p, 3.7) for k, p in state.params.items()}
         prev = None
         for _ in range(1000):
             prev = {k: p.copy() for k, p in state.params.items()}
-            optimizer_step(state, g, lr=lr, cfg=cfg)
+            optimizer_step(state, g, lr=lr)
         for k in state.params:
             delta = np.abs(state.params[k] - prev[k])
             assert (delta >= 0.9 * lr).all() and (delta <= 1.1 * lr).all()
 
     def test_shape_mismatch(self):
-        state, cfg = self._tiny_state()
+        state = self._tiny_state()
         with pytest.raises(ShapeMismatch):
-            optimizer_step(state, {"image.w1": np.zeros(3)}, lr=0.1, cfg=cfg)
+            optimizer_step(state, {"image.w1": np.zeros(3)}, lr=0.1)
 
 
 class TestTrainLoop:

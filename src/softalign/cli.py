@@ -1,15 +1,16 @@
 """Command-line entry point: data generation, training, evaluation, sweeps.
 
-Run configuration comes from an optional JSON file (sections "synth",
-"train", "loss"; unknown keys are rejected) with individual flags layered
-on top; --seed overrides the seed everywhere. The config flags mirror the
-fields of SynthSpec, TrainConfig and LossConfig: each field with help
-metadata is a flag named after it (``batch_size`` -> ``--batch-size``),
-and the file sections take the same field names. Exit codes: 0 success,
-1 validation/usage error, 2 runtime error. The SALB_LOG environment
-variable (error | info | debug) sets log verbosity on stderr. Data goes
-to files; stdout is used only for the grad-check report when --out is
-omitted.
+Each subcommand is declared once in ``_COMMANDS``: its handler, the config
+class it builds, its flags and its output paths. The commands that build a
+config read an optional JSON file (--config; sections "synth", "train",
+"loss"; unknown keys are rejected) with flags layered on top; --seed
+overrides the seed everywhere. Each config field with help metadata is a
+flag named after it (``batch_size`` -> ``--batch-size``). Before any work
+the config is validated and every output path, a suite's JSON mirror
+included, is checked: none is overwritten without --force. Exit codes: 0
+success, 1 validation/usage error, 2 runtime error. SALB_LOG (error | info
+| debug) sets the stderr log level. Only grad-check without --out writes
+to stdout.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, Optional
 
 from . import config, gradcheck, harness, synthgen, trainer
 from .errors import ConfigError, DegenerateTargets, SoftalignError, SpecInvalid
@@ -32,6 +34,13 @@ from .trainer import TrainConfig
 log = logging.getLogger("softalign")
 
 _VALIDATION_ERRORS = (ConfigError, SpecInvalid, DegenerateTargets, ValueError)
+
+# config class -> (config file section, title of its flag group)
+_SECTIONS = {
+    SynthSpec: ("synth", "synthetic data"),
+    TrainConfig: ("train", "training"),
+    LossConfig: ("loss", "objective"),
+}
 
 
 class _UsageError(Exception):
@@ -79,11 +88,6 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _config_file(args) -> dict:
-    """The ``--config`` file's sections, or {} without one."""
-    return _load_config_file(args.config) if args.config else {}
-
-
 def _build(args, cls, section: dict, **fixed):
     """A config from its file section, overridden by flags, then ``fixed``.
 
@@ -98,28 +102,21 @@ def _build(args, cls, section: dict, **fixed):
     return cls.from_dict(merged)
 
 
-def _train_config(args) -> TrainConfig:
-    sections = _config_file(args)
-    return _build(args, TrainConfig, sections.get("train", {}),
-                  loss=_build(args, LossConfig, sections.get("loss", {})))
+def _nested(cls) -> dict[str, type]:
+    """The fields of ``cls`` that hold a config of their own (TrainConfig.loss)."""
+    return {name: kind for name, (kind, _) in config.field_types(cls).items()
+            if kind in _SECTIONS}
 
 
-def _ensure_writable(path, force: bool) -> None:
-    if path is None:
-        return
-    if Path(path).exists() and not force:
-        raise ConfigError(f"refusing to overwrite {path} (use --force)")
+def _make_config(args, cls):
+    """``cls`` from the ``--config`` file (read once) and the flags."""
+    sections = _load_config_file(args.config) if args.config else {}
 
+    def make(kind):
+        inner = {name: make(sub) for name, sub in _nested(kind).items()}
+        return _build(args, kind, sections.get(_SECTIONS[kind][0], {}), **inner)
 
-# ---------------------------------------------------------------------------
-# flag groups
-# ---------------------------------------------------------------------------
-
-def _add_common(p) -> None:
-    p.add_argument("--config", help="JSON config file (sections synth/train/loss)")
-    p.add_argument("--seed", type=int, help="seed override, applied everywhere")
-    p.add_argument("--force", action="store_true",
-                   help="overwrite existing output files")
+    return make(cls)
 
 
 def _add_config_flags(p, cls, title: str) -> None:
@@ -149,44 +146,49 @@ def _add_config_flags(p, cls, title: str) -> None:
                            help=text)
 
 
+def _parse_values(text: str, flag: str, kind=float) -> list:
+    try:
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(
+            f"{flag} expects comma-separated {kind.__name__}s: {exc}") from exc
+
+
+def _mirror(out) -> Path:
+    """The JSON copy of a suite's results written beside its CSV ``out``."""
+    path = Path(out).with_suffix(".json")
+    if path == Path(out):
+        raise ConfigError(
+            f"--out {out} is its own JSON mirror; give the CSV another suffix")
+    return path
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: handler(args, config or None) writes the declared outputs
 # ---------------------------------------------------------------------------
 
-def _cmd_gen_data(args) -> int:
-    spec = _build(args, SynthSpec, _config_file(args).get("synth", {}))
-    _ensure_writable(args.out, args.force)
+def _cmd_gen_data(args, spec: SynthSpec) -> None:
     log.info("generating dataset: n=%d, K=%d, seed=%d",
              spec.n_samples, spec.n_concepts, spec.seed)
     dataset = synthgen.generate(spec)
     synthgen.save(dataset, args.out)
-    log.info("wrote %s", args.out)
-    return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _train_config(args)
-    _ensure_writable(args.out, args.force)
-    if args.metrics:
-        _ensure_writable(args.metrics, args.force)
+def _cmd_train(args, cfg: TrainConfig) -> None:
     dataset = synthgen.load(args.data)
     state = trainer.load_checkpoint(args.resume) if args.resume else None
     log.info("training %s for %d steps", cfg.loss_variant,
              trainer.total_steps_for(dataset, cfg))
     state, metrics = trainer.train(dataset, cfg, state=state)
     trainer.save_checkpoint(state, args.out)
-    log.info("wrote %s (step %d)", args.out, state.step)
     if args.metrics:
         with open(args.metrics, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=trainer.METRIC_COLUMNS)
             writer.writeheader()
             writer.writerows(metrics)
-        log.info("wrote %s", args.metrics)
-    return 0
 
 
-def _cmd_eval(args) -> int:
-    _ensure_writable(args.out, args.force)
+def _cmd_eval(args, _) -> None:
     dataset = synthgen.load(args.data)
     state = trainer.load_checkpoint(args.ckpt)
     result = harness.retrieval_eval(state, dataset)
@@ -196,60 +198,20 @@ def _cmd_eval(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    log.info("wrote %s", args.out)
-    return 0
 
 
-def _emit_rows(rows, out_path) -> None:
-    harness.write_results_csv(rows, out_path)
-    json_path = Path(out_path).with_suffix(".json")
-    harness.write_results_json(rows, json_path)
-    log.info("wrote %s and %s", out_path, json_path)
+def _cmd_suite(args, cfg: TrainConfig) -> None:
+    """ablate, sweep-beta and sweep-gamma: every point is built before loading."""
+    jobs = getattr(args, "jobs", 1)  # ablate trains its points in turn
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    points = _COMMANDS[args.command].points(args, cfg)
+    rows = harness.sweep(synthgen.load(args.data), points, jobs=jobs)
+    harness.write_results_csv(rows, args.out)
+    harness.write_results_json(rows, _mirror(args.out))
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _train_config(args)
-    _ensure_writable(args.out, args.force)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
-    bases = [replace(cfg, seed=seed) for seed in seeds]
-    for base in bases:  # every variant is validated before the data loads
-        harness.ablation_variants(base)
-    dataset = synthgen.load(args.data)
-    rows = []
-    for base in bases:
-        suite_rows, _ = harness.ablation_suite(dataset, base)
-        rows.extend(suite_rows)
-    _emit_rows(rows, args.out)
-    return 0
-
-
-def _parse_values(text: str, flag: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated floats: {exc}") from exc
-
-
-def _cmd_sweep_beta(args) -> int:
-    cfg = _train_config(args)
-    _ensure_writable(args.out, args.force)
-    points = harness.beta_points(cfg, _parse_values(args.betas, "--betas"))
-    rows = harness.sweep(synthgen.load(args.data), points, jobs=args.jobs)
-    _emit_rows(rows, args.out)
-    return 0
-
-
-def _cmd_sweep_gamma(args) -> int:
-    cfg = _train_config(args)
-    _ensure_writable(args.out, args.force)
-    points = harness.gamma_points(cfg, _parse_values(args.gammas, "--gammas"))
-    rows = harness.sweep(synthgen.load(args.data), points, jobs=args.jobs)
-    _emit_rows(rows, args.out)
-    return 0
-
-
-def _cmd_grad_check(args) -> int:
-    loss = _build(args, LossConfig, _config_file(args).get("loss", {}))
+def _cmd_grad_check(args, loss: LossConfig) -> None:
     report = gradcheck.check_gradients(
         args.loss, seed=args.seed if args.seed is not None else 0,
         n=args.n, d=args.d, cfg=loss,
@@ -257,29 +219,96 @@ def _cmd_grad_check(args) -> int:
     )
     text = report.to_json()
     if args.out:
-        _ensure_writable(args.out, args.force)
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        log.info("wrote %s", args.out)
     else:
         print(text)
-    return 0
 
 
-def _cmd_logit_profile(args) -> int:
-    _ensure_writable(args.out, args.force)
+def _cmd_logit_profile(args, _) -> None:
     dataset = synthgen.load(args.data)
     state = trainer.load_checkpoint(args.ckpt)
     profile = harness.logit_profile(state, dataset, direction=args.direction)
     harness.write_profile_csv(profile, args.out)
-    log.info("wrote %s (top1=%.4f, top11-50=%.4f)", args.out,
-             profile.top1, profile.top11_50)
-    return 0
+    log.info("logit profile: top1=%.4f, top11-50=%.4f", profile.top1, profile.top11_50)
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: all that ``build_parser`` and ``main`` know of it.
+
+    Only a command with a ``config`` class takes --config, --seed and the
+    config's flags. A suite's ``points(args, cfg)`` builds its sweep points.
+    """
+
+    help: str
+    handler: Callable[..., None]
+    config: Optional[type] = None
+    flags: tuple = ()          # (option strings, add_argument keywords), in order
+    outputs: tuple = ("out",)  # dests of the output path flags
+    points: Optional[Callable] = None
+
+
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+_DATA = _flag("--data", required=True, help="input dataset path")
+_CKPT = _flag("--ckpt", required=True, help="input checkpoint path")
+_SUITE_OUT = _flag("--out", required=True, help="output CSV (JSON written alongside)")
+_JOBS = _flag("--jobs", type=int, default=1, help="parallel training workers (default: 1)")
+
+_COMMANDS = {
+    "gen-data": _Command(
+        "generate a synthetic dataset", _cmd_gen_data, config=SynthSpec,
+        flags=(_flag("--out", required=True, help="output dataset path (.salb)"),)),
+    "train": _Command(
+        "train encoders on a dataset", _cmd_train, config=TrainConfig,
+        flags=(_DATA, _flag("--out", required=True, help="output checkpoint path"),
+               _flag("--resume", help="resume from an existing checkpoint"),
+               _flag("--metrics", help="optional per-step metrics CSV")),
+        outputs=("out", "metrics")),
+    "eval": _Command(
+        "retrieval metrics for a checkpoint", _cmd_eval,
+        flags=(_DATA, _CKPT, _flag("--out", required=True, help="output metrics JSON"))),
+    "ablate": _Command(
+        "train and score the objective variants", _cmd_suite, config=TrainConfig,
+        flags=(_DATA, _SUITE_OUT, _flag(
+            "--seeds", help="comma-separated seeds (default: the config seed)")),
+        points=lambda args, cfg: harness.ablation_points(
+            cfg, _parse_values(args.seeds, "--seeds", int) if args.seeds else [cfg.seed])),
+    "sweep-beta": _Command(
+        "sweep the target-mixing coefficient", _cmd_suite, config=TrainConfig,
+        flags=(_DATA, _SUITE_OUT, _flag(
+            "--betas", required=True, help="comma-separated values in [0, 1]"), _JOBS),
+        points=lambda args, cfg: harness.beta_points(
+            cfg, _parse_values(args.betas, "--betas"))),
+    "sweep-gamma": _Command(
+        "sweep the guidance-mixing weight", _cmd_suite, config=TrainConfig,
+        flags=(_DATA, _SUITE_OUT, _flag(
+            "--gammas", required=True, help="comma-separated values in [0, 1]"), _JOBS),
+        points=lambda args, cfg: harness.gamma_points(
+            cfg, _parse_values(args.gammas, "--gammas"))),
+    "grad-check": _Command(
+        "verify analytic gradients against central differences",
+        _cmd_grad_check, config=LossConfig,
+        flags=(_flag("--loss", default="total", choices=gradcheck.SELECTORS,
+                     help="loss selector (default: total)"),
+               _flag("--n", type=int, default=4, help="batch size (default: 4)"),
+               _flag("--d", type=int, default=8, help="embedding dim (default: 8)"),
+               _flag("--tolerance", type=float, default=1e-5,
+                     help="max relative error (default: 1e-5)"),
+               _flag("--epsilon", type=float, default=1e-5,
+                     help="central difference step (default: 1e-5)"),
+               _flag("--out", help="report path (default: stdout)"))),
+    "logit-profile": _Command(
+        "mean sorted retrieval probabilities (top 50)", _cmd_logit_profile,
+        flags=(_DATA, _CKPT,
+               _flag("--direction", choices=harness.DIRECTIONS, default="t2v",
+                     help="retrieval direction (default: t2v)"),
+               _flag("--out", required=True, help="output CSV"))),
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(
@@ -288,86 +317,17 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    _add_common(p)
-    _add_config_flags(p, SynthSpec, "synthetic data")
-    p.add_argument("--out", required=True, help="output dataset path (.salb)")
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="train encoders on a dataset")
-    _add_common(p)
-    _add_config_flags(p, TrainConfig, "training")
-    _add_config_flags(p, LossConfig, "objective")
-    p.add_argument("--data", required=True, help="input dataset path")
-    p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--resume", help="resume from an existing checkpoint")
-    p.add_argument("--metrics", help="optional per-step metrics CSV")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="retrieval metrics for a checkpoint")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", required=True, help="output metrics JSON")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("ablate", help="train and score the objective variants")
-    _add_common(p)
-    _add_config_flags(p, TrainConfig, "training")
-    _add_config_flags(p, LossConfig, "objective")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="output CSV (JSON written alongside)")
-    p.add_argument("--seeds", help="comma-separated seeds (default: the config seed)")
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("sweep-beta", help="sweep the target-mixing coefficient")
-    _add_common(p)
-    _add_config_flags(p, TrainConfig, "training")
-    _add_config_flags(p, LossConfig, "objective")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--betas", required=True, help="comma-separated values in [0, 1]")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel training workers (default: 1)")
-    p.set_defaults(func=_cmd_sweep_beta)
-
-    p = sub.add_parser("sweep-gamma", help="sweep the guidance-mixing weight")
-    _add_common(p)
-    _add_config_flags(p, TrainConfig, "training")
-    _add_config_flags(p, LossConfig, "objective")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--gammas", required=True, help="comma-separated values in [0, 1]")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel training workers (default: 1)")
-    p.set_defaults(func=_cmd_sweep_gamma)
-
-    p = sub.add_parser("grad-check",
-                       help="verify analytic gradients against central differences")
-    _add_common(p)
-    _add_config_flags(p, LossConfig, "objective")
-    p.add_argument("--loss", default="total", choices=gradcheck.SELECTORS,
-                   help="loss selector (default: total)")
-    p.add_argument("--n", type=int, default=4, help="batch size (default: 4)")
-    p.add_argument("--d", type=int, default=8, help="embedding dim (default: 8)")
-    p.add_argument("--tolerance", type=float, default=1e-5,
-                   help="max relative error (default: 1e-5)")
-    p.add_argument("--epsilon", type=float, default=1e-5,
-                   help="central difference step (default: 1e-5)")
-    p.add_argument("--out", help="report path (default: stdout)")
-    p.set_defaults(func=_cmd_grad_check)
-
-    p = sub.add_parser("logit-profile",
-                       help="mean sorted retrieval probabilities (top 50)")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--direction", choices=("v2t", "t2v"), default="t2v",
-                   help="retrieval direction (default: t2v)")
-    p.add_argument("--out", required=True, help="output CSV")
-    p.set_defaults(func=_cmd_logit_profile)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        cls = command.config
+        if cls is not None:
+            p.add_argument("--config", help="JSON config file (sections synth/train/loss)")
+            p.add_argument("--seed", type=int, help="seed override, applied everywhere")
+        p.add_argument("--force", action="store_true", help="overwrite existing output files")
+        for group in (cls, *_nested(cls).values()) if cls is not None else ():
+            _add_config_flags(p, group, _SECTIONS[group][1])
+        for names, kwargs in command.flags:
+            p.add_argument(*names, **kwargs)
     return parser
 
 
@@ -385,8 +345,20 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
+    try:  # the config, then every output path, both before any work
+        command = _COMMANDS[args.command]
+        cfg = _make_config(args, command.config) if command.config else None
+        paths = [getattr(args, dest) for dest in command.outputs
+                 if getattr(args, dest) is not None]
+        if command.points is not None:
+            paths.append(_mirror(args.out))
+        for path in paths:
+            if Path(path).exists() and not args.force:
+                raise ConfigError(f"refusing to overwrite {path} (use --force)")
+        command.handler(args, cfg)
+        for path in paths:
+            log.info("wrote %s", path)
+        return 0
     except _VALIDATION_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

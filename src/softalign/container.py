@@ -22,6 +22,13 @@ from .errors import FormatError
 VERSION = 1
 
 
+def _scalar(value):
+    """A numpy scalar in ``meta`` (say an ``np.int64`` seed) as its Python value."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def layout(magic: str, meta: dict, arrays: Mapping[str, np.ndarray]
            ) -> tuple[bytes, list[np.ndarray]]:
     """The length-prefixed header and the arrays as written, in file order.
@@ -43,7 +50,7 @@ def layout(magic: str, meta: dict, arrays: Mapping[str, np.ndarray]
         "meta": meta,
         "arrays": entries,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_bytes = json.dumps(header, sort_keys=True, default=_scalar).encode("utf-8")
     return struct.pack("<I", len(header_bytes)) + header_bytes, datas
 
 

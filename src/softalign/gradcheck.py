@@ -619,6 +619,8 @@ def check_gradients(selector: str, seed: int, n: int, d: int,
         raise ValueError(f"n must be in [2, 16], got {n}")
     if not 1 <= d <= 32:
         raise ValueError(f"d must be in [1, 32], got {d}")
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     rng = np.random.default_rng(seed)
     v, t, r, a = (rng.standard_normal((n, d)) for _ in range(4))
     tau = Temperature.from_tau(cfg.tau_init)

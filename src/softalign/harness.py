@@ -36,6 +36,9 @@ ABLATION_VARIANTS = ("clip", "label_smooth", "soft_fkl", "soft_re_fkl", "softcli
 
 PROFILE_POSITIONS = 50
 
+# retrieval directions: image queries over texts, text queries over images
+DIRECTIONS = ("v2t", "t2v")
+
 
 @dataclass(frozen=True)
 class RetrievalResult:
@@ -161,8 +164,8 @@ def logit_profile(state: TrainState, dataset: SynthDataset,
                   indices: Optional[Sequence[int]] = None,
                   direction: str = "t2v") -> LogitProfile:
     """Mean sorted softmax row over a query set, truncated to 50 positions."""
-    if direction not in ("v2t", "t2v"):
-        raise ValueError(f"direction must be 'v2t' or 't2v', got {direction!r}")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     idx = np.arange(dataset.n) if indices is None else np.asarray(indices, dtype=np.int64)
     if idx.size < PROFILE_POSITIONS:
         raise GalleryTooSmall(
@@ -244,11 +247,18 @@ def ablation_suite(dataset: SynthDataset, base: TrainConfig
     ds_hash = synthgen.dataset_hash(dataset)
     rows, states = [], {}
     for name, cfg in variants:
-        log.info("ablation variant %s (seed %d)", name, cfg.seed)
         row, state = train_and_eval(dataset, cfg, ds_hash, variant=name)
         rows.append(row)
         states[name] = state
     return rows, states
+
+
+def ablation_points(base: TrainConfig, seeds: Sequence[int]
+                    ) -> list[tuple[str, TrainConfig]]:
+    """:func:`ablation_variants` under each seed in turn, as sweep points."""
+    points = [point for seed in seeds
+              for point in ablation_variants(replace(base, seed=seed))]
+    return _require_points(points, seeds)
 
 
 def beta_points(base: TrainConfig, betas: Sequence[float]
@@ -309,6 +319,8 @@ def gamma_sweep(dataset: SynthDataset, base: TrainConfig,
 
 def _run_one_point(args) -> ResultRow:
     dataset, variant, cfg, ds_hash = args
+    log.info("suite point %s (beta %g, gamma %g, seed %d)",
+             variant, cfg.loss.beta, cfg.loss.gamma, cfg.seed)
     row, _ = train_and_eval(dataset, cfg, ds_hash, variant=variant)
     return row
 

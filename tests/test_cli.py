@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from softalign import cli, container, synthgen, trainer
+from softalign import cli, container, harness, synthgen, trainer
 from softalign.cli import build_parser, main
 from softalign.harness import RESULT_COLUMNS
 
@@ -445,6 +445,20 @@ EXPECTED_FLAGS = {
         (("--epsilon",), "epsilon", "float", None),
         (("--out",), "out", "_StoreAction", None),
     ],
+    # no config is built, so no --config or --seed
+    "eval": [
+        (("--force",), "force", "_StoreTrueAction", None),
+        (("--data",), "data", "_StoreAction", None),
+        (("--ckpt",), "ckpt", "_StoreAction", None),
+        (("--out",), "out", "_StoreAction", None),
+    ],
+    "logit-profile": [
+        (("--force",), "force", "_StoreTrueAction", None),
+        (("--data",), "data", "_StoreAction", None),
+        (("--ckpt",), "ckpt", "_StoreAction", None),
+        (("--direction",), "direction", "_StoreAction", ("v2t", "t2v")),
+        (("--out",), "out", "_StoreAction", None),
+    ],
 }
 
 
@@ -459,3 +473,110 @@ def test_flag_set(command):
         for a in subparsers.choices[command]._actions if a.dest != "help"
     ]
     assert table == EXPECTED_FLAGS[command]
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))
+def test_subcommand_help_exits_zero(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert f"usage: softalign {command}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eval", ["--ckpt", "m.ckpt"]),
+    ("logit-profile", ["--ckpt", "m.ckpt"]),
+])
+@pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"], ["--seed", "5"]])
+def test_config_flags_refused_where_no_config_is_built(command, extra, flag,
+                                                       tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, *flag, "--data", "d.salb", *extra,
+                 "--out", str(out)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_loading(monkeypatch):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
+    monkeypatch.setattr(synthgen, "load", no_loading)
+
+
+def test_existing_suite_mirror_refused_without_force(workdir, tmp_path,
+                                                     monkeypatch, capsys):
+    _no_loading(monkeypatch)
+    out, mirror = tmp_path / "ablate.csv", tmp_path / "ablate.json"
+    mirror.write_text("keep")
+    assert main(["ablate", "--data", str(workdir / "data.salb"), *FAST,
+                 "--out", str(out)]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert mirror.read_text() == "keep" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-gamma", "--gammas", "0.5", "--jobs", "0", "--out", "g.csv"],
+     "--jobs must be >= 1"),
+    (["sweep-beta", "--betas", "0.5", "--jobs", "-1", "--out", "b.csv"],
+     "--jobs must be >= 1"),
+    (["sweep-gamma", "--gammas", "0.5", "--out", "g.json"], "its own JSON mirror"),
+    (["ablate", "--seeds", "0", "--out", "a.json"], "its own JSON mirror"),
+])
+def test_suite_output_rules_fail_before_loading(workdir, tmp_path, monkeypatch,
+                                                capsys, argv, message):
+    _no_loading(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--data", str(workdir / "data.salb"), *FAST]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ablate_seeds_match_ablation_suite_and_hash_once(workdir, tmp_path,
+                                                        monkeypatch):
+    hashes = []
+    dataset_hash = synthgen.dataset_hash
+
+    def counting(dataset):
+        hashes.append(dataset.n)
+        return dataset_hash(dataset)
+
+    monkeypatch.setattr(synthgen, "dataset_hash", counting)
+    out = tmp_path / "ablate.csv"
+    assert main(["ablate", "--data", str(workdir / "data.salb"), *FAST,
+                 "--seeds", "0,1", "--out", str(out)]) == 0
+    assert len(hashes) == 1
+    dataset = synthgen.load(workdir / "data.salb")
+    expected = [row.to_dict() for seed in (0, 1) for row in harness.ablation_suite(
+        dataset, trainer.TrainConfig(epochs=2, batch_size=30, seed=seed))[0]]
+    assert json.loads(out.with_suffix(".json").read_text()) == expected
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["variant"], int(r["seed"])) for r in rows] == [
+        (row["variant"], row["seed"]) for row in expected]
+
+
+def test_ablate_empty_seed_list_writes_nothing(workdir, tmp_path, monkeypatch):
+    _no_loading(monkeypatch)
+    out = tmp_path / "ablate.csv"
+    assert main(["ablate", "--data", str(workdir / "data.salb"), *FAST,
+                 "--seeds", ",", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_existing_grad_check_report_refused_before_checking(tmp_path,
+                                                            monkeypatch, capsys):
+    def no_checking(*args, **kwargs):
+        raise AssertionError("ran the gradient check")
+
+    monkeypatch.setattr(cli.gradcheck, "check_gradients", no_checking)
+    out = tmp_path / "report.json"
+    out.write_text("keep")
+    assert main(["grad-check", "--n", "2", "--d", "4", "--out", str(out)]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_grad_check_bad_tolerance(tolerance, capsys):
+    assert main(["grad-check", "--loss", "clip", "--n", "2", "--d", "4",
+                 "--tolerance", tolerance]) == 1
+    assert "tolerance" in capsys.readouterr().err

@@ -278,6 +278,11 @@ class TestCheckGradients:
         rep = check_gradients("total", seed=0, n=4, d=8, tolerance=0.0)
         assert not rep.passed
 
+    @pytest.mark.parametrize("tolerance", [-1e-9, float("nan"), float("inf")])
+    def test_tolerance_limits(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_gradients("clip", seed=0, n=2, d=4, tolerance=tolerance)
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             check_gradients("clip", seed=0, n=32, d=8)

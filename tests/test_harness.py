@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from softalign.errors import GalleryTooSmall
+from softalign.errors import ConfigError, GalleryTooSmall
 from softalign.harness import (
     RESULT_COLUMNS,
+    ablation_points,
     ablation_suite,
     ablation_variants,
     beta_sweep,
@@ -164,6 +165,14 @@ class TestAblationVariants:
             assert np.isfinite(r.final_loss)
 
 
+    def test_points_concatenate_variants_over_seeds(self, tiny_config):
+        assert ablation_points(tiny_config, [4, 1]) == (
+            ablation_variants(replace(tiny_config, seed=4))
+            + ablation_variants(replace(tiny_config, seed=1)))
+        with pytest.raises(ConfigError):
+            ablation_points(tiny_config, [])
+
+
 class TestSweeps:
     def test_beta_point_matches_default_run(self, tiny_dataset, tiny_config):
         rows = beta_sweep(tiny_dataset, tiny_config, [0.3])
@@ -203,6 +212,14 @@ class TestSweeps:
         for r in rows:
             assert r.variant == "mixed"
             assert np.isfinite(r.final_loss)
+
+    def test_every_point_logs(self, tiny_dataset, tiny_config, caplog):
+        with caplog.at_level("INFO", logger="softalign"):
+            gamma_sweep(tiny_dataset, tiny_config, [0.0, 1.0])
+        assert [r.message for r in caplog.records if "suite point" in r.message] == [
+            "suite point mixed (beta 0.3, gamma 0, seed 2)",
+            "suite point mixed (beta 0.3, gamma 1, seed 2)",
+        ]
 
     def test_parallel_jobs_match_serial(self, tiny_dataset, tiny_config):
         serial = gamma_sweep(tiny_dataset, tiny_config, [0.0, 1.0], jobs=1)

@@ -185,6 +185,12 @@ class TestRoundTrip:
         assert dataset_hash(a) == dataset_hash(b)
         assert dataset_hash(a) != dataset_hash(c)
 
+    def test_numpy_scalar_spec_hashes_and_saves_as_python_value(self):
+        a = generate(small_spec(seed=np.int64(2), faulty_positive_rate=np.float64(0.1)))
+        b = generate(small_spec(seed=2, faulty_positive_rate=0.1))
+        assert dataset_hash(a) == dataset_hash(b)
+        assert to_bytes(a) == to_bytes(b)
+
     def test_hash_is_sha256_of_container_bytes(self):
         ds = generate(small_spec())
         expected = hashlib.sha256(to_bytes(ds)).hexdigest()[:16]

@@ -431,6 +431,16 @@ class TestCheckpointFormat:
         for k in state.params:
             np.testing.assert_array_equal(back.params[k], state.params[k])
 
+    def test_numpy_scalar_seed_saves_and_loads(self, small_dataset, small_config,
+                                               tmp_path):
+        state, _ = train(small_dataset,
+                         replace(small_config, max_steps=1, seed=np.int64(3)))
+        path = tmp_path / "np.ckpt"
+        save_checkpoint(state, path)
+        back = load_checkpoint(path)
+        assert back.config == replace(small_config, max_steps=1, seed=3)
+        assert type(back.config.seed) is int
+
     def test_corrupted_header(self, small_state, tmp_path):
         state, _ = small_state
         path = tmp_path / "ck.salb"

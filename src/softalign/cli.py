@@ -7,10 +7,10 @@ config read an optional JSON file (--config; sections "synth", "train",
 overrides the seed everywhere. Each config field with help metadata is a
 flag named after it (``batch_size`` -> ``--batch-size``). Before any work
 the config is validated and every output path, a suite's JSON mirror
-included, is checked: none is overwritten without --force. Exit codes: 0
-success, 1 validation/usage error, 2 runtime error. SALB_LOG (error | info
-| debug) sets the stderr log level. Only grad-check without --out writes
-to stdout.
+included, is checked: no two name the same file, and none is overwritten
+without --force. Exit codes: 0 success, 1 validation/usage error, 2
+runtime error. SALB_LOG (error | info | debug) sets the stderr log level.
+Only grad-check without --out writes to stdout.
 """
 
 from __future__ import annotations
@@ -156,11 +156,25 @@ def _parse_values(text: str, flag: str, kind=float) -> list:
 
 def _mirror(out) -> Path:
     """The JSON copy of a suite's results written beside its CSV ``out``."""
-    path = Path(out).with_suffix(".json")
-    if path == Path(out):
-        raise ConfigError(
-            f"--out {out} is its own JSON mirror; give the CSV another suffix")
-    return path
+    return Path(out).with_suffix(".json")
+
+
+def _outputs(args, command) -> list[Path]:
+    """Every output path the command will write.
+
+    Raises ConfigError when two of them resolve to the same file.
+    """
+    named = {"--" + dest.replace("_", "-"): Path(getattr(args, dest))
+             for dest in command.outputs if getattr(args, dest) is not None}
+    if command.points is not None:
+        named["its own JSON mirror"] = _mirror(args.out)
+    seen = {}
+    for name, path in named.items():
+        first = seen.setdefault(path.resolve(), name)
+        if first != name:
+            raise ConfigError(f"{first} {named[first]} is also {name}; "
+                              "give each output a file of its own")
+    return list(named.values())
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +362,9 @@ def main(argv=None) -> int:
     try:  # the config, then every output path, both before any work
         command = _COMMANDS[args.command]
         cfg = _make_config(args, command.config) if command.config else None
-        paths = [getattr(args, dest) for dest in command.outputs
-                 if getattr(args, dest) is not None]
-        if command.points is not None:
-            paths.append(_mirror(args.out))
+        paths = _outputs(args, command)
         for path in paths:
-            if Path(path).exists() and not args.force:
+            if path.exists() and not args.force:
                 raise ConfigError(f"refusing to overwrite {path} (use --force)")
         command.handler(args, cfg)
         for path in paths:

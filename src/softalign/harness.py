@@ -6,7 +6,14 @@ synthetic ground-truth relevance over all off-diagonal pairs, which is
 what actually measures many-to-many structure. The ablation suite trains
 the objective variants under one shared seed so the loss is the only
 moving part; sweeps emit one row per point per variant. All tables are
-deterministic given (dataset hash, config, seed).
+deterministic given (dataset hash, config, seed), whatever the number of
+workers.
+
+A sweep with several workers hands the dataset to each worker process
+once, through the pool initializer; forked workers inherit it, with
+whatever it has cached, without a copy. Every full-set eval correlates
+against the relevance ranks the dataset caches, so the relevance is
+ranked once per dataset (once per worker), not per eval.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import backend, synthgen, trainer
+from . import backend, numkit, synthgen, trainer
 from .errors import ConfigError, DegenerateTargets, GalleryTooSmall
 from .synthgen import SynthDataset
 from .trainer import TrainConfig, TrainState
@@ -103,27 +110,20 @@ def _pair_ranks(sims: np.ndarray) -> np.ndarray:
     return greater + ties_before
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array; tied entries share their mean rank."""
-    order = np.argsort(x)  # tie order is irrelevant: ties share a rank
-    xs = x[order]
-    first = np.concatenate(([True], xs[1:] != xs[:-1]))
-    bounds = np.concatenate((np.flatnonzero(first), [x.size]))
-    group = np.cumsum(first) - 1
-    ranks = np.empty(x.size)
-    # a tie group spanning sorted positions [b_k, b_{k+1}) holds ranks
-    # b_k + 1 .. b_{k+1}, whose mean is (b_k + b_{k+1} + 1) / 2
-    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
-    return ranks
-
-
 def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks."""
-    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+    return float(np.corrcoef(numkit.average_ranks(x), numkit.average_ranks(y))[0, 1])
 
 
-def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray) -> RetrievalResult:
-    """Metrics from an explicit similarity matrix (rows: v queries)."""
+def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray, *,
+                      relevance_ranks: Optional[np.ndarray] = None
+                      ) -> RetrievalResult:
+    """Metrics from an explicit similarity matrix (rows: v queries).
+
+    ``relevance_ranks``, when given, are the average ranks of the
+    off-diagonal ``relevance`` entries (:meth:`SynthDataset.relevance_ranks`)
+    and spare ranking them again; the result is the same bit for bit.
+    """
     sims = np.asarray(sims, dtype=np.float64)
     relevance = np.asarray(relevance, dtype=np.float64)
     if sims.shape != relevance.shape or sims.shape[0] != sims.shape[1]:
@@ -132,11 +132,14 @@ def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray) -> RetrievalResul
         )
     ranks_v2t = _pair_ranks(sims)
     ranks_t2v = _pair_ranks(sims.T)
-    off = ~np.eye(sims.shape[0], dtype=bool)
-    if np.ptp(sims[off]) == 0.0 or np.ptp(relevance[off]) == 0.0:
+    sims_off = numkit.off_diagonal(sims)
+    if relevance_ranks is None:
+        relevance_ranks = numkit.average_ranks(numkit.off_diagonal(relevance))
+    # ranks are constant exactly where the ranked values are
+    if np.ptp(sims_off) == 0.0 or np.ptp(relevance_ranks) == 0.0:
         rho = 0.0  # constant input: no monotone association measurable
     else:
-        rho = spearman_rho(sims[off], relevance[off])
+        rho = np.corrcoef(numkit.average_ranks(sims_off), relevance_ranks)[0, 1]
     return RetrievalResult(
         r1_v2t=float((ranks_v2t < 1).mean()),
         r5_v2t=float((ranks_v2t < 5).mean()),
@@ -150,14 +153,19 @@ def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray) -> RetrievalResul
 
 def retrieval_eval(state: TrainState, dataset: SynthDataset,
                    indices: Optional[Sequence[int]] = None) -> RetrievalResult:
-    """Embed a sample subset and score retrieval against the ground truth."""
+    """Embed a sample subset and score retrieval against the ground truth.
+
+    The full set (``indices`` None) reads the dataset's cached relevance
+    ranks; a subset ranks its own relevance block.
+    """
     idx = np.arange(dataset.n) if indices is None else np.asarray(indices, dtype=np.int64)
     if idx.size < 10:
         raise GalleryTooSmall(f"need at least 10 eval samples, got {idx.size}")
     v, t, _, _ = trainer.forward_batch(state, dataset, idx)
-    sims = v @ t.T
-    relevance = dataset.relevance[np.ix_(idx, idx)]
-    return retrieval_metrics(sims, relevance)
+    if indices is None:
+        return retrieval_metrics(v @ t.T, dataset.relevance,
+                                 relevance_ranks=dataset.relevance_ranks())
+    return retrieval_metrics(v @ t.T, dataset.relevance[np.ix_(idx, idx)])
 
 
 def logit_profile(state: TrainState, dataset: SynthDataset,
@@ -301,7 +309,11 @@ def _require_points(points: list, values: Sequence[float]) -> list:
 
 def sweep(dataset: SynthDataset, points: Sequence[tuple[str, TrainConfig]],
           jobs: int = 1) -> list[ResultRow]:
-    """Train and evaluate built sweep points, one row each, in order."""
+    """Train and evaluate built sweep points, one row each, in order.
+
+    At most ``jobs`` worker processes run, and never more than there are
+    points; a single worker is this process.
+    """
     return _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
 
 
@@ -317,22 +329,46 @@ def gamma_sweep(dataset: SynthDataset, base: TrainConfig,
     return sweep(dataset, gamma_points(base, gammas), jobs)
 
 
-def _run_one_point(args) -> ResultRow:
-    dataset, variant, cfg, ds_hash = args
+# the sweep's dataset, set only in a pool worker (by _init_worker)
+_worker_dataset: Optional[SynthDataset] = None
+
+
+def _init_worker(dataset: SynthDataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_one_point(task, dataset: Optional[SynthDataset] = None) -> ResultRow:
+    """One sweep point on ``dataset``, or in a pool worker on its own."""
+    variant, cfg, ds_hash = task
     log.info("suite point %s (beta %g, gamma %g, seed %d)",
              variant, cfg.loss.beta, cfg.loss.gamma, cfg.seed)
+    dataset = _worker_dataset if dataset is None else dataset
     row, _ = train_and_eval(dataset, cfg, ds_hash, variant=variant)
     return row
 
 
 def _run_points(dataset: SynthDataset, points, ds_hash: str,
                 jobs: int) -> list[ResultRow]:
-    tasks = [(dataset, variant, cfg, ds_hash) for variant, cfg in points]
-    if jobs <= 1:
-        return [_run_one_point(task) for task in tasks]
+    """The points' rows, in order, from at most ``jobs`` worker processes.
+
+    One worker runs in this process. Pool workers get the dataset once,
+    through the pool initializer: forked workers inherit it, caches
+    included, and nothing is pickled; where fork does not exist it is
+    pickled once per worker. A task carries only its point.
+    """
+    tasks = [(variant, cfg, ds_hash) for variant, cfg in points]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [_run_one_point(task, dataset) for task in tasks]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # named, not defaulted: Python 3.14 makes forkserver the POSIX default
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork" if fork else None),
+            initializer=_init_worker, initargs=(dataset,)) as pool:
         return list(pool.map(_run_one_point, tasks))
 
 

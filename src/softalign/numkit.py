@@ -1,4 +1,4 @@
-"""Dense float64 matrix kernels shared by every other module.
+"""Dense float64 matrix kernels and rank helpers shared by every other module.
 
 A "matrix" throughout the package is a 2-D C-contiguous float64 ndarray
 with finite entries; :func:`as_matrix` is the single validation gate.
@@ -79,6 +79,25 @@ def floored_log(m: np.ndarray, floor: float) -> np.ndarray:
     space; the floor only keeps ``0 * log(0)`` terms finite.
     """
     return np.log(np.where(m > 0.0, m, floor))
+
+
+def off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a square matrix, in row-major order."""
+    return m[~np.eye(m.shape[0], dtype=bool)]
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied entries share their mean rank."""
+    order = np.argsort(x)  # tie order is irrelevant: ties share a rank
+    xs = x[order]
+    first = np.concatenate(([True], xs[1:] != xs[:-1]))
+    bounds = np.concatenate((np.flatnonzero(first), [x.size]))
+    group = np.cumsum(first) - 1
+    ranks = np.empty(x.size)
+    # a tie group spanning sorted positions [b_k, b_{k+1}) holds ranks
+    # b_k + 1 .. b_{k+1}, whose mean is (b_k + b_{k+1} + 1) / 2
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
 
 
 def gaussian_matrix(rows: int, cols: int, seed: Seed) -> np.ndarray:

@@ -8,6 +8,11 @@ object-level priors. A fraction of samples are "faulty positives": their
 text view is generated from an independently drawn latent, but the
 ground-truth relevance matrix keeps scoring them by the pre-corruption
 latent, so the oracle sees through the noise the model is fed.
+
+A dataset caches what is derived from it alone, on first use: the pooled
+ROI views and the average ranks of its off-diagonal relevance entries,
+which every full-set retrieval eval correlates against. The cache is
+read-only and is not pickled; a process pool's fork workers inherit it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import config, container
+from . import config, container, numkit
 from .config import flag
 from .errors import FormatError, SpecInvalid
 
@@ -68,7 +73,11 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SynthDataset:
-    """Generated views plus the ground-truth relevance matrix."""
+    """Generated views plus the ground-truth relevance matrix.
+
+    ``_cache`` holds the lazily derived arrays: pooled ROI views by mode,
+    and the relevance ranks.
+    """
 
     image_features: np.ndarray   # (n, d_image)
     text_features: np.ndarray    # (n, d_text)
@@ -76,8 +85,8 @@ class SynthDataset:
     tag_features: np.ndarray     # (n, d_tag)
     relevance: np.ndarray        # (n, n), symmetric, unit diagonal
     spec: SynthSpec
-    _pooled: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def n(self) -> int:
@@ -90,7 +99,7 @@ class SynthDataset:
         read-only. Its rows equal pooling each sample's sequence on its own,
         bit for bit, because the reduction runs over the region axis.
         """
-        pooled = self._pooled.get(mode)
+        pooled = self._cache.get(mode)
         if pooled is None:
             if mode not in ROI_POOLS:
                 raise ValueError(
@@ -98,12 +107,26 @@ class SynthDataset:
                 )
             pooled = ROI_POOLS[mode](self.roi_features, axis=1)
             pooled.flags.writeable = False
-            self._pooled[mode] = pooled
+            self._cache[mode] = pooled
         return pooled
 
+    def relevance_ranks(self) -> np.ndarray:
+        """Average ranks of the off-diagonal relevance entries, row-major.
+
+        Ranked once per dataset, on first use; the cached array is
+        read-only. A full-set retrieval eval correlates its similarity
+        ranks against these, so no eval sorts the relevance again.
+        """
+        ranks = self._cache.get("relevance_ranks")
+        if ranks is None:
+            ranks = numkit.average_ranks(numkit.off_diagonal(self.relevance))
+            ranks.flags.writeable = False
+            self._cache["relevance_ranks"] = ranks
+        return ranks
+
     def __getstate__(self):
-        # a copy sent to another process pools for itself
-        return {**self.__dict__, "_pooled": {}}
+        # a copy sent to another process derives its own cache
+        return {**self.__dict__, "_cache": {}}
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:

@@ -530,6 +530,33 @@ def test_suite_output_rules_fail_before_loading(workdir, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out, metrics", [
+    ("model.ckpt", "model.ckpt"), ("model.ckpt", "./sub/../model.ckpt")])
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_two_outputs_naming_one_file_refused_before_loading(
+        workdir, tmp_path, monkeypatch, capsys, out, metrics, force):
+    _no_loading(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["train", "--data", str(workdir / "data.salb"), *FAST, *force,
+                 "--out", out, "--metrics", metrics]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "is also --metrics" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+def test_suite_mirror_clash_refused_with_force(workdir, tmp_path, monkeypatch,
+                                               capsys):
+    _no_loading(monkeypatch)
+    out = tmp_path / "g.json"
+    out.write_text("keep")
+    assert main(["sweep-gamma", "--gammas", "0.5", "--data",
+                 str(workdir / "data.salb"), *FAST, "--force",
+                 "--out", str(out)]) == 1
+    assert "its own JSON mirror" in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
 def test_ablate_seeds_match_ablation_suite_and_hash_once(workdir, tmp_path,
                                                         monkeypatch):
     hashes = []

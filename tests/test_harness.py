@@ -1,10 +1,13 @@
+import concurrent.futures
 import csv
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from softalign import numkit
 from softalign.errors import ConfigError, GalleryTooSmall
 from softalign.harness import (
     RESULT_COLUMNS,
@@ -22,8 +25,8 @@ from softalign.harness import (
     write_results_json,
     write_profile_csv,
 )
-from softalign.synthgen import SynthSpec, generate
-from softalign.trainer import TrainConfig, init_state, train
+from softalign.synthgen import SynthDataset, SynthSpec, generate
+from softalign.trainer import TrainConfig, forward_batch, init_state, train
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,48 @@ class TestRetrievalMetrics:
         if tied:
             x, y = np.round(x, 1), np.round(y)
         assert abs(spearman_rho(x, y) - stats.spearmanr(x, y).statistic) < 1e-12
+
+
+class TestRelevanceRankCache:
+    """A full-set eval reads the dataset's relevance ranks, ranked once."""
+
+    def test_full_set_bitwise_equal_to_uncached(self, tiny_config, monkeypatch):
+        ds = generate(SynthSpec(n_samples=90, n_concepts=8, latent_dim=12,
+                                d_image=10, d_text=9, d_roi=11, d_tag=7,
+                                rois_per_image=3, seed=4))
+        state, _ = train(ds, tiny_config)
+        v, t, _, _ = forward_batch(state, ds, np.arange(ds.n))
+        expected = retrieval_metrics(v @ t.T, ds.relevance).to_dict()
+        ranked = []
+        average_ranks = numkit.average_ranks
+
+        def counting(x):
+            ranked.append(x.size)
+            return average_ranks(x)
+
+        monkeypatch.setattr(numkit, "average_ranks", counting)
+        first = retrieval_eval(state, ds).to_dict()
+        assert len(ranked) == 2  # the similarities, then the relevance
+        ranks = ds.relevance_ranks()
+        assert not ranks.flags.writeable
+        with pytest.raises(ValueError):
+            ranks[0] = 0.0
+        second = retrieval_eval(state, ds).to_dict()
+        ds.pooled_rois("max")
+        after_pooling = retrieval_eval(state, ds).to_dict()
+        assert len(ranked) == 4  # only the similarities are ranked again
+        assert ds.relevance_ranks() is ranks
+        for result in (first, second, after_pooling):
+            assert list(result) == list(expected)
+            assert all(result[k] == expected[k] for k in expected)
+
+    def test_subset_uses_its_own_ranks(self, tiny_dataset, tiny_config):
+        state, _ = train(tiny_dataset, tiny_config)
+        retrieval_eval(state, tiny_dataset)  # fills the full-set cache
+        idx = np.arange(3, tiny_dataset.n, 2)
+        v, t, _, _ = forward_batch(state, tiny_dataset, idx)
+        expected = retrieval_metrics(v @ t.T, tiny_dataset.relevance[np.ix_(idx, idx)])
+        assert retrieval_eval(state, tiny_dataset, indices=idx) == expected
 
 
 class TestLogitProfile:
@@ -225,6 +270,35 @@ class TestSweeps:
         serial = gamma_sweep(tiny_dataset, tiny_config, [0.0, 1.0], jobs=1)
         parallel = gamma_sweep(tiny_dataset, tiny_config, [0.0, 1.0], jobs=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers inherit the dataset only under fork")
+    def test_pool_never_pickles_the_dataset(self, tiny_dataset, tiny_config,
+                                            monkeypatch):
+        def refuse(self):
+            raise AssertionError("pickled the dataset")
+
+        monkeypatch.setattr(SynthDataset, "__getstate__", refuse)
+        serial = gamma_sweep(tiny_dataset, tiny_config, [0.0, 0.5, 1.0], jobs=1)
+        parallel = gamma_sweep(tiny_dataset, tiny_config, [0.0, 0.5, 1.0], jobs=2)
+        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+    @pytest.mark.parametrize("gammas, jobs, workers", [
+        ([0.5], 4, None), ([0.0, 1.0], 5, 2), ([0.0, 0.5, 1.0], 2, 2)])
+    def test_no_more_workers_than_points(self, tiny_dataset, tiny_config,
+                                         monkeypatch, gammas, jobs, workers):
+        started = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        serial = gamma_sweep(tiny_dataset, tiny_config, gammas)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        rows = gamma_sweep(tiny_dataset, tiny_config, gammas, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert [r.to_dict() for r in rows] == [r.to_dict() for r in serial]
 
 
 class TestEmission:

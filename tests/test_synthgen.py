@@ -205,6 +205,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(copy.pooled_rois("max"), pooled)
         assert not copy.pooled_rois("max").flags.writeable
 
+    def test_relevance_rank_cache_not_pickled(self):
+        ds = generate(small_spec())
+        size = len(pickle.dumps(ds))
+        ranks = ds.relevance_ranks()
+        assert len(pickle.dumps(ds)) == size
+        copy = pickle.loads(pickle.dumps(ds))
+        assert copy._cache == {}
+        assert copy.relevance_ranks().tobytes() == ranks.tobytes()
+        assert not copy.relevance_ranks().flags.writeable
+
 
 class TestContainer:
     def test_roundtrip(self, tmp_path):

@@ -1,8 +1,12 @@
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softalign import trainer
 from softalign.errors import (
@@ -214,6 +218,13 @@ class TestOptimizerStep:
             optimizer_step(state, {"image.w1": np.zeros(3)}, lr=0.1)
 
 
+@pytest.fixture(scope="module")
+def tiny_resume_dataset():
+    return generate(SynthSpec(n_samples=60, n_concepts=8, latent_dim=12,
+                              d_image=10, d_text=9, d_roi=11, d_tag=7,
+                              rois_per_image=3, seed=6))
+
+
 class TestTrainLoop:
     def test_zero_steps_returns_initial_state(self, small_dataset):
         cfg = TrainConfig(max_steps=0, batch_size=25, seed=1)
@@ -272,6 +283,32 @@ class TestTrainLoop:
         resumed, _ = train(small_dataset, small_config, state=part)
         assert resumed.config == small_config
         assert resumed.step == total_steps_for(small_dataset, small_config)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data(),
+           variant=st.sampled_from(["clip", "total", "mixed_gamma"]),
+           aggregation=st.sampled_from(["mean", "attention"]))
+    def test_resume_at_any_step_bitwise(self, tiny_resume_dataset, data,
+                                        variant, aggregation):
+        dataset = tiny_resume_dataset
+        cfg = TrainConfig(epochs=3, batch_size=20, seed=4, loss_variant=variant,
+                          roi_aggregation=aggregation,
+                          loss=LossConfig(gamma=0.5))
+        total = total_steps_for(dataset, cfg)
+        k = data.draw(st.integers(0, total), label="stop_at_step")
+        full, full_metrics = train(dataset, cfg)
+        part, part_metrics = train(dataset, cfg, stop_at_step=k)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "part.ckpt"
+            save_checkpoint(part, path)
+            resumed, rest = train(dataset, cfg, state=load_checkpoint(path))
+        assert resumed.step == full.step == total
+        assert part_metrics + rest == full_metrics
+        for store in ("params", "m", "v"):
+            ours, theirs = getattr(resumed, store), getattr(full, store)
+            assert list(ours) == list(theirs)
+            for name in theirs:
+                assert ours[name].tobytes() == theirs[name].tobytes(), (store, name)
 
     def test_frozen_guidance_heads(self, small_dataset):
         # detached targets + no contrastive or relation terms: the roi/tag

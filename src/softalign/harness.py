@@ -13,7 +13,9 @@ A sweep with several workers hands the dataset to each worker process
 once, through the pool initializer; forked workers inherit it, with
 whatever it has cached, without a copy. Every full-set eval correlates
 against the relevance ranks the dataset caches, so the relevance is
-ranked once per dataset (once per worker), not per eval.
+ranked once per dataset, not per eval; a forking sweep ranks it, and
+pools the ROI views its points read, in the parent, before the pool
+starts, so the workers share one copy.
 """
 
 from __future__ import annotations
@@ -353,9 +355,13 @@ def _run_points(dataset: SynthDataset, points, ds_hash: str,
     """The points' rows, in order, from at most ``jobs`` worker processes.
 
     One worker runs in this process. Pool workers get the dataset once,
-    through the pool initializer: forked workers inherit it, caches
-    included, and nothing is pickled; where fork does not exist it is
-    pickled once per worker. A task carries only its point.
+    through the pool initializer: forked workers inherit it, and nothing
+    is pickled; where fork does not exist it is pickled once per worker,
+    without its cache. A forked worker reads the cache filled in the
+    parent, before the pool starts: the relevance ranks, and the pooled
+    ROI view of each parameter-free aggregation among the points. So no
+    worker ranks the relevance or pools the ROIs itself. A task carries
+    only its point.
     """
     tasks = [(variant, cfg, ds_hash) for variant, cfg in points]
     workers = min(jobs, len(tasks))
@@ -366,6 +372,11 @@ def _run_points(dataset: SynthDataset, points, ds_hash: str,
 
     # named, not defaulted: Python 3.14 makes forkserver the POSIX default
     fork = "fork" in multiprocessing.get_all_start_methods()
+    if fork:
+        dataset.relevance_ranks()
+        for mode in {cfg.roi_aggregation for _, cfg in points}:
+            if mode in synthgen.ROI_POOLS:
+                dataset.pooled_rois(mode)
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork" if fork else None),
             initializer=_init_worker, initargs=(dataset,)) as pool:

@@ -82,12 +82,99 @@ def floored_log(m: np.ndarray, floor: float) -> np.ndarray:
 
 
 def off_diagonal(m: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of a square matrix, in row-major order."""
-    return m[~np.eye(m.shape[0], dtype=bool)]
+    """The off-diagonal entries of a square matrix, in row-major order.
+
+    Past the first entry, the flat matrix splits into rows of n + 1 whose
+    last entry is the next diagonal one, so dropping that column leaves
+    exactly the off-diagonal entries, row by row, with no n x n mask.
+    """
+    n = m.shape[0]
+    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].reshape(-1)
+
+
+# average_ranks falls back to argsort when more sorted entries than this
+# need re-sorting by their full key: past it the fallback is as fast
+_MAX_RESORTED = 1 << 18
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array; tied entries share their mean rank."""
+    """1-based ranks of a 1-D array; tied entries share their mean rank.
+
+    float64 input is ranked with one in-place ``ndarray.sort`` of uint64
+    keys, not ``np.argsort``. ``x + 0.0`` makes -0.0 and 0.0 one value;
+    flipping the sign bit of non-negatives and every bit of negatives
+    maps the floats to unsigned integers in the same order (the full
+    key). For m entries, the top ``64 - bits`` bits of the full key with
+    the entry's index in the low ``bits = (m - 1).bit_length()`` bits
+    give a packed key, so sorting the packed keys sorts the entries, up
+    to runs of neighbours whose truncated keys collide. Only those runs
+    can hold ties or misordered entries. Their full keys are compared
+    pairwise, and the runs found out of order are re-sorted by full key;
+    runs of equal values, such as the twin entries of a symmetric
+    matrix, need no re-sort. Tie groups get the same mean rank as
+    :func:`_argsort_average_ranks`, bit for bit.
+
+    Other dtypes, input with a NaN, and input where more than
+    ``_MAX_RESORTED`` entries need re-sorting take the argsort path.
+    """
+    if x.dtype != np.float64 or np.isnan(x).any():
+        return _argsort_average_ranks(x)
+    m = x.size
+    bits = max(m - 1, 0).bit_length()
+    key = (x + 0.0).view(np.uint64)  # -0.0 + 0.0 == 0.0: one key for zero
+    # all ones for negatives, the sign bit alone for the rest
+    packed = (key.view(np.int64) >> 63).view(np.uint64)
+    packed |= np.uint64(1 << 63)
+    key ^= packed
+    np.right_shift(key, bits, out=packed)
+    packed <<= bits
+    packed |= np.arange(m, dtype=np.uint64)
+    packed.sort()
+    # neighbours whose truncated keys are equal
+    collide = (packed[1:] ^ packed[:-1]) < np.uint64(1 << bits)
+    packed &= np.uint64((1 << bits) - 1)
+    order = packed.view(np.int64)
+    # lo[j] and hi[j] are the full keys at sorted positions at[j], at[j] + 1
+    at = np.flatnonzero(collide)
+    del collide
+    lo, hi = key[order[at]], key[order[at + 1]]
+    desc = hi < lo
+    if desc.any():
+        # the collision runs holding a descent, as sorted positions
+        opens = np.ones(at.size, dtype=bool)
+        opens[1:] = at[1:] != at[:-1] + 1
+        run = np.cumsum(opens) - 1
+        bad = np.zeros(run[-1] + 1, dtype=bool)
+        bad[run[desc]] = True
+        redo = bad[run]
+        span = at[redo]
+        pos = np.union1d(span, span + 1)
+        if pos.size > _MAX_RESORTED:
+            del key, lo, hi, packed, order
+            return _argsort_average_ranks(x)
+        # runs sit in increasing key order, so one sort re-sorts each run
+        idx = order[pos]
+        order[pos] = idx[np.argsort(key[idx], kind="stable")]
+        lo[redo], hi[redo] = key[order[span]], key[order[span + 1]]
+    cont = at[hi == lo] + 1  # sorted positions tied with their predecessor
+    del key, lo, hi, desc, at
+    sorted_ranks = np.arange(1, m + 1, dtype=np.float64)
+    if cont.size:
+        new = np.ones(cont.size, dtype=bool)
+        new[1:] = cont[1:] != cont[:-1] + 1
+        starts = cont[new] - 1
+        ends = cont[np.append(new[1:], True)] + 1
+        # the same mean as _argsort_average_ranks: groups [b_k, b_{k+1})
+        mean = 0.5 * (starts + ends + 1)
+        sorted_ranks[cont] = mean[np.cumsum(new) - 1]
+        sorted_ranks[starts] = mean
+    ranks = np.empty(m)
+    ranks[order] = sorted_ranks
+    return ranks
+
+
+def _argsort_average_ranks(x: np.ndarray) -> np.ndarray:
+    """:func:`average_ranks` by ``np.argsort``, for any orderable dtype."""
     order = np.argsort(x)  # tie order is irrelevant: ties share a rank
     xs = x[order]
     first = np.concatenate(([True], xs[1:] != xs[:-1]))

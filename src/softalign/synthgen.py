@@ -12,7 +12,8 @@ latent, so the oracle sees through the noise the model is fed.
 A dataset caches what is derived from it alone, on first use: the pooled
 ROI views and the average ranks of its off-diagonal relevance entries,
 which every full-set retrieval eval correlates against. The cache is
-read-only and is not pickled; a process pool's fork workers inherit it.
+read-only and is not pickled. A forking sweep fills it in the parent,
+before the pool starts, and the workers inherit it.
 """
 
 from __future__ import annotations

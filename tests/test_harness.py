@@ -2,12 +2,13 @@ import concurrent.futures
 import csv
 import json
 import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from softalign import numkit
+from softalign import numkit, synthgen
 from softalign.errors import ConfigError, GalleryTooSmall
 from softalign.harness import (
     RESULT_COLUMNS,
@@ -282,6 +283,43 @@ class TestSweeps:
         serial = gamma_sweep(tiny_dataset, tiny_config, [0.0, 0.5, 1.0], jobs=1)
         parallel = gamma_sweep(tiny_dataset, tiny_config, [0.0, 0.5, 1.0], jobs=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers inherit the parent's cache only under fork")
+    @pytest.mark.parametrize("aggregation", ["mean", "max", "attention"])
+    def test_parent_fills_the_cache_before_forking(self, tiny_config, monkeypatch,
+                                                   aggregation):
+        spec = SynthSpec(n_samples=60, n_concepts=8, latent_dim=8, d_image=6,
+                         d_text=5, d_roi=7, d_tag=4, rois_per_image=3, seed=21)
+        dataset = generate(spec)
+        relevance_off = numkit.off_diagonal(dataset.relevance)
+        parent = os.getpid()
+        rank, pools = numkit.average_ranks, dict(synthgen.ROI_POOLS)
+
+        def parent_only_rank(x):
+            # forked workers inherit this patch: the relevance is ranked only
+            # in the parent; a worker ranks the similarities alone
+            if (os.getpid() != parent and x.size == relevance_off.size
+                    and np.array_equal(x, relevance_off)):
+                raise AssertionError("a worker ranked the relevance")
+            return rank(x)
+
+        def parent_only_pool(mode):
+            def pool(a, axis):
+                if os.getpid() != parent:
+                    raise AssertionError(f"a worker pooled the ROIs by {mode}")
+                return pools[mode](a, axis=axis)
+            return pool
+
+        monkeypatch.setattr(numkit, "average_ranks", parent_only_rank)
+        for mode in pools:
+            monkeypatch.setitem(synthgen.ROI_POOLS, mode, parent_only_pool(mode))
+        cfg = replace(tiny_config, roi_aggregation=aggregation, batch_size=20)
+        parallel = gamma_sweep(dataset, cfg, [0.0, 1.0], jobs=2)
+        pooled = set() if aggregation == "attention" else {aggregation}
+        assert set(dataset._cache) == {"relevance_ranks"} | pooled
+        serial = gamma_sweep(generate(spec), cfg, [0.0, 1.0], jobs=1)
+        assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
 
     @pytest.mark.parametrize("gammas, jobs, workers", [
         ([0.5], 4, None), ([0.0, 1.0], 5, 2), ([0.0, 0.5, 1.0], 2, 2)])

@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+from softalign import numkit
 from softalign.errors import ShapeMismatch, ZeroRow
 from softalign.numkit import (
+    average_ranks,
     gaussian_matrix,
     gram,
     l2_normalize_rows,
@@ -123,3 +130,126 @@ class TestGaussianMatrix:
     def test_bad_shape(self):
         with pytest.raises(ShapeMismatch):
             gaussian_matrix(0, 3, seed=0)
+
+
+class TestOffDiagonal:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_eye_mask(self, rng, n):
+        m = rng.standard_normal((n, n))
+        want = m[~np.eye(n, dtype=bool)]
+        got = numkit.off_diagonal(m)
+        assert got.shape == (n * (n - 1),)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            -2.2250738585072014e-308, np.inf, -np.inf, 1.0, np.nextafter(1.0, 2.0)]
+
+
+def _assert_ranks_exact(x):
+    got = average_ranks(x)
+    assert got.dtype == np.float64
+    for want in (numkit._argsort_average_ranks(x),
+                 np.asarray(rankdata(x, method="average"), dtype=np.float64)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def _rank_inputs(draw):
+    """float64 arrays built to hit ties, twin ties and truncated-key collisions."""
+    kind = draw(st.sampled_from(["floats", "special", "ulps", "symmetric"]))
+    edge = draw(st.integers(0, 12))
+    size = draw(st.one_of(st.integers(0, 300),
+                          st.sampled_from([1 << edge, (1 << edge) + 1])))
+    if kind == "symmetric":
+        n = draw(st.integers(1, 40))
+        seed = draw(st.integers(0, 2**32 - 1))
+        a = np.round(np.random.default_rng(seed).standard_normal((n, n)),
+                     draw(st.integers(0, 6)))
+        return numkit.off_diagonal(a + a.T)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "floats":
+        pool = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+        return rng.choice(np.array(pool), size)
+    if kind == "special":
+        return rng.choice(np.array(_SPECIAL), size)
+    # neighbours a few ulps apart share the truncated key at any width
+    base = draw(st.floats(allow_nan=False, allow_infinity=False))
+    spread = draw(st.sampled_from([2, 64, 1 << 12]))
+    bits = np.float64(base).view(np.int64) + rng.integers(0, spread, size)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)]
+
+
+class TestAverageRanks:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(x=_rank_inputs())
+    def test_equals_rankdata_and_argsort_path(self, x):
+        _assert_ranks_exact(x)
+
+    def test_default_size_similarities(self, rng):
+        v = numkit.l2_normalize_rows(rng.standard_normal((300, 16)))
+        t = numkit.l2_normalize_rows(rng.standard_normal((300, 16)))
+        _assert_ranks_exact(numkit.off_diagonal(v @ t.T))
+
+    def test_int64_above_2_53_takes_the_argsort_path(self, monkeypatch):
+        calls = []
+        argsort_path = numkit._argsort_average_ranks
+
+        def spy(x):
+            calls.append(x.dtype)
+            return argsort_path(x)
+
+        monkeypatch.setattr(numkit, "_argsort_average_ranks", spy)
+        # distinct as int64, equal once rounded to float64
+        x = np.array([2**53 + 1, 2**53, 2**53 + 3, 2**53 + 1, 2**53 + 2], dtype=np.int64)
+        got = average_ranks(x)
+        assert calls[0] == np.int64
+        np.testing.assert_array_equal(got, [2.5, 1.0, 5.0, 2.5, 4.0])
+        np.testing.assert_array_equal(got, rankdata(x, method="average"))
+
+    def test_nan_input_ranks_as_the_argsort_path(self):
+        neg_nan = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        x = np.array([np.nan, 1.0, neg_nan, -np.inf, np.nan, 0.0, np.inf])
+        got = average_ranks(x)
+        np.testing.assert_array_equal(got, numkit._argsort_average_ranks(x))
+        # argsort sorts NaNs of either sign last, each in a group of its own
+        np.testing.assert_array_equal(got[[3, 5, 1, 6]], [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("bound, fallbacks", [(0, 1), (1 << 30, 0)])
+    def test_collision_bound_falls_back_to_argsort(self, monkeypatch, bound,
+                                                   fallbacks):
+        calls = []
+        argsort_path = numkit._argsort_average_ranks
+
+        def spy(x):
+            calls.append(x.size)
+            return argsort_path(x)
+
+        monkeypatch.setattr(numkit, "_argsort_average_ranks", spy)
+        monkeypatch.setattr(numkit, "_MAX_RESORTED", bound)
+        # one-ulp neighbours in descending index order: every run needs a re-sort
+        x = (np.float64(0.75).view(np.int64) + np.arange(999, -1, -1)).view(np.float64)
+        got = average_ranks(x)
+        assert len(calls) == fallbacks
+        np.testing.assert_array_equal(got, np.arange(1000, 0, -1, dtype=np.float64))
+        _assert_ranks_exact(x)
+
+    @pytest.mark.parametrize("shape", ["tie_free_1m", "symmetric_1000"])
+    def test_peak_memory_at_most_the_argsort_path(self, rng, shape):
+        if shape == "tie_free_1m":
+            x = rng.permutation(1_000_000).astype(np.float64)
+        else:
+            a = rng.standard_normal((1000, 1000))
+            x = numkit.off_diagonal(a + a.T)
+
+        def peak(rank):
+            tracemalloc.start()
+            try:
+                rank(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(average_ranks) <= peak(numkit._argsort_average_ranks)

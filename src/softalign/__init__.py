@@ -6,7 +6,6 @@ encoders, with hand-derived gradients verified by finite differences and
 synthetic many-to-many retrieval benchmarks.
 """
 
-from .backend import active_backend
 from .distributions import (
     NegDisentangled,
     Temperature,
@@ -28,13 +27,12 @@ from .harness import (
     LogitProfile,
     RetrievalResult,
     ablation_suite,
-    beta_sweep,
     gamma_sweep,
     logit_profile,
     retrieval_eval,
     retrieval_metrics,
 )
-from .numkit import gaussian_matrix, gram, l2_normalize_rows, stable_row_softmax
+from .numkit import l2_normalize_rows
 from .objectives import (
     DistBundle,
     LossBreakdown,
@@ -56,7 +54,6 @@ from .trainer import (
     TrainState,
     lr_at,
     optimizer_step,
-    roi_aggregate,
     train,
 )
 

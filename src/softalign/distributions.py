@@ -14,7 +14,7 @@ import numpy as np
 
 from . import backend
 from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
-from .numkit import as_matrix, gram
+from .numkit import as_matrix
 
 TAU_MIN = 0.01
 TAU_MAX = 100.0
@@ -65,21 +65,6 @@ class NegDisentangled:
     """
 
     inner: np.ndarray
-    batch_size: int
-
-    def original_index(self, i: int, j: int) -> int:
-        """Original column index of entry (i, j) in the compact layout."""
-        return j if j < i else j + 1
-
-
-def check_row_stochastic(m: np.ndarray, atol: float = 1e-9) -> None:
-    """Raise if ``m`` is not row-stochastic within ``atol``."""
-    m = as_matrix(m, "distribution")
-    if (m < -atol).any() or (m > 1.0 + atol).any():
-        raise ValueError("entries outside [0, 1]")
-    err = np.abs(m.sum(axis=1) - 1.0).max()
-    if err > atol:
-        raise ValueError(f"row sums deviate from 1 by {err:.3e}")
 
 
 def _check_pair(v: np.ndarray, t: np.ndarray) -> None:
@@ -98,14 +83,14 @@ def cross_modal_dist(v, t, tau: Temperature) -> np.ndarray:
     v = as_matrix(v, "v")
     t = as_matrix(t, "t")
     _check_pair(v, t)
-    return backend.softmax_rows(gram(v, t) * tau.inv_tau)
+    return backend.softmax_rows((v @ t.T) * tau.inv_tau)
 
 
 def intra_modal_dist(x, tau: Temperature) -> np.ndarray:
     """Self-similarity distribution of one batch; diagonal included."""
     x = as_matrix(x, "x")
     _check_pair(x, x)
-    return backend.softmax_rows(gram(x, x) * tau.inv_tau)
+    return backend.softmax_rows((x @ x.T) * tau.inv_tau)
 
 
 def one_hot_targets(n: int) -> np.ndarray:
@@ -161,4 +146,4 @@ def disentangle_negatives(p) -> NegDisentangled:
             f"row {bad} has off-diagonal mass {neg_mass[bad]:.3e} < {MIN_NEGATIVE_MASS}"
         )
     compact = compact / neg_mass[:, None]
-    return NegDisentangled(inner=compact, batch_size=n)
+    return NegDisentangled(inner=compact)

@@ -33,10 +33,6 @@ class FormatError(SoftalignError):
     """On-disk container is malformed (bad magic, version, or shapes)."""
 
 
-class EmptySequence(SoftalignError):
-    """Aggregation over an empty feature sequence."""
-
-
 class IndexOutOfRange(SoftalignError):
     """Batch index outside the dataset."""
 

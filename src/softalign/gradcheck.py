@@ -42,7 +42,7 @@ takes plain ``(N, D)`` matrices only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -121,25 +121,10 @@ class GradCheckReport:
         return max((p.max_abs_err for p in self.params), default=0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "selector": self.selector,
-            "n": self.n,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "max_rel_err": self.max_rel_err,
-            "max_abs_err": self.max_abs_err,
-            "params": [
-                {
-                    "name": p.name,
-                    "max_rel_err": p.max_rel_err,
-                    "max_abs_err": p.max_abs_err,
-                    "passed": p.passed,
-                }
-                for p in self.params
-            ],
-        }
+        d = asdict(self)
+        params = d.pop("params")
+        return {**d, "max_rel_err": self.max_rel_err,
+                "max_abs_err": self.max_abs_err, "params": list(params)}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -41,8 +41,6 @@ RESULT_COLUMNS = (
     "spearman", "final_loss",
 )
 
-ABLATION_VARIANTS = ("clip", "label_smooth", "soft_fkl", "soft_re_fkl", "softclip")
-
 PROFILE_POSITIONS = 50
 
 # retrieval directions: image queries over texts, text queries over images
@@ -110,11 +108,6 @@ def _pair_ranks(sims: np.ndarray) -> np.ndarray:
     cols = np.arange(n)[None, :]
     ties_before = ((sims == diag[:, None]) & (cols < np.arange(n)[:, None])).sum(axis=1)
     return greater + ties_before
-
-
-def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation: Pearson correlation of average ranks."""
-    return float(np.corrcoef(numkit.average_ranks(x), numkit.average_ranks(y))[0, 1])
 
 
 def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray, *,
@@ -319,12 +312,6 @@ def sweep(dataset: SynthDataset, points: Sequence[tuple[str, TrainConfig]],
     return _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
 
 
-def beta_sweep(dataset: SynthDataset, base: TrainConfig,
-               betas: Sequence[float], jobs: int = 1) -> list[ResultRow]:
-    """:func:`sweep` over :func:`beta_points`; every point is built first."""
-    return sweep(dataset, beta_points(base, betas), jobs)
-
-
 def gamma_sweep(dataset: SynthDataset, base: TrainConfig,
                 gammas: Sequence[float], jobs: int = 1) -> list[ResultRow]:
     """:func:`sweep` over :func:`gamma_points`; every point is built first."""
@@ -392,7 +379,7 @@ def write_results_csv(rows: Sequence[ResultRow], path) -> None:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: row.to_dict()[k] for k in RESULT_COLUMNS})
+            writer.writerow(row.to_dict())
 
 
 def write_results_json(rows: Sequence[ResultRow], path) -> None:

@@ -1,20 +1,16 @@
-"""Dense float64 matrix kernels and rank helpers shared by every other module.
+"""Matrix validation, row normalization and rank helpers shared by every module.
 
 A "matrix" throughout the package is a 2-D C-contiguous float64 ndarray
-with finite entries; :func:`as_matrix` is the single validation gate.
-Randomness always flows through a seeded ``numpy.random.Generator`` so
-that identical seeds give bitwise-identical draws.
+with finite entries; :func:`as_matrix` is the single validation gate, and
+:func:`l2_normalize_rows` the one row normalizer (embeddings, synthetic
+concept vectors). The row kernels live in :mod:`softalign.backend`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import backend
 from .errors import ShapeMismatch, ZeroRow
-
-# Seeds are 64-bit unsigned integers.
-Seed = int
 
 _MIN_ROW_NORM = 1e-300
 
@@ -35,11 +31,6 @@ def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
     return m
 
 
-def row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row."""
-    return np.sqrt((m * m).sum(axis=1))
-
-
 def l2_normalize_rows(m) -> np.ndarray:
     """Scale every row to unit Euclidean norm.
 
@@ -47,28 +38,11 @@ def l2_normalize_rows(m) -> np.ndarray:
         ZeroRow: if any row norm is below 1e-300 (direction undefined).
     """
     m = as_matrix(m)
-    norms = row_norms(m)
+    norms = np.sqrt((m * m).sum(axis=1))
     if (norms < _MIN_ROW_NORM).any():
         bad = int(np.argmax(norms < _MIN_ROW_NORM))
         raise ZeroRow(f"row {bad} has norm {norms[bad]:.3e}, cannot normalize")
     return m / norms[:, None]
-
-
-def gram(a, b) -> np.ndarray:
-    """Pairwise dot products: out[i, j] = <row_i(a), row_j(b)>."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(
-            f"gram needs equal column counts, got {a.shape[1]} and {b.shape[1]}"
-        )
-    return a @ b.T
-
-
-def stable_row_softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max subtraction; every row sums to 1."""
-    z = as_matrix(logits, "logits")
-    return backend.softmax_rows(z)
 
 
 def floored_log(m: np.ndarray, floor: float) -> np.ndarray:
@@ -185,11 +159,3 @@ def _argsort_average_ranks(x: np.ndarray) -> np.ndarray:
     # b_k + 1 .. b_{k+1}, whose mean is (b_k + b_{k+1} + 1) / 2
     ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
     return ranks
-
-
-def gaussian_matrix(rows: int, cols: int, seed: Seed) -> np.ndarray:
-    """I.i.d. standard-normal matrix, deterministic given the seed."""
-    if rows < 1 or cols < 1:
-        raise ShapeMismatch(f"gaussian_matrix needs rows, cols >= 1, got {rows}x{cols}")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((rows, cols))

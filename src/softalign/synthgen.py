@@ -130,10 +130,6 @@ class SynthDataset:
         return {**self.__dict__, "_cache": {}}
 
 
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    return m / np.sqrt((m * m).sum(axis=1))[:, None]
-
-
 def _concept_subsets(rng: np.random.Generator, n: int, k: int, cps: int) -> np.ndarray:
     """Balanced sparse subsets: chunks of repeated seeded permutations.
 
@@ -178,7 +174,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     n, k, latent = spec.n_samples, spec.n_concepts, spec.latent_dim
     cps, m = spec.concepts_per_sample, spec.rois_per_image
 
-    concepts = _unit_rows(rng.standard_normal((k, latent)))
+    concepts = numkit.l2_normalize_rows(rng.standard_normal((k, latent)))
     w_image = rng.standard_normal((latent, spec.d_image))
     w_text = rng.standard_normal((latent, spec.d_text))
     w_roi = rng.standard_normal((latent, spec.d_roi))

@@ -24,12 +24,12 @@ from .distributions import Temperature
 from .errors import (
     BatchTooSmall,
     ConfigError,
-    EmptySequence,
     FormatError,
     IndexOutOfRange,
     NonFiniteValue,
     ShapeMismatch,
 )
+from .numkit import l2_normalize_rows
 from .objectives import LOSS_VARIANTS, LossConfig
 from .synthgen import ROI_POOLS, SynthDataset
 
@@ -160,24 +160,6 @@ def init_state(spec, cfg: TrainConfig) -> TrainState:
 # ROI aggregation
 # ---------------------------------------------------------------------------
 
-def roi_aggregate(rois, mode: str, attention: Optional[AttentionParams] = None
-                  ) -> np.ndarray:
-    """Pool an (M, d) ROI feature sequence to a single d-vector."""
-    rois = np.asarray(rois, dtype=np.float64)
-    if rois.ndim != 2:
-        raise ShapeMismatch(f"rois must be (M, d), got shape {rois.shape}")
-    if rois.shape[0] < 1:
-        raise EmptySequence("cannot aggregate an empty ROI sequence")
-    if mode in ROI_POOLS:
-        return ROI_POOLS[mode](rois, axis=0)
-    if mode == "attention":
-        if attention is None:
-            raise ValueError("attention aggregation needs AttentionParams")
-        out, _ = _attention_batch(rois[None, :, :], attention)
-        return out[0]
-    raise ValueError(f"unknown aggregation mode {mode!r}")
-
-
 def _attention_batch(rois: np.ndarray, p: AttentionParams):
     """(N, M, d) -> (N, d) via softmax(q . k_m / sqrt(d_att)) weights."""
     d_att = p.query.shape[0]
@@ -274,8 +256,17 @@ def _gather_views(dataset: SynthDataset, indices: np.ndarray,
 
 
 def _forward_raw(state: TrainState, dataset: SynthDataset, indices):
-    """Raw (pre-normalization) head outputs plus backward caches."""
+    """Raw (pre-normalization) head outputs plus backward caches.
+
+    Raises ConfigError if a view's width differs from its head's input
+    width (parameters built for another dataset spec).
+    """
     views = _gather_views(dataset, indices, state.config.roi_aggregation)
+    for mod in _MODALITIES:
+        width, want = views[mod].shape[-1], state.params[f"{mod}.w1"].shape[0]
+        if width != want:
+            raise ConfigError(f"the dataset's {mod} view is {width} wide, but "
+                              f"the model's {mod} head takes {want}")
     pooled, agg_cache = _aggregate_for_batch(state, views["roi"])
     inputs = {"image": views["image"], "text": views["text"],
               "roi": pooled, "tag": views["tag"]}
@@ -288,11 +279,7 @@ def _forward_raw(state: TrainState, dataset: SynthDataset, indices):
 def forward_batch(state: TrainState, dataset: SynthDataset, indices):
     """Unit-row embedding batches (v, t, r, a) for a set of samples."""
     raw, _, _ = _forward_raw(state, dataset, indices)
-    out = []
-    for mod in _MODALITIES:
-        m = raw[mod]
-        out.append(m / np.sqrt((m * m).sum(axis=1))[:, None])
-    return tuple(out)
+    return tuple(l2_normalize_rows(raw[mod]) for mod in _MODALITIES)
 
 
 def loss_and_grads(state: TrainState, dataset: SynthDataset, indices):

@@ -77,6 +77,37 @@ def test_resume_with_different_beta_rejected(workdir, capsys):
     assert not done.exists()
 
 
+@pytest.fixture(scope="module")
+def wider_roi_data(workdir):
+    """A dataset whose ROI view is wider than workdir's, and a checkpoint
+    trained on workdir's."""
+    wide = workdir / "wide_roi.salb"
+    ckpt = workdir / "narrow_roi.ckpt"
+    assert main(["gen-data", *TINY, "--d-roi", "14", "--seed", "3",
+                 "--out", str(wide)]) == 0
+    assert main(["train", "--data", str(workdir / "data.salb"), *FAST,
+                 "--seed", "6", "--max-steps", "3", "--out", str(ckpt)]) == 0
+    return wide, ckpt
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "logit-profile"])
+def test_checkpoint_on_other_view_widths_refused(wider_roi_data, tmp_path,
+                                                 capsys, command):
+    wide, ckpt = wider_roi_data
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", str(wide), *FAST, "--seed", "6",
+                "--resume", str(ckpt)]
+    else:
+        argv = [command, "--data", str(wide), "--ckpt", str(ckpt)]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert "roi view is 14 wide" in err and "roi head takes 11" in err
+    assert not out.exists()
+
+
 def test_grad_check_stdout_json(capsys):
     assert main(["grad-check", "--loss", "total", "--n", "4", "--d", "8",
                  "--seed", "0"]) == 0

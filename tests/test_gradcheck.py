@@ -11,14 +11,14 @@ from softalign.distributions import (
     label_smooth_targets,
 )
 from softalign.errors import DegenerateRow, DegenerateTargets, SoftalignError
-from softalign.numkit import l2_normalize_rows, stable_row_softmax
+from softalign.numkit import l2_normalize_rows
 from softalign.objectives import (
     DIVERGENCES,
     SUPERVISION_FORMS,
     LossConfig,
     cross_entropy_rows,
 )
-from softalign import gradcheck, objectives
+from softalign import backend, gradcheck, objectives
 from softalign.gradcheck import (
     SELECTORS,
     backward,
@@ -46,8 +46,8 @@ class TestClosedForms:
             zp[0, j] += eps
             zm[0, j] -= eps
             grad[j] = (
-                cross_entropy_rows(y, stable_row_softmax(zp))
-                - cross_entropy_rows(y, stable_row_softmax(zm))
+                cross_entropy_rows(y, backend.softmax_rows(zp))
+                - cross_entropy_rows(y, backend.softmax_rows(zm))
             ) / (2 * eps)
         np.testing.assert_allclose(grad, [-0.2, 0.2], atol=1e-9)
 
@@ -268,6 +268,10 @@ class TestCheckGradients:
         payload = json.loads(rep.to_json())
         assert payload["passed"] is True
         assert payload["selector"] == "clip"
+        assert list(payload) == ["selector", "n", "d", "epsilon", "tolerance",
+                                 "passed", "max_rel_err", "max_abs_err", "params"]
+        assert [list(p) for p in payload["params"]] == [
+            ["name", "max_rel_err", "max_abs_err", "passed"]] * 5
         assert {p["name"] for p in payload["params"]} == {
             "v", "t", "r", "a", "log_inv_tau"
         }

@@ -15,12 +15,12 @@ from softalign.harness import (
     ablation_points,
     ablation_suite,
     ablation_variants,
-    beta_sweep,
+    beta_points,
     gamma_sweep,
     logit_profile,
     retrieval_eval,
     retrieval_metrics,
-    spearman_rho,
+    sweep,
     train_and_eval,
     write_results_csv,
     write_results_json,
@@ -80,13 +80,22 @@ class TestRetrievalMetrics:
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_spearman_matches_scipy(self, tied):
+        # the shipped column, over the off-diagonal entries, with the
+        # relevance ranked inside the call and passed in ranked
         stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(5)
-        x = rng.standard_normal(3000)
-        y = 0.4 * x + rng.standard_normal(3000)
+        n = 60
+        rel = rng.standard_normal((n, n))
+        rel = rel + rel.T
+        sims = 0.4 * rel + rng.standard_normal((n, n))
         if tied:
-            x, y = np.round(x, 1), np.round(y)
-        assert abs(spearman_rho(x, y) - stats.spearmanr(x, y).statistic) < 1e-12
+            sims, rel = np.round(sims, 1), np.round(rel)
+        off = ~np.eye(n, dtype=bool)
+        want = stats.spearmanr(sims[off], rel[off]).statistic
+        ranks = stats.rankdata(rel[off], method="average")
+        for kwargs in ({}, {"relevance_ranks": ranks}):
+            got = retrieval_metrics(sims, rel, **kwargs).spearman
+            assert abs(got - want) < 1e-12
 
 
 class TestRelevanceRankCache:
@@ -221,7 +230,7 @@ class TestAblationVariants:
 
 class TestSweeps:
     def test_beta_point_matches_default_run(self, tiny_dataset, tiny_config):
-        rows = beta_sweep(tiny_dataset, tiny_config, [0.3])
+        rows = sweep(tiny_dataset, beta_points(tiny_config, [0.3]))
         with_re = [r for r in rows if r.variant == "with_re"][0]
         cfg = replace(tiny_config, loss_variant="total",
                       loss=replace(tiny_config.loss, beta=0.3, lambda_re=1.0))
@@ -231,7 +240,7 @@ class TestSweeps:
 
     def test_beta_zero_skipped_under_symmetric(self, tiny_dataset, tiny_config, caplog):
         with caplog.at_level("WARNING", logger="softalign"):
-            rows = beta_sweep(tiny_dataset, tiny_config, [0.0, 0.5])
+            rows = sweep(tiny_dataset, beta_points(tiny_config, [0.0, 0.5]))
         assert {r.beta for r in rows} == {0.5}
         assert any("DegenerateTargets" in rec.message for rec in caplog.records)
 
@@ -240,13 +249,13 @@ class TestSweeps:
         base = replace(tiny_config,
                        loss=replace(tiny_config.loss, divergence="forward_kl"))
         with caplog.at_level("WARNING", logger="softalign"):
-            rows = beta_sweep(tiny_dataset, base, [0.0, 0.5])
+            rows = sweep(tiny_dataset, beta_points(base, [0.0, 0.5]))
         assert [(r.variant, r.beta) for r in rows] == [
             ("without_re", 0.0), ("with_re", 0.5), ("without_re", 0.5)]
         assert any("DegenerateTargets" in rec.message for rec in caplog.records)
 
     def test_beta_one_stable(self, tiny_dataset, tiny_config):
-        rows = beta_sweep(tiny_dataset, tiny_config, [1.0])
+        rows = sweep(tiny_dataset, beta_points(tiny_config, [1.0]))
         assert len(rows) == 2
         for r in rows:
             assert np.isfinite(r.final_loss)

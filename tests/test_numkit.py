@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from softalign import numkit
+from softalign import backend, numkit
+from softalign.distributions import Temperature, cross_modal_dist, intra_modal_dist
 from softalign.errors import ShapeMismatch, ZeroRow
-from softalign.numkit import (
-    average_ranks,
-    gaussian_matrix,
-    gram,
-    l2_normalize_rows,
-    stable_row_softmax,
-)
+from softalign.numkit import average_ranks, l2_normalize_rows
+
+# 1/tau = 1, so the logits are the dot products themselves
+TAU_ONE = Temperature(0.0)
 
 
 class TestL2NormalizeRows:
@@ -51,57 +49,78 @@ class TestL2NormalizeRows:
 
 
 class TestGram:
+    """The pairwise dot products the similarity distributions softmax:
+    ``cross_modal_dist(v, t, tau)`` rows are ``softmax((v @ t.T) / tau)``."""
+
     def test_identity(self):
-        eye = np.eye(2)
-        np.testing.assert_array_equal(gram(eye, eye), eye)
+        e = np.e
+        out = intra_modal_dist(np.eye(3), TAU_ONE)
+        expected = np.full((3, 3), 1.0 / (e + 2.0))
+        np.fill_diagonal(expected, e / (e + 2.0))
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_orthogonal_rows(self):
-        out = gram(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        np.testing.assert_array_equal(out, [[0.0]])
+        # every v row is orthogonal to every t row: all logits are 0
+        v = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        t = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        np.testing.assert_array_equal(cross_modal_dist(v, t, TAU_ONE),
+                                      np.full((2, 2), 0.5))
 
     def test_cauchy_schwarz_on_unit_rows(self, rng):
+        # unit rows bound each logit by 1/tau, so a row's largest
+        # probability is at most exp(2/tau) times its smallest
         a = l2_normalize_rows(rng.standard_normal((8, 5)))
-        b = l2_normalize_rows(rng.standard_normal((6, 5)))
-        out = gram(a, b)
-        assert out.shape == (8, 6)
-        assert (np.abs(out) <= 1.0 + 1e-12).all()
+        b = l2_normalize_rows(rng.standard_normal((8, 5)))
+        tau = Temperature.from_tau(0.5)
+        out = cross_modal_dist(a, b, tau)
+        ratio = out.max(axis=1) / out.min(axis=1)
+        assert (ratio <= np.exp(2.0 * tau.inv_tau) * (1 + 1e-12)).all()
 
     def test_transpose_symmetry(self, rng):
+        # the reverse direction softmaxes the transposed products, so the
+        # two log-distributions differ by a row term plus a column term
         a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(gram(a, b), gram(b, a).T, atol=1e-12)
+        b = rng.standard_normal((4, 3))
+        diff = (np.log(cross_modal_dist(a, b, TAU_ONE))
+                - np.log(cross_modal_dist(b, a, TAU_ONE)).T)
+        centred = (diff - diff.mean(axis=0, keepdims=True)
+                   - diff.mean(axis=1, keepdims=True) + diff.mean())
+        np.testing.assert_allclose(centred, 0.0, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            gram(np.ones((2, 3)), np.ones((2, 4)))
+            cross_modal_dist(np.ones((2, 3)), np.ones((2, 4)), TAU_ONE)
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError):
-            gram(np.array([[1.0, np.nan]]), np.ones((1, 2)))
+            cross_modal_dist(np.array([[1.0, np.nan], [0.0, 1.0]]),
+                             np.eye(2), TAU_ONE)
         with pytest.raises(ValueError):
             l2_normalize_rows(np.array([[np.inf, 1.0]]))
 
 
 class TestStableRowSoftmax:
+    """``backend.softmax_rows``, the max-subtracted row softmax."""
+
     def test_equal_logits(self):
         for c in (-1000.0, 0.0, 3.7, 1e8):
-            out = stable_row_softmax(np.array([[c, c]]))
+            out = backend.softmax_rows(np.array([[c, c]]))
             np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_log_two_closed_form(self):
-        out = stable_row_softmax(np.array([[np.log(2.0), 0.0]]))
+        out = backend.softmax_rows(np.array([[np.log(2.0), 0.0]]))
         np.testing.assert_allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
     def test_extreme_logits_no_overflow(self):
         # exp(-1000) / (1 + exp(-1000)) = 5.0759588975e-435 exactly, which
         # underflows float64; the stable path must give [1, 0] with no NaN
-        out = stable_row_softmax(np.array([[1000.0, 0.0]]))
+        out = backend.softmax_rows(np.array([[1000.0, 0.0]]))
         assert np.isfinite(out).all()
         assert out[0, 0] == 1.0
         assert abs(out[0, 1] - 5.0759588975e-435) < 1e-300
 
     def test_rows_sum_to_one(self, rng):
-        out = stable_row_softmax(rng.standard_normal((10, 6)) * 30)
+        out = backend.softmax_rows(rng.standard_normal((10, 6)) * 30)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert (out > 0).all()
 
@@ -109,27 +128,8 @@ class TestStableRowSoftmax:
         z = rng.standard_normal((7, 5)) * 5
         shift = rng.standard_normal((7, 1)) * 100
         np.testing.assert_allclose(
-            stable_row_softmax(z), stable_row_softmax(z + shift), atol=1e-12
+            backend.softmax_rows(z), backend.softmax_rows(z + shift), atol=1e-12
         )
-
-
-class TestGaussianMatrix:
-    def test_deterministic(self):
-        np.testing.assert_array_equal(
-            gaussian_matrix(2, 2, seed=7), gaussian_matrix(2, 2, seed=7)
-        )
-
-    def test_moments(self):
-        m = gaussian_matrix(1000, 10, seed=1)
-        assert -0.1 < m.mean() < 0.1
-        assert 0.9 < m.var() < 1.1
-
-    def test_seed_changes_values(self):
-        assert gaussian_matrix(1, 1, seed=0)[0, 0] != gaussian_matrix(1, 1, seed=1)[0, 0]
-
-    def test_bad_shape(self):
-        with pytest.raises(ShapeMismatch):
-            gaussian_matrix(0, 3, seed=0)
 
 
 class TestOffDiagonal:

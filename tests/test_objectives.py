@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from softalign import backend
 from softalign.distributions import (
     Temperature,
     disentangle_negatives,
@@ -13,7 +14,7 @@ from softalign.distributions import (
     one_hot_targets,
 )
 from softalign.errors import DegenerateTargets, ShapeMismatch
-from softalign.numkit import l2_normalize_rows, stable_row_softmax
+from softalign.numkit import l2_normalize_rows
 from softalign.objectives import (
     DistBundle,
     LossConfig,
@@ -254,8 +255,8 @@ class TestRelationEnhancedSoftLoss:
         # not the disentangled distributions
         cfg = LossConfig()
         z = rng.standard_normal((4, 4)) * 3
-        p1 = stable_row_softmax(z)
-        p2 = stable_row_softmax(z + 1.7 * np.eye(4))
+        p1 = backend.softmax_rows(z)
+        p2 = backend.softmax_rows(z + 1.7 * np.eye(4))
         guid = rng.dirichlet(np.ones(4), size=4)
         b1 = DistBundle(p_it=p1, p_ti=p1, p_rr=guid, p_aa=guid)
         b2 = DistBundle(p_it=p2, p_ti=p2, p_rr=guid, p_aa=guid)

@@ -78,9 +78,9 @@ class TestGenerate:
         ds = generate(spec)
         # recover the subsets by regenerating the assignment stream
         rng = np.random.default_rng(spec.seed)
-        from softalign.synthgen import _concept_subsets, _unit_rows
+        from softalign.synthgen import _concept_subsets
 
-        _unit_rows(rng.standard_normal((spec.n_concepts, spec.latent_dim)))
+        rng.standard_normal((spec.n_concepts, spec.latent_dim))
         for d in (spec.d_image, spec.d_text, spec.d_roi, spec.d_tag):
             rng.standard_normal((spec.latent_dim, d))
         subsets = _concept_subsets(rng, spec.n_samples, spec.n_concepts,

@@ -13,14 +13,14 @@ from softalign.errors import (
     BatchTooSmall,
     ConfigError,
     DegenerateTargets,
-    EmptySequence,
     FormatError,
     IndexOutOfRange,
     NonFiniteValue,
     ShapeMismatch,
+    SpecInvalid,
 )
 from softalign.objectives import LossConfig
-from softalign.synthgen import SynthSpec, generate
+from softalign.synthgen import ROI_POOLS, SynthSpec, generate
 from softalign.trainer import (
     AttentionParams,
     TrainConfig,
@@ -30,7 +30,6 @@ from softalign.trainer import (
     loss_and_grads,
     lr_at,
     optimizer_step,
-    roi_aggregate,
     save_checkpoint,
     total_steps_for,
     train,
@@ -38,16 +37,19 @@ from softalign.trainer import (
 
 
 class TestRoiAggregate:
-    def test_single_feature(self, rng):
-        x = rng.standard_normal((1, 5))
-        for mode in ("mean", "max", "min"):
-            np.testing.assert_array_equal(roi_aggregate(x, mode), x[0])
+    """ROI pooling: the dataset's pooled views and the attention pool."""
 
-    def test_elementwise_modes(self):
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(roi_aggregate(x, "mean"), [0.5, 0.5])
-        np.testing.assert_array_equal(roi_aggregate(x, "max"), [1.0, 1.0])
-        np.testing.assert_array_equal(roi_aggregate(x, "min"), [0.0, 0.0])
+    def test_single_feature(self, small_dataset):
+        one = replace(small_dataset, roi_features=small_dataset.roi_features[:, :1])
+        for mode in ROI_POOLS:
+            np.testing.assert_array_equal(one.pooled_rois(mode),
+                                          small_dataset.roi_features[:, 0])
+
+    def test_elementwise_modes(self, small_dataset):
+        x = replace(small_dataset, roi_features=np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        np.testing.assert_array_equal(x.pooled_rois("mean"), [[0.5, 0.5]])
+        np.testing.assert_array_equal(x.pooled_rois("max"), [[1.0, 1.0]])
+        np.testing.assert_array_equal(x.pooled_rois("min"), [[0.0, 0.0]])
 
     def test_attention_zero_query_equals_mean(self, rng):
         x = rng.standard_normal((6, 8))
@@ -56,16 +58,17 @@ class TestRoiAggregate:
             key_proj=rng.standard_normal((8, 4)),
             value_proj=np.eye(8),
         )
-        got = roi_aggregate(x, "attention", params)
-        np.testing.assert_allclose(got, roi_aggregate(x, "mean"), atol=1e-12)
+        got, _ = trainer._attention_batch(x[None], params)
+        np.testing.assert_allclose(got[0], x.mean(axis=0), atol=1e-12)
 
     def test_empty_sequence(self):
-        with pytest.raises(EmptySequence):
-            roi_aggregate(np.zeros((0, 4)), "mean")
+        # no dataset holds an empty ROI sequence to pool
+        with pytest.raises(SpecInvalid):
+            SynthSpec(rois_per_image=0)
 
-    def test_unknown_mode(self, rng):
-        with pytest.raises(ValueError):
-            roi_aggregate(rng.standard_normal((2, 3)), "median")
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="roi_aggregation"):
+            TrainConfig(roi_aggregation="median")
 
 
 class TestForwardBatch:
@@ -94,6 +97,18 @@ class TestForwardBatch:
         with pytest.raises(BatchTooSmall):
             forward_batch(state, small_dataset, [0])
 
+    @pytest.mark.parametrize("mode", ["mean", "attention"])
+    @pytest.mark.parametrize("mod", ["image", "text", "roi", "tag"])
+    def test_view_width_mismatch(self, small_dataset, mode, mod):
+        want = getattr(small_dataset.spec, f"d_{mod}")
+        other = replace(small_dataset.spec, **{f"d_{mod}": want + 3})
+        state = init_state(other, TrainConfig(roi_aggregation=mode))
+        with pytest.raises(ConfigError, match=f"{mod} view is {want} wide.*"
+                                              f"{mod} head takes {want + 3}"):
+            forward_batch(state, small_dataset, np.arange(4))
+        with pytest.raises(ConfigError):
+            loss_and_grads(state, small_dataset, np.arange(4))
+
 
 class TestPooledRoiCache:
     """Parameter-free modes read the dataset's pooled ROI view."""
@@ -114,7 +129,7 @@ class TestPooledRoiCache:
         for idx in index_sets:
             got = self._roi_input(small_dataset, mode, idx)
             expected = np.stack([
-                roi_aggregate(small_dataset.roi_features[i], mode) for i in idx
+                ROI_POOLS[mode](small_dataset.roi_features[i], axis=0) for i in idx
             ])
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()

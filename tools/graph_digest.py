@@ -1,11 +1,12 @@
-"""Digest the loss graph's outputs over a fixed grid, one line per selector.
+"""Digest the loss graph and the paths around it, to compare two trees.
 
-Run it on two trees and compare the lines to check that a refactor of the
-graph is bitwise neutral:
+Run it on two trees and compare the lines to check that a refactor is
+bitwise neutral:
 
     PYTHONPATH=src python3 tools/graph_digest.py
 
-Each line holds three sha256 digests:
+It prints one line per selector, then the lines of the non-graph paths.
+Each selector line holds three sha256 digests:
 
 * ``grads``: the four input gradients and both temperature gradients of
   ``gradcheck.backward_with_components``, or the exception type it raises;
@@ -21,6 +22,18 @@ selector x stop-gradient x divergence x (lambda_re, mu_clip, gamma) in
 {(0, 0, 0), (0.7, 0.3, 0.4), (1, 0.5, 1)} x (N, d) in {(3, 3), (4, 2),
 (5, 3)} at beta 0.3: 324 cases. The non-square shapes make a transposed
 perturbation index change the ``fd`` digest.
+
+The other lines cover the data, training, eval and report paths on a
+small fixed dataset spec:
+
+* ``dataset_hash``: ``synthgen.dataset_hash`` of the generated dataset;
+* ``train[mode]``: for the mean and attention ROI pools, the sha256 of the
+  four ``trainer.forward_batch`` embedding batches over the full set after
+  a 20-step ``train``, and the 7 ``harness.retrieval_eval`` fields of that
+  state (``repr`` of each float);
+* ``grad_check``: the sha256 of ``gradcheck.check_gradients(...).to_json()``
+  for every selector at the default loss config, seed 0, n 4 and d 3 (the
+  exception type where the config cannot evaluate a selector).
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ import struct
 
 import numpy as np
 
-from softalign import gradcheck
+from softalign import gradcheck, harness, synthgen, trainer
 from softalign.distributions import Temperature
 from softalign.errors import SoftalignError
 from softalign.objectives import DIVERGENCES, SUPERVISION_FORMS, LossConfig
@@ -47,6 +60,8 @@ FD_WEIGHTS = [dict(lambda_re=0.0, mu_clip=0.0, gamma=0.0),
               dict(lambda_re=0.7, mu_clip=0.3, gamma=0.4),
               dict(lambda_re=1.0, mu_clip=0.5, gamma=1.0)]
 FD_SHAPES = ((3, 3), (4, 2), (5, 3))
+SPEC = synthgen.SynthSpec(n_samples=120, n_concepts=8, latent_dim=12, d_image=10,
+                          d_text=9, d_roi=11, d_tag=7, rois_per_image=3, seed=3)
 
 
 def _inputs(n: int, d: int):
@@ -109,6 +124,30 @@ def main() -> None:
             _fd_case(selector, cfg, n, d, fd)
         print(f"{selector:<13} grads={grads.hexdigest()} "
               f"values={values.hexdigest()} fd={fd.hexdigest()}")
+    _paths()
+
+
+def _paths() -> None:
+    dataset = synthgen.generate(SPEC)
+    print(f"dataset_hash={synthgen.dataset_hash(dataset)}")
+    for mode in ("mean", "attention"):
+        cfg = trainer.TrainConfig(max_steps=20, batch_size=30, seed=1,
+                                  roi_aggregation=mode)
+        state, _ = trainer.train(dataset, cfg)
+        embeddings = hashlib.sha256()
+        for m in trainer.forward_batch(state, dataset, range(dataset.n)):
+            embeddings.update(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        result = harness.retrieval_eval(state, dataset)
+        fields = " ".join(f"{k}={v!r}" for k, v in result.to_dict().items())
+        print(f"train[{mode}] embeddings={embeddings.hexdigest()} {fields}")
+    report = hashlib.sha256()
+    for selector in gradcheck.SELECTORS:
+        try:
+            text = gradcheck.check_gradients(selector, seed=0, n=4, d=3).to_json()
+        except (SoftalignError, ValueError) as exc:
+            text = type(exc).__name__
+        report.update(text.encode())
+    print(f"grad_check={report.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ the Spearman column correlates model cross-modal similarities with the
 synthetic ground-truth relevance over all off-diagonal pairs, which is
 what actually measures many-to-many structure. The ablation suite trains
 the objective variants under one shared seed so the loss is the only
-moving part; sweeps emit one row per point per variant. All tables are
-deterministic given (dataset hash, config, seed), whatever the number of
-workers.
+moving part; sweeps emit one row per point per variant. One runner,
+``_run_points``, trains and evaluates the points of the ablation and of
+every sweep, and returns each point's row and trained state. All tables
+are deterministic given (dataset hash, config, seed), whatever the
+number of workers.
 
 A sweep with several workers hands the dataset to each worker process
 once, through the pool initializer; forked workers inherit it, with
@@ -200,17 +202,14 @@ def _final_loss(metrics: list[dict]) -> float:
     return float(np.mean([row["total"] for row in tail]))
 
 
-def train_and_eval(dataset: SynthDataset, cfg: TrainConfig,
-                   dataset_hash: Optional[str] = None,
-                   variant: str = "run") -> tuple[ResultRow, TrainState]:
+def train_and_eval(dataset: SynthDataset, cfg: TrainConfig, dataset_hash: str,
+                   variant: str) -> tuple[ResultRow, TrainState]:
     """One train run plus its result row."""
     state, metrics = trainer.train(dataset, cfg)
-    result = retrieval_eval(state, dataset)
     row = ResultRow(
         variant=variant, beta=cfg.loss.beta, gamma=cfg.loss.gamma,
-        seed=cfg.seed,
-        dataset_hash=dataset_hash or synthgen.dataset_hash(dataset),
-        result=result, final_loss=_final_loss(metrics),
+        seed=cfg.seed, dataset_hash=dataset_hash,
+        result=retrieval_eval(state, dataset), final_loss=_final_loss(metrics),
     )
     return row, state
 
@@ -244,16 +243,12 @@ def ablation_suite(dataset: SynthDataset, base: TrainConfig
                    ) -> tuple[list[ResultRow], dict[str, TrainState]]:
     """Train and evaluate all five variants under one shared seed.
 
-    Every variant's config is built, and so validated, before any training.
+    Returns the rows and each variant's trained state. Every variant's
+    config is built, and so validated, before any training.
     """
-    variants = ablation_variants(base)
-    ds_hash = synthgen.dataset_hash(dataset)
-    rows, states = [], {}
-    for name, cfg in variants:
-        row, state = train_and_eval(dataset, cfg, ds_hash, variant=name)
-        rows.append(row)
-        states[name] = state
-    return rows, states
+    runs = _run_points(dataset, ablation_variants(base),
+                       synthgen.dataset_hash(dataset), 1)
+    return [row for row, _ in runs], {row.variant: state for row, state in runs}
 
 
 def ablation_points(base: TrainConfig, seeds: Sequence[int]
@@ -309,7 +304,8 @@ def sweep(dataset: SynthDataset, points: Sequence[tuple[str, TrainConfig]],
     At most ``jobs`` worker processes run, and never more than there are
     points; a single worker is this process.
     """
-    return _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
+    runs = _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
+    return [row for row, _ in runs]
 
 
 def gamma_sweep(dataset: SynthDataset, base: TrainConfig,
@@ -327,19 +323,20 @@ def _init_worker(dataset: SynthDataset) -> None:
     _worker_dataset = dataset
 
 
-def _run_one_point(task, dataset: Optional[SynthDataset] = None) -> ResultRow:
-    """One sweep point on ``dataset``, or in a pool worker on its own."""
+def _run_one_point(task, dataset: Optional[SynthDataset] = None
+                   ) -> tuple[ResultRow, TrainState]:
+    """One suite point on ``dataset``, or in a pool worker on its own."""
     variant, cfg, ds_hash = task
     log.info("suite point %s (beta %g, gamma %g, seed %d)",
              variant, cfg.loss.beta, cfg.loss.gamma, cfg.seed)
     dataset = _worker_dataset if dataset is None else dataset
-    row, _ = train_and_eval(dataset, cfg, ds_hash, variant=variant)
-    return row
+    return train_and_eval(dataset, cfg, ds_hash, variant)
 
 
 def _run_points(dataset: SynthDataset, points, ds_hash: str,
-                jobs: int) -> list[ResultRow]:
-    """The points' rows, in order, from at most ``jobs`` worker processes.
+                jobs: int) -> list[tuple[ResultRow, TrainState]]:
+    """Each point's row and trained state, in order, from at most ``jobs``
+    worker processes.
 
     One worker runs in this process. Pool workers get the dataset once,
     through the pool initializer: forked workers inherit it, and nothing

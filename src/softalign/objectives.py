@@ -132,18 +132,15 @@ class LossConfig:
 class LossBreakdown:
     """Component values of one objective evaluation.
 
-    ``total = soft + lambda_re * soft_re + mu_clip * clip``; the four
-    per-direction fields split the soft terms into their v2l/l2v halves.
+    ``total = soft + lambda_re * soft_re + mu_clip * clip``; each term is
+    already averaged over its two directions, and ``soft_re`` is 0 when
+    ``lambda_re`` is.
     """
 
     clip: float
     soft: float
     soft_re: float
     total: float
-    soft_v2l: float
-    soft_l2v: float
-    soft_re_v2l: float
-    soft_re_l2v: float
 
 
 @dataclass(frozen=True)
@@ -234,12 +231,15 @@ def _divergence(targets: Dist, preds: Dist, mode: str, floor: float) -> float:
 # embedding-level objectives
 # ---------------------------------------------------------------------------
 
-def clip_loss(v, t, tau: Temperature, floor: float = 1e-12) -> float:
-    """One-hot contrastive cross-entropy, averaged over both directions."""
-    p_it = cross_modal_dist(v, t, tau)
-    p_ti = cross_modal_dist(t, v, tau)
+def _clip_pair(p_it: np.ndarray, p_ti: np.ndarray, floor: float) -> float:
+    """One-hot cross-entropy of both directions' predictions, averaged."""
     y = one_hot_targets(p_it.shape[0])
     return 0.5 * (cross_entropy_rows(y, p_it, floor) + cross_entropy_rows(y, p_ti, floor))
+
+
+def clip_loss(v, t, tau: Temperature, floor: float = 1e-12) -> float:
+    """One-hot contrastive cross-entropy, averaged over both directions."""
+    return _clip_pair(cross_modal_dist(v, t, tau), cross_modal_dist(t, v, tau), floor)
 
 
 def build_distributions(
@@ -281,47 +281,35 @@ def _check_soft_preconditions(dists: DistBundle, cfg: LossConfig,
     cfg.check(variant)
 
 
-def soft_loss_directions(dists: DistBundle, cfg: LossConfig) -> tuple[float, float]:
-    """(v2l, l2v) softened-target divergences, before direction averaging."""
-    _check_soft_preconditions(dists, cfg, "soft")
+def _direction_mean(dists: DistBundle, cfg: LossConfig, wrap) -> float:
+    """Mean over both directions of the softened targets' divergence from
+    the predictions, each first passed through ``wrap``."""
     t_v2l, t_l2v = _mixed_targets(dists, cfg)
     floor = cfg.target_floor
-    return (
-        _divergence(t_v2l, dists.p_it, cfg.divergence, floor),
-        _divergence(t_l2v, dists.p_ti, cfg.divergence, floor),
-    )
+    v2l = _divergence(wrap(t_v2l), wrap(dists.p_it), cfg.divergence, floor)
+    l2v = _divergence(wrap(t_l2v), wrap(dists.p_ti), cfg.divergence, floor)
+    return 0.5 * (v2l + l2v)
 
 
 def soft_loss(dists: DistBundle, cfg: LossConfig) -> float:
     """Softened-target alignment loss, averaged over both directions."""
-    v2l, l2v = soft_loss_directions(dists, cfg)
-    return 0.5 * (v2l + l2v)
-
-
-def relation_enhanced_soft_loss_directions(
-    dists: DistBundle, cfg: LossConfig
-) -> tuple[float, float]:
-    """(v2l, l2v) divergences on negative-disentangled distributions."""
-    _check_soft_preconditions(dists, cfg, "soft_re")
-    if dists.n < 2:
-        raise BatchTooSmall("relation-enhanced loss needs N >= 2")
-    t_v2l, t_l2v = _mixed_targets(dists, cfg)
-    floor = cfg.target_floor
-    v2l = _divergence(
-        disentangle_negatives(t_v2l), disentangle_negatives(dists.p_it),
-        cfg.divergence, floor,
-    )
-    l2v = _divergence(
-        disentangle_negatives(t_l2v), disentangle_negatives(dists.p_ti),
-        cfg.divergence, floor,
-    )
-    return v2l, l2v
+    _check_soft_preconditions(dists, cfg, "soft")
+    return _direction_mean(dists, cfg, lambda p: p)
 
 
 def relation_enhanced_soft_loss(dists: DistBundle, cfg: LossConfig) -> float:
     """Soft loss on distributions with the positive dropped and renormalized."""
-    v2l, l2v = relation_enhanced_soft_loss_directions(dists, cfg)
-    return 0.5 * (v2l + l2v)
+    _check_soft_preconditions(dists, cfg, "soft_re")
+    if dists.n < 2:
+        raise BatchTooSmall("relation-enhanced loss needs N >= 2")
+    return _direction_mean(dists, cfg, disentangle_negatives)
+
+
+def _guided_terms(dists: DistBundle, cfg: LossConfig) -> tuple[float, float]:
+    """(soft, soft_re) for one guidance bundle; soft_re is 0 at lambda_re 0."""
+    soft = soft_loss(dists, cfg)
+    soft_re = relation_enhanced_soft_loss(dists, cfg) if cfg.lambda_re > 0.0 else 0.0
+    return soft, soft_re
 
 
 def softclip_total(
@@ -335,34 +323,10 @@ def softclip_total(
     targets would be degenerate (e.g. beta=0) evaluable.
     """
     dists = build_distributions(v, t, r, a, tau, cfg, guidance_tau)
-    soft_v2l, soft_l2v = soft_loss_directions(dists, cfg)
-    soft = 0.5 * (soft_v2l + soft_l2v)
-    if cfg.lambda_re > 0.0:
-        re_v2l, re_l2v = relation_enhanced_soft_loss_directions(dists, cfg)
-    else:
-        re_v2l = re_l2v = 0.0
-    soft_re = 0.5 * (re_v2l + re_l2v)
-    y = one_hot_targets(dists.n)
-    floor = cfg.target_floor
-    clip = 0.5 * (
-        cross_entropy_rows(y, dists.p_it, floor)
-        + cross_entropy_rows(y, dists.p_ti, floor)
-    )
+    soft, soft_re = _guided_terms(dists, cfg)
+    clip = _clip_pair(dists.p_it, dists.p_ti, cfg.target_floor)
     total = soft + cfg.lambda_re * soft_re + cfg.mu_clip * clip
-    return LossBreakdown(
-        clip=clip, soft=soft, soft_re=soft_re, total=total,
-        soft_v2l=soft_v2l, soft_l2v=soft_l2v,
-        soft_re_v2l=re_v2l, soft_re_l2v=re_l2v,
-    )
-
-
-def _guided_term(
-    dists: DistBundle, cfg: LossConfig
-) -> float:
-    """soft + lambda_re * soft_re for one guidance bundle (no CLIP term)."""
-    soft = soft_loss(dists, cfg)
-    re = relation_enhanced_soft_loss(dists, cfg) if cfg.lambda_re > 0.0 else 0.0
-    return soft + cfg.lambda_re * re
+    return LossBreakdown(clip=clip, soft=soft, soft_re=soft_re, total=total)
 
 
 def mixed_guidance_loss(
@@ -379,4 +343,7 @@ def mixed_guidance_loss(
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     bundle_ra = build_distributions(v, t, r, a, tau, cfg, guidance_tau)
     bundle_it = build_distributions(v, t, v, t, tau, cfg, guidance_tau)
-    return gamma * _guided_term(bundle_ra, cfg) + (1.0 - gamma) * _guided_term(bundle_it, cfg)
+    soft_ra, re_ra = _guided_terms(bundle_ra, cfg)
+    soft_it, re_it = _guided_terms(bundle_it, cfg)
+    return (gamma * (soft_ra + cfg.lambda_re * re_ra)
+            + (1.0 - gamma) * (soft_it + cfg.lambda_re * re_it))

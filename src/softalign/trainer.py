@@ -86,15 +86,6 @@ class TrainConfig:
         return config.from_dict(cls, d)
 
 
-@dataclass(frozen=True)
-class AttentionParams:
-    """Single-query attention pool over a ROI feature sequence."""
-
-    query: np.ndarray       # (d_att,)
-    key_proj: np.ndarray    # (d_roi, d_att)
-    value_proj: np.ndarray  # (d_roi, d_roi)
-
-
 @dataclass
 class TrainState:
     """Everything a run needs to continue: parameters, moments, step."""
@@ -114,15 +105,6 @@ class TrainState:
         if "tau_log_inv_guidance" not in self.params:
             return None
         return Temperature(float(self.params["tau_log_inv_guidance"][0]))
-
-    def attention_params(self) -> Optional[AttentionParams]:
-        if "roi_pool.query" not in self.params:
-            return None
-        return AttentionParams(
-            query=self.params["roi_pool.query"],
-            key_proj=self.params["roi_pool.key_proj"],
-            value_proj=self.params["roi_pool.value_proj"],
-        )
 
 
 def init_state(spec, cfg: TrainConfig) -> TrainState:
@@ -160,29 +142,35 @@ def init_state(spec, cfg: TrainConfig) -> TrainState:
 # ROI aggregation
 # ---------------------------------------------------------------------------
 
-def _attention_batch(rois: np.ndarray, p: AttentionParams):
-    """(N, M, d) -> (N, d) via softmax(q . k_m / sqrt(d_att)) weights."""
-    d_att = p.query.shape[0]
-    keys = rois @ p.key_proj                       # (N, M, d_att)
-    scores = (keys @ p.query) / math.sqrt(d_att)   # (N, M)
+def _attention_batch(rois: np.ndarray, params: dict):
+    """(N, M, d) -> (N, d) via softmax(q . k_m / sqrt(d_att)) weights.
+
+    Reads the pool's ``roi_pool.*`` entries of ``params``: the (d_att,)
+    query, the (d, d_att) key and the (d, d) value projection.
+    """
+    query = params["roi_pool.query"]
+    d_att = query.shape[0]
+    keys = rois @ params["roi_pool.key_proj"]      # (N, M, d_att)
+    scores = (keys @ query) / math.sqrt(d_att)     # (N, M)
     weights = backend.softmax_rows(scores)
-    values = rois @ p.value_proj                   # (N, M, d)
+    values = rois @ params["roi_pool.value_proj"]  # (N, M, d)
     pooled = np.einsum("nm,nmd->nd", weights, values)
     cache = {"keys": keys, "weights": weights, "values": values, "rois": rois}
     return pooled, cache
 
 
-def _attention_backward(d_pooled: np.ndarray, p: AttentionParams, cache) -> dict:
+def _attention_backward(d_pooled: np.ndarray, params: dict, cache) -> dict:
     keys, weights, values, rois = (
         cache["keys"], cache["weights"], cache["values"], cache["rois"],
     )
-    d_att = p.query.shape[0]
+    query = params["roi_pool.query"]
+    d_att = query.shape[0]
     d_values = weights[:, :, None] * d_pooled[:, None, :]
     d_value_proj = np.einsum("nmd,nme->de", rois, d_values)
     d_weights = np.einsum("nmd,nd->nm", values, d_pooled)
     d_scores = backend.softmax_vjp_rows(weights, d_weights)
     d_query = np.einsum("nma,nm->a", keys, d_scores) / math.sqrt(d_att)
-    d_keys = d_scores[:, :, None] * p.query[None, None, :] / math.sqrt(d_att)
+    d_keys = d_scores[:, :, None] * query[None, None, :] / math.sqrt(d_att)
     d_key_proj = np.einsum("nmd,nma->da", rois, d_keys)
     return {
         "roi_pool.query": d_query,
@@ -198,7 +186,7 @@ def _aggregate_for_batch(state: TrainState, rois: np.ndarray):
     modes arrive already pooled from the dataset's cache.
     """
     if state.config.roi_aggregation == "attention":
-        return _attention_batch(rois, state.attention_params())
+        return _attention_batch(rois, state.params)
     return rois, None
 
 
@@ -304,8 +292,7 @@ def loss_and_grads(state: TrainState, dataset: SynthDataset, indices):
                                          need_input_grad=need_input)
         grads.update(head_grads)
         if need_input:
-            grads.update(_attention_backward(d_x, state.attention_params(),
-                                             agg_cache))
+            grads.update(_attention_backward(d_x, state.params, agg_cache))
     grads["tau_log_inv"] = np.array([bundle.d_log_inv_tau])
     if "tau_log_inv_guidance" in state.params:
         grads["tau_log_inv_guidance"] = np.array([bundle.d_log_inv_tau_guidance])

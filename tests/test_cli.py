@@ -25,14 +25,20 @@ def workdir(tmp_path_factory):
     return root
 
 
-def test_gen_train_eval_chain(workdir):
-    data = workdir / "data.salb"
+@pytest.fixture(scope="module")
+def model_ckpt(workdir):
+    """A checkpoint trained on workdir's dataset, whichever test runs first."""
     ckpt = workdir / "model.ckpt"
-    assert main(["train", "--data", str(data), "--out", str(ckpt),
+    assert main(["train", "--data", str(workdir / "data.salb"), "--out", str(ckpt),
                  *FAST, "--seed", "1"]) == 0
-    assert ckpt.exists()
+    return ckpt
+
+
+def test_gen_train_eval_chain(workdir, model_ckpt):
+    data = workdir / "data.salb"
+    assert model_ckpt.exists()
     out = workdir / "metrics.json"
-    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt),
+    assert main(["eval", "--data", str(data), "--ckpt", str(model_ckpt),
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert 0.0 <= payload["r1_v2t"] <= 1.0
@@ -132,11 +138,10 @@ def test_grad_check_to_file(workdir):
     assert json.loads(out.read_text())["passed"] is True
 
 
-def test_logit_profile_csv(workdir):
+def test_logit_profile_csv(workdir, model_ckpt):
     data = workdir / "data.salb"
-    ckpt = workdir / "model.ckpt"
     out = workdir / "profile.csv"
-    assert main(["logit-profile", "--data", str(data), "--ckpt", str(ckpt),
+    assert main(["logit-profile", "--data", str(data), "--ckpt", str(model_ckpt),
                  "--direction", "t2v", "--out", str(out)]) == 0
     with open(out) as fh:
         rows = list(csv.reader(fh))

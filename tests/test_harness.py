@@ -12,10 +12,12 @@ from softalign import numkit, synthgen
 from softalign.errors import ConfigError, GalleryTooSmall
 from softalign.harness import (
     RESULT_COLUMNS,
+    _run_points,
     ablation_points,
     ablation_suite,
     ablation_variants,
     beta_points,
+    gamma_points,
     gamma_sweep,
     logit_profile,
     retrieval_eval,
@@ -40,6 +42,16 @@ def tiny_dataset():
 @pytest.fixture(scope="module")
 def tiny_config():
     return TrainConfig(epochs=3, batch_size=30, seed=2)
+
+
+def _assert_states_equal(got, want):
+    """Bitwise-equal parameters, AdamW moments and step."""
+    assert got.step == want.step
+    for store in ("params", "m", "v"):
+        a, b = getattr(got, store), getattr(want, store)
+        assert list(a) == list(b)
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), (store, name)
 
 
 class TestRetrievalMetrics:
@@ -218,6 +230,10 @@ class TestAblationVariants:
         assert set(states) == {r.variant for r in rows}
         for r in rows:
             assert np.isfinite(r.final_loss)
+        # each state is the one its variant's config trains
+        for name, cfg in ablation_variants(tiny_config):
+            want, _ = train(tiny_dataset, cfg)
+            _assert_states_equal(states[name], want)
 
 
     def test_points_concatenate_variants_over_seeds(self, tiny_config):
@@ -234,7 +250,8 @@ class TestSweeps:
         with_re = [r for r in rows if r.variant == "with_re"][0]
         cfg = replace(tiny_config, loss_variant="total",
                       loss=replace(tiny_config.loss, beta=0.3, lambda_re=1.0))
-        direct, _ = train_and_eval(tiny_dataset, cfg, variant="with_re")
+        direct, _ = train_and_eval(tiny_dataset, cfg,
+                                   synthgen.dataset_hash(tiny_dataset), "with_re")
         assert with_re.result == direct.result
         assert with_re.final_loss == direct.final_loss
 
@@ -341,11 +358,16 @@ class TestSweeps:
                 started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        serial = gamma_sweep(tiny_dataset, tiny_config, gammas)
+        points = gamma_points(tiny_config, gammas)
+        ds_hash = synthgen.dataset_hash(tiny_dataset)
+        serial = _run_points(tiny_dataset, points, ds_hash, 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        rows = gamma_sweep(tiny_dataset, tiny_config, gammas, jobs=jobs)
+        runs = _run_points(tiny_dataset, points, ds_hash, jobs)
         assert started == ([] if workers is None else [workers])
-        assert [r.to_dict() for r in rows] == [r.to_dict() for r in serial]
+        # rows and the states the workers send back equal the serial run's
+        assert [r.to_dict() for r, _ in runs] == [r.to_dict() for r, _ in serial]
+        for (_, got), (_, want) in zip(runs, serial):
+            _assert_states_equal(got, want)
 
 
 class TestEmission:

@@ -22,7 +22,6 @@ from softalign.errors import (
 from softalign.objectives import LossConfig
 from softalign.synthgen import ROI_POOLS, SynthSpec, generate
 from softalign.trainer import (
-    AttentionParams,
     TrainConfig,
     forward_batch,
     init_state,
@@ -53,11 +52,11 @@ class TestRoiAggregate:
 
     def test_attention_zero_query_equals_mean(self, rng):
         x = rng.standard_normal((6, 8))
-        params = AttentionParams(
-            query=np.zeros(4),
-            key_proj=rng.standard_normal((8, 4)),
-            value_proj=np.eye(8),
-        )
+        params = {
+            "roi_pool.query": np.zeros(4),
+            "roi_pool.key_proj": rng.standard_normal((8, 4)),
+            "roi_pool.value_proj": np.eye(8),
+        }
         got, _ = trainer._attention_batch(x[None], params)
         np.testing.assert_allclose(got[0], x.mean(axis=0), atol=1e-12)
 

@@ -33,7 +33,16 @@ small fixed dataset spec:
   state (``repr`` of each float);
 * ``grad_check``: the sha256 of ``gradcheck.check_gradients(...).to_json()``
   for every selector at the default loss config, seed 0, n 4 and d 3 (the
-  exception type where the config cannot evaluate a selector).
+  exception type where the config cannot evaluate a selector);
+* ``reference``: the sha256 of the independent reference forward in
+  ``objectives`` on unit rows: the ``clip``, ``soft``, ``soft_re`` and
+  ``total`` fields of ``softclip_total``, ``mixed_guidance_loss`` at gamma
+  0.4 and ``clip_loss`` (each, or the exception type it raises), over
+  divergence x supervision form x lambda_re {0, 1} x split temperature x
+  N {2, 3, 5, 9}: 192 cases;
+* ``suite``: the sha256 of the ``harness.ablation_suite`` rows and each
+  variant's trained state (params, moments and step), and of the
+  ``harness.gamma_sweep`` rows at jobs 1 and 2, on 8-step runs.
 """
 
 from __future__ import annotations
@@ -44,9 +53,10 @@ import struct
 
 import numpy as np
 
-from softalign import gradcheck, harness, synthgen, trainer
+from softalign import gradcheck, harness, objectives, synthgen, trainer
 from softalign.distributions import Temperature
 from softalign.errors import SoftalignError
+from softalign.numkit import l2_normalize_rows
 from softalign.objectives import DIVERGENCES, SUPERVISION_FORMS, LossConfig
 
 WEIGHTS = (0.0, 0.7, 1.0)
@@ -148,6 +158,53 @@ def _paths() -> None:
             text = type(exc).__name__
         report.update(text.encode())
     print(f"grad_check={report.hexdigest()}")
+    print(f"reference={_reference()}")
+    print(f"suite={_suite(dataset)}")
+
+
+def _reference() -> str:
+    digest = hashlib.sha256()
+    tau, g_tau = Temperature.from_tau(0.07), Temperature.from_tau(0.2)
+    for div, form, lam, split, n in itertools.product(
+            DIVERGENCES, SUPERVISION_FORMS, (0.0, 1.0), (False, True), (2, 3, 5, 9)):
+        cfg = LossConfig(divergence=div, supervision_form=form, lambda_re=lam,
+                         split_guidance_temperature=split)
+        v, t, r, a = (l2_normalize_rows(x) for x in _inputs(n, 6))
+        calls = (
+            lambda: objectives.softclip_total(v, t, r, a, tau, cfg, guidance_tau=g_tau),
+            lambda: objectives.mixed_guidance_loss(v, t, r, a, tau, 0.4, cfg,
+                                                   guidance_tau=g_tau),
+            lambda: objectives.clip_loss(v, t, tau, cfg.target_floor),
+        )
+        for call in calls:
+            try:
+                out = call()
+            except (SoftalignError, ValueError) as exc:
+                digest.update(type(exc).__name__.encode())
+                continue
+            if isinstance(out, objectives.LossBreakdown):
+                for name in ("clip", "soft", "soft_re", "total"):
+                    digest.update(name.encode() + _scalar(getattr(out, name)))
+            else:
+                digest.update(_scalar(out))
+    return digest.hexdigest()
+
+
+def _suite(dataset) -> str:
+    digest = hashlib.sha256()
+    base = trainer.TrainConfig(max_steps=8, batch_size=30, seed=2)
+    rows, states = harness.ablation_suite(dataset, base)
+    digest.update(repr([row.to_dict() for row in rows]).encode())
+    for name, state in states.items():
+        digest.update(f"{name} step={state.step}".encode())
+        for store in (state.params, state.m, state.v):
+            for key, x in store.items():
+                digest.update(key.encode()
+                              + np.ascontiguousarray(x, dtype="<f8").tobytes())
+    for jobs in (1, 2):
+        rows = harness.gamma_sweep(dataset, base, [0.0, 0.5, 1.0], jobs=jobs)
+        digest.update(repr([row.to_dict() for row in rows]).encode())
+    return digest.hexdigest()
 
 
 if __name__ == "__main__":

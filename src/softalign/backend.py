@@ -1,12 +1,12 @@
-"""Hot numeric kernels: row softmax variants, their VJP, KL rows and AdamW.
+"""Hot numeric kernels: row (log-)softmax, its VJP, KL rows and AdamW.
 
 Plain numpy, dtype-generic: the trainer runs them on float64 and the
 finite-difference oracle on ``longdouble``. Every row kernel reduces over
 the last axis, so it takes one matrix or a stack of them with a leading
 batch axis, ``(B, N, N)``, and treats each slice as it would on its own.
-The masked variants operate on square trailing ``(N, N)`` matrices and
-exclude the diagonal from the row normalization; their diagonal outputs
-are exactly 0. :func:`fill_diagonal` writes those diagonals.
+A row that leaves its diagonal out of the normalization gets a ``-inf``
+diagonal first (:func:`fill_diagonal`): the softmax is then exactly 0
+there and the log-softmax ``-inf``.
 
 This is the package's only kernel path. The module keeps its own name
 (rather than living in :mod:`softalign.numkit`) because the benchmark
@@ -50,28 +50,6 @@ def logsoftmax_rows(z: np.ndarray) -> np.ndarray:
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
-
-
-def masked_softmax_rows(z: np.ndarray) -> np.ndarray:
-    masked = z.copy()
-    fill_diagonal(masked, -np.inf)
-    zmax = masked.max(axis=-1, keepdims=True)
-    e = np.exp(masked - zmax)
-    fill_diagonal(e, 0.0)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def masked_logsoftmax_rows(z: np.ndarray) -> np.ndarray:
-    masked = z.copy()
-    fill_diagonal(masked, -np.inf)
-    zmax = masked.max(axis=-1, keepdims=True)
-    shifted = masked - zmax
-    e = np.exp(shifted)
-    fill_diagonal(e, 0.0)
-    lse = np.log(e.sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    fill_diagonal(out, 0.0)
-    return out
 
 
 def softmax_vjp_rows(p: np.ndarray, g: np.ndarray) -> np.ndarray:

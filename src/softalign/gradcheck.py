@@ -27,8 +27,9 @@ Gradients are hand-derived per stage and composed:
 
 With ``stop_gradient_targets`` the softened targets are treated as
 constants: their branches receive no gradient, and the finite-difference
-oracle evaluates the forward against targets frozen at the base point so
-both sides differentiate the same function.
+oracle evaluates the forward against targets frozen at the base point
+(one ``targets`` table, filled by :func:`collect_targets` and passed
+back) so both sides differentiate the same function.
 
 The forward also takes inputs with a leading batch axis, ``(B, N, D)``:
 row kernels reduce over the last axis, logits are batched matmuls and a
@@ -55,8 +56,8 @@ from .distributions import (
     Temperature,
     label_smooth_targets,
 )
-from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
-from .numkit import as_matrix, floored_log
+from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch, ZeroRow
+from .numkit import _MIN_ROW_NORM, as_matrix, floored_log
 from .objectives import LOSS_VARIANTS, SUPERVISION_FORMS, LossConfig
 
 SELECTORS = LOSS_VARIANTS
@@ -138,16 +139,19 @@ class _Graph:
     """Shared state of one forward (and optional backward) evaluation.
 
     Logits and the row kernels applied to them are cached by (source,
-    destination, temperature group); gradient contributions accumulate
-    per logits key and are pushed through the temperature scaling and row
-    normalization in :meth:`finalize`.
+    destination, temperature group); a key with a fourth entry,
+    ``"offdiag"``, names the same logits with a ``-inf`` diagonal, built
+    when a kernel of them is first asked for. Gradient contributions
+    accumulate per logits key and are pushed through the temperature
+    scaling and row normalization in :meth:`finalize`. ``targets``, when
+    given, maps a term's tag to its softened targets ``(t, log t, s)``: a
+    tag already in it is used as is, a missing one is computed and stored.
     """
 
     def __init__(self, v, t, r, a, tau: Temperature, cfg: LossConfig,
                  guidance_tau: Optional[Temperature] = None,
                  want_grad: bool = False,
-                 frozen_targets: Optional[dict] = None,
-                 target_collector: Optional[dict] = None,
+                 targets: Optional[dict] = None,
                  dtype=np.float64):
         # inputs are validated in the graph dtype, so the oracle's
         # extended-precision perturbations are not rounded to float64
@@ -171,14 +175,13 @@ class _Graph:
         self.cfg = cfg
         self.n = n
         self.want_grad = want_grad
-        self.frozen = frozen_targets
-        self.collector = target_collector
+        self.targets = targets
 
         self.raw = raw
         self.norms = {k: np.sqrt((m * m).sum(axis=-1)) for k, m in raw.items()}
         for name, nr in self.norms.items():
-            if (nr < 1e-300).any():
-                raise ValueError(f"input {name} has a zero row")
+            if (nr < _MIN_ROW_NORM).any():
+                raise ZeroRow(f"input {name} has a row of norm below {_MIN_ROW_NORM:g}")
         self.unit = {k: raw[k] / self.norms[k][..., None] for k in raw}
 
         self.split = cfg.split_guidance_temperature
@@ -208,6 +211,10 @@ class _Graph:
         return (src, dst, self._group(guidance))
 
     def z(self, key) -> np.ndarray:
+        if len(key) == 4:  # an "offdiag" key: a fresh copy, never cached
+            z = self.z(key[:3]).copy()
+            backend.fill_diagonal(z, -np.inf)
+            return z
         if key not in self._z:
             src, dst, group = key
             sims = self.unit[src] @ np.swapaxes(self.unit[dst], -1, -2)
@@ -215,7 +222,7 @@ class _Graph:
         return self._z[key]
 
     def rows(self, kernel, key) -> np.ndarray:
-        """A ``backend`` row kernel (softmax or its variants) of logits ``key``."""
+        """A ``backend`` row kernel (softmax or log-softmax) of logits ``key``."""
         if (kernel, key) not in self._rows:
             self._rows[kernel, key] = kernel(self.z(key))
         return self._rows[kernel, key]
@@ -290,9 +297,12 @@ def _targets(graph: _Graph, guid_key, tag, disentangled: bool):
     and the rest divided by the off-diagonal mass ``s`` (diagonals of
     ``t`` and ``log t`` are 0); plain, ``s`` is None.
     """
+    # without a table (training) the targets live only as long as their
+    # direction, so the step reuses their memory instead of faulting in more
+    table = {} if graph.targets is None else graph.targets
+    if tag in table:
+        return table[tag]
     cfg = graph.cfg
-    if graph.frozen is not None:
-        return graph.frozen[tag]
     g = graph.rows(backend.softmax_rows, guid_key)
     t = (1.0 - cfg.beta) * graph._eye + cfg.beta * g
     s = None
@@ -306,8 +316,7 @@ def _targets(graph: _Graph, guid_key, tag, disentangled: bool):
     ln_t = floored_log(t, cfg.target_floor)
     if disentangled:
         backend.fill_diagonal(ln_t, 0.0)
-    if graph.collector is not None:
-        graph.collector[tag] = (t, ln_t, s)
+    table[tag] = (t, ln_t, s)
     return t, ln_t, s
 
 
@@ -317,10 +326,10 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
 
     ``weight`` scales the gradient only. ``disentangled`` gives the
     relation-enhanced term: the positive is dropped from both rows and
-    the negatives renormalized, so the
-    prediction side uses the masked softmax, every gradient term is
-    zeroed on the diagonal (``where(off, x, 1)`` keeps logs and divisions
-    finite there), and the target gradient is chained through the
+    the negatives renormalized, so the prediction side is the softmax of
+    the logits with a ``-inf`` diagonal, every gradient term is zeroed on
+    the diagonal (``where(off, x, 1)`` keeps logs and divisions finite
+    there), and the target gradient is chained through the
     renormalization.
     """
     cfg = graph.cfg
@@ -328,14 +337,18 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
         off = graph._offdiag
         p_full = graph.rows(backend.softmax_rows, pred_key)
         _require_negative_mass((p_full * off).sum(axis=-1), "prediction")
-        p = graph.rows(backend.masked_softmax_rows, pred_key)
-        ln_p = graph.rows(backend.masked_logsoftmax_rows, pred_key)
 
         def mask(x):
             return np.where(off, x, 0.0)
 
         def safe(x):
             return np.where(off, x, 1.0)
+
+        masked = (*pred_key, "offdiag")
+        p = graph.rows(backend.softmax_rows, masked)
+        # the dropped positive's log is -inf: zeroed like t's, in the cached rows
+        ln_p = graph.rows(backend.logsoftmax_rows, masked)
+        backend.fill_diagonal(ln_p, 0.0)
     else:
         p = graph.rows(backend.softmax_rows, pred_key)
         ln_p = graph.rows(backend.logsoftmax_rows, pred_key)
@@ -401,19 +414,18 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
 def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
          guidance_tau: Optional[Temperature] = None,
          want_grad: bool = False,
-         frozen_targets: Optional[dict] = None,
-         target_collector: Optional[dict] = None,
+         targets: Optional[dict] = None,
          dtype=np.float64):
     """Evaluate one loss selector; returns (value, components, graph).
 
     ``components`` holds each term's unweighted value under its component
     name, and the value under the selector's name and ``total``. With a
     ``(B, N, D)`` stack among the inputs, each of them is a ``(B,)`` array.
+    ``targets`` is the graph's softened-target table (see :class:`_Graph`).
     """
     cfg.check(selector)
-    graph = _Graph(v, t, r, a, tau, cfg, guidance_tau,
-                   want_grad=want_grad, frozen_targets=frozen_targets,
-                   target_collector=target_collector, dtype=dtype)
+    graph = _Graph(v, t, r, a, tau, cfg, guidance_tau, want_grad=want_grad,
+                   targets=targets, dtype=dtype)
     k_it = graph.key("v", "t", guidance=False)
     k_ti = graph.key("t", "v", guidance=False)
     # total reports the relation-enhanced part as 0 when lambda_re leaves it out
@@ -456,10 +468,10 @@ def collect_targets(selector: str, v, t, r, a, tau: Temperature,
     Used to freeze the teacher side when differentiating under
     ``stop_gradient_targets``.
     """
-    collector: dict = {}
-    _run(selector, v, t, r, a, tau, cfg, guidance_tau,
-         target_collector=collector, dtype=dtype)
-    return collector
+    targets: dict = {}
+    _run(selector, v, t, r, a, tau, cfg, guidance_tau, targets=targets,
+         dtype=dtype)
+    return targets
 
 
 def backward(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
@@ -534,7 +546,7 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
         args = {**inputs, **stack}
         value, _, _ = _run(selector, args["v"], args["t"], args["r"],
                            args["a"], tau_eval, cfg,
-                           guidance_tau=g_tau_eval, frozen_targets=frozen,
+                           guidance_tau=g_tau_eval, targets=frozen,
                            dtype=dtype)
         return value
 

@@ -9,15 +9,16 @@ moving part; sweeps emit one row per point per variant. One runner,
 ``_run_points``, trains and evaluates the points of the ablation and of
 every sweep, and returns each point's row and trained state. All tables
 are deterministic given (dataset hash, config, seed), whatever the
-number of workers.
+number of workers. The dataset hashes itself once and caches the digest,
+which each row reads.
 
 A sweep with several workers hands the dataset to each worker process
 once, through the pool initializer; forked workers inherit it, with
 whatever it has cached, without a copy. Every full-set eval correlates
 against the relevance ranks the dataset caches, so the relevance is
-ranked once per dataset, not per eval; a forking sweep ranks it, and
-pools the ROI views its points read, in the parent, before the pool
-starts, so the workers share one copy.
+ranked once per dataset, not per eval; a forking sweep ranks it, hashes
+the dataset and pools the ROI views its points read, in the parent,
+before the pool starts, so the workers share one copy.
 """
 
 from __future__ import annotations
@@ -202,13 +203,13 @@ def _final_loss(metrics: list[dict]) -> float:
     return float(np.mean([row["total"] for row in tail]))
 
 
-def train_and_eval(dataset: SynthDataset, cfg: TrainConfig, dataset_hash: str,
+def train_and_eval(dataset: SynthDataset, cfg: TrainConfig,
                    variant: str) -> tuple[ResultRow, TrainState]:
     """One train run plus its result row."""
     state, metrics = trainer.train(dataset, cfg)
     row = ResultRow(
         variant=variant, beta=cfg.loss.beta, gamma=cfg.loss.gamma,
-        seed=cfg.seed, dataset_hash=dataset_hash,
+        seed=cfg.seed, dataset_hash=synthgen.dataset_hash(dataset),
         result=retrieval_eval(state, dataset), final_loss=_final_loss(metrics),
     )
     return row, state
@@ -246,8 +247,7 @@ def ablation_suite(dataset: SynthDataset, base: TrainConfig
     Returns the rows and each variant's trained state. Every variant's
     config is built, and so validated, before any training.
     """
-    runs = _run_points(dataset, ablation_variants(base),
-                       synthgen.dataset_hash(dataset), 1)
+    runs = _run_points(dataset, ablation_variants(base), 1)
     return [row for row, _ in runs], {row.variant: state for row, state in runs}
 
 
@@ -304,7 +304,7 @@ def sweep(dataset: SynthDataset, points: Sequence[tuple[str, TrainConfig]],
     At most ``jobs`` worker processes run, and never more than there are
     points; a single worker is this process.
     """
-    runs = _run_points(dataset, points, synthgen.dataset_hash(dataset), jobs)
+    runs = _run_points(dataset, points, jobs)
     return [row for row, _ in runs]
 
 
@@ -323,17 +323,17 @@ def _init_worker(dataset: SynthDataset) -> None:
     _worker_dataset = dataset
 
 
-def _run_one_point(task, dataset: Optional[SynthDataset] = None
+def _run_one_point(point, dataset: Optional[SynthDataset] = None
                    ) -> tuple[ResultRow, TrainState]:
     """One suite point on ``dataset``, or in a pool worker on its own."""
-    variant, cfg, ds_hash = task
+    variant, cfg = point
     log.info("suite point %s (beta %g, gamma %g, seed %d)",
              variant, cfg.loss.beta, cfg.loss.gamma, cfg.seed)
     dataset = _worker_dataset if dataset is None else dataset
-    return train_and_eval(dataset, cfg, ds_hash, variant)
+    return train_and_eval(dataset, cfg, variant)
 
 
-def _run_points(dataset: SynthDataset, points, ds_hash: str,
+def _run_points(dataset: SynthDataset, points,
                 jobs: int) -> list[tuple[ResultRow, TrainState]]:
     """Each point's row and trained state, in order, from at most ``jobs``
     worker processes.
@@ -342,15 +342,14 @@ def _run_points(dataset: SynthDataset, points, ds_hash: str,
     through the pool initializer: forked workers inherit it, and nothing
     is pickled; where fork does not exist it is pickled once per worker,
     without its cache. A forked worker reads the cache filled in the
-    parent, before the pool starts: the relevance ranks, and the pooled
-    ROI view of each parameter-free aggregation among the points. So no
-    worker ranks the relevance or pools the ROIs itself. A task carries
-    only its point.
+    parent, before the pool starts: the relevance ranks, the dataset hash,
+    and the pooled ROI view of each parameter-free aggregation among the
+    points. So no worker ranks the relevance, hashes the dataset or pools
+    the ROIs itself. A task is just its point.
     """
-    tasks = [(variant, cfg, ds_hash) for variant, cfg in points]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(points))
     if workers <= 1:
-        return [_run_one_point(task, dataset) for task in tasks]
+        return [_run_one_point(point, dataset) for point in points]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -358,13 +357,14 @@ def _run_points(dataset: SynthDataset, points, ds_hash: str,
     fork = "fork" in multiprocessing.get_all_start_methods()
     if fork:
         dataset.relevance_ranks()
+        synthgen.dataset_hash(dataset)
         for mode in {cfg.roi_aggregation for _, cfg in points}:
             if mode in synthgen.ROI_POOLS:
                 dataset.pooled_rois(mode)
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork" if fork else None),
             initializer=_init_worker, initargs=(dataset,)) as pool:
-        return list(pool.map(_run_one_point, tasks))
+        return list(pool.map(_run_one_point, points))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ ground-truth relevance matrix keeps scoring them by the pre-corruption
 latent, so the oracle sees through the noise the model is fed.
 
 A dataset caches what is derived from it alone, on first use: the pooled
-ROI views and the average ranks of its off-diagonal relevance entries,
-which every full-set retrieval eval correlates against. The cache is
-read-only and is not pickled. A forking sweep fills it in the parent,
-before the pool starts, and the workers inherit it.
+ROI views, the average ranks of its off-diagonal relevance entries, which
+every full-set retrieval eval correlates against, and its content hash,
+which every result row carries. The cache is read-only and is not
+pickled. A forking sweep fills it in the parent, before the pool starts,
+and the workers inherit it.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class SynthSpec:
 class SynthDataset:
     """Generated views plus the ground-truth relevance matrix.
 
-    ``_cache`` holds the lazily derived arrays: pooled ROI views by mode,
-    and the relevance ranks.
+    ``_cache`` holds the lazily derived values: pooled ROI views by mode,
+    the relevance ranks and the content hash (:func:`dataset_hash`).
     """
 
     image_features: np.ndarray   # (n, d_image)
@@ -268,10 +269,14 @@ def dataset_hash(dataset: SynthDataset) -> str:
     """Short stable content hash used in result metadata.
 
     The sha256 of the dataset's container bytes, fed piece by piece so the
-    file image is never assembled in memory.
+    file image is never assembled in memory. Hashed once per dataset, on
+    first use, and cached with its other derived values.
     """
-    prefix, datas = container.layout(MAGIC, *_contents(dataset))
-    digest = hashlib.sha256(prefix)
-    for data in datas:
-        digest.update(data)
-    return digest.hexdigest()[:16]
+    hexdigest = dataset._cache.get("hash")
+    if hexdigest is None:
+        prefix, datas = container.layout(MAGIC, *_contents(dataset))
+        digest = hashlib.sha256(prefix)
+        for data in datas:
+            digest.update(data)
+        hexdigest = dataset._cache["hash"] = digest.hexdigest()[:16]
+    return hexdigest

@@ -446,6 +446,8 @@ def load_checkpoint(path) -> TrainState:
         cfg = TrainConfig.from_dict(meta["config"])
         order = meta["param_order"]
         step = int(meta["step"])
+        if not isinstance(order, list) or not all(isinstance(n, str) for n in order):
+            raise TypeError(f"param_order must be a list of names, got {order!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint metadata is invalid: {exc}") from exc
     params, m, v = {}, {}, {}

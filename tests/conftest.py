@@ -1,6 +1,11 @@
+import hashlib
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from softalign import synthgen
 from softalign.synthgen import SynthSpec, generate
 from softalign.trainer import TrainConfig, train
 
@@ -25,3 +30,22 @@ def small_state(small_dataset, small_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def sha256_runs(monkeypatch):
+    """The sha256 runs inside ``synthgen``, one entry each.
+
+    Only this process may hash: a run in a forked worker raises, so a
+    sweep whose workers hash the dataset fails.
+    """
+    runs, parent, sha256 = [], os.getpid(), hashlib.sha256
+
+    def counting(*args):
+        if os.getpid() != parent:
+            raise AssertionError("a worker process hashed the dataset")
+        runs.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(synthgen, "hashlib", SimpleNamespace(sha256=counting))
+    return runs

@@ -330,6 +330,67 @@ class TestRuntimeErrors:
         assert not ckpt.exists()
 
 
+    def test_zero_head_output_on_resume(self, workdir, tmp_path, capsys):
+        data = workdir / "data.salb"
+        base = ["train", "--data", str(data), *FAST, "--seed", "8"]
+        part, out = tmp_path / "part.ckpt", tmp_path / "out.ckpt"
+        assert main(base + ["--max-steps", "3", "--out", str(part)]) == 0
+        state = trainer.load_checkpoint(part)
+        state.params["tag.w2"] = np.zeros_like(state.params["tag.w2"])
+        state.params["tag.b2"] = np.zeros_like(state.params["tag.b2"])
+        trainer.save_checkpoint(state, part)
+        capsys.readouterr()
+        assert main(base + ["--resume", str(part), "--out", str(out)]) == 2
+        assert "ZeroRow: input a" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta, arrays: meta.update(step="x"),
+        lambda meta, arrays: arrays.pop("param/image.w1"),
+    ], ids=["bad-step", "missing-array"])
+    def test_invalid_checkpoint(self, workdir, model_ckpt, tmp_path, capsys, edit):
+        meta, arrays = container.read(model_ckpt, trainer.CKPT_MAGIC)
+        edit(meta, arrays)
+        bad = tmp_path / "bad.ckpt"
+        container.write(bad, trainer.CKPT_MAGIC, meta, arrays)
+        out = tmp_path / "m.json"
+        assert main(["eval", "--data", str(workdir / "data.salb"),
+                     "--ckpt", str(bad), "--out", str(out)]) == 2
+        assert "FormatError" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_metrics_csv(workdir, tmp_path):
+    ckpt, metrics = tmp_path / "m.ckpt", tmp_path / "m.csv"
+    assert main(["train", "--data", str(workdir / "data.salb"), *FAST,
+                 "--seed", "4", "--out", str(ckpt), "--metrics", str(metrics)]) == 0
+    with open(metrics) as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == list(trainer.METRIC_COLUMNS)
+        rows = list(reader)
+    steps = trainer.load_checkpoint(ckpt).step
+    assert steps == 8
+    assert [int(r[0]) for r in rows] == list(range(steps))
+    assert all(np.isfinite(float(x)) for r in rows for x in r)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"train": 3}'],
+                         ids=["invalid-json", "not-an-object", "section-not-an-object"])
+def test_malformed_config_file(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["grad-check", "--config", str(cfg)]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def test_non_numeric_sweep_value(workdir, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["sweep-gamma", "--gammas", "0.5,x", "--data",
+                 str(workdir / "data.salb"), *FAST, "--out", str(out)]) == 1
+    assert "--gammas expects comma-separated floats" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -594,19 +655,11 @@ def test_suite_mirror_clash_refused_with_force(workdir, tmp_path, monkeypatch,
 
 
 def test_ablate_seeds_match_ablation_suite_and_hash_once(workdir, tmp_path,
-                                                        monkeypatch):
-    hashes = []
-    dataset_hash = synthgen.dataset_hash
-
-    def counting(dataset):
-        hashes.append(dataset.n)
-        return dataset_hash(dataset)
-
-    monkeypatch.setattr(synthgen, "dataset_hash", counting)
+                                                        sha256_runs):
     out = tmp_path / "ablate.csv"
     assert main(["ablate", "--data", str(workdir / "data.salb"), *FAST,
                  "--seeds", "0,1", "--out", str(out)]) == 0
-    assert len(hashes) == 1
+    assert len(sha256_runs) == 1
     dataset = synthgen.load(workdir / "data.salb")
     expected = [row.to_dict() for seed in (0, 1) for row in harness.ablation_suite(
         dataset, trainer.TrainConfig(epochs=2, batch_size=30, seed=seed))[0]]

@@ -220,7 +220,7 @@ def _per_coordinate_fd(selector, v, t, r, a, tau, cfg, epsilon=1e-5):
                 bumped[name] = x.copy()
                 bumped[name][i] += step
                 value, _, _ = gradcheck._run(selector, *bumped.values(), tau, cfg,
-                                             frozen_targets=frozen, dtype=ld)
+                                             targets=frozen, dtype=ld)
                 values.append(value)
             g[i] = float((values[0] - values[1]) / (2.0 * epsilon))
         grads[name] = g

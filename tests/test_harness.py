@@ -250,8 +250,7 @@ class TestSweeps:
         with_re = [r for r in rows if r.variant == "with_re"][0]
         cfg = replace(tiny_config, loss_variant="total",
                       loss=replace(tiny_config.loss, beta=0.3, lambda_re=1.0))
-        direct, _ = train_and_eval(tiny_dataset, cfg,
-                                   synthgen.dataset_hash(tiny_dataset), "with_re")
+        direct, _ = train_and_eval(tiny_dataset, cfg, "with_re")
         assert with_re.result == direct.result
         assert with_re.final_loss == direct.final_loss
 
@@ -314,7 +313,7 @@ class TestSweeps:
                         reason="workers inherit the parent's cache only under fork")
     @pytest.mark.parametrize("aggregation", ["mean", "max", "attention"])
     def test_parent_fills_the_cache_before_forking(self, tiny_config, monkeypatch,
-                                                   aggregation):
+                                                   aggregation, sha256_runs):
         spec = SynthSpec(n_samples=60, n_concepts=8, latent_dim=8, d_image=6,
                          d_text=5, d_roi=7, d_tag=4, rois_per_image=3, seed=21)
         dataset = generate(spec)
@@ -343,9 +342,22 @@ class TestSweeps:
         cfg = replace(tiny_config, roi_aggregation=aggregation, batch_size=20)
         parallel = gamma_sweep(dataset, cfg, [0.0, 1.0], jobs=2)
         pooled = set() if aggregation == "attention" else {aggregation}
-        assert set(dataset._cache) == {"relevance_ranks"} | pooled
+        assert set(dataset._cache) == {"relevance_ranks", "hash"} | pooled
+        assert len(sha256_runs) == 1
         serial = gamma_sweep(generate(spec), cfg, [0.0, 1.0], jobs=1)
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
+
+    @pytest.mark.parametrize("jobs", [
+        1, pytest.param(2, marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="workers inherit the parent's hash only under fork"))])
+    def test_sweep_hashes_once_per_process(self, tiny_config, jobs, sha256_runs):
+        dataset = generate(SynthSpec(n_samples=60, n_concepts=8, latent_dim=8,
+                                     d_image=6, d_text=5, d_roi=7, d_tag=4,
+                                     rois_per_image=3, seed=22))
+        rows = gamma_sweep(dataset, tiny_config, [0.0, 0.5, 1.0], jobs=jobs)
+        assert len(sha256_runs) == 1
+        assert {r.dataset_hash for r in rows} == {dataset._cache["hash"]}
 
     @pytest.mark.parametrize("gammas, jobs, workers", [
         ([0.5], 4, None), ([0.0, 1.0], 5, 2), ([0.0, 0.5, 1.0], 2, 2)])
@@ -359,10 +371,9 @@ class TestSweeps:
                 super().__init__(max_workers, **kwargs)
 
         points = gamma_points(tiny_config, gammas)
-        ds_hash = synthgen.dataset_hash(tiny_dataset)
-        serial = _run_points(tiny_dataset, points, ds_hash, 1)
+        serial = _run_points(tiny_dataset, points, 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        runs = _run_points(tiny_dataset, points, ds_hash, jobs)
+        runs = _run_points(tiny_dataset, points, jobs)
         assert started == ([] if workers is None else [workers])
         # rows and the states the workers send back equal the serial run's
         assert [r.to_dict() for r, _ in runs] == [r.to_dict() for r, _ in serial]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -195,6 +196,32 @@ class TestRoundTrip:
         ds = generate(small_spec())
         expected = hashlib.sha256(to_bytes(ds)).hexdigest()[:16]
         assert dataset_hash(ds) == expected
+
+    def test_hash_is_cached_per_dataset(self, sha256_runs):
+        ds = generate(small_spec())
+        first = dataset_hash(ds)
+        assert dataset_hash(ds) == first == ds._cache["hash"]
+        assert len(sha256_runs) == 1
+
+    def test_replaced_and_pickled_copies_hash_themselves(self, sha256_runs):
+        ds = generate(small_spec())
+        other = generate(small_spec(seed=4))
+        expected = dataset_hash(ds)
+        same = dataclasses.replace(ds)
+        changed = dataclasses.replace(ds, relevance=other.relevance)
+        unpickled = pickle.loads(pickle.dumps(ds))
+        assert same._cache == changed._cache == unpickled._cache == {}
+        assert dataset_hash(same) == dataset_hash(unpickled) == expected
+        assert dataset_hash(changed) != expected
+        assert len(sha256_runs) == 4
+
+    def test_cached_hash_equals_hash_of_fresh_load(self, tmp_path):
+        ds = generate(small_spec())
+        cached = dataset_hash(ds)
+        save(ds, tmp_path / "d.salb")
+        loaded = load(tmp_path / "d.salb")
+        assert "hash" not in loaded._cache
+        assert dataset_hash(loaded) == cached
 
     def test_pooled_cache_not_pickled(self):
         ds = generate(small_spec())

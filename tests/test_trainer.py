@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softalign import trainer
+from softalign import container, trainer
 from softalign.errors import (
     BatchTooSmall,
     ConfigError,
@@ -18,6 +18,7 @@ from softalign.errors import (
     NonFiniteValue,
     ShapeMismatch,
     SpecInvalid,
+    ZeroRow,
 )
 from softalign.objectives import LossConfig
 from softalign.synthgen import ROI_POOLS, SynthSpec, generate
@@ -377,6 +378,13 @@ class TestTrainLoop:
             trainer._require_finite({"clip": 1.0, "total": float("nan")},
                                     "loss component")
 
+    def test_zero_head_output_raises_zero_row(self, small_dataset, small_config):
+        state = init_state(small_dataset.spec, small_config)
+        state.params["tag.w2"][:] = 0.0
+        state.params["tag.b2"][:] = 0.0
+        with pytest.raises(ZeroRow, match="input a"):
+            loss_and_grads(state, small_dataset, np.arange(25))
+
     def test_grad_clip_caps_norm(self, small_dataset):
         cfg = TrainConfig(epochs=1, batch_size=25, seed=3, grad_clip=1e-6)
         state, metrics = train(small_dataset, cfg)
@@ -499,6 +507,21 @@ class TestCheckpointFormat:
         blob = bytearray(path.read_bytes())
         blob[10] ^= 0xFF
         path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta, arrays: meta.pop("config"),
+        lambda meta, arrays: meta.update(step="x"),
+        lambda meta, arrays: meta.update(param_order=3),
+        lambda meta, arrays: arrays.pop("m/tag.w2"),
+    ], ids=["no-config", "bad-step", "bad-order", "missing-array"])
+    def test_invalid_metadata_or_missing_arrays(self, small_state, tmp_path, edit):
+        path = tmp_path / "ck.salb"
+        save_checkpoint(small_state[0], path)
+        meta, arrays = container.read(path, trainer.CKPT_MAGIC)
+        edit(meta, arrays)
+        container.write(path, trainer.CKPT_MAGIC, meta, arrays)
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -41,8 +41,11 @@ small fixed dataset spec:
   divergence x supervision form x lambda_re {0, 1} x split temperature x
   N {2, 3, 5, 9}: 192 cases;
 * ``suite``: the sha256 of the ``harness.ablation_suite`` rows and each
-  variant's trained state (params, moments and step), and of the
-  ``harness.gamma_sweep`` rows at jobs 1 and 2, on 8-step runs.
+  variant's trained state (params, moments and step), of the
+  ``harness.gamma_sweep`` rows at jobs 1 and 2, and of the
+  ``harness.sweep`` rows of ``harness.ablation_points`` over seeds 0 and 1
+  at jobs 2 (``softalign ablate`` on a pool, each worker stamping the
+  dataset hash), on 8-step runs.
 """
 
 from __future__ import annotations
@@ -204,6 +207,8 @@ def _suite(dataset) -> str:
     for jobs in (1, 2):
         rows = harness.gamma_sweep(dataset, base, [0.0, 0.5, 1.0], jobs=jobs)
         digest.update(repr([row.to_dict() for row in rows]).encode())
+    rows = harness.sweep(dataset, harness.ablation_points(base, [0, 1]), jobs=2)
+    digest.update(repr([row.to_dict() for row in rows]).encode())
     return digest.hexdigest()
 
 

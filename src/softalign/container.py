@@ -4,8 +4,9 @@ Layout: a 4-byte little-endian unsigned header length, the UTF-8 JSON
 header, then the arrays back to back. The header carries a magic string,
 a format version, caller metadata, and per-array name/shape/offset
 (offsets relative to the start of the data section, each array starting
-where the previous one ends). Round-trips are bitwise exact; a header
-whose array entries do not describe that layout raises ``FormatError``.
+where the previous one ends, the last one ending the file). Round-trips
+are bitwise exact; a header whose array entries do not describe that
+layout raises ``FormatError``, as do bytes after the last array.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray
             blob, dtype="<f8", count=count, offset=start + offset
         ).reshape(shape).copy()
         offset = end
+    if start + offset != len(blob):
+        raise FormatError(f"{len(blob) - start - offset} bytes trail the last array")
     return header.get("meta", {}), arrays
 
 

@@ -78,19 +78,14 @@ def cross_modal_dist(v, t, tau: Temperature) -> np.ndarray:
     """Row softmax of pairwise similarities between two unit-row batches.
 
     out[i, j] = softmax_j(<v_i, t_j> / tau). The reverse direction is the
-    same call with the arguments swapped.
+    same call with the arguments swapped, and one batch passed twice,
+    ``cross_modal_dist(x, x, tau)``, gives its intra-modal self-similarity
+    distribution, diagonal included.
     """
     v = as_matrix(v, "v")
     t = as_matrix(t, "t")
     _check_pair(v, t)
     return backend.softmax_rows((v @ t.T) * tau.inv_tau)
-
-
-def intra_modal_dist(x, tau: Temperature) -> np.ndarray:
-    """Self-similarity distribution of one batch; diagonal included."""
-    x = as_matrix(x, "x")
-    _check_pair(x, x)
-    return backend.softmax_rows((x @ x.T) * tau.inv_tau)
 
 
 def one_hot_targets(n: int) -> np.ndarray:

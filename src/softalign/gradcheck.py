@@ -28,7 +28,7 @@ Gradients are hand-derived per stage and composed:
 With ``stop_gradient_targets`` the softened targets are treated as
 constants: their branches receive no gradient, and the finite-difference
 oracle evaluates the forward against targets frozen at the base point
-(one ``targets`` table, filled by :func:`collect_targets` and passed
+(one ``targets`` table, filled by a :func:`_run` at that point and passed
 back) so both sides differentiate the same function.
 
 The forward also takes inputs with a leading batch axis, ``(B, N, D)``:
@@ -459,21 +459,6 @@ def forward_value(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     return float(value)
 
 
-def collect_targets(selector: str, v, t, r, a, tau: Temperature,
-                    cfg: LossConfig,
-                    guidance_tau: Optional[Temperature] = None,
-                    dtype=np.float64) -> dict:
-    """Softened targets evaluated at the given point, keyed per term.
-
-    Used to freeze the teacher side when differentiating under
-    ``stop_gradient_targets``.
-    """
-    targets: dict = {}
-    _run(selector, v, t, r, a, tau, cfg, guidance_tau, targets=targets,
-         dtype=dtype)
-    return targets
-
-
 def backward(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
              guidance_tau: Optional[Temperature] = None
              ) -> tuple[float, GradientBundle]:
@@ -538,9 +523,9 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
               for name, x in zip(_INPUT_NAMES, (v, t, r, a))}
     frozen = None
     if cfg.stop_gradient_targets:
-        frozen = collect_targets(selector, inputs["v"], inputs["t"],
-                                 inputs["r"], inputs["a"], tau, cfg,
-                                 guidance_tau, dtype=dtype)
+        frozen = {}
+        _run(selector, inputs["v"], inputs["t"], inputs["r"], inputs["a"],
+             tau, cfg, guidance_tau, targets=frozen, dtype=dtype)
 
     def f(tau_eval: Temperature, g_tau_eval: Optional[Temperature], **stack):
         args = {**inputs, **stack}

@@ -14,11 +14,11 @@ which each row reads.
 
 A sweep with several workers hands the dataset to each worker process
 once, through the pool initializer; forked workers inherit it, with
-whatever it has cached, without a copy. Every full-set eval correlates
-against the relevance ranks the dataset caches, so the relevance is
-ranked once per dataset, not per eval; a forking sweep ranks it, hashes
-the dataset and pools the ROI views its points read, in the parent,
-before the pool starts, so the workers share one copy.
+whatever it has cached, without a copy. Every eval scores the whole
+dataset against the relevance ranks the dataset caches, so the relevance
+is ranked once per dataset, not per eval; a forking sweep ranks it,
+hashes the dataset and pools the ROI views its points read, in the
+parent, before the pool starts, so the workers share one copy.
 """
 
 from __future__ import annotations
@@ -149,35 +149,23 @@ def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray, *,
     )
 
 
-def retrieval_eval(state: TrainState, dataset: SynthDataset,
-                   indices: Optional[Sequence[int]] = None) -> RetrievalResult:
-    """Embed a sample subset and score retrieval against the ground truth.
-
-    The full set (``indices`` None) reads the dataset's cached relevance
-    ranks; a subset ranks its own relevance block.
-    """
-    idx = np.arange(dataset.n) if indices is None else np.asarray(indices, dtype=np.int64)
-    if idx.size < 10:
-        raise GalleryTooSmall(f"need at least 10 eval samples, got {idx.size}")
-    v, t, _, _ = trainer.forward_batch(state, dataset, idx)
-    if indices is None:
-        return retrieval_metrics(v @ t.T, dataset.relevance,
-                                 relevance_ranks=dataset.relevance_ranks())
-    return retrieval_metrics(v @ t.T, dataset.relevance[np.ix_(idx, idx)])
+def retrieval_eval(state: TrainState, dataset: SynthDataset) -> RetrievalResult:
+    """Retrieval over the whole dataset, against its cached relevance ranks."""
+    if dataset.n < 10:
+        raise GalleryTooSmall(f"need at least 10 eval samples, got {dataset.n}")
+    v, t, _, _ = trainer.forward_batch(state, dataset, np.arange(dataset.n))
+    return retrieval_metrics(v @ t.T, dataset.relevance,
+                             relevance_ranks=dataset.relevance_ranks())
 
 
 def logit_profile(state: TrainState, dataset: SynthDataset,
-                  indices: Optional[Sequence[int]] = None,
                   direction: str = "t2v") -> LogitProfile:
-    """Mean sorted softmax row over a query set, truncated to 50 positions."""
+    """Mean sorted softmax row over every query, truncated to 50 positions."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    idx = np.arange(dataset.n) if indices is None else np.asarray(indices, dtype=np.int64)
-    if idx.size < PROFILE_POSITIONS:
-        raise GalleryTooSmall(
-            f"need at least {PROFILE_POSITIONS} samples, got {idx.size}"
-        )
-    v, t, _, _ = trainer.forward_batch(state, dataset, idx)
+    if dataset.n < PROFILE_POSITIONS:
+        raise GalleryTooSmall(f"need at least {PROFILE_POSITIONS} samples, got {dataset.n}")
+    v, t, _, _ = trainer.forward_batch(state, dataset, np.arange(dataset.n))
     q, g = (v, t) if direction == "v2t" else (t, v)
     probs = backend.softmax_rows((q @ g.T) * state.temperature.inv_tau)
     sorted_desc = -np.sort(-probs, axis=1)

@@ -30,7 +30,6 @@ from .distributions import (
     Temperature,
     cross_modal_dist,
     disentangle_negatives,
-    intra_modal_dist,
     mix_targets,
     one_hot_targets,
 )
@@ -255,8 +254,8 @@ def build_distributions(
     g_tau = guidance_tau if (cfg.split_guidance_temperature and guidance_tau is not None) else tau
     p_it = cross_modal_dist(v, t, tau)
     p_ti = cross_modal_dist(t, v, tau)
-    p_rr = intra_modal_dist(r, g_tau)
-    p_aa = intra_modal_dist(a, g_tau)
+    p_rr = cross_modal_dist(r, r, g_tau)
+    p_aa = cross_modal_dist(a, a, g_tau)
     p_ra = p_ar = None
     if any(src != dst for src, dst in SUPERVISION_FORMS[cfg.supervision_form]):
         p_ra = cross_modal_dist(r, a, g_tau)

@@ -441,21 +441,30 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
+    """The state :func:`save_checkpoint` wrote. Raises FormatError unless
+    ``step`` is an int >= 0 and each ``param_order`` name has ``param/``,
+    ``m/`` and ``v/`` arrays of one shape, and the file has no other array."""
     meta, arrays = container.read(path, CKPT_MAGIC)
     try:
         cfg = TrainConfig.from_dict(meta["config"])
-        order = meta["param_order"]
-        step = int(meta["step"])
+        order, step = meta["param_order"], meta["step"]
         if not isinstance(order, list) or not all(isinstance(n, str) for n in order):
             raise TypeError(f"param_order must be a list of names, got {order!r}")
+        if type(step) is not int or step < 0:
+            raise ValueError(f"step must be an int >= 0, got {step!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint metadata is invalid: {exc}") from exc
     params, m, v = {}, {}, {}
     for name in order:
         try:
-            params[name] = arrays[f"param/{name}"]
-            m[name] = arrays[f"m/{name}"]
-            v[name] = arrays[f"v/{name}"]
+            trio = [arrays.pop(f"{slot}/{name}") for slot in ("param", "m", "v")]
         except KeyError as exc:
             raise FormatError(f"checkpoint is missing arrays for {name!r}") from exc
+        if len({x.shape for x in trio}) != 1:
+            raise FormatError(f"checkpoint arrays for {name!r} differ in shape: "
+                              f"{[x.shape for x in trio]}")
+        params[name], m[name], v[name] = trio
+    if arrays:
+        raise FormatError(f"checkpoint holds {len(arrays)} arrays that param_order "
+                          f"does not name, among them {list(arrays)[:3]}")
     return TrainState(params=params, m=m, v=v, step=step, config=cfg)

@@ -84,11 +84,34 @@ def test_fill_diagonal_rejects_a_view_it_cannot_write():
         backend.fill_diagonal(np.ones((4, 4)).T, 0.0)
 
 
-def test_import_leaves_scipy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, softalign; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+def _fresh_import(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # every module: the package namespace itself imports none of them
+    assert _fresh_import(
+        "import sys; import softalign.cli; print('scipy' in sys.modules)"
+    ) == "False"
+
+
+def _loaded_submodules(statement: str) -> set:
+    return set(_fresh_import(
+        f"import sys; {statement}; "
+        "print(' '.join(m for m in sys.modules if m.startswith('softalign.')))"
+    ).split())
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_submodules("import softalign") == set()
+
+
+def test_module_import_loads_only_its_own_imports():
+    loaded = _loaded_submodules("import softalign.gradcheck")
+    assert "softalign.gradcheck" in loaded
+    unrelated = {f"softalign.{m}"
+                 for m in ("harness", "trainer", "synthgen", "container", "cli")}
+    assert not loaded & unrelated, sorted(loaded & unrelated)

@@ -347,7 +347,15 @@ class TestRuntimeErrors:
     @pytest.mark.parametrize("edit", [
         lambda meta, arrays: meta.update(step="x"),
         lambda meta, arrays: arrays.pop("param/image.w1"),
-    ], ids=["bad-step", "missing-array"])
+        lambda meta, arrays: meta.update(param_order=[]),
+        lambda meta, arrays: meta["param_order"].remove("tau_log_inv"),
+        lambda meta, arrays: arrays.update({"m/tag.w2": arrays["m/tag.w2"][:1]}),
+        lambda meta, arrays: arrays.update(
+            {"param/image.w1": arrays["param/image.w1"][:, :1]}),
+        lambda meta, arrays: meta.update(step=-1),
+        lambda meta, arrays: meta.update(step=2.7),
+    ], ids=["bad-step", "missing-array", "empty-order", "dropped-name", "m-shape",
+            "param-shape", "negative-step", "float-step"])
     def test_invalid_checkpoint(self, workdir, model_ckpt, tmp_path, capsys, edit):
         meta, arrays = container.read(model_ckpt, trainer.CKPT_MAGIC)
         edit(meta, arrays)

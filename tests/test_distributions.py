@@ -11,7 +11,6 @@ from softalign.distributions import (
     Temperature,
     cross_modal_dist,
     disentangle_negatives,
-    intra_modal_dist,
     label_smooth_targets,
     mix_targets,
     one_hot_targets,
@@ -87,8 +86,10 @@ class TestCrossModalDist:
 
 
 class TestIntraModalDist:
+    """One batch against itself: ``cross_modal_dist(x, x, tau)``."""
+
     def test_orthonormal_closed_form(self):
-        out = intra_modal_dist(np.eye(3), Temperature.from_tau(1.0))
+        out = cross_modal_dist(np.eye(3), np.eye(3), Temperature.from_tau(1.0))
         diag, off = E / (E + 2), 1 / (E + 2)
         expected = np.full((3, 3), off)
         np.fill_diagonal(expected, diag)
@@ -96,15 +97,8 @@ class TestIntraModalDist:
 
     def test_identical_rows_uniform(self):
         x = np.tile(l2_normalize_rows(np.array([[1.0, 2.0, 2.0]])), (5, 1))
-        out = intra_modal_dist(x, Temperature.from_tau(0.07))
+        out = cross_modal_dist(x, x, Temperature.from_tau(0.07))
         np.testing.assert_allclose(out, 0.2, atol=1e-12)
-
-    def test_equals_cross_modal_with_self(self, rng):
-        x = l2_normalize_rows(rng.standard_normal((4, 6)))
-        tau = Temperature.from_tau(0.2)
-        np.testing.assert_allclose(
-            intra_modal_dist(x, tau), cross_modal_dist(x, x, tau), atol=0
-        )
 
 
 class TestTargets:
@@ -215,11 +209,11 @@ class TestRowStochasticInvariants:
         for n in (2, 3, 8, 17, 64):
             x = l2_normalize_rows(rng.standard_normal((n, 12)))
             y = l2_normalize_rows(rng.standard_normal((n, 12)))
-            for dist in (cross_modal_dist(x, y, tau), intra_modal_dist(x, tau),
+            for dist in (cross_modal_dist(x, y, tau), cross_modal_dist(x, x, tau),
                          one_hot_targets(n), label_smooth_targets(n, 0.2)):
                 _assert_row_stochastic(dist)
             mixed = mix_targets(one_hot_targets(n),
-                                intra_modal_dist(x, tau), 0.3)
+                                cross_modal_dist(x, x, tau), 0.3)
             _assert_row_stochastic(mixed)
             disent = disentangle_negatives(mixed)
             assert isinstance(disent, NegDisentangled)

@@ -208,8 +208,9 @@ def _per_coordinate_fd(selector, v, t, r, a, tau, cfg, epsilon=1e-5):
     inputs = {name: np.array(x, dtype=ld) for name, x in zip("vtra", (v, t, r, a))}
     frozen = None
     if cfg.stop_gradient_targets:
-        frozen = gradcheck.collect_targets(selector, *inputs.values(), tau, cfg,
-                                           dtype=ld)
+        frozen = {}
+        gradcheck._run(selector, *inputs.values(), tau, cfg, targets=frozen,
+                       dtype=ld)
     grads = {}
     for name, x in inputs.items():
         g = np.zeros(x.shape)

@@ -86,9 +86,9 @@ class TestRetrievalMetrics:
         assert res.r1_v2t == pytest.approx(2 / 3)
 
     def test_gallery_too_small(self, tiny_dataset, tiny_config):
-        state, _ = train(tiny_dataset, tiny_config)
+        ds = generate(replace(tiny_dataset.spec, n_samples=9))
         with pytest.raises(GalleryTooSmall):
-            retrieval_eval(state, tiny_dataset, indices=np.arange(5))
+            retrieval_eval(init_state(ds.spec, tiny_config), ds)
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_spearman_matches_scipy(self, tied):
@@ -111,7 +111,7 @@ class TestRetrievalMetrics:
 
 
 class TestRelevanceRankCache:
-    """A full-set eval reads the dataset's relevance ranks, ranked once."""
+    """An eval reads the dataset's relevance ranks, ranked once."""
 
     def test_full_set_bitwise_equal_to_uncached(self, tiny_config, monkeypatch):
         ds = generate(SynthSpec(n_samples=90, n_concepts=8, latent_dim=12,
@@ -142,14 +142,6 @@ class TestRelevanceRankCache:
         for result in (first, second, after_pooling):
             assert list(result) == list(expected)
             assert all(result[k] == expected[k] for k in expected)
-
-    def test_subset_uses_its_own_ranks(self, tiny_dataset, tiny_config):
-        state, _ = train(tiny_dataset, tiny_config)
-        retrieval_eval(state, tiny_dataset)  # fills the full-set cache
-        idx = np.arange(3, tiny_dataset.n, 2)
-        v, t, _, _ = forward_batch(state, tiny_dataset, idx)
-        expected = retrieval_metrics(v @ t.T, tiny_dataset.relevance[np.ix_(idx, idx)])
-        assert retrieval_eval(state, tiny_dataset, indices=idx) == expected
 
 
 class TestLogitProfile:
@@ -196,9 +188,9 @@ class TestLogitProfile:
             assert split_sum <= 1.0 + 1e-12
 
     def test_gallery_too_small(self, tiny_dataset, tiny_config):
-        state, _ = train(tiny_dataset, tiny_config)
+        ds = generate(replace(tiny_dataset.spec, n_samples=49))
         with pytest.raises(GalleryTooSmall):
-            logit_profile(state, tiny_dataset, indices=np.arange(30))
+            logit_profile(init_state(ds.spec, tiny_config), ds)
 
     def test_bad_direction(self, tiny_dataset, tiny_config):
         state, _ = train(tiny_dataset, tiny_config)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from softalign import backend, numkit
-from softalign.distributions import Temperature, cross_modal_dist, intra_modal_dist
+from softalign.distributions import Temperature, cross_modal_dist
 from softalign.errors import ShapeMismatch, ZeroRow
 from softalign.numkit import average_ranks, l2_normalize_rows
 
@@ -54,7 +54,7 @@ class TestGram:
 
     def test_identity(self):
         e = np.e
-        out = intra_modal_dist(np.eye(3), TAU_ONE)
+        out = cross_modal_dist(np.eye(3), np.eye(3), TAU_ONE)
         expected = np.full((3, 3), 1.0 / (e + 2.0))
         np.fill_diagonal(expected, e / (e + 2.0))
         np.testing.assert_allclose(out, expected, atol=1e-15)

@@ -8,7 +8,6 @@ from softalign import backend
 from softalign.distributions import (
     Temperature,
     disentangle_negatives,
-    intra_modal_dist,
     label_smooth_targets,
     mix_targets,
     one_hot_targets,
@@ -300,8 +299,8 @@ class TestSoftclipTotal:
         p_it = cross_modal_dist(v, t, tau)
         p_ti = cross_modal_dist(t, v, tau)
         y = one_hot_targets(4)
-        t_v2l = mix_targets(y, intra_modal_dist(r, tau), cfg.beta)
-        t_l2v = mix_targets(y, intra_modal_dist(a, tau), cfg.beta)
+        t_v2l = mix_targets(y, cross_modal_dist(r, r, tau), cfg.beta)
+        t_l2v = mix_targets(y, cross_modal_dist(a, a, tau), cfg.beta)
         soft = 0.5 * (sym_kl_rows(t_v2l, p_it) + sym_kl_rows(t_l2v, p_ti))
         soft_re = 0.5 * (
             sym_kl_rows(disentangle_negatives(t_v2l), disentangle_negatives(p_it))

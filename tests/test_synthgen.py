@@ -281,6 +281,9 @@ class TestContainer:
         for cut in range(len(blob)):
             with pytest.raises(FormatError):
                 container.unpack(blob[:cut], "SALB")
+        for tail in (b"\0", bytes(8)):
+            with pytest.raises(FormatError):
+                container.unpack(blob + tail, "SALB")
 
     @pytest.mark.parametrize("arrays", [
         {"x": {"shape": [2], "offset": 0}},

@@ -515,7 +515,15 @@ class TestCheckpointFormat:
         lambda meta, arrays: meta.update(step="x"),
         lambda meta, arrays: meta.update(param_order=3),
         lambda meta, arrays: arrays.pop("m/tag.w2"),
-    ], ids=["no-config", "bad-step", "bad-order", "missing-array"])
+        lambda meta, arrays: meta.update(param_order=[]),
+        lambda meta, arrays: meta["param_order"].remove("tau_log_inv"),
+        lambda meta, arrays: arrays.update({"m/tag.w2": arrays["m/tag.w2"][:1]}),
+        lambda meta, arrays: arrays.update(
+            {"param/image.w1": arrays["param/image.w1"][:, :1]}),
+        lambda meta, arrays: meta.update(step=-1),
+        lambda meta, arrays: meta.update(step=2.7),
+    ], ids=["no-config", "bad-step", "bad-order", "missing-array", "empty-order",
+            "dropped-name", "m-shape", "param-shape", "negative-step", "float-step"])
     def test_invalid_metadata_or_missing_arrays(self, small_state, tmp_path, edit):
         path = tmp_path / "ck.salb"
         save_checkpoint(small_state[0], path)

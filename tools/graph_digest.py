@@ -29,8 +29,10 @@ small fixed dataset spec:
 * ``dataset_hash``: ``synthgen.dataset_hash`` of the generated dataset;
 * ``train[mode]``: for the mean and attention ROI pools, the sha256 of the
   four ``trainer.forward_batch`` embedding batches over the full set after
-  a 20-step ``train``, and the 7 ``harness.retrieval_eval`` fields of that
-  state (``repr`` of each float);
+  a 20-step ``train``, the sha256 of the ``harness.logit_profile`` of that
+  state in both directions (the ``positions`` bytes and ``repr`` of the
+  four scalars), and the 7 ``harness.retrieval_eval`` fields of that state
+  (``repr`` of each float);
 * ``grad_check``: the sha256 of ``gradcheck.check_gradients(...).to_json()``
   for every selector at the default loss config, seed 0, n 4 and d 3 (the
   exception type where the config cannot evaluate a selector);
@@ -150,9 +152,16 @@ def _paths() -> None:
         embeddings = hashlib.sha256()
         for m in trainer.forward_batch(state, dataset, range(dataset.n)):
             embeddings.update(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        profiles = hashlib.sha256()
+        for direction in harness.DIRECTIONS:
+            prof = harness.logit_profile(state, dataset, direction=direction)
+            profiles.update(np.ascontiguousarray(prof.positions, dtype="<f8").tobytes())
+            profiles.update(repr((prof.top1, prof.top2_10, prof.top11_50,
+                                  prof.full_sum)).encode())
         result = harness.retrieval_eval(state, dataset)
         fields = " ".join(f"{k}={v!r}" for k, v in result.to_dict().items())
-        print(f"train[{mode}] embeddings={embeddings.hexdigest()} {fields}")
+        print(f"train[{mode}] embeddings={embeddings.hexdigest()} "
+              f"profiles={profiles.hexdigest()} {fields}")
     report = hashlib.sha256()
     for selector in gradcheck.SELECTORS:
         try:

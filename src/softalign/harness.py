@@ -7,7 +7,8 @@ what actually measures many-to-many structure. The ablation suite trains
 the objective variants under one shared seed so the loss is the only
 moving part; sweeps emit one row per point per variant. One runner,
 ``_run_points``, trains and evaluates the points of the ablation and of
-every sweep, and returns each point's row and trained state. All tables
+every sweep; it returns what its task keeps of each point, the row and
+trained state for the ablation, the row alone for a sweep. All tables
 are deterministic given (dataset hash, config, seed), whatever the
 number of workers. The dataset hashes itself once and caches the digest,
 which each row reads.
@@ -235,7 +236,7 @@ def ablation_suite(dataset: SynthDataset, base: TrainConfig
     Returns the rows and each variant's trained state. Every variant's
     config is built, and so validated, before any training.
     """
-    runs = _run_points(dataset, ablation_variants(base), 1)
+    runs = _run_points(dataset, ablation_variants(base), 1, _run_one_point)
     return [row for row, _ in runs], {row.variant: state for row, state in runs}
 
 
@@ -292,8 +293,7 @@ def sweep(dataset: SynthDataset, points: Sequence[tuple[str, TrainConfig]],
     At most ``jobs`` worker processes run, and never more than there are
     points; a single worker is this process.
     """
-    runs = _run_points(dataset, points, jobs)
-    return [row for row, _ in runs]
+    return _run_points(dataset, points, jobs, _point_row)
 
 
 def gamma_sweep(dataset: SynthDataset, base: TrainConfig,
@@ -321,10 +321,15 @@ def _run_one_point(point, dataset: Optional[SynthDataset] = None
     return train_and_eval(dataset, cfg, variant)
 
 
-def _run_points(dataset: SynthDataset, points,
-                jobs: int) -> list[tuple[ResultRow, TrainState]]:
-    """Each point's row and trained state, in order, from at most ``jobs``
-    worker processes.
+def _point_row(point, dataset: Optional[SynthDataset] = None) -> ResultRow:
+    """:func:`_run_one_point`'s row alone: a pool worker sends no state back."""
+    return _run_one_point(point, dataset)[0]
+
+
+def _run_points(dataset: SynthDataset, points, jobs: int, task) -> list:
+    """``task(point, dataset)`` of each point, in order, from at most
+    ``jobs`` worker processes; ``task`` is :func:`_run_one_point` or
+    :func:`_point_row`.
 
     One worker runs in this process. Pool workers get the dataset once,
     through the pool initializer: forked workers inherit it, and nothing
@@ -333,11 +338,12 @@ def _run_points(dataset: SynthDataset, points,
     parent, before the pool starts: the relevance ranks, the dataset hash,
     and the pooled ROI view of each parameter-free aggregation among the
     points. So no worker ranks the relevance, hashes the dataset or pools
-    the ROIs itself. A task is just its point.
+    the ROIs itself. A pool task ships only its point, and only what
+    ``task`` returns comes back.
     """
     workers = min(jobs, len(points))
     if workers <= 1:
-        return [_run_one_point(point, dataset) for point in points]
+        return [task(point, dataset) for point in points]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -352,7 +358,7 @@ def _run_points(dataset: SynthDataset, points,
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork" if fork else None),
             initializer=_init_worker, initargs=(dataset,)) as pool:
-        return list(pool.map(_run_one_point, points))
+        return list(pool.map(task, points))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ uninterrupted trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -43,6 +44,14 @@ METRIC_COLUMNS = ("step", "lr", "total", "clip", "soft", "soft_re", "tau")
 _MODALITIES = ("image", "text", "roi", "tag")
 # the temperature parameters are adapted but never decayed
 _NO_DECAY = ("tau_log_inv", "tau_log_inv_guidance")
+
+# glibc's malloc maps each block above its mmap threshold (128 KiB at
+# first) afresh and returns free heap tops above its trim threshold to the
+# kernel, so every step faulted in and zeroed its N x N loss temporaries
+# anew (2 MB each at N=512). Set above any block a step allocates, these
+# keep them on the heap for reuse; they move memory, never values.
+_MMAP_THRESHOLD = 64 << 20
+_TRIM_THRESHOLD = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -363,6 +372,24 @@ def total_steps_for(dataset: SynthDataset, cfg: TrainConfig) -> int:
     return cfg.max_steps if cfg.max_steps is not None else cfg.epochs * batches
 
 
+@functools.cache
+def _apply_malloc_policy() -> bool:
+    """Raise glibc's mmap and trim thresholds, once per process.
+
+    Returns whether both took; without glibc's ``mallopt`` it does nothing.
+    """
+    import ctypes
+
+    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library handle, or no mallopt
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(m_mmap_threshold, _MMAP_THRESHOLD)
+                and mallopt(m_trim_threshold, _TRIM_THRESHOLD))
+
+
 def train(dataset: SynthDataset, cfg: TrainConfig,
           state: Optional[TrainState] = None,
           stop_at_step: Optional[int] = None):
@@ -376,7 +403,11 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     NonFiniteValue before the update, leaving the state at the last
     finite step. A resumed ``state`` must have been trained under ``cfg``
     up to ``max_steps``; any other difference raises ConfigError.
+    The first call in a process raises glibc's malloc mmap and trim
+    thresholds, process-wide, so each step reuses its temporaries' pages:
+    that moves memory, never results, and does nothing off glibc.
     """
+    _apply_malloc_policy()
     total = total_steps_for(dataset, cfg)
     batches = dataset.n // cfg.batch_size
     if state is None:

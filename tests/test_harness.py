@@ -12,6 +12,8 @@ from softalign import numkit, synthgen
 from softalign.errors import ConfigError, GalleryTooSmall
 from softalign.harness import (
     RESULT_COLUMNS,
+    _point_row,
+    _run_one_point,
     _run_points,
     ablation_points,
     ablation_suite,
@@ -363,12 +365,16 @@ class TestSweeps:
                 super().__init__(max_workers, **kwargs)
 
         points = gamma_points(tiny_config, gammas)
-        serial = _run_points(tiny_dataset, points, 1)
+        serial = _run_points(tiny_dataset, points, 1, _run_one_point)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        runs = _run_points(tiny_dataset, points, jobs)
-        assert started == ([] if workers is None else [workers])
-        # rows and the states the workers send back equal the serial run's
-        assert [r.to_dict() for r, _ in runs] == [r.to_dict() for r, _ in serial]
+        runs = _run_points(tiny_dataset, points, jobs, _run_one_point)
+        rows = _run_points(tiny_dataset, points, jobs, _point_row)
+        assert started == ([] if workers is None else [workers, workers])
+        # rows and the states the workers send back equal the serial run's;
+        # the row-only task sends back the rows alone
+        want = [r.to_dict() for r, _ in serial]
+        assert [r.to_dict() for r, _ in runs] == want
+        assert [r.to_dict() for r in rows] == want
         for (_, got), (_, want) in zip(runs, serial):
             _assert_states_equal(got, want)
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -404,6 +406,40 @@ def test_every_parameter_has_a_gradient(small_dataset, aggregation, split,
     assert set(grads) == set(state.params)
     for name, g in grads.items():
         assert g.shape == state.params[name].shape and np.isfinite(g).all(), name
+
+
+# N=256 mixed_gamma with both guidance bundles: each N x N loss temporary
+# is 512 KB, above glibc's default mmap threshold
+_FAULT_PROBE = """
+import resource
+from dataclasses import replace
+from softalign import synthgen, trainer
+from softalign.objectives import LossConfig
+from softalign.trainer import TrainConfig
+
+dataset = synthgen.generate(synthgen.SynthSpec(
+    n_samples=256, d_roi=16, rois_per_image=2, seed=7))
+cfg = TrainConfig(batch_size=256, loss_variant="mixed_gamma",
+                  loss=LossConfig(gamma=0.5, lambda_re=1.0))
+trainer.train(dataset, replace(cfg, max_steps=2))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+trainer.train(dataset, replace(cfg, max_steps=4))
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(trainer._apply_malloc_policy(), faults / 4)
+"""
+
+
+def test_steps_reuse_their_pages():
+    # a fresh process: in this one, earlier tests have set the policy and
+    # their frees may have moved glibc's thresholds
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    applied, per_step = proc.stdout.split()
+    if applied != "True":
+        pytest.skip("glibc's mallopt is unavailable: the malloc policy is not applied")
+    # about 6,900 minor faults per step under glibc's default thresholds
+    assert float(per_step) < 100
 
 
 class TestAttentionTraining:

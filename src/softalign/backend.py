@@ -3,10 +3,13 @@
 Plain numpy, dtype-generic: the trainer runs them on float64 and the
 finite-difference oracle on ``longdouble``. Every row kernel reduces over
 the last axis, so it takes one matrix or a stack of them with a leading
-batch axis, ``(B, N, N)``, and treats each slice as it would on its own.
-A row that leaves its diagonal out of the normalization gets a ``-inf``
-diagonal first (:func:`fill_diagonal`): the softmax is then exactly 0
-there and the log-softmax ``-inf``.
+batch axis, ``(B, N, N)``, and treats each slice as it would on its own;
+a row's result depends on that row alone, so a block of rows gives the
+same bits as the whole matrix. A row that leaves its diagonal out of the
+normalization gets a ``-inf`` diagonal first (:func:`fill_diagonal`): the
+softmax is then exactly 0 there and the log-softmax ``-inf``.
+:func:`softmax_logsoftmax_rows` returns both from one exp pass, bitwise
+equal to the two single kernels.
 
 This is the package's only kernel path. The module keeps its own name
 (rather than living in :mod:`softalign.numkit`) because the benchmark
@@ -26,17 +29,22 @@ def active_backend() -> str:
     return "numpy"
 
 
-def fill_diagonal(x: np.ndarray, value) -> None:
-    """Set the diagonal of every trailing ``(N, N)`` matrix of ``x`` in place.
+def fill_diagonal(x: np.ndarray, value, offset: int = 0) -> None:
+    """Set the diagonal of every trailing ``(R, N)`` matrix of ``x`` in place.
 
-    ``value`` is a scalar or broadcasts against the ``(..., N)`` diagonals.
-    The write goes through a strided view of the flattened matrices, so
-    ``x`` must be C-contiguous (every caller passes a fresh array).
+    ``x`` holds rows ``offset .. offset + R - 1`` of ``(N, N)`` matrices,
+    so entry ``(k, offset + k)`` of each is set. ``value`` is a scalar or
+    broadcasts against the ``(..., R)`` diagonals. The write goes through
+    a strided view of the flattened matrices, so ``x`` must be
+    C-contiguous (every caller passes a fresh array).
     """
     if not x.flags.c_contiguous:
         raise ValueError("fill_diagonal needs a C-contiguous array")
-    n = x.shape[-1]
-    x.reshape(*x.shape[:-2], n * n)[..., ::n + 1] = value
+    r, n = x.shape[-2:]
+    if not 0 <= offset <= n - r:
+        raise ValueError(f"rows {offset}..{offset + r - 1} are not rows of a "
+                         f"{n} x {n} matrix")
+    x.reshape(*x.shape[:-2], r * n)[..., offset::n + 1] = value
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -46,15 +54,31 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def logsoftmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row log-softmax; the graph runs :func:`softmax_logsoftmax_rows`, and
+    the tests hold that pair to this kernel's bits."""
     zmax = z.max(axis=-1, keepdims=True)
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
 
 
-def softmax_vjp_rows(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+def softmax_logsoftmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(softmax_rows(z), logsoftmax_rows(z))`` from one max, shift, exp
+    and sum, with the same bits as the two kernels."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    e /= total
+    shifted -= np.log(total)
+    return e, shifted
+
+
+def softmax_vjp_rows(p: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+    """``p * (g - sum_j p_j g_j)``; ``out`` may be ``g`` itself."""
     inner = (p * g).sum(axis=-1, keepdims=True)
-    return p * (g - inner)
+    out = np.subtract(g, inner, out=out)
+    out *= p
+    return out
 
 
 def kl_term_rows(a: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:

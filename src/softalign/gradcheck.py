@@ -31,6 +31,19 @@ oracle evaluates the forward against targets frozen at the base point
 (one ``targets`` table, filled by a :func:`_run` at that point and passed
 back) so both sides differentiate the same function.
 
+The forward makes few passes over the N x N matrices and keeps them in
+cache. Each logits key runs one fused softmax/log-softmax; each guidance
+key builds one target mixture for its plain and disentangled targets;
+symmetric KL derives both KLs, the prediction VJP and the target
+gradient from one log-ratio. Once the logits exist, the terms walk the
+rows in blocks of ``_BLOCK_ROWS`` (:func:`_run`), so a block's
+temporaries fit a core's L2 cache at N=512; the matmuls on either side
+stay whole-matrix. Every kernel and reduction works row by row in the
+same order as the unfused formulas, so values and gradients keep their
+bits for any block size. An error about a degenerate row names its row
+in the whole batch; with several degenerate rows, the first block that
+holds one decides which error is raised.
+
 The forward also takes inputs with a leading batch axis, ``(B, N, D)``:
 row kernels reduce over the last axis, logits are batched matmuls and a
 direction's value is one number per stack entry, so :func:`_run` returns
@@ -135,17 +148,30 @@ class GradCheckReport:
 # computation graph
 # ---------------------------------------------------------------------------
 
+# rows of the N x N loss matrices one block of the graph works on: at
+# N=512 a float64 block temporary is 256 KB, so a direction's temporaries
+# stay in a core's 2 MiB L2 cache; a batch of at most this many rows is
+# one block
+_BLOCK_ROWS = 64
+
+
 class _Graph:
     """Shared state of one forward (and optional backward) evaluation.
 
-    Logits and the row kernels applied to them are cached by (source,
-    destination, temperature group); a key with a fourth entry,
-    ``"offdiag"``, names the same logits with a ``-inf`` diagonal, built
-    when a kernel of them is first asked for. Gradient contributions
-    accumulate per logits key and are pushed through the temperature
-    scaling and row normalization in :meth:`finalize`. ``targets``, when
-    given, maps a term's tag to its softened targets ``(t, log t, s)``: a
-    tag already in it is used as is, a missing one is computed and stored.
+    Logits are whole ``(N, N)`` matrices, cached by (source, destination,
+    temperature group). The loss terms then run over blocks of their rows
+    (:meth:`start_block`); everything keyed below lives for one block. The
+    row kernels of a logits key are cached as a ``(softmax, log-softmax)``
+    pair (:meth:`rows`): a key with a fourth entry, ``"offdiag"``, names
+    the same logits with a ``-inf`` diagonal, and building it checks the
+    plain rows' off-diagonal mass once. Each guidance key's target mixture
+    is built once (:meth:`mixture`). Gradient contributions fill the
+    block's rows of one whole accumulator per logits key, which
+    :meth:`finalize` pushes through the temperature scaling and row
+    normalization. ``targets``, when given, maps ``(first row of the
+    block, *tag)`` to that block's softened targets ``(t, log t, s)`` of a
+    term: an entry already in it is used as is, a missing one is computed
+    and stored.
     """
 
     def __init__(self, v, t, r, a, tau: Temperature, cfg: LossConfig,
@@ -199,10 +225,18 @@ class _Graph:
         }
 
         self._z: dict = {}
-        self._rows: dict = {}
         self._dz: dict = {}
-        self._eye = np.eye(n, dtype=dtype)
-        self._offdiag = ~np.eye(n, dtype=bool)
+        self.start_block(0, n)
+
+    def start_block(self, r0: int, r1: int) -> None:
+        """Work on rows ``r0 .. r1 - 1`` next, dropping the last block's caches."""
+        self.r0, self.r1 = r0, r1
+        self._rows: dict = {}
+        self._mix: dict = {}
+        self._written: set = set()
+        # without a table (training) a block's targets live only as long
+        # as the block, so the next block reuses their memory
+        self.table = {} if self.targets is None else self.targets
 
     def _group(self, guidance: bool) -> str:
         return "guid" if (guidance and self.split) else "pred"
@@ -211,27 +245,57 @@ class _Graph:
         return (src, dst, self._group(guidance))
 
     def z(self, key) -> np.ndarray:
-        if len(key) == 4:  # an "offdiag" key: a fresh copy, never cached
-            z = self.z(key[:3]).copy()
-            backend.fill_diagonal(z, -np.inf)
-            return z
+        """The block's rows of logits ``key``, whose matmul runs whole once."""
         if key not in self._z:
             src, dst, group = key
-            sims = self.unit[src] @ np.swapaxes(self.unit[dst], -1, -2)
-            self._z[key] = sims * self._inv_tau[group]
-        return self._z[key]
+            z = self.unit[src] @ np.swapaxes(self.unit[dst], -1, -2)
+            z *= self._inv_tau[group]
+            self._z[key] = z
+        return self._z[key][..., self.r0:self.r1, :]
 
-    def rows(self, kernel, key) -> np.ndarray:
-        """A ``backend`` row kernel (softmax or log-softmax) of logits ``key``."""
-        if (kernel, key) not in self._rows:
-            self._rows[kernel, key] = kernel(self.z(key))
-        return self._rows[kernel, key]
+    def rows(self, key) -> tuple[np.ndarray, np.ndarray]:
+        """``(softmax, log-softmax)`` of the block's rows of logits ``key``."""
+        if key not in self._rows:
+            if len(key) == 4:  # an "offdiag" key
+                p_full = self.rows(key[:3])[0].copy()
+                backend.fill_diagonal(p_full, 0.0, self.r0)
+                _require_negative_mass(p_full.sum(axis=-1), "prediction", self.r0)
+                z = self.z(key[:3]).copy()
+                backend.fill_diagonal(z, -np.inf, self.r0)
+                p, ln_p = backend.softmax_logsoftmax_rows(z)
+                # the dropped positive's log is -inf: zeroed like t's
+                backend.fill_diagonal(ln_p, 0.0, self.r0)
+            else:
+                p, ln_p = backend.softmax_logsoftmax_rows(self.z(key))
+            self._rows[key] = (p, ln_p)
+        return self._rows[key]
+
+    def mixture(self, guid_key) -> np.ndarray:
+        """``t = (1 - beta) I + beta G`` on the block's rows of ``guid_key``,
+        built as ``beta G`` plus ``1 - beta`` on the diagonal."""
+        if guid_key not in self._mix:
+            beta = self.cfg.beta
+            t = beta * self.rows(guid_key)[0]
+            diagonal = np.diagonal(t, self.r0, -2, -1)
+            backend.fill_diagonal(t, diagonal + (1.0 - beta), self.r0)
+            self._mix[guid_key] = t
+        return self._mix[guid_key]
 
     def add_dz(self, key, contribution: np.ndarray) -> None:
-        if key in self._dz:
-            self._dz[key] += contribution
+        """Add a fresh ``contribution`` to the block's rows of the gradient
+        w.r.t. logits ``key``; the graph may keep the array itself."""
+        if key not in self._dz:
+            if self.r1 - self.r0 == self.n:  # one block: no whole-matrix copy
+                self._dz[key] = contribution
+                self._written.add(key)
+                return
+            self._dz[key] = np.empty((self.n, self.n), contribution.dtype)
+        rows = self._dz[key][self.r0:self.r1]
+        if key in self._written:
+            rows += contribution
         else:
-            self._dz[key] = contribution.copy()
+            rows[...] = contribution
+            self._written.add(key)
 
     def finalize(self) -> GradientBundle:
         d_unit = {k: np.zeros_like(m) for k, m in self.unit.items()}
@@ -268,22 +332,25 @@ def _guidance_keys(graph: _Graph, form: str, bundle: str):
 
 def _clip_direction(graph: _Graph, pred_key, weight: float,
                     targets: np.ndarray):
-    """Cross-entropy of fixed targets against one softmax direction,
-    unweighted; ``weight`` scales the gradient only."""
-    ln_p = graph.rows(backend.logsoftmax_rows, pred_key)
-    value = -(targets * ln_p).sum(axis=-1).mean(axis=-1)
+    """Cross-entropy of fixed targets (the block's rows) against one
+    softmax direction: the per-row sums of ``targets * log p`` and -1, the
+    factor of their mean. ``weight`` scales the gradient only."""
+    p, ln_p = graph.rows(pred_key)
+    rows = (targets * ln_p).sum(axis=-1)
     if graph.want_grad and weight != 0.0:
-        p = graph.rows(backend.softmax_rows, pred_key)
-        graph.add_dz(pred_key, (weight / graph.n) * (p - targets))
-    return value
+        dz = p - targets
+        dz *= weight / graph.n
+        graph.add_dz(pred_key, dz)
+    return rows, -1.0
 
 
-def _require_negative_mass(mass: np.ndarray, side: str) -> None:
-    """Reject rows of ``mass``, ``(N,)`` or ``(B, N)``, below the floor."""
+def _require_negative_mass(mass: np.ndarray, side: str, r0: int) -> None:
+    """Reject rows of ``mass``, ``(R,)`` or ``(B, R)`` for the block of rows
+    from ``r0``, below the floor."""
     low = mass < MIN_NEGATIVE_MASS
     if low.any():
         bad = np.unravel_index(int(np.argmax(low)), mass.shape)
-        where = f"row {bad[-1]}" + (f" of stack entry {bad[0]}" if len(bad) > 1 else "")
+        where = f"row {r0 + bad[-1]}" + (f" of stack entry {bad[0]}" if len(bad) > 1 else "")
         raise DegenerateRow(
             f"{side} {where} has off-diagonal mass {mass[bad]:.3e}; "
             "cannot renormalize negatives"
@@ -291,74 +358,53 @@ def _require_negative_mass(mass: np.ndarray, side: str) -> None:
 
 
 def _targets(graph: _Graph, guid_key, tag, disentangled: bool):
-    """Softened targets of one direction as (t, log t, s).
+    """The block's softened targets of one direction as (t, log t, s).
 
-    ``t = (1 - beta) I + beta G``. Disentangled, the diagonal is dropped
-    and the rest divided by the off-diagonal mass ``s`` (diagonals of
-    ``t`` and ``log t`` are 0); plain, ``s`` is None.
+    ``t`` is the guidance key's :meth:`_Graph.mixture`. Disentangled, the
+    diagonal is dropped and the rest divided by the off-diagonal mass
+    ``s`` (diagonals of ``t`` and ``log t`` are 0); plain, ``s`` is None.
     """
-    # without a table (training) the targets live only as long as their
-    # direction, so the step reuses their memory instead of faulting in more
-    table = {} if graph.targets is None else graph.targets
-    if tag in table:
-        return table[tag]
-    cfg = graph.cfg
-    g = graph.rows(backend.softmax_rows, guid_key)
-    t = (1.0 - cfg.beta) * graph._eye + cfg.beta * g
-    s = None
+    key = (graph.r0, *tag)
+    if key in graph.table:
+        return graph.table[key]
+    floor = graph.cfg.target_floor
+    t = graph.mixture(guid_key)
     if disentangled:
+        q = t.copy()
+        backend.fill_diagonal(q, 0.0, graph.r0)
         # sum the off-diagonal entries directly: computing 1 - t_ii instead
         # loses ~8 digits when the guidance softmax saturates
-        s = (t * graph._offdiag).sum(axis=-1)
-        _require_negative_mass(s, "target")
-        t = t / s[..., None]
-        backend.fill_diagonal(t, 0.0)
-    ln_t = floored_log(t, cfg.target_floor)
-    if disentangled:
-        backend.fill_diagonal(ln_t, 0.0)
-    table[tag] = (t, ln_t, s)
-    return t, ln_t, s
+        s = q.sum(axis=-1)
+        _require_negative_mass(s, "target", graph.r0)
+        q /= s[..., None]
+        # a 1 on the diagonal gives the 0 of log t there (log 1 is +0)
+        backend.fill_diagonal(q, 1.0, graph.r0)
+        ln_q = floored_log(q, floor)
+        backend.fill_diagonal(q, 0.0, graph.r0)
+        entry = (q, ln_q, s)
+    else:
+        entry = (t, floored_log(t, floor), None)
+    graph.table[key] = entry
+    return entry
 
 
 def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
                     disentangled: bool):
-    """One direction of the softened-target divergence, unweighted.
+    """One direction of the softened-target divergence on the block's rows:
+    the per-row divergences and the factor of their mean.
 
     ``weight`` scales the gradient only. ``disentangled`` gives the
     relation-enhanced term: the positive is dropped from both rows and
     the negatives renormalized, so the prediction side is the softmax of
-    the logits with a ``-inf`` diagonal, every gradient term is zeroed on
-    the diagonal (``where(off, x, 1)`` keeps logs and divisions finite
-    there), and the target gradient is chained through the
-    renormalization.
+    the logits with a ``-inf`` diagonal, the diagonals of ``p``, ``log p``,
+    ``t`` and ``log t`` are all 0 (a log or a division that would not be
+    finite there sees 1 instead), the target gradient is zeroed on the
+    diagonal and chained through the renormalization. Temporaries are
+    updated in place; every value keeps the bits of the unfused formulas.
     """
     cfg = graph.cfg
-    if disentangled:
-        off = graph._offdiag
-        p_full = graph.rows(backend.softmax_rows, pred_key)
-        _require_negative_mass((p_full * off).sum(axis=-1), "prediction")
-
-        def mask(x):
-            return np.where(off, x, 0.0)
-
-        def safe(x):
-            return np.where(off, x, 1.0)
-
-        masked = (*pred_key, "offdiag")
-        p = graph.rows(backend.softmax_rows, masked)
-        # the dropped positive's log is -inf: zeroed like t's, in the cached rows
-        ln_p = graph.rows(backend.logsoftmax_rows, masked)
-        backend.fill_diagonal(ln_p, 0.0)
-    else:
-        p = graph.rows(backend.softmax_rows, pred_key)
-        ln_p = graph.rows(backend.logsoftmax_rows, pred_key)
-
-        def mask(x):
-            return x
-        safe = mask
+    p, ln_p = graph.rows((*pred_key, "offdiag") if disentangled else pred_key)
     t, ln_t, s = _targets(graph, guid_key, tag, disentangled)
-    kl = backend.kl_term_rows
-    vjp = backend.softmax_vjp_rows
     # the finite-difference oracle runs this forward-only, so gradient
     # terms are built only when asked for
     grad_p = graph.want_grad and weight != 0.0
@@ -369,30 +415,62 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
 
     mode = cfg.divergence
     if mode == "forward_kl":
-        value = kl(t, ln_t, ln_p).mean(axis=-1)
+        log_ratio = ln_t - ln_p
+        rows, scale = (t * log_ratio).sum(axis=-1), 1.0
         if grad_p:
             dz = p - t
         if grad_t:
-            h = mask(ln_t - ln_p + 1.0)
+            h = log_ratio
+            h += 1.0
     elif mode == "symmetric_kl":
-        value = 0.5 * (kl(t, ln_t, ln_p) + kl(p, ln_p, ln_t)).mean(axis=-1)
+        # one log-ratio gm serves both KLs: KL(t||p) = -sum t gm, and
+        # KL(p||t) = sum p gm is the inner product of the VJP of gm
+        gm = ln_p - ln_t
+        pg = p * gm
+        kl_pt = pg.sum(axis=-1)
+        rows, scale = -(t * gm).sum(axis=-1) + kl_pt, 0.5
         if grad_p:
-            dz = 0.5 * (p - t) + 0.5 * vjp(p, mask(ln_p - ln_t))
+            # 0.5 (p - t) + 0.5 vjp(p, gm)
+            dz = p - t
+            dz *= 0.5
+            np.subtract(gm, kl_pt[..., None], out=pg)
+            pg *= p
+            pg *= 0.5
+            dz += pg
         if grad_t:
-            h = mask(0.5 * (ln_t - ln_p + 1.0) - 0.5 * mask(p / safe(t)))
+            # 0.5 (log t - log p + 1) - 0.5 p / t
+            if disentangled:
+                ratio = t.copy()
+                backend.fill_diagonal(ratio, 1.0, graph.r0)
+                np.divide(p, ratio, out=ratio)
+            else:
+                ratio = p / t
+            ratio *= 0.5
+            h = np.subtract(1.0, gm, out=gm)
+            h *= 0.5
+            h -= ratio
     elif mode == "js":
-        ln_m = mask(np.log(safe(0.5 * (t + p))))
-        value = 0.5 * (kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m)).mean(axis=-1)
+        ln_m = t + p
+        ln_m *= 0.5
+        if disentangled:  # log 1 = +0 on the diagonal, as for p and t
+            backend.fill_diagonal(ln_m, 1.0, graph.r0)
+        np.log(ln_m, out=ln_m)
+        kl = backend.kl_term_rows
+        rows, scale = kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m), 0.5
         if grad_p:
-            dz = vjp(p, mask(0.5 * (ln_p - ln_m)))
+            g = ln_p - ln_m
+            g *= 0.5
+            dz = backend.softmax_vjp_rows(p, g, out=g)
         if grad_t:
-            h = mask(0.5 * (ln_t - ln_m))
+            h = ln_t - ln_m
+            h *= 0.5
     else:  # pragma: no cover - LossConfig validates
         raise ValueError(f"unknown divergence {mode!r}")
 
     c = weight / graph.n
     if dz is not None:
-        graph.add_dz(pred_key, c * dz)
+        dz *= c
+        graph.add_dz(pred_key, dz)
     if h is not None:
         if disentangled:
             # through q = t / s with s the off-diagonal sum:
@@ -400,16 +478,26 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
             # that differs by a per-row constant is equal after the softmax
             # VJP, but a constant of size 1/s leaves rounding times 1/s
             # behind when the guidance row saturates and s is tiny
-            inner = (h * t).sum(axis=-1, keepdims=True)
-            h = np.where(off, (h - inner) / s[..., None], 0.0)
-        g = graph.rows(backend.softmax_rows, guid_key)
-        graph.add_dz(guid_key, c * vjp(g, cfg.beta * h))
-    return value
+            backend.fill_diagonal(h, 0.0, graph.r0)
+            h -= (h * t).sum(axis=-1, keepdims=True)
+            h /= s[..., None]
+            backend.fill_diagonal(h, 0.0, graph.r0)
+        h *= cfg.beta
+        h = backend.softmax_vjp_rows(graph.rows(guid_key)[0], h, out=h)
+        h *= c
+        graph.add_dz(guid_key, h)
+    return rows, scale
 
 
 # ---------------------------------------------------------------------------
 # selector-level runner
 # ---------------------------------------------------------------------------
+
+def _direction_value(parts) -> np.ndarray:
+    """A direction's value from its blocks' (per-row values, factor)."""
+    rows = np.concatenate([r for r, _ in parts], axis=-1) if len(parts) > 1 else parts[0][0]
+    return parts[0][1] * rows.mean(axis=-1)
+
 
 def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
          guidance_tau: Optional[Temperature] = None,
@@ -422,29 +510,45 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     name, and the value under the selector's name and ``total``. With a
     ``(B, N, D)`` stack among the inputs, each of them is a ``(B,)`` array.
     ``targets`` is the graph's softened-target table (see :class:`_Graph`).
+    Every term runs both its directions on one block of ``_BLOCK_ROWS``
+    rows before the next block starts; a direction's per-row values are
+    averaged after the last block.
     """
     cfg.check(selector)
     graph = _Graph(v, t, r, a, tau, cfg, guidance_tau, want_grad=want_grad,
                    targets=targets, dtype=dtype)
+    n = graph.n
     k_it = graph.key("v", "t", guidance=False)
     k_ti = graph.key("t", "v", guidance=False)
+    terms = cfg.terms(selector)
+    fixed = {}  # each fixed-target kind's (N, N) targets
+    for _, _, kind, _ in terms:
+        if kind == "clip":
+            fixed[kind] = np.eye(n, dtype=dtype)
+        elif kind == "label_smooth":
+            fixed[kind] = label_smooth_targets(n, cfg.alpha)
+    parts = [([], []) for _ in terms]
+    for r0 in range(0, n, _BLOCK_ROWS):
+        graph.start_block(r0, min(r0 + _BLOCK_ROWS, n))
+        for (_, bundle, kind, weight), (v2l, l2v) in zip(terms, parts):
+            w = 0.5 * weight  # each direction carries half the term
+            if kind in fixed:
+                y = fixed[kind][r0:graph.r1]
+                v2l.append(_clip_direction(graph, k_it, w, y))
+                l2v.append(_clip_direction(graph, k_ti, w, y))
+            else:
+                g_v2l, g_l2v = _guidance_keys(graph, cfg.supervision_form, bundle)
+                disentangled = kind == "soft_re"
+                v2l.append(_soft_direction(graph, k_it, g_v2l, w,
+                                           (bundle, "v2l", kind), disentangled))
+                l2v.append(_soft_direction(graph, k_ti, g_l2v, w,
+                                           (bundle, "l2v", kind), disentangled))
     # total reports the relation-enhanced part as 0 when lambda_re leaves it out
     components: dict = {"soft_re": 0.0} if selector == "total" else {}
     value = 0.0
-    for component, bundle, kind, weight in cfg.terms(selector):
-        w = 0.5 * weight  # each direction carries half the term
-        if kind in ("clip", "label_smooth"):
-            y = (graph._eye if kind == "clip"
-                 else label_smooth_targets(graph.n, cfg.alpha))
-            v2l = _clip_direction(graph, k_it, w, y)
-            l2v = _clip_direction(graph, k_ti, w, y)
-        else:
-            g_v2l, g_l2v = _guidance_keys(graph, cfg.supervision_form, bundle)
-            disentangled = kind == "soft_re"
-            v2l = _soft_direction(graph, k_it, g_v2l, w, (bundle, "v2l", kind),
-                                  disentangled)
-            l2v = _soft_direction(graph, k_ti, g_l2v, w, (bundle, "l2v", kind),
-                                  disentangled)
+    for (component, _, _, weight), (v2l, l2v) in zip(terms, parts):
+        w = 0.5 * weight
+        v2l, l2v = _direction_value(v2l), _direction_value(l2v)
         components[component] = 0.5 * v2l + 0.5 * l2v
         value += w * v2l + w * l2v
     components[selector] = value

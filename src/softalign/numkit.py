@@ -50,9 +50,15 @@ def floored_log(m: np.ndarray, floor: float) -> np.ndarray:
 
     Positive entries keep their exact log, however small, so a reference
     computed from stored probabilities agrees with one computed in log
-    space; the floor only keeps ``0 * log(0)`` terms finite.
+    space; the floor only keeps ``0 * log(0)`` terms finite. The log runs
+    on ``m`` itself unless it has an entry that is not positive (zero,
+    negative or NaN); then only those entries of a copy are replaced.
     """
-    return np.log(np.where(m > 0.0, m, floor))
+    low = ~(m > 0.0)
+    if low.any():
+        m = m.copy()
+        m[low] = floor
+    return np.log(m)
 
 
 def off_diagonal(m: np.ndarray) -> np.ndarray:

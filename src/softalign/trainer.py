@@ -116,27 +116,47 @@ class TrainState:
         return Temperature(float(self.params["tau_log_inv_guidance"][0]))
 
 
-def init_state(spec, cfg: TrainConfig) -> TrainState:
-    """Fresh parameters for a dataset spec, deterministic in cfg.seed."""
-    rng = np.random.default_rng((cfg.seed, 1))
-    h, d_out = cfg.hidden_dim, cfg.embed_dim
-    in_dims = {der: getattr(spec, f"d_{der}") for der in _MODALITIES}
-    params: dict[str, np.ndarray] = {}
-    for mod in _MODALITIES:
-        d_in = in_dims[mod]
-        params[f"{mod}.w1"] = rng.standard_normal((d_in, h)) / math.sqrt(d_in)
-        params[f"{mod}.b1"] = np.zeros(h)
-        params[f"{mod}.w2"] = rng.standard_normal((h, d_out)) / math.sqrt(h)
-        params[f"{mod}.b2"] = np.zeros(d_out)
+def param_names(cfg: TrainConfig) -> tuple[str, ...]:
+    """The names of the parameters ``cfg`` builds, in :func:`init_state`'s
+    order, which a checkpoint's ``param_order`` must equal."""
+    names = [f"{mod}.{part}" for mod in _MODALITIES for part in ("w1", "b1", "w2", "b2")]
     if cfg.roi_aggregation == "attention":
-        d_roi, d_att = in_dims["roi"], cfg.attention_dim
-        # zero query -> uniform weights; identity values -> exact mean pooling
-        params["roi_pool.query"] = np.zeros(d_att)
-        params["roi_pool.key_proj"] = rng.standard_normal((d_roi, d_att)) / math.sqrt(d_roi)
-        params["roi_pool.value_proj"] = np.eye(d_roi)
-    params["tau_log_inv"] = np.array([-math.log(cfg.loss.tau_init)])
+        names += ["roi_pool.query", "roi_pool.key_proj", "roi_pool.value_proj"]
+    names.append("tau_log_inv")
     if cfg.loss.split_guidance_temperature:
-        params["tau_log_inv_guidance"] = np.array([-math.log(cfg.loss.tau_init)])
+        names.append("tau_log_inv_guidance")
+    return tuple(names)
+
+
+def init_state(spec, cfg: TrainConfig) -> TrainState:
+    """Fresh parameters for a dataset spec, deterministic in cfg.seed.
+
+    They are drawn in :func:`param_names` order, which fixes the draws."""
+    rng = np.random.default_rng((cfg.seed, 1))
+    h, d_out, d_att = cfg.hidden_dim, cfg.embed_dim, cfg.attention_dim
+    d_roi = spec.d_roi
+
+    def scaled_normal(d_in: int, d: int) -> np.ndarray:
+        return rng.standard_normal((d_in, d)) / math.sqrt(d_in)
+
+    params: dict[str, np.ndarray] = {}
+    for name in param_names(cfg):
+        owner, _, part = name.partition(".")
+        if part == "w1":
+            params[name] = scaled_normal(getattr(spec, f"d_{owner}"), h)
+        elif part == "w2":
+            params[name] = scaled_normal(h, d_out)
+        elif part in ("b1", "b2"):
+            params[name] = np.zeros(h if part == "b1" else d_out)
+        # zero query -> uniform weights; identity values -> exact mean pooling
+        elif part == "query":
+            params[name] = np.zeros(d_att)
+        elif part == "key_proj":
+            params[name] = scaled_normal(d_roi, d_att)
+        elif part == "value_proj":
+            params[name] = np.eye(d_roi)
+        else:  # tau_log_inv and tau_log_inv_guidance
+            params[name] = np.array([-math.log(cfg.loss.tau_init)])
     zeros = {name: np.zeros_like(p) for name, p in params.items()}
     return TrainState(
         params=params,
@@ -473,8 +493,9 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """The state :func:`save_checkpoint` wrote. Raises FormatError unless
-    ``step`` is an int >= 0 and each ``param_order`` name has ``param/``,
-    ``m/`` and ``v/`` arrays of one shape, and the file has no other array."""
+    ``step`` is an int >= 0, ``param_order`` equals :func:`param_names` of
+    the stored config, each of those names has ``param/``, ``m/`` and
+    ``v/`` arrays of one shape, and the file has no other array."""
     meta, arrays = container.read(path, CKPT_MAGIC)
     try:
         cfg = TrainConfig.from_dict(meta["config"])
@@ -485,6 +506,11 @@ def load_checkpoint(path) -> TrainState:
             raise ValueError(f"step must be an int >= 0, got {step!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint metadata is invalid: {exc}") from exc
+    expected = param_names(cfg)
+    if tuple(order) != expected:
+        differ = sorted(set(order) ^ set(expected)) or "none, the order differs"
+        raise FormatError("checkpoint param_order does not list the parameters its "
+                          f"config builds (names that differ: {differ})")
     params, m, v = {}, {}, {}
     for name in order:
         try:

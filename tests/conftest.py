@@ -32,6 +32,21 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def _same_bits(a, b) -> bool:
+    """Equal dtypes, shapes and values, zeros of equal sign and NaNs in the
+    same places: the bits that matter, without the padding bytes of an
+    extended-precision ``longdouble``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.fixture
+def same_bits():
+    return _same_bits
+
+
 @pytest.fixture
 def sha256_runs(monkeypatch):
     """The sha256 runs inside ``synthgen``, one entry each.

@@ -70,6 +70,32 @@ def test_row_kernel_on_stack_matches_each_slice(name, dtype, rng):
         assert (diagonal == 0.0).all()
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6)])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_fused_kernel_equals_the_single_kernels(dtype, shape, masked, rng,
+                                               same_bits):
+    z = (8.0 * rng.standard_normal(shape)).astype(dtype)
+    if masked:
+        backend.fill_diagonal(z, -np.inf)
+    p, ln_p = backend.softmax_logsoftmax_rows(z)
+    assert same_bits(p, backend.softmax_rows(z))
+    assert same_bits(ln_p, backend.logsoftmax_rows(z))
+    # a block of rows gives the bits of the same rows of the whole matrix
+    p_rows, ln_rows = backend.softmax_logsoftmax_rows(z[..., 2:5, :])
+    assert same_bits(p_rows, p[..., 2:5, :])
+    assert same_bits(ln_rows, ln_p[..., 2:5, :])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_softmax_vjp_into_its_input(dtype, rng, same_bits):
+    p = backend.softmax_rows(rng.standard_normal((3, 5, 5)).astype(dtype))
+    g = rng.standard_normal((3, 5, 5)).astype(dtype)
+    expected = backend.softmax_vjp_rows(p, g)
+    assert backend.softmax_vjp_rows(p, g, out=g) is g
+    assert same_bits(g, expected)
+
+
 @pytest.mark.parametrize("value", [0.0, -np.inf, np.arange(4.0)])
 def test_fill_diagonal_matches_numpy(value, rng):
     x = rng.standard_normal((4, 4))
@@ -77,6 +103,24 @@ def test_fill_diagonal_matches_numpy(value, rng):
     np.fill_diagonal(expected, value)
     backend.fill_diagonal(x, value)
     assert np.array_equal(x, expected)
+
+
+@pytest.mark.parametrize("start, stop", [(0, 1), (0, 3), (2, 5), (4, 5), (0, 5)])
+def test_fill_diagonal_on_a_block_of_rows(start, stop, rng):
+    full = rng.standard_normal((2, 5, 5))
+    value = np.arange(stop - start) + 10.0
+    expected = full.copy()
+    for b in range(2):
+        np.fill_diagonal(expected[b], np.r_[full[b].diagonal()[:start], value,
+                                            full[b].diagonal()[stop:]])
+    block = full[:, start:stop].copy()
+    backend.fill_diagonal(block, value, start)
+    assert np.array_equal(block, expected[:, start:stop])
+
+
+def test_fill_diagonal_rejects_rows_past_the_matrix():
+    with pytest.raises(ValueError):
+        backend.fill_diagonal(np.ones((3, 5)), 0.0, 3)
 
 
 def test_fill_diagonal_rejects_a_view_it_cannot_write():

@@ -354,8 +354,13 @@ class TestRuntimeErrors:
             {"param/image.w1": arrays["param/image.w1"][:, :1]}),
         lambda meta, arrays: meta.update(step=-1),
         lambda meta, arrays: meta.update(step=2.7),
+        # param_order and the arrays both leave a parameter out
+        lambda meta, arrays: [meta["param_order"].remove("tau_log_inv")] + [
+            arrays.pop(f"{slot}/tau_log_inv") for slot in ("param", "m", "v")],
+        lambda meta, arrays: meta["param_order"].reverse(),
     ], ids=["bad-step", "missing-array", "empty-order", "dropped-name", "m-shape",
-            "param-shape", "negative-step", "float-step"])
+            "param-shape", "negative-step", "float-step", "dropped-param",
+            "reordered"])
     def test_invalid_checkpoint(self, workdir, model_ckpt, tmp_path, capsys, edit):
         meta, arrays = container.read(model_ckpt, trainer.CKPT_MAGIC)
         edit(meta, arrays)
@@ -364,7 +369,9 @@ class TestRuntimeErrors:
         out = tmp_path / "m.json"
         assert main(["eval", "--data", str(workdir / "data.salb"),
                      "--ckpt", str(bad), "--out", str(out)]) == 2
-        assert "FormatError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: FormatError: "), err
+        assert err.count("\n") == 1, err
         assert not out.exists()
 
 

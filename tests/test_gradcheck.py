@@ -480,3 +480,80 @@ def test_check_gradients_property(selector, divergence, stop_grad, n, d, seed):
                           Temperature.from_tau(cfg.tau_init), cfg)
         reject()
     assert rep.passed, rep.to_json()
+
+
+def _graph_bits(selector, v, t, r, a, tau, cfg, g_tau):
+    """Value, components and gradients of one backward, or the error type."""
+    try:
+        value, comps, g = gradcheck.backward_with_components(
+            selector, v, t, r, a, tau, cfg, guidance_tau=g_tau)
+    except SoftalignError as exc:
+        return type(exc)
+    return [value, *(comps[k] for k in sorted(comps)),
+            *(g.by_name(name) for name in "vtra"),
+            g.d_log_inv_tau, g.d_log_inv_tau_guidance]
+
+
+def _assert_all_same_bits(got, want, same_bits):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert (x is None and y is None) or same_bits(x, y)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("stop_grad", [True, False])
+@pytest.mark.parametrize("divergence", DIVERGENCES)
+def test_row_blocks_give_the_one_block_bits(divergence, stop_grad, split, block,
+                                            n, monkeypatch, same_bits):
+    v, t, r, a = random_inputs(n, n=n, d=6)
+    tau = Temperature.from_tau(0.07)
+    g_tau = Temperature.from_tau(0.2) if split else None
+    cfg = LossConfig(divergence=divergence, stop_gradient_targets=stop_grad,
+                     gamma=0.4, split_guidance_temperature=split)
+    assert gradcheck._BLOCK_ROWS >= n  # the reference runs as one block
+    whole = {s: _graph_bits(s, v, t, r, a, tau, cfg, g_tau) for s in SELECTORS}
+    monkeypatch.setattr(gradcheck, "_BLOCK_ROWS", block)
+    for selector in SELECTORS:
+        _assert_all_same_bits(_graph_bits(selector, v, t, r, a, tau, cfg, g_tau),
+                              whole[selector], same_bits)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("selector", ["soft_re", "mixed_gamma"])
+def test_row_blocks_give_the_one_block_oracle(selector, block, monkeypatch,
+                                              same_bits):
+    # stop-gradient: the oracle's frozen target table holds one entry per
+    # block, filled at the base point and read by the stacked forwards
+    v, t, r, a = random_inputs(14, n=5, d=3)
+    tau = Temperature.from_tau(0.07)
+    cfg = LossConfig(stop_gradient_targets=True, gamma=0.4)
+    whole = finite_difference_grad(selector, v, t, r, a, tau, cfg)
+    monkeypatch.setattr(gradcheck, "_BLOCK_ROWS", block)
+    blocked = finite_difference_grad(selector, v, t, r, a, tau, cfg)
+    for name in "vtra":
+        assert same_bits(blocked.by_name(name), whole.by_name(name)), name
+    assert same_bits(blocked.d_log_inv_tau, whole.d_log_inv_tau)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+@pytest.mark.parametrize("side", ["prediction", "target"])
+def test_degenerate_row_of_a_later_block_names_its_global_row(side, block,
+                                                              monkeypatch):
+    # row 3 points away from the four equal rows, so its off-diagonal mass
+    # is about 4 exp(-2 / 0.05)
+    far = np.zeros((5, 4))
+    far[:, 0] = [-1.0, -1.0, -1.0, 1.0, -1.0]
+    v, t, r, a = random_inputs(15, n=5, d=4)
+    if side == "prediction":
+        v, t = far, far.copy()
+    else:
+        r, a = far, far.copy()
+    monkeypatch.setattr(gradcheck, "_BLOCK_ROWS", block)
+    with pytest.raises(DegenerateRow, match=f"^{side} row 3 has"):
+        gradcheck.backward("soft_re", v, t, r, a, Temperature.from_tau(0.05),
+                           LossConfig(beta=1.0))

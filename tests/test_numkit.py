@@ -142,6 +142,25 @@ class TestOffDiagonal:
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestFlooredLog:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("floor", [1e-12, 5e-324])
+    def test_equals_the_log_of_the_floored_copy(self, dtype, floor, rng, same_bits):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, 3 * tiny, np.finfo(dtype).tiny, 1e-300,
+                            1.0, np.inf, -1.0, -tiny, np.nan], dtype=dtype)
+        m = rng.choice(special, (7, 9)).astype(dtype)
+        m[0] = rng.random(9)  # one row of ordinary probabilities
+        before = m.copy()
+        with np.errstate(all="raise"):  # the floored log warns about nothing
+            got = numkit.floored_log(m, floor)
+            want = np.log(np.where(m > 0.0, m, floor))
+        assert same_bits(got, want)
+        assert same_bits(m, before)
+        positive = rng.random((3, 4)).astype(dtype)
+        assert same_bits(numkit.floored_log(positive, floor), np.log(positive))
+
+
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
             -2.2250738585072014e-308, np.inf, -np.inf, 1.0, np.nextafter(1.0, 2.0)]
 

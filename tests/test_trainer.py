@@ -558,8 +558,16 @@ class TestCheckpointFormat:
             {"param/image.w1": arrays["param/image.w1"][:, :1]}),
         lambda meta, arrays: meta.update(step=-1),
         lambda meta, arrays: meta.update(step=2.7),
+        # param_order and the arrays agree, but not with the config
+        lambda meta, arrays: [meta["param_order"].remove("tau_log_inv")] + [
+            arrays.pop(f"{slot}/tau_log_inv") for slot in ("param", "m", "v")],
+        lambda meta, arrays: [meta["param_order"].append("roi_pool.query")] + [
+            arrays.update({f"{slot}/roi_pool.query": np.zeros(4)})
+            for slot in ("param", "m", "v")],
+        lambda meta, arrays: meta["param_order"].reverse(),
     ], ids=["no-config", "bad-step", "bad-order", "missing-array", "empty-order",
-            "dropped-name", "m-shape", "param-shape", "negative-step", "float-step"])
+            "dropped-name", "m-shape", "param-shape", "negative-step", "float-step",
+            "dropped-param", "extra-param", "reordered"])
     def test_invalid_metadata_or_missing_arrays(self, small_state, tmp_path, edit):
         path = tmp_path / "ck.salb"
         save_checkpoint(small_state[0], path)

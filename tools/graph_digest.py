@@ -5,8 +5,9 @@ bitwise neutral:
 
     PYTHONPATH=src python3 tools/graph_digest.py
 
-It prints one line per selector, then the lines of the non-graph paths.
-Each selector line holds three sha256 digests:
+It prints one line per selector, then one multi-block line per selector,
+then the lines of the non-graph paths. Each selector line holds three
+sha256 digests:
 
 * ``grads``: the four input gradients and both temperature gradients of
   ``gradcheck.backward_with_components``, or the exception type it raises;
@@ -22,6 +23,11 @@ selector x stop-gradient x divergence x (lambda_re, mu_clip, gamma) in
 {(0, 0, 0), (0.7, 0.3, 0.4), (1, 0.5, 1)} x (N, d) in {(3, 3), (4, 2),
 (5, 3)} at beta 0.3: 324 cases. The non-square shapes make a transposed
 perturbation index change the ``fd`` digest.
+
+A ``blocks[selector]`` line digests the same ``grads`` and ``values`` at
+N=130, which the graph runs in three row blocks (64, 64 and 2 rows), over
+divergence x stop-gradient at the default loss config with gamma 0.4:
+6 cases per selector.
 
 The other lines cover the data, training, eval and report paths on a
 small fixed dataset spec:
@@ -75,6 +81,7 @@ FD_WEIGHTS = [dict(lambda_re=0.0, mu_clip=0.0, gamma=0.0),
               dict(lambda_re=0.7, mu_clip=0.3, gamma=0.4),
               dict(lambda_re=1.0, mu_clip=0.5, gamma=1.0)]
 FD_SHAPES = ((3, 3), (4, 2), (5, 3))
+BLOCKS_N = 130  # two full row blocks of the graph and a 2-row one
 SPEC = synthgen.SynthSpec(n_samples=120, n_concepts=8, latent_dim=12, d_image=10,
                           d_text=9, d_roi=11, d_tag=7, rois_per_image=3, seed=3)
 
@@ -139,6 +146,13 @@ def main() -> None:
             _fd_case(selector, cfg, n, d, fd)
         print(f"{selector:<13} grads={grads.hexdigest()} "
               f"values={values.hexdigest()} fd={fd.hexdigest()}")
+    for selector in gradcheck.SELECTORS:
+        grads, values = hashlib.sha256(), hashlib.sha256()
+        for div, sg in itertools.product(DIVERGENCES, (True, False)):
+            cfg = LossConfig(divergence=div, stop_gradient_targets=sg, gamma=0.4)
+            _graph_case(selector, BLOCKS_N, cfg, False, grads, values)
+        print(f"blocks[{selector}] grads={grads.hexdigest()} "
+              f"values={values.hexdigest()}")
     _paths()
 
 

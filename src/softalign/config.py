@@ -13,6 +13,7 @@ import functools
 import math
 import numbers
 import operator
+import sys
 import typing
 from dataclasses import field, fields
 
@@ -57,7 +58,8 @@ def _has_type(value, kind) -> bool:
     if kind is int:
         return isinstance(value, numbers.Integral)
     if kind is float:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
+        # not math.isfinite, which raises OverflowError on an int past the range
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 

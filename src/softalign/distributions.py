@@ -41,9 +41,14 @@ class Temperature:
             raise ValueError(f"tau must be positive, got {tau}")
         return cls(log_inv_tau=float(-np.log(tau)))
 
+    def inv_tau_in(self, dtype):
+        """The clamped 1/tau, evaluated in ``dtype`` (say ``np.longdouble``)."""
+        return np.clip(np.exp(dtype(self.log_inv_tau)),
+                       dtype(1.0 / TAU_MAX), dtype(1.0 / TAU_MIN))
+
     @property
     def inv_tau(self) -> float:
-        return float(min(max(np.exp(self.log_inv_tau), 1.0 / TAU_MAX), 1.0 / TAU_MIN))
+        return float(self.inv_tau_in(np.float64))
 
     @property
     def tau(self) -> float:

@@ -64,8 +64,6 @@ import numpy as np
 from . import backend
 from .distributions import (
     MIN_NEGATIVE_MASS,
-    TAU_MAX,
-    TAU_MIN,
     Temperature,
     label_smooth_targets,
 )
@@ -218,11 +216,8 @@ class _Graph:
             self.temps["guid"] = guidance_tau
         # clamped 1/tau evaluated in the graph dtype so perturbing
         # log_inv_tau stays smooth at the oracle's precision
-        self._inv_tau = {
-            group: np.clip(np.exp(dtype(temp.log_inv_tau)),
-                           dtype(1.0 / TAU_MAX), dtype(1.0 / TAU_MIN))
-            for group, temp in self.temps.items()
-        }
+        self._inv_tau = {group: temp.inv_tau_in(dtype)
+                         for group, temp in self.temps.items()}
 
         self._z: dict = {}
         self._dz: dict = {}

@@ -234,14 +234,14 @@ def save(dataset: SynthDataset, path) -> None:
 
 
 def _dataset(meta: dict, arrays: dict[str, np.ndarray]) -> SynthDataset:
-    """The dataset a parsed container holds, checked against its spec."""
+    """The dataset a parsed container holds: exactly its spec's arrays and shapes."""
     try:
         spec = SynthSpec.from_dict(meta["spec"])
     except (KeyError, TypeError, SpecInvalid) as exc:
         raise FormatError(f"dataset header has no valid spec: {exc!r}") from exc
-    missing = [name for name in _ARRAY_FIELDS if name not in arrays]
-    if missing:
-        raise FormatError(f"dataset is missing arrays: {missing}")
+    if sorted(arrays) != sorted(_ARRAY_FIELDS):
+        raise FormatError(f"dataset holds the arrays {sorted(arrays)[:8]}, not its "
+                          f"spec's {sorted(_ARRAY_FIELDS)}")
     expected = {
         "image_features": (spec.n_samples, spec.d_image),
         "text_features": (spec.n_samples, spec.d_text),

@@ -25,6 +25,7 @@ from .distributions import Temperature
 from .errors import (
     BatchTooSmall,
     ConfigError,
+    DegenerateTargets,
     FormatError,
     IndexOutOfRange,
     NonFiniteValue,
@@ -42,8 +43,6 @@ AGGREGATION_MODES = (*ROI_POOLS, "attention")
 METRIC_COLUMNS = ("step", "lr", "total", "clip", "soft", "soft_re", "tau")
 
 _MODALITIES = ("image", "text", "roi", "tag")
-# the temperature parameters are adapted but never decayed
-_NO_DECAY = ("tau_log_inv", "tau_log_inv_guidance")
 
 # glibc's malloc maps each block above its mmap threshold (128 KiB at
 # first) afresh and returns free heap tops above its trim threshold to the
@@ -116,55 +115,54 @@ class TrainState:
         return Temperature(float(self.params["tau_log_inv_guidance"][0]))
 
 
-def param_names(cfg: TrainConfig) -> tuple[str, ...]:
-    """The names of the parameters ``cfg`` builds, in :func:`init_state`'s
-    order, which a checkpoint's ``param_order`` must equal."""
-    names = [f"{mod}.{part}" for mod in _MODALITIES for part in ("w1", "b1", "w2", "b2")]
+def param_layout(widths: dict[str, int], cfg: TrainConfig
+                 ) -> tuple[tuple[str, tuple[int, ...], bool], ...]:
+    """``(name, shape, decays)`` of each parameter ``cfg`` builds over views
+    of these widths (modality -> width), in :func:`init_state`'s order, which
+    a checkpoint's ``param_order`` must equal. ``decays`` says whether weight
+    decay applies: the temperatures are adapted but never decayed."""
+    h, d_out = cfg.hidden_dim, cfg.embed_dim
+    layout = []
+    for mod in _MODALITIES:
+        layout += [(f"{mod}.w1", (widths[mod], h), True), (f"{mod}.b1", (h,), True),
+                   (f"{mod}.w2", (h, d_out), True), (f"{mod}.b2", (d_out,), True)]
     if cfg.roi_aggregation == "attention":
-        names += ["roi_pool.query", "roi_pool.key_proj", "roi_pool.value_proj"]
-    names.append("tau_log_inv")
+        d_roi, d_att = widths["roi"], cfg.attention_dim
+        layout += [("roi_pool.query", (d_att,), True),
+                   ("roi_pool.key_proj", (d_roi, d_att), True),
+                   ("roi_pool.value_proj", (d_roi, d_roi), True)]
+    layout.append(("tau_log_inv", (1,), False))
     if cfg.loss.split_guidance_temperature:
-        names.append("tau_log_inv_guidance")
-    return tuple(names)
+        layout.append(("tau_log_inv_guidance", (1,), False))
+    return tuple(layout)
+
+
+def _widths(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, int]:
+    """The view widths the heads take: the rows of each ``<prefix><view>.w1``."""
+    return {mod: arrays[f"{prefix}{mod}.w1"].shape[0] for mod in _MODALITIES}
 
 
 def init_state(spec, cfg: TrainConfig) -> TrainState:
     """Fresh parameters for a dataset spec, deterministic in cfg.seed.
 
-    They are drawn in :func:`param_names` order, which fixes the draws."""
+    They are drawn in :func:`param_layout` order, which fixes the draws."""
     rng = np.random.default_rng((cfg.seed, 1))
-    h, d_out, d_att = cfg.hidden_dim, cfg.embed_dim, cfg.attention_dim
-    d_roi = spec.d_roi
-
-    def scaled_normal(d_in: int, d: int) -> np.ndarray:
-        return rng.standard_normal((d_in, d)) / math.sqrt(d_in)
-
+    widths = {mod: getattr(spec, f"d_{mod}") for mod in _MODALITIES}
     params: dict[str, np.ndarray] = {}
-    for name in param_names(cfg):
-        owner, _, part = name.partition(".")
-        if part == "w1":
-            params[name] = scaled_normal(getattr(spec, f"d_{owner}"), h)
-        elif part == "w2":
-            params[name] = scaled_normal(h, d_out)
-        elif part in ("b1", "b2"):
-            params[name] = np.zeros(h if part == "b1" else d_out)
-        # zero query -> uniform weights; identity values -> exact mean pooling
-        elif part == "query":
-            params[name] = np.zeros(d_att)
-        elif part == "key_proj":
-            params[name] = scaled_normal(d_roi, d_att)
+    for name, shape, _ in param_layout(widths, cfg):
+        part = name.rpartition(".")[2]
+        if part in ("w1", "w2", "key_proj"):
+            params[name] = rng.standard_normal(shape) / math.sqrt(shape[0])
+        # identity values -> exact mean pooling
         elif part == "value_proj":
-            params[name] = np.eye(d_roi)
-        else:  # tau_log_inv and tau_log_inv_guidance
-            params[name] = np.array([-math.log(cfg.loss.tau_init)])
-    zeros = {name: np.zeros_like(p) for name, p in params.items()}
-    return TrainState(
-        params=params,
-        m={name: z.copy() for name, z in zeros.items()},
-        v={name: z.copy() for name, z in zeros.items()},
-        step=0,
-        config=cfg,
-    )
+            params[name] = np.eye(shape[0])
+        elif part.startswith("tau_log_inv"):
+            params[name] = np.full(shape, -math.log(cfg.loss.tau_init))
+        else:  # biases; a zero query -> uniform attention weights
+            params[name] = np.zeros(shape)
+    return TrainState(params=params, m={k: np.zeros_like(p) for k, p in params.items()},
+                      v={k: np.zeros_like(p) for k, p in params.items()},
+                      step=0, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +342,19 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 def optimizer_step(state: TrainState, grads: dict, lr: float) -> TrainState:
-    """One AdamW update under ``state.config`` (in place); decay is decoupled."""
+    """One AdamW update under ``state.config`` (in place); decay is decoupled.
+    ``grads`` needs every parameter: a missing one raises KeyError naming it."""
     cfg = state.config
     t = state.step + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name, p in state.params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        g = np.asarray(g, dtype=np.float64)
+    for name, _, decays in param_layout(_widths(state.params, ""), cfg):
+        p, g = state.params[name], np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeMismatch(
                 f"gradient for {name} has shape {g.shape}, expected {p.shape}"
             )
-        wd = 0.0 if name in _NO_DECAY else cfg.weight_decay
+        wd = cfg.weight_decay if decays else 0.0
         backend.adamw_update(
             p.reshape(-1), np.ascontiguousarray(g).reshape(-1),
             state.m[name].reshape(-1), state.v[name].reshape(-1),
@@ -493,9 +489,10 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """The state :func:`save_checkpoint` wrote. Raises FormatError unless
-    ``step`` is an int >= 0, ``param_order`` equals :func:`param_names` of
-    the stored config, each of those names has ``param/``, ``m/`` and
-    ``v/`` arrays of one shape, and the file has no other array."""
+    ``step`` is an int >= 0, the config is valid, and the file holds the
+    :func:`param_layout` of that config and its ``param/*.w1`` widths:
+    ``param_order`` lists its names, each with ``param/``, ``m/`` and
+    ``v/`` arrays of its table shape, and no other array."""
     meta, arrays = container.read(path, CKPT_MAGIC)
     try:
         cfg = TrainConfig.from_dict(meta["config"])
@@ -504,23 +501,23 @@ def load_checkpoint(path) -> TrainState:
             raise TypeError(f"param_order must be a list of names, got {order!r}")
         if type(step) is not int or step < 0:
             raise ValueError(f"step must be an int >= 0, got {step!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"checkpoint metadata is invalid: {exc}") from exc
-    expected = param_names(cfg)
+        widths = _widths(arrays, "param/")
+    except (KeyError, IndexError, TypeError, ValueError, DegenerateTargets) as exc:
+        raise FormatError(f"checkpoint metadata is invalid: {exc!r}") from exc
+    layout = param_layout(widths, cfg)
+    expected = tuple(name for name, _, _ in layout)
     if tuple(order) != expected:
         differ = sorted(set(order) ^ set(expected)) or "none, the order differs"
         raise FormatError("checkpoint param_order does not list the parameters its "
                           f"config builds (names that differ: {differ})")
     params, m, v = {}, {}, {}
-    for name in order:
-        try:
-            trio = [arrays.pop(f"{slot}/{name}") for slot in ("param", "m", "v")]
-        except KeyError as exc:
-            raise FormatError(f"checkpoint is missing arrays for {name!r}") from exc
-        if len({x.shape for x in trio}) != 1:
-            raise FormatError(f"checkpoint arrays for {name!r} differ in shape: "
-                              f"{[x.shape for x in trio]}")
-        params[name], m[name], v[name] = trio
+    for name, shape, _ in layout:
+        for slot, store in (("param", params), ("m", m), ("v", v)):
+            x = store[name] = arrays.pop(f"{slot}/{name}", None)
+            if x is None or x.shape != shape:
+                got = "missing" if x is None else f"of shape {x.shape}"
+                raise FormatError(f"checkpoint array {slot}/{name} is {got}, "
+                                  f"expected shape {shape}")
     if arrays:
         raise FormatError(f"checkpoint holds {len(arrays)} arrays that param_order "
                           f"does not name, among them {list(arrays)[:3]}")

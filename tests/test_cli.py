@@ -358,9 +358,18 @@ class TestRuntimeErrors:
         lambda meta, arrays: [meta["param_order"].remove("tau_log_inv")] + [
             arrays.pop(f"{slot}/tau_log_inv") for slot in ("param", "m", "v")],
         lambda meta, arrays: meta["param_order"].reverse(),
+        lambda meta, arrays: meta["config"]["loss"].update(beta=0.0),
+        lambda meta, arrays: arrays.pop("param/tag.w1"),
+        # param/, m/ and v/ agree on a shape, but not with the config's table
+        lambda meta, arrays: arrays.update({f"{slot}/tau_log_inv": np.zeros(3)
+                                            for slot in ("param", "m", "v")}),
+        lambda meta, arrays: arrays.update({f"{slot}/tag.b2": np.zeros(1)
+                                            for slot in ("param", "m", "v")}),
+        lambda meta, arrays: meta["config"].update(hidden_dim=32),
     ], ids=["bad-step", "missing-array", "empty-order", "dropped-name", "m-shape",
             "param-shape", "negative-step", "float-step", "dropped-param",
-            "reordered"])
+            "reordered", "infeasible-config", "missing-w1", "tau-shape",
+            "bias-shape", "hidden-dim"])
     def test_invalid_checkpoint(self, workdir, model_ckpt, tmp_path, capsys, edit):
         meta, arrays = container.read(model_ckpt, trainer.CKPT_MAGIC)
         edit(meta, arrays)

@@ -87,7 +87,7 @@ def _bad_values(f, kind, optional, valid):
     if kind is int:
         bad += [float(valid), str(valid), True, math.nan]
     elif kind is float:
-        bad += [str(valid), True, math.nan, math.inf, -math.inf]
+        bad += [str(valid), True, math.nan, math.inf, -math.inf, 10**400]
     elif kind is bool:
         bad += [str(valid).lower(), int(valid)]
     elif kind is str:

@@ -164,6 +164,12 @@ class TestRoundTrip:
         with pytest.raises(FormatError, match="image_features"):
             from_bytes(to_bytes(wrong))
 
+    def test_array_the_spec_does_not_name_rejected(self):
+        meta, arrays = container.unpack(to_bytes(generate(small_spec())), "SALB")
+        arrays["junk"] = np.zeros(2)
+        with pytest.raises(FormatError, match="junk"):
+            from_bytes(container.pack("SALB", meta, arrays))
+
     @pytest.mark.parametrize("edit", [
         lambda meta: meta["spec"].update(d_roi=8.0),
         lambda meta: meta["spec"].update(n_samples="60"),

@@ -199,10 +199,14 @@ class TestOptimizerStep:
         cfg = TrainConfig(batch_size=2, weight_decay=wd, seed=0)
         return init_state(spec, cfg)
 
+    @staticmethod
+    def _zero_grads(state):
+        return {k: np.zeros_like(p) for k, p in state.params.items()}
+
     def test_zero_gradients_no_decay_fixed_point(self):
         state = self._tiny_state(wd=0.0)
         before = {k: p.copy() for k, p in state.params.items()}
-        optimizer_step(state, {}, lr=0.1)
+        optimizer_step(state, self._zero_grads(state), lr=0.1)
         for k, p in state.params.items():
             np.testing.assert_array_equal(p, before[k])
         assert state.step == 1
@@ -210,7 +214,7 @@ class TestOptimizerStep:
     def test_zero_gradients_decoupled_decay(self):
         state = self._tiny_state(wd=0.2)
         before = {k: p.copy() for k, p in state.params.items()}
-        optimizer_step(state, {}, lr=0.1)
+        optimizer_step(state, self._zero_grads(state), lr=0.1)
         for k, p in state.params.items():
             if k.startswith("tau"):
                 np.testing.assert_array_equal(p, before[k])  # never decayed
@@ -233,6 +237,10 @@ class TestOptimizerStep:
         state = self._tiny_state()
         with pytest.raises(ShapeMismatch):
             optimizer_step(state, {"image.w1": np.zeros(3)}, lr=0.1)
+        grads = self._zero_grads(state)
+        del grads["tag.b2"]
+        with pytest.raises(KeyError, match="tag.b2"):
+            optimizer_step(state, grads, lr=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +414,14 @@ def test_every_parameter_has_a_gradient(small_dataset, aggregation, split,
     assert set(grads) == set(state.params)
     for name, g in grads.items():
         assert g.shape == state.params[name].shape and np.isfinite(g).all(), name
+    # the parameters are the table's, in its order; only the temperatures skip decay
+    spec = small_dataset.spec
+    layout = trainer.param_layout({"image": spec.d_image, "text": spec.d_text,
+                                   "roi": spec.d_roi, "tag": spec.d_tag}, cfg)
+    assert ([(name, shape) for name, shape, _ in layout]
+            == [(name, p.shape) for name, p in state.params.items()])
+    assert ([name for name, _, decays in layout if not decays]
+            == [name for name in state.params if name.startswith("tau_log_inv")])
 
 
 # N=256 mixed_gamma with both guidance bundles: each N x N loss temporary
@@ -565,9 +581,21 @@ class TestCheckpointFormat:
             arrays.update({f"{slot}/roi_pool.query": np.zeros(4)})
             for slot in ("param", "m", "v")],
         lambda meta, arrays: meta["param_order"].reverse(),
+        # a stored config its loss variant cannot evaluate
+        lambda meta, arrays: meta["config"]["loss"].update(beta=0.0),
+        # no width to read for a view
+        lambda meta, arrays: arrays.pop("param/tag.w1"),
+        lambda meta, arrays: arrays.update({"param/tag.w1": np.array(1.0)}),
+        # param/, m/ and v/ agree on a shape, but not with the table
+        lambda meta, arrays: arrays.update({f"{slot}/tau_log_inv": np.zeros(3)
+                                            for slot in ("param", "m", "v")}),
+        lambda meta, arrays: arrays.update({f"{slot}/tag.b2": np.zeros(1)
+                                            for slot in ("param", "m", "v")}),
+        lambda meta, arrays: meta["config"].update(hidden_dim=32),
     ], ids=["no-config", "bad-step", "bad-order", "missing-array", "empty-order",
             "dropped-name", "m-shape", "param-shape", "negative-step", "float-step",
-            "dropped-param", "extra-param", "reordered"])
+            "dropped-param", "extra-param", "reordered", "infeasible-config",
+            "missing-w1", "scalar-w1", "tau-shape", "bias-shape", "hidden-dim"])
     def test_invalid_metadata_or_missing_arrays(self, small_state, tmp_path, edit):
         path = tmp_path / "ck.salb"
         save_checkpoint(small_state[0], path)

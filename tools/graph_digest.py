@@ -33,6 +33,9 @@ The other lines cover the data, training, eval and report paths on a
 small fixed dataset spec:
 
 * ``dataset_hash``: ``synthgen.dataset_hash`` of the generated dataset;
+* ``init``: the sha256 of ``trainer.init_state``'s params, ``m`` and ``v``
+  (each name, shape and bytes) for the mean and attention ROI pools, each
+  with one and with split temperatures;
 * ``train[mode]``: for the mean and attention ROI pools, the sha256 of the
   four ``trainer.forward_batch`` embedding batches over the full set after
   a 20-step ``train``, the sha256 of the ``harness.logit_profile`` of that
@@ -159,6 +162,7 @@ def main() -> None:
 def _paths() -> None:
     dataset = synthgen.generate(SPEC)
     print(f"dataset_hash={synthgen.dataset_hash(dataset)}")
+    print(f"init={_init()}")
     for mode in ("mean", "attention"):
         cfg = trainer.TrainConfig(max_steps=20, batch_size=30, seed=1,
                                   roi_aggregation=mode)
@@ -186,6 +190,19 @@ def _paths() -> None:
     print(f"grad_check={report.hexdigest()}")
     print(f"reference={_reference()}")
     print(f"suite={_suite(dataset)}")
+
+
+def _init() -> str:
+    digest = hashlib.sha256()
+    for mode, split in itertools.product(("mean", "attention"), (False, True)):
+        cfg = trainer.TrainConfig(seed=1, roi_aggregation=mode, loss=LossConfig(
+            split_guidance_temperature=split))
+        state = trainer.init_state(SPEC, cfg)
+        for store in (state.params, state.m, state.v):
+            for key, x in store.items():
+                digest.update(f"{key} {x.shape}".encode()
+                              + np.ascontiguousarray(x, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def _reference() -> str:

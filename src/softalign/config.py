@@ -15,6 +15,7 @@ import numbers
 import operator
 import sys
 import typing
+from collections.abc import Mapping
 from dataclasses import field, fields
 
 # bound keyword -> (symbol, test the value must pass)
@@ -89,7 +90,10 @@ def check(cfg, error=ValueError) -> None:
 
 
 def from_dict(cls, d: dict, error=ValueError):
-    """``cls(**d)``, raising ``error`` first for keys that are not fields."""
+    """``cls(**d)``, raising ``error`` first for a ``d`` that is not a
+    mapping and for keys that are not fields."""
+    if not isinstance(d, Mapping):
+        raise error(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
     unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise error(f"unknown {cls.__name__} keys: {sorted(unknown)}")

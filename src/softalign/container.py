@@ -6,7 +6,8 @@ a format version, caller metadata, and per-array name/shape/offset
 (offsets relative to the start of the data section, each array starting
 where the previous one ends, the last one ending the file). Round-trips
 are bitwise exact; a header whose array entries do not describe that
-layout raises ``FormatError``, as do bytes after the last array.
+layout or name one array twice raises ``FormatError``, as do bytes after
+the last array.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray
     offset = 0
     for entry in entries:
         name, shape = _check_entry(entry, offset)
+        if name in arrays:
+            raise FormatError(f"array {name!r} is named twice in the header")
         count = math.prod(shape)
         end = offset + count * 8
         if start + end > len(blob):
@@ -128,6 +131,14 @@ def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray
     if start + offset != len(blob):
         raise FormatError(f"{len(blob) - start - offset} bytes trail the last array")
     return header.get("meta", {}), arrays
+
+
+def check_meta(meta: dict, keys: set, what: str) -> None:
+    """Raise FormatError unless ``meta`` holds exactly ``keys``: a key
+    outside the format would load, then vanish on the next save."""
+    if meta.keys() != keys:
+        raise FormatError(f"{what} metadata holds the keys {sorted(meta)}, "
+                          f"expected {sorted(keys)}")
 
 
 def write(path, magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> None:

@@ -38,11 +38,16 @@ symmetric KL derives both KLs, the prediction VJP and the target
 gradient from one log-ratio. Once the logits exist, the terms walk the
 rows in blocks of ``_BLOCK_ROWS`` (:func:`_run`), so a block's
 temporaries fit a core's L2 cache at N=512; the matmuls on either side
-stay whole-matrix. Every kernel and reduction works row by row in the
-same order as the unfused formulas, so values and gradients keep their
-bits for any block size. An error about a degenerate row names its row
-in the whole batch; with several degenerate rows, the first block that
-holds one decides which error is raised.
+stay whole-matrix and serial. A batch of several blocks runs them on a
+thread pool with up to one thread per usable CPU; a one-block batch
+starts no thread. A block does only elementwise work and row reductions,
+no BLAS call. Every kernel and reduction works row by row in the same
+order as the unfused formulas, and every block contributes to the
+gradient accumulators in the same order, so values and gradients keep
+their bits for any block size and thread count. An error about a
+degenerate row names its row in the whole batch; with several degenerate
+rows, the first block in row order that holds one decides which error is
+raised.
 
 The forward also takes inputs with a leading batch axis, ``(B, N, D)``:
 row kernels reduce over the last axis, logits are batched matmuls and a
@@ -56,6 +61,7 @@ takes plain ``(N, D)`` matrices only.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -156,20 +162,14 @@ _BLOCK_ROWS = 64
 class _Graph:
     """Shared state of one forward (and optional backward) evaluation.
 
-    Logits are whole ``(N, N)`` matrices, cached by (source, destination,
-    temperature group). The loss terms then run over blocks of their rows
-    (:meth:`start_block`); everything keyed below lives for one block. The
-    row kernels of a logits key are cached as a ``(softmax, log-softmax)``
-    pair (:meth:`rows`): a key with a fourth entry, ``"offdiag"``, names
-    the same logits with a ``-inf`` diagonal, and building it checks the
-    plain rows' off-diagonal mass once. Each guidance key's target mixture
-    is built once (:meth:`mixture`). Gradient contributions fill the
-    block's rows of one whole accumulator per logits key, which
-    :meth:`finalize` pushes through the temperature scaling and row
-    normalization. ``targets``, when given, maps ``(first row of the
-    block, *tag)`` to that block's softened targets ``(t, log t, s)`` of a
-    term: an entry already in it is used as is, a missing one is computed
-    and stored.
+    It holds the inputs, the whole ``(N, N)`` logits, cached by (source,
+    destination, temperature group) and computed by :meth:`logits` before
+    any block starts, and one whole gradient accumulator per logits key,
+    whose rows the blocks (:class:`_Block`) fill and which :meth:`finalize`
+    pushes through the temperature scaling and row normalization.
+    ``targets``, when given, maps ``(first row of the block, *tag)`` to
+    that block's softened targets ``(t, log t, s)`` of a term: an entry
+    already in it is used as is, a missing one is computed and stored.
     """
 
     def __init__(self, v, t, r, a, tau: Temperature, cfg: LossConfig,
@@ -221,17 +221,6 @@ class _Graph:
 
         self._z: dict = {}
         self._dz: dict = {}
-        self.start_block(0, n)
-
-    def start_block(self, r0: int, r1: int) -> None:
-        """Work on rows ``r0 .. r1 - 1`` next, dropping the last block's caches."""
-        self.r0, self.r1 = r0, r1
-        self._rows: dict = {}
-        self._mix: dict = {}
-        self._written: set = set()
-        # without a table (training) a block's targets live only as long
-        # as the block, so the next block reuses their memory
-        self.table = {} if self.targets is None else self.targets
 
     def _group(self, guidance: bool) -> str:
         return "guid" if (guidance and self.split) else "pred"
@@ -239,14 +228,64 @@ class _Graph:
     def key(self, src: str, dst: str, guidance: bool) -> tuple:
         return (src, dst, self._group(guidance))
 
-    def z(self, key) -> np.ndarray:
-        """The block's rows of logits ``key``, whose matmul runs whole once."""
+    def logits(self, key) -> None:
+        """Run the whole-matrix matmul of logits ``key`` once."""
         if key not in self._z:
             src, dst, group = key
             z = self.unit[src] @ np.swapaxes(self.unit[dst], -1, -2)
             z *= self._inv_tau[group]
             self._z[key] = z
-        return self._z[key][..., self.r0:self.r1, :]
+
+    def finalize(self) -> GradientBundle:
+        d_unit = {k: np.zeros_like(m) for k, m in self.unit.items()}
+        d_log = {"pred": 0.0, "guid": 0.0}
+        for (src, dst, group), dz in self._dz.items():
+            inv_tau = self._inv_tau[group]
+            d_unit[src] += inv_tau * (dz @ self.unit[dst])
+            d_unit[dst] += inv_tau * (dz.T @ self.unit[src])
+            if not self.temps[group].clamp_active:
+                d_log[group] += float((dz * self._z[(src, dst, group)]).sum())
+        d_raw = {}
+        for name in _INPUT_NAMES:
+            x = self.unit[name]
+            g = d_unit[name]
+            inner = (g * x).sum(axis=1, keepdims=True)
+            d_raw[name] = (g - inner * x) / self.norms[name][:, None]
+        return GradientBundle(
+            d_v=d_raw["v"], d_t=d_raw["t"], d_r=d_raw["r"], d_a=d_raw["a"],
+            d_log_inv_tau=d_log["pred"],
+            d_log_inv_tau_guidance=d_log["guid"] if self.split else None,
+        )
+
+
+class _Block:
+    """Rows ``r0 .. r1 - 1`` of a graph's loss terms and their caches.
+
+    A block reads only logits its graph already holds and writes only its
+    own rows of the gradient accumulators and its own entries of the
+    target table, so blocks of one graph can run at the same time. The
+    row kernels of a logits key are cached as a ``(softmax, log-softmax)``
+    pair (:meth:`rows`): a key with a fourth entry, ``"offdiag"``, names
+    the same logits with a ``-inf`` diagonal, and building it checks the
+    plain rows' off-diagonal mass once. Each guidance key's target mixture
+    is built once (:meth:`mixture`).
+    """
+
+    def __init__(self, graph: _Graph, r0: int, r1: int):
+        self.graph = graph
+        self.cfg, self.n, self.want_grad = graph.cfg, graph.n, graph.want_grad
+        self.r0, self.r1 = r0, r1
+        self._rows: dict = {}
+        self._mix: dict = {}
+        # logits keys in the order of their first contribution
+        self.written: list = []
+        # without a table (training) a block's targets live only as long
+        # as the block
+        self.table = {} if graph.targets is None else graph.targets
+
+    def z(self, key) -> np.ndarray:
+        """The block's rows of logits ``key``."""
+        return self.graph._z[key][..., self.r0:self.r1, :]
 
     def rows(self, key) -> tuple[np.ndarray, np.ndarray]:
         """``(softmax, log-softmax)`` of the block's rows of logits ``key``."""
@@ -279,39 +318,22 @@ class _Graph:
     def add_dz(self, key, contribution: np.ndarray) -> None:
         """Add a fresh ``contribution`` to the block's rows of the gradient
         w.r.t. logits ``key``; the graph may keep the array itself."""
-        if key not in self._dz:
-            if self.r1 - self.r0 == self.n:  # one block: no whole-matrix copy
-                self._dz[key] = contribution
-                self._written.add(key)
-                return
-            self._dz[key] = np.empty((self.n, self.n), contribution.dtype)
-        rows = self._dz[key][self.r0:self.r1]
-        if key in self._written:
-            rows += contribution
-        else:
-            rows[...] = contribution
-            self._written.add(key)
-
-    def finalize(self) -> GradientBundle:
-        d_unit = {k: np.zeros_like(m) for k, m in self.unit.items()}
-        d_log = {"pred": 0.0, "guid": 0.0}
-        for (src, dst, group), dz in self._dz.items():
-            inv_tau = self._inv_tau[group]
-            d_unit[src] += inv_tau * (dz @ self.unit[dst])
-            d_unit[dst] += inv_tau * (dz.T @ self.unit[src])
-            if not self.temps[group].clamp_active:
-                d_log[group] += float((dz * self._z[(src, dst, group)]).sum())
-        d_raw = {}
-        for name in _INPUT_NAMES:
-            x = self.unit[name]
-            g = d_unit[name]
-            inner = (g * x).sum(axis=1, keepdims=True)
-            d_raw[name] = (g - inner * x) / self.norms[name][:, None]
-        return GradientBundle(
-            d_v=d_raw["v"], d_t=d_raw["t"], d_r=d_raw["r"], d_a=d_raw["a"],
-            d_log_inv_tau=d_log["pred"],
-            d_log_inv_tau_guidance=d_log["guid"] if self.split else None,
-        )
+        accumulators = self.graph._dz
+        if key in self.written:
+            accumulators[key][self.r0:self.r1] += contribution
+            return
+        self.written.append(key)
+        if self.r1 - self.r0 == self.n:  # one block: no whole-matrix copy
+            accumulators[key] = contribution
+            return
+        whole = accumulators.get(key)
+        if whole is None:
+            # setdefault keeps the first block's array when two race; the
+            # key's place in finalize's sum is where the first block put it
+            # (_run checks that every block puts its keys in one order)
+            whole = accumulators.setdefault(
+                key, np.empty((self.n, self.n), contribution.dtype))
+        whole[self.r0:self.r1] = contribution
 
 
 def _guidance_keys(graph: _Graph, form: str, bundle: str):
@@ -325,17 +347,17 @@ def _guidance_keys(graph: _Graph, form: str, bundle: str):
 # per-direction terms
 # ---------------------------------------------------------------------------
 
-def _clip_direction(graph: _Graph, pred_key, weight: float,
+def _clip_direction(block: _Block, pred_key, weight: float,
                     targets: np.ndarray):
     """Cross-entropy of fixed targets (the block's rows) against one
     softmax direction: the per-row sums of ``targets * log p`` and -1, the
     factor of their mean. ``weight`` scales the gradient only."""
-    p, ln_p = graph.rows(pred_key)
+    p, ln_p = block.rows(pred_key)
     rows = (targets * ln_p).sum(axis=-1)
-    if graph.want_grad and weight != 0.0:
+    if block.want_grad and weight != 0.0:
         dz = p - targets
-        dz *= weight / graph.n
-        graph.add_dz(pred_key, dz)
+        dz *= weight / block.n
+        block.add_dz(pred_key, dz)
     return rows, -1.0
 
 
@@ -352,38 +374,38 @@ def _require_negative_mass(mass: np.ndarray, side: str, r0: int) -> None:
         )
 
 
-def _targets(graph: _Graph, guid_key, tag, disentangled: bool):
+def _targets(block: _Block, guid_key, tag, disentangled: bool):
     """The block's softened targets of one direction as (t, log t, s).
 
-    ``t`` is the guidance key's :meth:`_Graph.mixture`. Disentangled, the
+    ``t`` is the guidance key's :meth:`_Block.mixture`. Disentangled, the
     diagonal is dropped and the rest divided by the off-diagonal mass
     ``s`` (diagonals of ``t`` and ``log t`` are 0); plain, ``s`` is None.
     """
-    key = (graph.r0, *tag)
-    if key in graph.table:
-        return graph.table[key]
-    floor = graph.cfg.target_floor
-    t = graph.mixture(guid_key)
+    key = (block.r0, *tag)
+    if key in block.table:
+        return block.table[key]
+    floor = block.cfg.target_floor
+    t = block.mixture(guid_key)
     if disentangled:
         q = t.copy()
-        backend.fill_diagonal(q, 0.0, graph.r0)
+        backend.fill_diagonal(q, 0.0, block.r0)
         # sum the off-diagonal entries directly: computing 1 - t_ii instead
         # loses ~8 digits when the guidance softmax saturates
         s = q.sum(axis=-1)
-        _require_negative_mass(s, "target", graph.r0)
+        _require_negative_mass(s, "target", block.r0)
         q /= s[..., None]
         # a 1 on the diagonal gives the 0 of log t there (log 1 is +0)
-        backend.fill_diagonal(q, 1.0, graph.r0)
+        backend.fill_diagonal(q, 1.0, block.r0)
         ln_q = floored_log(q, floor)
-        backend.fill_diagonal(q, 0.0, graph.r0)
+        backend.fill_diagonal(q, 0.0, block.r0)
         entry = (q, ln_q, s)
     else:
         entry = (t, floored_log(t, floor), None)
-    graph.table[key] = entry
+    block.table[key] = entry
     return entry
 
 
-def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
+def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
                     disentangled: bool):
     """One direction of the softened-target divergence on the block's rows:
     the per-row divergences and the factor of their mean.
@@ -397,12 +419,12 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
     diagonal and chained through the renormalization. Temporaries are
     updated in place; every value keeps the bits of the unfused formulas.
     """
-    cfg = graph.cfg
-    p, ln_p = graph.rows((*pred_key, "offdiag") if disentangled else pred_key)
-    t, ln_t, s = _targets(graph, guid_key, tag, disentangled)
+    cfg = block.cfg
+    p, ln_p = block.rows((*pred_key, "offdiag") if disentangled else pred_key)
+    t, ln_t, s = _targets(block, guid_key, tag, disentangled)
     # the finite-difference oracle runs this forward-only, so gradient
     # terms are built only when asked for
-    grad_p = graph.want_grad and weight != 0.0
+    grad_p = block.want_grad and weight != 0.0
     grad_t = grad_p and not cfg.stop_gradient_targets
     # dz: gradient w.r.t. the prediction logits; h: w.r.t. the targets t,
     # before the chain through s and the guidance softmax
@@ -436,7 +458,7 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
             # 0.5 (log t - log p + 1) - 0.5 p / t
             if disentangled:
                 ratio = t.copy()
-                backend.fill_diagonal(ratio, 1.0, graph.r0)
+                backend.fill_diagonal(ratio, 1.0, block.r0)
                 np.divide(p, ratio, out=ratio)
             else:
                 ratio = p / t
@@ -448,7 +470,7 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
         ln_m = t + p
         ln_m *= 0.5
         if disentangled:  # log 1 = +0 on the diagonal, as for p and t
-            backend.fill_diagonal(ln_m, 1.0, graph.r0)
+            backend.fill_diagonal(ln_m, 1.0, block.r0)
         np.log(ln_m, out=ln_m)
         kl = backend.kl_term_rows
         rows, scale = kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m), 0.5
@@ -462,10 +484,10 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
     else:  # pragma: no cover - LossConfig validates
         raise ValueError(f"unknown divergence {mode!r}")
 
-    c = weight / graph.n
+    c = weight / block.n
     if dz is not None:
         dz *= c
-        graph.add_dz(pred_key, dz)
+        block.add_dz(pred_key, dz)
     if h is not None:
         if disentangled:
             # through q = t / s with s the off-diagonal sum:
@@ -473,14 +495,14 @@ def _soft_direction(graph: _Graph, pred_key, guid_key, weight: float, tag,
             # that differs by a per-row constant is equal after the softmax
             # VJP, but a constant of size 1/s leaves rounding times 1/s
             # behind when the guidance row saturates and s is tiny
-            backend.fill_diagonal(h, 0.0, graph.r0)
+            backend.fill_diagonal(h, 0.0, block.r0)
             h -= (h * t).sum(axis=-1, keepdims=True)
             h /= s[..., None]
-            backend.fill_diagonal(h, 0.0, graph.r0)
+            backend.fill_diagonal(h, 0.0, block.r0)
         h *= cfg.beta
-        h = backend.softmax_vjp_rows(graph.rows(guid_key)[0], h, out=h)
+        h = backend.softmax_vjp_rows(block.rows(guid_key)[0], h, out=h)
         h *= c
-        graph.add_dz(guid_key, h)
+        block.add_dz(guid_key, h)
     return rows, scale
 
 
@@ -494,6 +516,37 @@ def _direction_value(parts) -> np.ndarray:
     return parts[0][1] * rows.mean(axis=-1)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(run_block, starts: range) -> list:
+    """``run_block(r0)`` for each block start, in row order.
+
+    The blocks run on a thread pool of one thread per usable CPU, at most
+    one per block, that lives for this call; each block runs under the
+    caller's ``np.errstate``. Every block runs to its end; the error of
+    the first failing block in row order is raised, as the serial loop
+    would raise it.
+    """
+    workers = min(len(starts), _usable_cpus())
+    if workers == 1:
+        return [run_block(r0) for r0 in starts]
+    from concurrent.futures import ThreadPoolExecutor
+    err = np.geterr()
+
+    def run_under_errstate(r0: int):
+        with np.errstate(**err):
+            return run_block(r0)
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(run_under_errstate, r0) for r0 in starts]
+    return [f.result() for f in futures]
+
+
 def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
          guidance_tau: Optional[Temperature] = None,
          want_grad: bool = False,
@@ -505,9 +558,10 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     name, and the value under the selector's name and ``total``. With a
     ``(B, N, D)`` stack among the inputs, each of them is a ``(B,)`` array.
     ``targets`` is the graph's softened-target table (see :class:`_Graph`).
-    Every term runs both its directions on one block of ``_BLOCK_ROWS``
-    rows before the next block starts; a direction's per-row values are
-    averaged after the last block.
+    The logits every term reads are computed first; then each block of
+    ``_BLOCK_ROWS`` rows runs both directions of every term
+    (:func:`_map_blocks`), and a direction's per-row values are averaged
+    over the blocks in row order.
     """
     cfg.check(selector)
     graph = _Graph(v, t, r, a, tau, cfg, guidance_tau, want_grad=want_grad,
@@ -517,33 +571,59 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     k_ti = graph.key("t", "v", guidance=False)
     terms = cfg.terms(selector)
     fixed = {}  # each fixed-target kind's (N, N) targets
-    for _, _, kind, _ in terms:
+    guidance = {}  # each guidance bundle's (v2l, l2v) logits keys
+    for _, bundle, kind, _ in terms:
         if kind == "clip":
             fixed[kind] = np.eye(n, dtype=dtype)
         elif kind == "label_smooth":
             fixed[kind] = label_smooth_targets(n, cfg.alpha)
-    parts = [([], []) for _ in terms]
-    for r0 in range(0, n, _BLOCK_ROWS):
-        graph.start_block(r0, min(r0 + _BLOCK_ROWS, n))
-        for (_, bundle, kind, weight), (v2l, l2v) in zip(terms, parts):
+        else:
+            guidance[bundle] = _guidance_keys(graph, cfg.supervision_form, bundle)
+    graph.logits(k_it)
+    graph.logits(k_ti)
+    if not targets:  # a filled table holds every softened target already
+        for keys in guidance.values():
+            for key in keys:
+                graph.logits(key)
+
+    def run_block(r0: int) -> tuple[list, list]:
+        """The block's logits keys in the order of their first gradient
+        contribution, and each term's ((v2l rows, factor), (l2v rows,
+        factor)) on the block."""
+        block = _Block(graph, r0, min(r0 + _BLOCK_ROWS, n))
+        out = []
+        for _, bundle, kind, weight in terms:
             w = 0.5 * weight  # each direction carries half the term
             if kind in fixed:
-                y = fixed[kind][r0:graph.r1]
-                v2l.append(_clip_direction(graph, k_it, w, y))
-                l2v.append(_clip_direction(graph, k_ti, w, y))
+                y = fixed[kind][r0:block.r1]
+                out.append((_clip_direction(block, k_it, w, y),
+                            _clip_direction(block, k_ti, w, y)))
             else:
-                g_v2l, g_l2v = _guidance_keys(graph, cfg.supervision_form, bundle)
+                g_v2l, g_l2v = guidance[bundle]
                 disentangled = kind == "soft_re"
-                v2l.append(_soft_direction(graph, k_it, g_v2l, w,
-                                           (bundle, "v2l", kind), disentangled))
-                l2v.append(_soft_direction(graph, k_ti, g_l2v, w,
-                                           (bundle, "l2v", kind), disentangled))
+                out.append((
+                    _soft_direction(block, k_it, g_v2l, w,
+                                    (bundle, "v2l", kind), disentangled),
+                    _soft_direction(block, k_ti, g_l2v, w,
+                                    (bundle, "l2v", kind), disentangled)))
+        return block.written, out
+
+    if n <= _BLOCK_ROWS:
+        blocks = [run_block(0)[1]]
+    else:
+        written, blocks = zip(*_map_blocks(run_block, range(0, n, _BLOCK_ROWS)))
+        # finalize sums the accumulators in the order the blocks created
+        # them, which is the serial order for any schedule only while every
+        # block makes its first contributions to the same keys in the same
+        # order
+        assert all(keys == written[0] for keys in written), written
     # total reports the relation-enhanced part as 0 when lambda_re leaves it out
     components: dict = {"soft_re": 0.0} if selector == "total" else {}
     value = 0.0
-    for (component, _, _, weight), (v2l, l2v) in zip(terms, parts):
+    for i, (component, _, _, weight) in enumerate(terms):
         w = 0.5 * weight
-        v2l, l2v = _direction_value(v2l), _direction_value(l2v)
+        v2l = _direction_value([out[i][0] for out in blocks])
+        l2v = _direction_value([out[i][1] for out in blocks])
         components[component] = 0.5 * v2l + 0.5 * l2v
         value += w * v2l + w * l2v
     components[selector] = value

@@ -234,11 +234,13 @@ def save(dataset: SynthDataset, path) -> None:
 
 
 def _dataset(meta: dict, arrays: dict[str, np.ndarray]) -> SynthDataset:
-    """The dataset a parsed container holds: exactly its spec's arrays and shapes."""
+    """The dataset a parsed container holds: exactly its spec's arrays and
+    shapes, under metadata that holds the spec alone."""
     try:
         spec = SynthSpec.from_dict(meta["spec"])
     except (KeyError, TypeError, SpecInvalid) as exc:
         raise FormatError(f"dataset header has no valid spec: {exc!r}") from exc
+    container.check_meta(meta, {"spec"}, "dataset")
     if sorted(arrays) != sorted(_ARRAY_FIELDS):
         raise FormatError(f"dataset holds the arrays {sorted(arrays)[:8]}, not its "
                           f"spec's {sorted(_ARRAY_FIELDS)}")

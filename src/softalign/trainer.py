@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -88,9 +89,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if isinstance(d.get("loss"), dict):
-            d["loss"] = LossConfig.from_dict(d["loss"])
+        if isinstance(d, Mapping) and isinstance(d.get("loss"), Mapping):
+            d = {**d, "loss": LossConfig.from_dict(d["loss"])}
         return config.from_dict(cls, d)
 
 
@@ -489,10 +489,11 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """The state :func:`save_checkpoint` wrote. Raises FormatError unless
-    ``step`` is an int >= 0, the config is valid, and the file holds the
-    :func:`param_layout` of that config and its ``param/*.w1`` widths:
-    ``param_order`` lists its names, each with ``param/``, ``m/`` and
-    ``v/`` arrays of its table shape, and no other array."""
+    the metadata holds exactly ``config``, ``step`` and ``param_order``,
+    ``step`` is an int >= 0, the config is a valid mapping, and the file
+    holds the :func:`param_layout` of that config and its ``param/*.w1``
+    widths: ``param_order`` lists its names, each with ``param/``, ``m/``
+    and ``v/`` arrays of its table shape, and no other array."""
     meta, arrays = container.read(path, CKPT_MAGIC)
     try:
         cfg = TrainConfig.from_dict(meta["config"])
@@ -504,6 +505,7 @@ def load_checkpoint(path) -> TrainState:
         widths = _widths(arrays, "param/")
     except (KeyError, IndexError, TypeError, ValueError, DegenerateTargets) as exc:
         raise FormatError(f"checkpoint metadata is invalid: {exc!r}") from exc
+    container.check_meta(meta, {"config", "step", "param_order"}, "checkpoint")
     layout = param_layout(widths, cfg)
     expected = tuple(name for name, _, _ in layout)
     if tuple(order) != expected:

@@ -366,10 +366,11 @@ class TestRuntimeErrors:
         lambda meta, arrays: arrays.update({f"{slot}/tag.b2": np.zeros(1)
                                             for slot in ("param", "m", "v")}),
         lambda meta, arrays: meta["config"].update(hidden_dim=32),
+        lambda meta, arrays: meta.update(config=[["max_steps", 1], ["batch_size", 4]]),
     ], ids=["bad-step", "missing-array", "empty-order", "dropped-name", "m-shape",
             "param-shape", "negative-step", "float-step", "dropped-param",
             "reordered", "infeasible-config", "missing-w1", "tau-shape",
-            "bias-shape", "hidden-dim"])
+            "bias-shape", "hidden-dim", "config-pairs"])
     def test_invalid_checkpoint(self, workdir, model_ckpt, tmp_path, capsys, edit):
         meta, arrays = container.read(model_ckpt, trainer.CKPT_MAGIC)
         edit(meta, arrays)

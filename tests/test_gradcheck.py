@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -557,3 +560,187 @@ def test_degenerate_row_of_a_later_block_names_its_global_row(side, block,
     with pytest.raises(DegenerateRow, match=f"^{side} row 3 has"):
         gradcheck.backward("soft_re", v, t, r, a, Temperature.from_tau(0.05),
                            LossConfig(beta=1.0))
+
+
+# ---------------------------------------------------------------------------
+# row blocks on a thread pool
+# ---------------------------------------------------------------------------
+
+def _recording_kernel(seen: set):
+    """The row kernel every block runs, adding its thread and errstate to ``seen``."""
+    kernel = backend.softmax_logsoftmax_rows
+
+    def recording(z):
+        seen.add((threading.get_ident(), tuple(sorted(np.geterr().items()))))
+        return kernel(z)
+    return recording
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` makes the graph see ``k`` usable CPUs and returns the
+    (thread, errstate) pairs its blocks run under from then on."""
+    seen = set()
+    monkeypatch.setattr(backend, "softmax_logsoftmax_rows", _recording_kernel(seen))
+
+    def use(count: int) -> set:
+        monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: count)
+        seen.clear()
+        return seen
+    return use
+
+
+def _threads(seen: set) -> set:
+    return {thread for thread, _ in seen}
+
+
+@pytest.mark.parametrize("n", [65, 130, 200])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("stop_grad", [True, False])
+@pytest.mark.parametrize("divergence", DIVERGENCES)
+def test_threaded_blocks_give_the_serial_bits(divergence, stop_grad, split, n,
+                                              cpus, same_bits):
+    v, t, r, a = random_inputs(n, n=n, d=6)
+    tau = Temperature.from_tau(0.07)
+    g_tau = Temperature.from_tau(0.2) if split else None
+    cfg = LossConfig(divergence=divergence, stop_gradient_targets=stop_grad,
+                     gamma=0.4, split_guidance_temperature=split)
+    seen = cpus(1)
+    serial = {s: _graph_bits(s, v, t, r, a, tau, cfg, g_tau) for s in SELECTORS}
+    assert _threads(seen) == {threading.get_ident()}
+    seen = cpus(2)
+    for selector in SELECTORS:
+        _assert_all_same_bits(_graph_bits(selector, v, t, r, a, tau, cfg, g_tau),
+                              serial[selector], same_bits)
+    assert seen and threading.get_ident() not in _threads(seen)
+
+
+def test_more_threads_than_cores_lose_no_gradient_rows(cpus, same_bits):
+    # eight one-block threads with a short switch interval race to create
+    # each whole accumulator; a lost one drops its creator's rows
+    v, t, r, a = random_inputs(18, n=512, d=6)
+    tau = Temperature.from_tau(0.07)
+    cfg = LossConfig(stop_gradient_targets=False, lambda_re=1.0, gamma=0.5)
+    cpus(1)
+    serial = _graph_bits("mixed_gamma", v, t, r, a, tau, cfg, None)
+    seen = cpus(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _assert_all_same_bits(_graph_bits("mixed_gamma", v, t, r, a, tau, cfg, None),
+                                  serial, same_bits)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.get_ident() not in _threads(seen)
+
+
+@pytest.mark.parametrize("side", ["prediction", "target"])
+def test_threaded_blocks_raise_the_first_degenerate_row(side, cpus):
+    # rows 70 and 129, in the second and third blocks, each point along an
+    # axis of their own, away from the other 128 equal rows: both rows'
+    # off-diagonal mass is about 129 exp(-1 / 0.02)
+    far = np.zeros((130, 3))
+    far[:, 0] = -1.0
+    far[70] = [0.0, 1.0, 0.0]
+    far[129] = [0.0, 0.0, 1.0]
+    v, t, r, a = random_inputs(16, n=130, d=3)
+    if side == "prediction":
+        v, t = far, far.copy()
+    else:
+        r, a = far, far.copy()
+    messages = []
+    for count in (1, 2):
+        cpus(count)
+        with pytest.raises(DegenerateRow, match=f"^{side} row 70 has") as info:
+            gradcheck.backward("soft_re", v, t, r, a, Temperature.from_tau(0.02),
+                               LossConfig(beta=1.0))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_threaded_blocks_see_the_callers_errstate(cpus):
+    v, t, r, a = random_inputs(17, n=130, d=6)
+    seen = cpus(2)
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        caller = tuple(sorted(np.geterr().items()))
+        gradcheck.backward("mixed_gamma", v, t, r, a, Temperature.from_tau(0.07),
+                           LossConfig(gamma=0.4))
+    assert caller != tuple(sorted(np.geterr().items()))
+    assert {state for _, state in seen} == {caller}
+    assert threading.get_ident() not in _threads(seen)
+
+
+def test_one_block_batch_starts_no_thread():
+    code = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from softalign import gradcheck\n"
+        "from softalign.distributions import Temperature\n"
+        "from softalign.objectives import LossConfig\n"
+        "before = threading.active_count()\n"
+        "rng = np.random.default_rng(0)\n"
+        "v, t, r, a = (rng.standard_normal((64, 6)) for _ in range(4))\n"
+        "gradcheck.backward('mixed_gamma', v, t, r, a, Temperature.from_tau(0.07),\n"
+        "                   LossConfig(gamma=0.4))\n"
+        "print('concurrent.futures' in sys.modules, before, threading.active_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported, before, after = proc.stdout.split()
+    assert imported == "False" and before == after
+
+
+@pytest.mark.parametrize("selector", ["total", "mixed_gamma"])
+def test_blocks_in_any_order_give_the_serial_bits(selector, cpus, same_bits,
+                                                  monkeypatch):
+    # the last block creates every accumulator first; finalize must still
+    # sum them in the first block's order
+    v, t, r, a = random_inputs(19, n=200, d=6)
+    tau, g_tau = Temperature.from_tau(0.07), Temperature.from_tau(0.2)
+    cfg = LossConfig(stop_gradient_targets=False, lambda_re=1.0, gamma=0.5,
+                     split_guidance_temperature=True)
+    cpus(1)
+    serial = _graph_bits(selector, v, t, r, a, tau, cfg, g_tau)
+
+    def backwards(run_block, starts):
+        return [run_block(r0) for r0 in reversed(starts)][::-1]
+    monkeypatch.setattr(gradcheck, "_map_blocks", backwards)
+    _assert_all_same_bits(_graph_bits(selector, v, t, r, a, tau, cfg, g_tau),
+                          serial, same_bits)
+
+
+def test_blocks_that_contribute_in_different_orders_are_refused(cpus,
+                                                                monkeypatch):
+    # finalize's sum follows the order the accumulators were created in,
+    # so a block that skipped a key would make the bits depend on the schedule
+    v, t, r, a = random_inputs(20, n=130, d=6)
+    add_dz = gradcheck._Block.add_dz
+
+    def skip_in_second_block(block, key, contribution):
+        if block.r0 == 64 and key[:2] == ("t", "v"):
+            return
+        add_dz(block, key, contribution)
+    monkeypatch.setattr(gradcheck._Block, "add_dz", skip_in_second_block)
+    cpus(1)
+    with pytest.raises(AssertionError):
+        gradcheck.backward("clip", v, t, r, a, Temperature.from_tau(0.07),
+                           LossConfig())
+
+
+def test_a_filled_target_table_skips_the_guidance_logits(monkeypatch):
+    # the oracle's frozen targets leave the guidance softmax unread, so the
+    # forwards that reuse them compute only the two prediction logits
+    v, t, r, a = random_inputs(21, n=5, d=4)
+    tau, cfg = Temperature.from_tau(0.07), LossConfig(lambda_re=1.0, gamma=0.5)
+    frozen = {}
+    gradcheck._run("mixed_gamma", v, t, r, a, tau, cfg, targets=frozen)
+    computed = []
+    logits = gradcheck._Graph.logits
+
+    def recording(graph, key):
+        computed.append(key)
+        logits(graph, key)
+    monkeypatch.setattr(gradcheck._Graph, "logits", recording)
+    gradcheck._run("mixed_gamma", v, t, r, a, tau, cfg, targets=frozen)
+    assert computed == [("v", "t", "pred"), ("t", "v", "pred")]

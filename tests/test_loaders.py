@@ -2,8 +2,9 @@
 
 Starting from small valid checkpoint and dataset files, one mutation drops,
 renames, adds or reshapes an array entry, sets a metadata value (``step``,
-``param_order``, a config or spec field) to another value or type, or
-truncates the file or appends bytes. Loading the result must raise
+``param_order``, a config or spec field) to another value or type, adds a
+key to the metadata or to one of its objects, or truncates the file or
+appends bytes. Loading the result must raise
 FormatError or ConfigError, or return what the file holds: every array of
 the shape its parameter table (checkpoint) or spec (dataset) gives, which
 saves back to the file's metadata and arrays.
@@ -36,6 +37,8 @@ META_PATHS = {
     + [("config", "loss", f.name) for f in fields(LossConfig)],
     "data": [("spec", f.name) for f in fields(SynthSpec)],
 }
+# the metadata objects a mutation may add a key to, as key paths
+META_OBJECTS = {"ckpt": [(), ("config",), ("config", "loss")], "data": [(), ("spec",)]}
 # small ints only: a loader that wrongly accepts a width would have the
 # check below build parameters that wide
 VALUES = st.one_of(
@@ -76,7 +79,7 @@ def _mutated(blob: bytes, magic: str, kind: str, arg) -> bytes:
     elif kind == "reshape":
         name, shape = arg
         arrays[name] = np.resize(arrays[name], shape)
-    else:  # "meta": the value at a key path
+    else:  # "meta" and "meta-add": the value at a key path
         *path, value = arg
         node = meta
         for key in path[:-1]:
@@ -90,7 +93,8 @@ def _draw_mutation(data, blob: bytes, target: str) -> tuple[str, object]:
     names = st.sampled_from(list(arrays))
     new_names = names | st.just("junk") | st.text(max_size=6)
     kind = data.draw(st.sampled_from(
-        ["drop", "rename", "add", "reshape", "meta", "truncate", "append"]))
+        ["drop", "rename", "add", "reshape", "meta", "meta-add", "truncate",
+         "append"]))
     if kind == "drop":
         return kind, data.draw(names)
     if kind == "rename":
@@ -101,6 +105,10 @@ def _draw_mutation(data, blob: bytes, target: str) -> tuple[str, object]:
         return kind, data.draw(st.integers(0, len(blob) - 1))
     if kind == "append":
         return kind, data.draw(st.binary(min_size=1, max_size=9))
+    if kind == "meta-add":
+        path = data.draw(st.sampled_from(META_OBJECTS[target]))
+        key = data.draw(st.just("junk") | st.text(max_size=6))
+        return kind, (*path, key, data.draw(VALUES))
     path = data.draw(st.sampled_from(META_PATHS[target]))
     values = VALUES
     if path == ("param_order",):  # also the right names, reordered or one short
@@ -169,6 +177,7 @@ def test_each_mutated_file_is_rejected_or_loads_as_its_table(files, data):
     ("ckpt", "meta", ("param_order", ["tau_log_inv"])),
     ("ckpt", "meta", ("config", "hidden_dim", 5)),
     ("ckpt", "meta", ("config", "loss", "beta", 0.0)),
+    ("ckpt", "meta-add", ("junk", 1)),
     ("ckpt", "truncate", 100),
     ("ckpt", "append", b"\0"),
     ("data", "drop", "relevance"),
@@ -176,12 +185,14 @@ def test_each_mutated_file_is_rejected_or_loads_as_its_table(files, data):
     ("data", "add", ("junk", (2,))),
     ("data", "reshape", ("roi_features", (12, 5, 2))),
     ("data", "meta", ("spec", "d_tag", 3)),
+    ("data", "meta-add", ("junk", 1)),
     ("data", "truncate", 100),
     ("data", "append", bytes(8)),
 ], ids=["ckpt-drop", "ckpt-rename", "ckpt-add", "ckpt-reshape", "ckpt-step",
         "ckpt-param-order", "ckpt-config-width", "ckpt-config-infeasible",
-        "ckpt-truncate", "ckpt-append", "data-drop", "data-rename", "data-add",
-        "data-reshape", "data-spec", "data-truncate", "data-append"])
+        "ckpt-meta-key", "ckpt-truncate", "ckpt-append", "data-drop", "data-rename",
+        "data-add", "data-reshape", "data-spec", "data-meta-key", "data-truncate",
+        "data-append"])
 def test_eval_exits_2_naming_format_error(files, tmp_path, capsys, target, kind, arg):
     paths = {"ckpt": files / "ckpt", "data": files / "data"}
     paths[target] = tmp_path / target

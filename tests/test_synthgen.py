@@ -316,3 +316,15 @@ class TestContainer:
                 + np.arange(4.0).astype("<f8").tobytes())
         with pytest.raises(FormatError):
             container.unpack(blob, "SALB")
+
+    def test_an_array_named_twice(self):
+        # both entries describe the 2-float data section exactly, so only
+        # the name decides; the second x used to replace the first
+        arrays = [{"name": "x", "shape": [1], "offset": 0},
+                  {"name": "x", "shape": [1], "offset": 8}]
+        header = json.dumps({"magic": "SALB", "version": container.VERSION,
+                             "meta": {}, "arrays": arrays}).encode()
+        blob = (struct.pack("<I", len(header)) + header
+                + np.array([1.0, 2.0]).astype("<f8").tobytes())
+        with pytest.raises(FormatError, match="'x' is named twice"):
+            container.unpack(blob, "SALB")

@@ -592,10 +592,14 @@ class TestCheckpointFormat:
         lambda meta, arrays: arrays.update({f"{slot}/tag.b2": np.zeros(1)
                                             for slot in ("param", "m", "v")}),
         lambda meta, arrays: meta["config"].update(hidden_dim=32),
+        # a config dict() would read as a mapping, with defaults elsewhere
+        lambda meta, arrays: meta.update(config=[["max_steps", 1], ["batch_size", 4]]),
+        lambda meta, arrays: meta.update(junk=1),
     ], ids=["no-config", "bad-step", "bad-order", "missing-array", "empty-order",
             "dropped-name", "m-shape", "param-shape", "negative-step", "float-step",
             "dropped-param", "extra-param", "reordered", "infeasible-config",
-            "missing-w1", "scalar-w1", "tau-shape", "bias-shape", "hidden-dim"])
+            "missing-w1", "scalar-w1", "tau-shape", "bias-shape", "hidden-dim",
+            "config-pairs", "meta-key"])
     def test_invalid_metadata_or_missing_arrays(self, small_state, tmp_path, edit):
         path = tmp_path / "ck.salb"
         save_checkpoint(small_state[0], path)

@@ -6,8 +6,8 @@ bitwise neutral:
     PYTHONPATH=src python3 tools/graph_digest.py
 
 It prints one line per selector, then one multi-block line per selector,
-then the lines of the non-graph paths. Each selector line holds three
-sha256 digests:
+two N=512 lines, then the lines of the non-graph paths. Each selector
+line holds three sha256 digests:
 
 * ``grads``: the four input gradients and both temperature gradients of
   ``gradcheck.backward_with_components``, or the exception type it raises;
@@ -27,7 +27,10 @@ perturbation index change the ``fd`` digest.
 A ``blocks[selector]`` line digests the same ``grads`` and ``values`` at
 N=130, which the graph runs in three row blocks (64, 64 and 2 rows), over
 divergence x stop-gradient at the default loss config with gamma 0.4:
-6 cases per selector.
+6 cases per selector. A ``blocks512[selector]`` line does the same for
+``total`` and ``mixed_gamma`` at N=512, the loss_heavy batch, which the
+graph runs in eight row blocks on every usable CPU, with lambda_re 1 and
+gamma 0.5: 6 cases per selector.
 
 The other lines cover the data, training, eval and report paths on a
 small fixed dataset spec:
@@ -85,6 +88,7 @@ FD_WEIGHTS = [dict(lambda_re=0.0, mu_clip=0.0, gamma=0.0),
               dict(lambda_re=1.0, mu_clip=0.5, gamma=1.0)]
 FD_SHAPES = ((3, 3), (4, 2), (5, 3))
 BLOCKS_N = 130  # two full row blocks of the graph and a 2-row one
+BLOCKS512_SELECTORS = ("total", "mixed_gamma")
 SPEC = synthgen.SynthSpec(n_samples=120, n_concepts=8, latent_dim=12, d_image=10,
                           d_text=9, d_roi=11, d_tag=7, rois_per_image=3, seed=3)
 
@@ -155,6 +159,14 @@ def main() -> None:
             cfg = LossConfig(divergence=div, stop_gradient_targets=sg, gamma=0.4)
             _graph_case(selector, BLOCKS_N, cfg, False, grads, values)
         print(f"blocks[{selector}] grads={grads.hexdigest()} "
+              f"values={values.hexdigest()}")
+    for selector in BLOCKS512_SELECTORS:
+        grads, values = hashlib.sha256(), hashlib.sha256()
+        for div, sg in itertools.product(DIVERGENCES, (True, False)):
+            cfg = LossConfig(divergence=div, stop_gradient_targets=sg,
+                             lambda_re=1.0, gamma=0.5)
+            _graph_case(selector, 512, cfg, False, grads, values)
+        print(f"blocks512[{selector}] grads={grads.hexdigest()} "
               f"values={values.hexdigest()}")
     _paths()
 

@@ -8,12 +8,25 @@ where the previous one ends, the last one ending the file). Round-trips
 are bitwise exact; a header whose array entries do not describe that
 layout or name one array twice raises ``FormatError``, as do bytes after
 the last array.
+
+Reads and writes stream array by array, so neither holds the file image
+as well as the arrays. :func:`write` sends the header and then each
+array's own buffer to a temporary file beside the target, and renames it
+over the target only once it is complete (a pipe or a device is written
+in place). :func:`read` and :func:`unpack` share one parser, which
+checks the whole header against the file's size before it allocates any
+array, then reads each array straight into its own buffer. A file with
+no size (a pipe) is read whole and parsed as :func:`unpack` does.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
+import os
+import stat
 import struct
 from typing import Mapping
 
@@ -85,17 +98,18 @@ def _check_entry(entry, offset: int) -> tuple[str, tuple[int, ...]]:
     return name, tuple(shape)
 
 
-def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a container; returns (meta, arrays). Raises FormatError."""
-    if len(blob) < 4:
+def _parse(fh, size: int, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of the ``size``-byte container that ``fh`` reads from
+    its start. Raises FormatError."""
+    if size < 4:
         raise FormatError("container shorter than the 4-byte header length")
-    (header_len,) = struct.unpack("<I", blob[:4])
-    if len(blob) < 4 + header_len:
+    (header_len,) = struct.unpack("<I", fh.read(4))
+    if size < 4 + header_len:
         raise FormatError(
-            f"truncated header: need {header_len} bytes, have {len(blob) - 4}"
+            f"truncated header: need {header_len} bytes, have {size - 4}"
         )
     try:
-        header = json.loads(blob[4:4 + header_len].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -110,27 +124,34 @@ def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray
     if not isinstance(entries, list):
         raise FormatError("header 'arrays' must be a list")
     start = 4 + header_len
-    arrays = {}
+    shapes = {}
     offset = 0
     for entry in entries:
         name, shape = _check_entry(entry, offset)
-        if name in arrays:
+        if name in shapes:
             raise FormatError(f"array {name!r} is named twice in the header")
-        count = math.prod(shape)
-        end = offset + count * 8
-        if start + end > len(blob):
+        end = offset + math.prod(shape) * 8
+        if start + end > size:
             raise FormatError(
                 f"truncated data: array {name!r} needs bytes up to {end}, "
-                f"data section has {len(blob) - start}"
+                f"data section has {size - start}"
             )
-        # one copy per array, straight out of the file's bytes
-        arrays[name] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=start + offset
-        ).reshape(shape).copy()
+        shapes[name] = shape
         offset = end
-    if start + offset != len(blob):
-        raise FormatError(f"{len(blob) - start - offset} bytes trail the last array")
+    if start + offset != size:
+        raise FormatError(f"{size - start - offset} bytes trail the last array")
+    # the header fits the file, so every buffer below is one the file fills
+    arrays = {}
+    for name, shape in shapes.items():
+        arr = arrays[name] = np.empty(shape, dtype="<f8")
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise FormatError(f"truncated data: array {name!r} ends early")
     return header.get("meta", {}), arrays
+
+
+def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Parse a container held in memory; returns (meta, arrays). Raises FormatError."""
+    return _parse(io.BytesIO(blob), len(blob), expected_magic)
 
 
 def check_meta(meta: dict, keys: set, what: str) -> None:
@@ -141,11 +162,48 @@ def check_meta(meta: dict, keys: set, what: str) -> None:
                           f"expected {sorted(keys)}")
 
 
+_TEMP_IDS = itertools.count()
+
+
+def _create_beside(path) -> tuple[str, io.BufferedWriter]:
+    """A new file in ``path``'s directory, opened for writing, and its name."""
+    while True:
+        temp = f"{os.fspath(path)}.{os.getpid()}-{next(_TEMP_IDS)}.tmp"
+        try:
+            return temp, open(temp, "xb")
+        except FileExistsError:  # left by a killed writer
+            continue
+
+
 def write(path, magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(pack(magic, meta, arrays))
+    """Write a container to ``path``.
+
+    A regular file, or the file a link names, is replaced only once the new
+    one is complete: the bytes go to a temporary file beside it, which is
+    renamed over it, so on any error the old file stays as it was. A pipe
+    or a device is written in place.
+    """
+    prefix, datas = layout(magic, meta, arrays)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            for chunk in (prefix, *datas):
+                fh.write(chunk)
+        return
+    target = os.path.realpath(path)
+    temp, fh = _create_beside(target)
+    try:
+        with fh:
+            for chunk in (prefix, *datas):
+                fh.write(chunk)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def read(path, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        return unpack(fh.read(), expected_magic)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to check against
+            return unpack(fh.read(), expected_magic)
+        return _parse(fh, info.st_size, expected_magic)

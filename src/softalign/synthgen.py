@@ -34,6 +34,10 @@ _ARRAY_FIELDS = (
     "image_features", "text_features", "roi_features", "tag_features", "relevance",
 )
 
+# rows of a view that take their noise from one draw; a ROI row is 164 KB
+# at the default spec
+_NOISE_ROWS = 16
+
 # parameter-free pooling over a ROI sequence's region axis
 ROI_POOLS = {"mean": np.mean, "max": np.max, "min": np.min}
 
@@ -162,14 +166,33 @@ def _mixture_latent(rng: np.random.Generator, concepts: np.ndarray,
     raise SpecInvalid("could not draw a non-degenerate concept mixture")
 
 
+def _add_noise(rng: np.random.Generator, view: np.ndarray, sigma: float) -> None:
+    """Add ``sigma`` times standard normal noise to ``view`` in place.
+
+    The noise is drawn ``_NOISE_ROWS`` rows at a time. Consecutive draws
+    continue one stream, so the sums equal ``view + sigma *
+    rng.standard_normal(view.shape)`` bit for bit, with one block of
+    scratch rather than a second array the size of the view.
+    """
+    if sigma > 0:
+        buffer = np.empty(view[:_NOISE_ROWS].shape)
+        for r0 in range(0, len(view), _NOISE_ROWS):
+            block = view[r0:r0 + _NOISE_ROWS]
+            noise = rng.standard_normal(out=buffer[:len(block)])
+            noise *= sigma
+            block += noise
+
+
 def generate(spec: SynthSpec) -> SynthDataset:
     """Deterministically generate a dataset from its spec.
 
     Draw order (fixed for reproducibility): concept vectors, the four view
     maps, per-sample concept subsets, per-sample mixture weights and ROI
     concept picks, the faulty-positive mask, replacement latents for
-    faulty samples, then per-view Gaussian noise. Relevance uses the
-    pre-corruption latents, so raising the faulty rate never changes it.
+    faulty samples, then per-view Gaussian noise (image, text, tag, ROI),
+    drawn in row blocks from the same stream and added in place. Relevance
+    uses the pre-corruption latents, so raising the faulty rate never
+    changes it.
     """
     rng = np.random.default_rng(spec.seed)
     n, k, latent = spec.n_samples, spec.n_concepts, spec.latent_dim
@@ -195,18 +218,14 @@ def generate(spec: SynthSpec) -> SynthDataset:
         text_latents[i] = _mixture_latent(rng, concepts, fake_idx)
 
     image = latents @ w_image
-    if spec.noise_sigma_image > 0:
-        image = image + spec.noise_sigma_image * rng.standard_normal(image.shape)
+    _add_noise(rng, image, spec.noise_sigma_image)
     text = text_latents @ w_text
-    if spec.noise_sigma_text > 0:
-        text = text + spec.noise_sigma_text * rng.standard_normal(text.shape)
+    _add_noise(rng, text, spec.noise_sigma_text)
     tag_base = concepts[subsets].mean(axis=1)
     tag = tag_base @ w_tag
-    if spec.noise_sigma_tag > 0:
-        tag = tag + spec.noise_sigma_tag * rng.standard_normal(tag.shape)
+    _add_noise(rng, tag, spec.noise_sigma_tag)
     roi = concepts[roi_concepts] @ w_roi
-    if spec.noise_sigma_roi > 0:
-        roi = roi + spec.noise_sigma_roi * rng.standard_normal(roi.shape)
+    _add_noise(rng, roi, spec.noise_sigma_roi)
 
     relevance = latents @ latents.T
     relevance = 0.5 * (relevance + relevance.T)

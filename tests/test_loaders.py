@@ -139,9 +139,10 @@ def _check_ckpt(blob: bytes, path) -> None:
     assert _contents(path.read_bytes(), MAGIC["ckpt"]) == _contents(blob, MAGIC["ckpt"])
 
 
-def _check_data(blob: bytes) -> None:
+def _check_data(blob: bytes, path) -> None:
+    path.write_bytes(blob)
     try:
-        dataset = synthgen.from_bytes(blob)
+        dataset = synthgen.load(path)
     except (FormatError, ConfigError):
         return
     s = dataset.spec
@@ -151,8 +152,8 @@ def _check_data(blob: bytes) -> None:
               "tag_features": (s.n_samples, s.d_tag),
               "relevance": (s.n_samples, s.n_samples)}
     assert {name: getattr(dataset, name).shape for name in shapes} == shapes
-    assert (_contents(synthgen.to_bytes(dataset), MAGIC["data"])
-            == _contents(blob, MAGIC["data"]))
+    synthgen.save(dataset, path)
+    assert _contents(path.read_bytes(), MAGIC["data"]) == _contents(blob, MAGIC["data"])
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -165,7 +166,7 @@ def test_each_mutated_file_is_rejected_or_loads_as_its_table(files, data):
     if target == "ckpt":
         _check_ckpt(mutated, files / "mutated.ckpt")
     else:
-        _check_data(mutated)
+        _check_data(mutated, files / "mutated.data")
 
 
 @pytest.mark.parametrize("target,kind,arg", [

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from softalign import container
+from softalign import container, synthgen
 from softalign.errors import FormatError, SpecInvalid
 from softalign.synthgen import (
     SynthDataset,
@@ -34,7 +37,25 @@ def small_spec(**kw):
     return SynthSpec(**base)
 
 
+# dataset_hash of generate(spec) for fixed specs; a change to the draw
+# order, the noise stream or the file layout changes them
+GOLDEN_HASHES = [
+    (dict(n_samples=150), "cbe304211c959383"),
+    (dict(n_samples=150, noise_sigma_roi=0.0), "86a02e82b206894f"),
+    ({}, "e226c01bebebefba"),
+]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("noise_rows", [None, 7], ids=["default-block", "block7"])
+    @pytest.mark.parametrize("kw,digest", GOLDEN_HASHES,
+                             ids=["n150", "n150-no-roi-noise", "small"])
+    def test_golden_hash(self, monkeypatch, noise_rows, kw, digest):
+        # 7-row noise blocks split every view, ragged last block included
+        if noise_rows is not None:
+            monkeypatch.setattr(synthgen, "_NOISE_ROWS", noise_rows)
+        assert dataset_hash(generate(small_spec(**kw))) == digest
+
     def test_deterministic(self):
         a, b = generate(small_spec()), generate(small_spec())
         for name in ARRAYS:
@@ -328,3 +349,107 @@ class TestContainer:
                 + np.array([1.0, 2.0]).astype("<f8").tobytes())
         with pytest.raises(FormatError, match="'x' is named twice"):
             container.unpack(blob, "SALB")
+
+    def test_an_array_larger_than_the_file(self, tmp_path):
+        # the size check comes before any array is allocated
+        header = json.dumps({"magic": "SALB", "version": container.VERSION, "meta": {},
+                             "arrays": [{"name": "x", "shape": [2**40], "offset": 0}]}
+                            ).encode()
+        blob = struct.pack("<I", len(header)) + header + bytes(8)
+        path = tmp_path / "c.bin"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="truncated data: array 'x'"):
+            container.unpack(blob, "SALB")
+        with pytest.raises(FormatError, match="truncated data: array 'x'"):
+            container.read(path, "SALB")
+
+    def test_read_from_a_pipe(self, tmp_path):
+        # a pipe has no file size, so the parser checks against the bytes read
+        blob = container.pack("SALB", {"k": 1}, {"x": np.arange(3.0)})
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        meta, arrays = container.read(fifo, "SALB")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert meta == {"k": 1} and arrays["x"].tobytes() == np.arange(3.0).tobytes()
+
+    def test_write_through_a_link_replaces_its_target(self, tmp_path):
+        (tmp_path / "real.bin").write_bytes(b"old")
+        (tmp_path / "link.bin").symlink_to("real.bin")
+        container.write(tmp_path / "link.bin", "SALB", {}, {"x": np.ones(2)})
+        assert (tmp_path / "link.bin").is_symlink()
+        assert container.read(tmp_path / "real.bin", "SALB")[1]["x"].tolist() == [1.0, 1.0]
+        assert sorted(os.listdir(tmp_path)) == ["link.bin", "real.bin"]
+
+    def test_write_to_a_pipe(self, tmp_path):
+        blob = container.pack("SALB", {"k": 1}, {"x": np.arange(3.0)})
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        container.write(fifo, "SALB", {"k": 1}, {"x": np.arange(3.0)})
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [blob] and sorted(os.listdir(tmp_path)) == ["fifo"]
+
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        container.write(path, "SALB", {"k": 1}, {"x": np.ones(3)})
+        old = path.read_bytes()
+        layout = container.layout
+
+        def failing_layout(*args):
+            # the header and the first array go out, the second cannot
+            prefix, datas = layout(*args)
+            return prefix, [datas[0], "not a buffer"]
+
+        monkeypatch.setattr(container, "layout", failing_layout)
+        with pytest.raises(TypeError):
+            container.write(path, "SALB", {"k": 2}, {"x": np.zeros(4), "y": np.zeros(2)})
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["c.bin"]
+
+
+class TestMemory:
+    """Traced peaks of the data stages, against the bytes of the arrays.
+
+    A stage that holds a second copy of the data (the file image, or noise
+    the size of a view) reads about 2x, or 1x for save.
+    """
+
+    SPEC = small_spec(n_samples=200, d_roi=2052, rois_per_image=10)  # 33 MB of ROIs
+
+    @staticmethod
+    def _peak(stage):
+        tracemalloc.start()
+        try:
+            out = stage()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        return self._peak(lambda: generate(self.SPEC))
+
+    @staticmethod
+    def _nbytes(dataset):
+        return sum(getattr(dataset, name).nbytes for name in ARRAYS)
+
+    def test_generate_holds_the_data_once(self, generated):
+        dataset, peak = generated
+        assert self._nbytes(dataset) <= peak < 1.2 * self._nbytes(dataset)
+
+    def test_save_holds_no_copy(self, generated, tmp_path):
+        dataset, _ = generated
+        _, peak = self._peak(lambda: save(dataset, tmp_path / "d.salb"))
+        assert peak < 0.05 * self._nbytes(dataset)
+
+    def test_load_holds_the_data_once(self, generated, tmp_path):
+        dataset, _ = generated
+        save(dataset, tmp_path / "d.salb")
+        loaded, peak = self._peak(lambda: load(tmp_path / "d.salb"))
+        assert self._nbytes(loaded) <= peak < 1.1 * self._nbytes(loaded)

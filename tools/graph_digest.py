@@ -45,6 +45,10 @@ small fixed dataset spec:
   state in both directions (the ``positions`` bytes and ``repr`` of the
   four scalars), and the 7 ``harness.retrieval_eval`` fields of that state
   (``repr`` of each float);
+* ``files``: the sha256 of the bytes ``synthgen.save`` writes for the
+  dataset and ``trainer.save_checkpoint`` writes for the attention-pool
+  state, and ``synthgen.dataset_hash`` of the dataset that
+  ``synthgen.load`` reads back;
 * ``grad_check``: the sha256 of ``gradcheck.check_gradients(...).to_json()``
   for every selector at the default loss config, seed 0, n 4 and d 3 (the
   exception type where the config cannot evaluate a selector);
@@ -67,6 +71,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -192,6 +198,7 @@ def _paths() -> None:
         fields = " ".join(f"{k}={v!r}" for k, v in result.to_dict().items())
         print(f"train[{mode}] embeddings={embeddings.hexdigest()} "
               f"profiles={profiles.hexdigest()} {fields}")
+    print(f"files={_files(dataset, state)}")
     report = hashlib.sha256()
     for selector in gradcheck.SELECTORS:
         try:
@@ -202,6 +209,16 @@ def _paths() -> None:
     print(f"grad_check={report.hexdigest()}")
     print(f"reference={_reference()}")
     print(f"suite={_suite(dataset)}")
+
+
+def _files(dataset, state) -> str:
+    with tempfile.TemporaryDirectory() as root:
+        data, ckpt = Path(root, "data"), Path(root, "ckpt")
+        synthgen.save(dataset, data)
+        trainer.save_checkpoint(state, ckpt)
+        return (f"data:{hashlib.sha256(data.read_bytes()).hexdigest()} "
+                f"ckpt:{hashlib.sha256(ckpt.read_bytes()).hexdigest()} "
+                f"loaded_hash:{synthgen.dataset_hash(synthgen.load(data))}")
 
 
 def _init() -> str:

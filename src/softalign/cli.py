@@ -8,15 +8,15 @@ overrides the seed everywhere. Each config field with help metadata is a
 flag named after it (``batch_size`` -> ``--batch-size``). Before any work
 the config is validated and every output path, a suite's JSON mirror
 included, is checked: no two name the same file, and none is overwritten
-without --force. Exit codes: 0 success, 1 validation/usage error, 2
-runtime error. SALB_LOG (error | info | debug) sets the stderr log level.
-Only grad-check without --out writes to stdout.
+without --force. Each output is replaced whole or not at all, keeping its
+permission bits (``container.replacing``). Exit codes: 0 success, 1
+validation/usage error, 2 runtime error. SALB_LOG (error | info | debug)
+sets the stderr log level. Only grad-check without --out writes to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -196,10 +196,7 @@ def _cmd_train(args, cfg: TrainConfig) -> None:
     state, metrics = trainer.train(dataset, cfg, state=state)
     trainer.save_checkpoint(state, args.out)
     if args.metrics:
-        with open(args.metrics, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=trainer.METRIC_COLUMNS)
-            writer.writeheader()
-            writer.writerows(metrics)
+        harness.write_csv(args.metrics, trainer.METRIC_COLUMNS, metrics)
 
 
 def _cmd_eval(args, _) -> None:
@@ -209,9 +206,7 @@ def _cmd_eval(args, _) -> None:
     payload = result.to_dict()
     payload["dataset_hash"] = synthgen.dataset_hash(dataset)
     payload["n_eval"] = dataset.n
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    harness.write_json(payload, args.out)
 
 
 def _cmd_suite(args, cfg: TrainConfig) -> None:
@@ -222,7 +217,7 @@ def _cmd_suite(args, cfg: TrainConfig) -> None:
     points = _COMMANDS[args.command].points(args, cfg)
     rows = harness.sweep(synthgen.load(args.data), points, jobs=jobs)
     harness.write_results_csv(rows, args.out)
-    harness.write_results_json(rows, _mirror(args.out))
+    harness.write_json([row.to_dict() for row in rows], _mirror(args.out))
 
 
 def _cmd_grad_check(args, loss: LossConfig) -> None:
@@ -231,19 +226,19 @@ def _cmd_grad_check(args, loss: LossConfig) -> None:
         n=args.n, d=args.d, cfg=loss,
         tolerance=args.tolerance, epsilon=args.epsilon,
     )
-    text = report.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        harness.write_json(report.to_dict(), args.out)
     else:
-        print(text)
+        print(report.to_json())
 
 
 def _cmd_logit_profile(args, _) -> None:
     dataset = synthgen.load(args.data)
     state = trainer.load_checkpoint(args.ckpt)
     profile = harness.logit_profile(state, dataset, direction=args.direction)
-    harness.write_profile_csv(profile, args.out)
+    harness.write_csv(args.out, ("position", "mean_probability"), (
+        {"position": pos, "mean_probability": repr(float(value))}
+        for pos, value in enumerate(profile.positions, start=1)))
     log.info("logit profile: top1=%.4f, top11-50=%.4f", profile.top1, profile.top11_50)
 
 

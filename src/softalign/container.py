@@ -9,18 +9,19 @@ are bitwise exact; a header whose array entries do not describe that
 layout or name one array twice raises ``FormatError``, as do bytes after
 the last array.
 
-Reads and writes stream array by array, so neither holds the file image
-as well as the arrays. :func:`write` sends the header and then each
-array's own buffer to a temporary file beside the target, and renames it
-over the target only once it is complete (a pipe or a device is written
-in place). :func:`read` and :func:`unpack` share one parser, which
-checks the whole header against the file's size before it allocates any
-array, then reads each array straight into its own buffer. A file with
-no size (a pipe) is read whole and parsed as :func:`unpack` does.
+Every output file of the package goes through :func:`replacing`, which
+renames a complete temporary file over its target. Reads and writes
+stream array by array, so neither holds the file image as well as the
+arrays: :func:`write` sends the header and then each array's own buffer
+through :func:`replacing`. :func:`read` and :func:`unpack` share one
+parser, which checks the whole header against the file's size before it
+allocates any array, then reads each array straight into its own buffer.
+A file with no size (a pipe) is read whole, as :func:`unpack` parses it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
@@ -162,43 +163,47 @@ def check_meta(meta: dict, keys: set, what: str) -> None:
                           f"expected {sorted(keys)}")
 
 
-_TEMP_IDS = itertools.count()
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", **open_kwargs):
+    """A handle opened with ``mode`` ("wb" or "w") and ``open_kwargs``
+    whose writes become the file at ``path`` when the block ends.
 
-
-def _create_beside(path) -> tuple[str, io.BufferedWriter]:
-    """A new file in ``path``'s directory, opened for writing, and its name."""
-    while True:
-        temp = f"{os.fspath(path)}.{os.getpid()}-{next(_TEMP_IDS)}.tmp"
-        try:
-            return temp, open(temp, "xb")
-        except FileExistsError:  # left by a killed writer
-            continue
+    They go to a temporary file beside the target (the file a link names),
+    which takes the old file's permission bits and is renamed over it, so
+    on any error the old file stays as it was and the temporary file goes.
+    A new file gets the default mode. A pipe or a device is written in
+    place. Nothing is fsync'd.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        target, opens = None, [(path, mode)]
+    else:
+        target = os.path.realpath(path)
+        opens = ((f"{target}.{os.getpid()}-{i}.tmp", mode.replace("w", "x"))
+                 for i in itertools.count())
+    for name, how in opens:
+        with contextlib.suppress(FileExistsError):  # taken, by a live or a killed writer
+            fh = open(name, how, **open_kwargs)
+            break
+    try:
+        with fh:
+            if target is not None:  # before the first byte, which may be private
+                with contextlib.suppress(FileNotFoundError):  # a new file
+                    os.chmod(name, stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        if target is not None:
+            os.replace(name, target)
+    except BaseException:
+        if target is not None:
+            os.unlink(name)
+        raise
 
 
 def write(path, magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> None:
-    """Write a container to ``path``.
-
-    A regular file, or the file a link names, is replaced only once the new
-    one is complete: the bytes go to a temporary file beside it, which is
-    renamed over it, so on any error the old file stays as it was. A pipe
-    or a device is written in place.
-    """
+    """Write a container to ``path`` through :func:`replacing`."""
     prefix, datas = layout(magic, meta, arrays)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as fh:
-            for chunk in (prefix, *datas):
-                fh.write(chunk)
-        return
-    target = os.path.realpath(path)
-    temp, fh = _create_beside(target)
-    try:
-        with fh:
-            for chunk in (prefix, *datas):
-                fh.write(chunk)
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise
+    with replacing(path) as fh:
+        for chunk in (prefix, *datas):
+            fh.write(chunk)
 
 
 def read(path, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:

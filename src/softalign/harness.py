@@ -20,6 +20,8 @@ dataset against the relevance ranks the dataset caches, so the relevance
 is ranked once per dataset, not per eval; a forking sweep ranks it,
 hashes the dataset and pools the ROI views its points read, in the
 parent, before the pool starts, so the workers share one copy.
+Every JSON and CSV file the package writes goes through :func:`write_json`
+or :func:`write_csv`, and so through ``container.replacing``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import backend, numkit, synthgen, trainer
+from . import backend, container, numkit, synthgen, trainer
 from .errors import ConfigError, DegenerateTargets, GalleryTooSmall
 from .synthgen import SynthDataset
 from .trainer import TrainConfig, TrainState
@@ -365,23 +367,20 @@ def _run_points(dataset: SynthDataset, points, jobs: int, task) -> list:
 # emission
 # ---------------------------------------------------------------------------
 
-def write_results_csv(rows: Sequence[ResultRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row.to_dict())
-
-
-def write_results_json(rows: Sequence[ResultRow], path) -> None:
-    with open(path, "w") as fh:
-        json.dump([row.to_dict() for row in rows], fh, indent=2)
+def write_json(payload, path) -> None:
+    """``payload`` as indented JSON and a newline, as ``path``."""
+    with container.replacing(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def write_profile_csv(profile: LogitProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position", "mean_probability"])
-        for pos, value in enumerate(profile.positions, start=1):
-            writer.writerow([pos, repr(float(value))])
+def write_csv(path, columns: Sequence[str], rows) -> None:
+    """A header of ``columns``, then a line per dict of ``rows``, as ``path``."""
+    with container.replacing(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def write_results_csv(rows: Sequence[ResultRow], path) -> None:
+    write_csv(path, RESULT_COLUMNS, (row.to_dict() for row in rows))

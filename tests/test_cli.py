@@ -1,8 +1,14 @@
 import argparse
+import ast
+import builtins
 import csv
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -721,3 +727,128 @@ def test_grad_check_bad_tolerance(tolerance, capsys):
     assert main(["grad-check", "--loss", "clip", "--n", "2", "--d", "4",
                  "--tolerance", tolerance]) == 1
     assert "tolerance" in capsys.readouterr().err
+
+
+# every output file of every command, as (argv, file name); "{out}" is the
+# directory it is written to
+_OUTPUTS = {
+    "dataset": (["gen-data", *TINY, "--out", "{out}/d.salb"], "d.salb"),
+    "checkpoint": (["train", "--data", "{data}", *FAST, "--out", "{out}/m.ckpt"],
+                   "m.ckpt"),
+    "metrics-csv": (["train", "--data", "{data}", *FAST, "--out", "{out}/m.ckpt",
+                     "--metrics", "{out}/m.csv"], "m.csv"),
+    "eval-json": (["eval", "--data", "{data}", "--ckpt", "{ckpt}",
+                   "--out", "{out}/e.json"], "e.json"),
+    "results-csv": (["sweep-gamma", "--data", "{data}", *FAST, "--gammas", "0.5",
+                     "--out", "{out}/r.csv"], "r.csv"),
+    "results-json": (["sweep-gamma", "--data", "{data}", *FAST, "--gammas", "0.5",
+                      "--out", "{out}/r.csv"], "r.json"),
+    "grad-check-json": (["grad-check", "--loss", "clip", "--n", "2", "--d", "4",
+                         "--out", "{out}/g.json"], "g.json"),
+    "profile-csv": (["logit-profile", "--data", "{data}", "--ckpt", "{ckpt}",
+                     "--out", "{out}/p.csv"], "p.csv"),
+}
+
+
+def _output_argv(output, workdir, ckpt, out_dir) -> list[str]:
+    argv, _ = _OUTPUTS[output]
+    return [arg.format(data=workdir / "data.salb", ckpt=ckpt, out=out_dir)
+            for arg in argv]
+
+
+class _FullDisk:
+    """A handle on a disk that fills up: a write stores half of what it is
+    handed, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2 or 1])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize("output", sorted(_OUTPUTS))
+def test_a_failed_write_leaves_the_old_file(output, workdir, model_ckpt, tmp_path,
+                                            monkeypatch):
+    target = tmp_path / _OUTPUTS[output][1]
+    target.write_bytes(b"old contents\n")
+    real_open = builtins.open
+
+    def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        writes = set(mode) & set("wax+")
+        # the target itself, or a temporary file beside it
+        if writes and isinstance(file, (str, os.PathLike)) and os.path.realpath(
+                file).startswith(os.path.realpath(target)):
+            return _FullDisk(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+    argv = _output_argv(output, workdir, model_ckpt, tmp_path)
+    assert main([*argv, "--force"]) == 2
+    assert target.read_bytes() == b"old contents\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("output", ["dataset", "grad-check-json"])
+def test_an_overwrite_keeps_the_permission_bits(output, workdir, model_ckpt, tmp_path):
+    argv = _output_argv(output, workdir, model_ckpt, tmp_path)
+    target = tmp_path / _OUTPUTS[output][1]
+    (tmp_path / "probe").touch()
+    assert main(argv) == 0
+    # a new file gets the mode any new file gets
+    assert target.stat().st_mode == (tmp_path / "probe").stat().st_mode
+    new = target.read_bytes()
+    target.write_bytes(b"old")
+    target.chmod(0o600)
+    assert main([*argv, "--force"]) == 0
+    assert target.read_bytes() == new
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_only_the_one_writer_opens_a_file_to_write():
+    """Every ``open`` in the package that can write sits in
+    ``container.replacing``: one rule for how an output lands on disk."""
+    writers = []
+
+    def visit(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, file, child.name)
+                continue
+            if isinstance(child, ast.Call) and _can_write(child):
+                writers.append((file, scope))
+            visit(child, file, scope)
+
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    assert writers == [("container.py", "replacing")]
+
+
+def _can_write(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file with a mode that may write: a call of
+    ``open`` or ``io.open`` without a literal read-only mode, or any other
+    call named ``open``, ``fdopen``, ``write_text`` or ``write_bytes``."""
+    func = call.func
+    builtin = (isinstance(func, ast.Name) and func.id == "open") or (
+        isinstance(func, ast.Attribute) and func.attr == "open"
+        and isinstance(func.value, ast.Name) and func.value.id == "io")
+    if not builtin:
+        return isinstance(func, ast.Attribute) and func.attr in {
+            "open", "fdopen", "write_text", "write_bytes"}
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))

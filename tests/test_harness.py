@@ -3,12 +3,13 @@ import csv
 import json
 import multiprocessing
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from softalign import numkit, synthgen
+from softalign import cli, numkit, synthgen
 from softalign.errors import ConfigError, GalleryTooSmall
 from softalign.harness import (
     RESULT_COLUMNS,
@@ -26,12 +27,17 @@ from softalign.harness import (
     retrieval_metrics,
     sweep,
     train_and_eval,
+    write_json,
     write_results_csv,
-    write_results_json,
-    write_profile_csv,
 )
 from softalign.synthgen import SynthDataset, SynthSpec, generate
-from softalign.trainer import TrainConfig, forward_batch, init_state, train
+from softalign.trainer import (
+    TrainConfig,
+    forward_batch,
+    init_state,
+    save_checkpoint,
+    train,
+)
 
 
 @pytest.fixture(scope="module")
@@ -396,16 +402,38 @@ class TestEmission:
     def test_json_mirrors_csv(self, tiny_dataset, tiny_config, tmp_path):
         rows, _ = ablation_suite(tiny_dataset, tiny_config)
         jpath = tmp_path / "r.json"
-        write_results_json(rows, jpath)
+        write_json([row.to_dict() for row in rows], jpath)
         payload = json.loads(jpath.read_text())
         assert len(payload) == 5
         assert set(payload[0]) == set(RESULT_COLUMNS)
+
+    def test_json_through_a_link_replaces_its_target(self, tmp_path):
+        (tmp_path / "real.json").write_text("old")
+        (tmp_path / "link.json").symlink_to("real.json")
+        write_json({"k": 1}, tmp_path / "link.json")
+        assert (tmp_path / "link.json").is_symlink()
+        assert json.loads((tmp_path / "real.json").read_text()) == {"k": 1}
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_json_to_a_pipe(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_json({"k": 1}, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b'{\n  "k": 1\n}\n'] and sorted(os.listdir(tmp_path)) == ["fifo"]
 
     def test_profile_csv(self, tiny_dataset, tiny_config, tmp_path):
         state, _ = train(tiny_dataset, tiny_config)
         prof = logit_profile(state, tiny_dataset)
         path = tmp_path / "prof.csv"
-        write_profile_csv(prof, path)
+        synthgen.save(tiny_dataset, tmp_path / "d.salb")
+        save_checkpoint(state, tmp_path / "m.ckpt")
+        assert cli.main(["logit-profile", "--data", str(tmp_path / "d.salb"),
+                         "--ckpt", str(tmp_path / "m.ckpt"), "--out", str(path)]) == 0
         with open(path) as fh:
             reader = csv.reader(fh)
             assert next(reader) == ["position", "mean_probability"]

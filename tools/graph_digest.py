@@ -63,20 +63,27 @@ small fixed dataset spec:
   ``harness.gamma_sweep`` rows at jobs 1 and 2, and of the
   ``harness.sweep`` rows of ``harness.ablation_points`` over seeds 0 and 1
   at jobs 2 (``softalign ablate`` on a pool, each worker stamping the
-  dataset hash), on 8-step runs.
+  dataset hash), on 8-step runs;
+* ``outputs``: the sha256 of every file that ``cli.main`` writes in a
+  tiny run on the same spec: ``gen-data``, an 8-step ``train`` with
+  ``--metrics``, ``eval``, ``ablate`` (the CSV and its JSON mirror),
+  ``sweep-gamma`` with ``--jobs 2`` (both files), ``grad-check --out``
+  and ``logit-profile``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import os
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from softalign import gradcheck, harness, objectives, synthgen, trainer
+from softalign import cli, gradcheck, harness, objectives, synthgen, trainer
 from softalign.distributions import Temperature
 from softalign.errors import SoftalignError
 from softalign.numkit import l2_normalize_rows
@@ -209,6 +216,7 @@ def _paths() -> None:
     print(f"grad_check={report.hexdigest()}")
     print(f"reference={_reference()}")
     print(f"suite={_suite(dataset)}")
+    print(f"outputs={_outputs()}")
 
 
 def _files(dataset, state) -> str:
@@ -279,6 +287,35 @@ def _suite(dataset) -> str:
     rows = harness.sweep(dataset, harness.ablation_points(base, [0, 1]), jobs=2)
     digest.update(repr([row.to_dict() for row in rows]).encode())
     return digest.hexdigest()
+
+
+def _outputs() -> str:
+    os.environ["SALB_LOG"] = "error"  # the runs log each file they write
+    steps = ["--max-steps", "8", "--batch-size", "30"]
+    with tempfile.TemporaryDirectory() as root:
+        out = Path(root)
+        (out / "spec.json").write_text(json.dumps({"synth": SPEC.to_dict()}))
+        data, ckpt = str(out / "data.salb"), str(out / "model.ckpt")
+        runs = [
+            ["gen-data", "--config", str(out / "spec.json"), "--out", data],
+            ["train", "--data", data, *steps, "--seed", "2", "--out", ckpt,
+             "--metrics", str(out / "steps.csv")],
+            ["eval", "--data", data, "--ckpt", ckpt, "--out", str(out / "eval.json")],
+            ["ablate", "--data", data, *steps, "--seeds", "0",
+             "--out", str(out / "ablate.csv")],
+            ["sweep-gamma", "--data", data, *steps, "--gammas", "0,0.5,1",
+             "--jobs", "2", "--out", str(out / "gamma.csv")],
+            ["grad-check", "--loss", "total", "--n", "4", "--d", "3", "--seed", "0",
+             "--out", str(out / "report.json")],
+            ["logit-profile", "--data", data, "--ckpt", ckpt,
+             "--out", str(out / "profile.csv")],
+        ]
+        for argv in runs:
+            if cli.main(argv) != 0:
+                raise SystemExit(f"softalign {argv[0]} failed")
+        (out / "spec.json").unlink()
+        return " ".join(f"{p.name}:{hashlib.sha256(p.read_bytes()).hexdigest()}"
+                        for p in sorted(out.iterdir()))
 
 
 if __name__ == "__main__":

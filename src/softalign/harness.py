@@ -121,9 +121,17 @@ def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray, *,
                       ) -> RetrievalResult:
     """Metrics from an explicit similarity matrix (rows: v queries).
 
-    ``relevance_ranks``, when given, are the average ranks of the
+    ``relevance_ranks``, when given, are the n(n - 1) average ranks of the
     off-diagonal ``relevance`` entries (:meth:`SynthDataset.relevance_ranks`)
-    and spare ranking them again; the result is the same bit for bit.
+    and spare ranking them again; otherwise they are ranked here, by
+    :func:`numkit.off_diagonal_ranks`. The result is the same bit for bit.
+    The similarities are ranked through a strided view, with no copy.
+    Spearman's rho is ``np.corrcoef``'s arithmetic on one (2, n(n - 1))
+    array of both rank vectors, so it keeps ``np.corrcoef``'s bits.
+
+    Raises:
+        ValueError: for non-square or mismatched matrices, or
+            ``relevance_ranks`` of another length than n(n - 1).
     """
     sims = np.asarray(sims, dtype=np.float64)
     relevance = np.asarray(relevance, dtype=np.float64)
@@ -131,16 +139,30 @@ def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray, *,
         raise ValueError(
             f"need square matching matrices, got {sims.shape} and {relevance.shape}"
         )
+    n = sims.shape[0]
+    pairs = n * (n - 1)
+    if relevance_ranks is None:
+        relevance_ranks = numkit.off_diagonal_ranks(relevance)
+    relevance_ranks = np.asarray(relevance_ranks)
+    if relevance_ranks.shape != (pairs,):
+        raise ValueError(
+            f"relevance_ranks must hold n(n - 1) = {pairs} ranks, got "
+            f"shape {relevance_ranks.shape}"
+        )
     ranks_v2t = _pair_ranks(sims)
     ranks_t2v = _pair_ranks(sims.T)
-    sims_off = numkit.off_diagonal(sims)
-    if relevance_ranks is None:
-        relevance_ranks = numkit.average_ranks(numkit.off_diagonal(relevance))
+    sims_off = numkit.off_diagonal_view(sims)
     # ranks are constant exactly where the ranked values are
     if np.ptp(sims_off) == 0.0 or np.ptp(relevance_ranks) == 0.0:
         rho = 0.0  # constant input: no monotone association measurable
     else:
-        rho = np.corrcoef(numkit.average_ranks(sims_off), relevance_ranks)[0, 1]
+        # built after the ranking, so it can reuse the ranking's freed memory
+        ranks = numkit.average_ranks(sims_off)
+        both = np.empty((2, pairs))
+        both[0] = ranks
+        del ranks
+        both[1] = relevance_ranks
+        rho = _corrcoef_in_place(both)
     return RetrievalResult(
         r1_v2t=float((ranks_v2t < 1).mean()),
         r5_v2t=float((ranks_v2t < 5).mean()),
@@ -150,6 +172,19 @@ def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray, *,
         r10_t2v=float((ranks_t2v < 10).mean()),
         spearman=float(rho),
     )
+
+
+def _corrcoef_in_place(x: np.ndarray) -> float:
+    """``np.corrcoef(x)[0, 1]`` of a (2, m) float64 array, bit for bit.
+
+    The operations numpy's ``cov`` and ``corrcoef`` apply to the array
+    they stack, applied to ``x`` itself, which is centred in place.
+    """
+    x -= np.average(x, axis=1)[:, None]
+    c = np.dot(x, x.T)
+    c *= np.true_divide(1, x.shape[1] - 1)
+    s0, s1 = np.sqrt(np.diag(c))
+    return float(np.clip(c[0, 1] / s0 / s1, -1.0, 1.0))
 
 
 def retrieval_eval(state: TrainState, dataset: SynthDataset) -> RetrievalResult:

@@ -64,23 +64,72 @@ def floored_log(m: np.ndarray, floor: float) -> np.ndarray:
 def off_diagonal(m: np.ndarray) -> np.ndarray:
     """The off-diagonal entries of a square matrix, in row-major order.
 
+    A copy of :func:`off_diagonal_view`, flattened.
+    """
+    return off_diagonal_view(m).reshape(-1)
+
+
+def off_diagonal_view(m: np.ndarray) -> np.ndarray:
+    """An (n - 1, n) view of a square matrix's off-diagonal entries.
+
     Past the first entry, the flat matrix splits into rows of n + 1 whose
     last entry is the next diagonal one, so dropping that column leaves
-    exactly the off-diagonal entries, row by row, with no n x n mask.
+    exactly the off-diagonal entries, in row-major order when the view is
+    read in C order, with no n x n mask and no copy.
     """
     n = m.shape[0]
-    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].reshape(-1)
+    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
+def off_diagonal_ranks(m: np.ndarray) -> np.ndarray:
+    """``average_ranks(off_diagonal(m))``, bit for bit, from half the sort.
+
+    A symmetric ``m`` (``np.array_equal(m, m.T)``, so no NaN) holds each
+    off-diagonal value twice, at (i, j) and (j, i). Its strict upper
+    triangle is gathered row by row and ranked alone: a tie group of size
+    k there is a group of size 2k in the full set, with the k smaller
+    twin pairs below it, so its mean rank r becomes 2r - 1/2. The ranks
+    are integers or halves, so that is exact. Each triangle rank is then
+    written to both twins. Any other ``m`` is ranked in full.
+    """
+    if not np.array_equal(m, m.T):
+        return average_ranks(off_diagonal(m))
+    n = m.shape[0]
+    upper = np.empty(n * (n - 1) // 2, dtype=m.dtype)
+    start = 0
+    for i in range(n - 1):
+        upper[start:start + n - 1 - i] = m[i, i + 1:]
+        start += n - 1 - i
+    ranks = average_ranks(upper)
+    del upper
+    ranks *= 2
+    ranks -= 0.5
+    out = np.empty(n * (n - 1))
+    # row i of the off-diagonal entries skips column i: (i, j > i) sits in
+    # its column j - 1, and its twin (j, i) in row j's column i
+    rows = out.reshape(n, n - 1)
+    start = 0
+    for i in range(n - 1):
+        seg = ranks[start:start + n - 1 - i]
+        rows[i, i:] = seg
+        rows[i + 1:, i] = seg
+        start += n - 1 - i
+    return out
 
 
 # average_ranks falls back to argsort when more sorted entries than this
 # need re-sorting by their full key: past it the fallback is as fast
 _MAX_RESORTED = 1 << 18
+# entries whose indices average_ranks packs per step
+_INDEX_CHUNK = 1 << 20
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array; tied entries share their mean rank.
+    """1-D, 1-based ranks of ``x`` read in C order; ties share their mean rank.
 
-    float64 input is ranked with one in-place ``ndarray.sort`` of uint64
+    ``x`` may have any shape and strides, such as an
+    :func:`off_diagonal_view`; float64 input needs no flat copy besides
+    its sort key. It is ranked with one in-place ``ndarray.sort`` of uint64
     keys, not ``np.argsort``. ``x + 0.0`` makes -0.0 and 0.0 one value;
     flipping the sign bit of non-negatives and every bit of negatives
     maps the floats to unsigned integers in the same order (the full
@@ -95,20 +144,25 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     :func:`_argsort_average_ranks`, bit for bit.
 
     Other dtypes, input with a NaN, and input where more than
-    ``_MAX_RESORTED`` entries need re-sorting take the argsort path.
+    ``_MAX_RESORTED`` entries need re-sorting take the argsort path, on
+    ``x.reshape(-1)``.
     """
     if x.dtype != np.float64 or np.isnan(x).any():
-        return _argsort_average_ranks(x)
+        return _argsort_average_ranks(x.reshape(-1))
     m = x.size
     bits = max(m - 1, 0).bit_length()
-    key = (x + 0.0).view(np.uint64)  # -0.0 + 0.0 == 0.0: one key for zero
+    # -0.0 + 0.0 == 0.0: one key for zero. The sum is a fresh array laid
+    # out like x, so for a C-ordered view, flattening it copies nothing
+    key = (x + 0.0).reshape(-1).view(np.uint64)
     # all ones for negatives, the sign bit alone for the rest
     packed = (key.view(np.int64) >> 63).view(np.uint64)
     packed |= np.uint64(1 << 63)
     key ^= packed
     np.right_shift(key, bits, out=packed)
     packed <<= bits
-    packed |= np.arange(m, dtype=np.uint64)
+    for start in range(0, m, _INDEX_CHUNK):  # no m-entry index array
+        stop = min(start + _INDEX_CHUNK, m)
+        packed[start:stop] |= np.arange(start, stop, dtype=np.uint64)
     packed.sort()
     # neighbours whose truncated keys are equal
     collide = (packed[1:] ^ packed[:-1]) < np.uint64(1 << bits)
@@ -131,7 +185,7 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
         pos = np.union1d(span, span + 1)
         if pos.size > _MAX_RESORTED:
             del key, lo, hi, packed, order
-            return _argsort_average_ranks(x)
+            return _argsort_average_ranks(x.reshape(-1))
         # runs sit in increasing key order, so one sort re-sorts each run
         idx = order[pos]
         order[pos] = idx[np.argsort(key[idx], kind="stable")]

@@ -121,11 +121,14 @@ class SynthDataset:
 
         Ranked once per dataset, on first use; the cached array is
         read-only. A full-set retrieval eval correlates its similarity
-        ranks against these, so no eval sorts the relevance again.
+        ranks against these, so no eval sorts the relevance again. A
+        symmetric relevance, as :func:`generate` builds, is ranked from
+        its upper triangle (:func:`numkit.off_diagonal_ranks`); a loaded
+        one that is not symmetric is ranked in full, to the same ranks.
         """
         ranks = self._cache.get("relevance_ranks")
         if ranks is None:
-            ranks = numkit.average_ranks(numkit.off_diagonal(self.relevance))
+            ranks = numkit.off_diagonal_ranks(self.relevance)
             ranks.flags.writeable = False
             self._cache["relevance_ranks"] = ranks
         return ranks

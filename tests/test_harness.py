@@ -3,7 +3,9 @@ import csv
 import json
 import multiprocessing
 import os
+import struct
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from softalign import cli, numkit, synthgen
 from softalign.errors import ConfigError, GalleryTooSmall
 from softalign.harness import (
     RESULT_COLUMNS,
+    _corrcoef_in_place,
     _point_row,
     _run_one_point,
     _run_points,
@@ -116,6 +119,46 @@ class TestRetrievalMetrics:
         for kwargs in ({}, {"relevance_ranks": ranks}):
             got = retrieval_metrics(sims, rel, **kwargs).spearman
             assert abs(got - want) < 1e-12
+
+
+    def test_peak_memory_bounded_by_the_pairs(self):
+        # B is one float64 per off-diagonal pair. Ranking the similarities
+        # peaks near 3 B; a flat copy of them, or np.corrcoef stacking the
+        # two rank vectors into a fresh array, would add 1-2 B more
+        n = 1000
+        rng = np.random.default_rng(8)
+        rel = rng.standard_normal((n, n))
+        rel += rel.T
+        ranks = numkit.average_ranks(numkit.off_diagonal(rel))
+        sims = rng.standard_normal((n, n))
+        tracemalloc.start()
+        try:
+            retrieval_metrics(sims, rel, relevance_ranks=ranks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * 8 * n * (n - 1)
+
+    @pytest.mark.parametrize("m", [3, 7, 60, 5000])
+    def test_corrcoef_in_place_is_bitwise_corrcoef(self, m):
+        # rank vectors: a permutation, and tied mean ranks
+        for seed in range(20):
+            rng = np.random.default_rng((m, seed))
+            a = rng.permutation(m).astype(np.float64) + 1.0
+            b = numkit.average_ranks(np.round(0.3 * a + rng.standard_normal(m) * m, -1))
+            if np.ptp(b) == 0.0:
+                continue
+            want = np.corrcoef(a, b)[0, 1]
+            got = _corrcoef_in_place(np.stack([a, b]))
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    @pytest.mark.parametrize("size", [0, 59 * 60 - 1, 59 * 60 + 1, 2 * 59 * 60])
+    def test_wrong_length_relevance_ranks_named(self, size):
+        rng = np.random.default_rng(3)
+        rel = rng.standard_normal((60, 60))
+        with pytest.raises(ValueError, match=rf"n\(n - 1\) = 3540 ranks, got shape \({size},\)"):
+            retrieval_metrics(rng.standard_normal((60, 60)), rel,
+                              relevance_ranks=np.arange(size, dtype=np.float64))
 
 
 class TestRelevanceRankCache:
@@ -317,15 +360,18 @@ class TestSweeps:
         spec = SynthSpec(n_samples=60, n_concepts=8, latent_dim=8, d_image=6,
                          d_text=5, d_roi=7, d_tag=4, rois_per_image=3, seed=21)
         dataset = generate(spec)
-        relevance_off = numkit.off_diagonal(dataset.relevance)
+        # the relevance is ranked in full, or from its upper triangle
+        relevance_entries = (numkit.off_diagonal(dataset.relevance),
+                             dataset.relevance[np.triu_indices(spec.n_samples, 1)])
         parent = os.getpid()
         rank, pools = numkit.average_ranks, dict(synthgen.ROI_POOLS)
 
         def parent_only_rank(x):
             # forked workers inherit this patch: the relevance is ranked only
             # in the parent; a worker ranks the similarities alone
-            if (os.getpid() != parent and x.size == relevance_off.size
-                    and np.array_equal(x, relevance_off)):
+            if os.getpid() != parent and any(
+                    x.shape == entries.shape and np.array_equal(x, entries)
+                    for entries in relevance_entries):
                 raise AssertionError("a worker ranked the relevance")
             return rank(x)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,6 +143,45 @@ class TestOffDiagonal:
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@st.composite
+def _square_inputs(draw):
+    """(kind, matrix): symmetric ones with rounded ties and signed-zero
+    twins, and ones made asymmetric by one nudged entry or a NaN."""
+    kind = draw(st.sampled_from(["symmetric", "signed_zeros", "nudged", "nan"]))
+    n = draw(st.one_of(st.just(2), st.integers(2, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.round(rng.standard_normal((n, n)), draw(st.integers(0, 6)))
+    m = a + a.T
+    if kind == "signed_zeros":
+        # zeroed twins get a sign each, so (i, j) may be 0.0 and (j, i) -0.0
+        m[np.abs(m) < 1.0] = 0.0
+        m[(m == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+    i = draw(st.integers(0, n - 1))
+    j = (i + draw(st.integers(1, n - 1))) % n
+    if kind == "nudged":
+        m[i, j] = np.nextafter(m[i, j], np.inf)
+    elif kind == "nan":
+        m[i, j] = m[j, i] = np.nan
+    return kind, m
+
+
+class TestOffDiagonalRanks:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=_square_inputs())
+    def test_equals_ranking_every_entry(self, case):
+        kind, m = case
+        n = m.shape[0]
+        with mock.patch.object(numkit, "average_ranks",
+                               wraps=numkit.average_ranks) as rank:
+            got = numkit.off_diagonal_ranks(m)
+        want = numkit._argsort_average_ranks(numkit.off_diagonal(m))
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        # a symmetric matrix is ranked from its upper triangle, any other in full
+        ranked = n * (n - 1) // 2 if kind in ("symmetric", "signed_zeros") else n * (n - 1)
+        assert [call.args[0].size for call in rank.call_args_list] == [ranked]
+
+
 class TestFlooredLog:
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("floor", [1e-12, 5e-324])
@@ -254,6 +294,38 @@ class TestAverageRanks:
         assert len(calls) == fallbacks
         np.testing.assert_array_equal(got, np.arange(1000, 0, -1, dtype=np.float64))
         _assert_ranks_exact(x)
+
+    @pytest.mark.parametrize("view", ["off_diagonal", "transposed", "stepped"])
+    @pytest.mark.parametrize("path", ["fast", "nan", "int64", "resort_bound"])
+    def test_strided_view_ranks_as_its_flat_copy(self, rng, monkeypatch, view, path):
+        calls = []
+        argsort_path = numkit._argsort_average_ranks
+
+        def spy(x):
+            calls.append(x.shape)
+            return argsort_path(x)
+
+        monkeypatch.setattr(numkit, "_argsort_average_ranks", spy)
+        monkeypatch.setattr(numkit, "_INDEX_CHUNK", 64)  # indices packed in chunks
+        m = np.round(rng.standard_normal((30, 30)), 1)
+        if path == "nan":
+            m[3, 6] = np.nan
+        elif path == "int64":
+            m = (10 * m).astype(np.int64)
+        elif path == "resort_bound":
+            # one-ulp neighbours in descending order collide and need a re-sort
+            monkeypatch.setattr(numkit, "_MAX_RESORTED", 0)
+            m = (np.float64(0.75).view(np.int64)
+                 + np.arange(900, 0, -1).reshape(30, 30)).view(np.float64)
+        x = {"off_diagonal": numkit.off_diagonal_view(m), "transposed": m.T,
+             "stepped": m[1::2, ::3]}[view]
+        assert not x.flags.c_contiguous
+        flat = x.reshape(-1)
+        assert not np.shares_memory(flat, m)
+        got, want = average_ranks(x), average_ranks(flat)
+        assert got.shape == (x.size,)
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == (0 if path == "fast" else 2)
 
     @pytest.mark.parametrize("shape", ["tie_free_1m", "symmetric_1000"])
     def test_peak_memory_at_most_the_argsort_path(self, rng, shape):

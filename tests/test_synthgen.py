@@ -453,3 +453,12 @@ class TestMemory:
         save(dataset, tmp_path / "d.salb")
         loaded, peak = self._peak(lambda: load(tmp_path / "d.salb"))
         assert self._nbytes(loaded) <= peak < 1.1 * self._nbytes(loaded)
+
+    def test_relevance_ranks_rank_the_triangle(self):
+        # B is one float64 per off-diagonal pair: the ranks themselves. The
+        # upper triangle and its ranking add about 1 B; ranking every
+        # entry, with its key, packed keys and index arrays, holds about 7 B
+        n = 1000
+        dataset = generate(small_spec(n_samples=n))
+        ranks, peak = self._peak(dataset.relevance_ranks)
+        assert ranks.nbytes == 8 * n * (n - 1) <= peak < 3 * ranks.nbytes

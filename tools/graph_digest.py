@@ -68,7 +68,12 @@ small fixed dataset spec:
   tiny run on the same spec: ``gen-data``, an 8-step ``train`` with
   ``--metrics``, ``eval``, ``ablate`` (the CSV and its JSON mirror),
   ``sweep-gamma`` with ``--jobs 2`` (both files), ``grad-check --out``
-  and ``logit-profile``.
+  and ``logit-profile``;
+* ``eval``: on the default ``SynthSpec`` (seed 0, n 2000), whose 4M
+  off-diagonal pairs make the rank sort meet truncated-key collisions,
+  the sha256 of the bytes of ``relevance_ranks()`` and the 7
+  ``harness.retrieval_eval`` fields (``repr`` of each float) after a
+  20-step ``train`` at the default ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -217,6 +222,16 @@ def _paths() -> None:
     print(f"reference={_reference()}")
     print(f"suite={_suite(dataset)}")
     print(f"outputs={_outputs()}")
+    print(f"eval={_eval()}")
+
+
+def _eval() -> str:
+    dataset = synthgen.generate(synthgen.SynthSpec(seed=0))
+    state, _ = trainer.train(dataset, trainer.TrainConfig(max_steps=20))
+    ranks = hashlib.sha256(dataset.relevance_ranks().tobytes()).hexdigest()
+    result = harness.retrieval_eval(state, dataset)
+    return " ".join([f"relevance_ranks:{ranks}",
+                     *(f"{k}={v!r}" for k, v in result.to_dict().items())])
 
 
 def _files(dataset, state) -> str:

@@ -3,15 +3,16 @@
 Each subcommand is declared once in ``_COMMANDS``: its handler, the config
 class it builds, its flags and its output paths. The commands that build a
 config read an optional JSON file (--config; sections "synth", "train",
-"loss"; unknown keys are rejected) with flags layered on top; --seed
-overrides the seed everywhere. Each config field with help metadata is a
-flag named after it (``batch_size`` -> ``--batch-size``). Before any work
-the config is validated and every output path, a suite's JSON mirror
-included, is checked: no two name the same file, and none is overwritten
-without --force. Each output is replaced whole or not at all, keeping its
-permission bits (``container.replacing``). Exit codes: 0 success, 1
-validation/usage error, 2 runtime error. SALB_LOG (error | info | debug)
-sets the stderr log level. Only grad-check without --out writes to stdout.
+"loss"; unknown keys are rejected, and so is a "loss" key in "train") with
+flags layered on top; --seed overrides the seed everywhere. Each config
+field with help metadata is a flag named after it (``batch_size`` ->
+``--batch-size``). Before any work the config is validated and every
+output path, a suite's JSON mirror included, is checked: no two name the
+same file, and none is overwritten without --force. Each output is
+replaced whole or not at all, keeping its permission bits
+(``container.replacing``). Exit codes: 0 success, 1 validation/usage
+error, 2 runtime error. SALB_LOG (error | info | debug) sets the stderr
+log level. Only grad-check without --out writes to stdout.
 """
 
 from __future__ import annotations
@@ -77,14 +78,20 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - {"synth", "train", "loss"}
+    classes = {name: cls for cls, (name, _) in _SECTIONS.items()}
+    unknown = set(data) - set(classes)
     if unknown:
         raise ConfigError(
             f"unknown config sections {sorted(unknown)}; expected synth/train/loss"
         )
-    for key in data:
-        if not isinstance(data[key], dict):
+    for key, section in data.items():
+        if not isinstance(section, dict):
             raise ConfigError(f"config section {key!r} must be an object")
+        for name, kind in _nested(classes[key]).items():
+            if name in section:  # the nested config is built from its own section
+                raise ConfigError(
+                    f"config section {key!r} cannot hold {name!r}; put its "
+                    f"fields in the {_SECTIONS[kind][0]!r} section")
     return data
 
 

@@ -41,13 +41,14 @@ temporaries fit a core's L2 cache at N=512; the matmuls on either side
 stay whole-matrix and serial. A batch of several blocks runs them on a
 thread pool with up to one thread per usable CPU; a one-block batch
 starts no thread. A block does only elementwise work and row reductions,
-no BLAS call. Every kernel and reduction works row by row in the same
-order as the unfused formulas, and every block contributes to the
-gradient accumulators in the same order, so values and gradients keep
-their bits for any block size and thread count. An error about a
-degenerate row names its row in the whole batch; with several degenerate
-rows, the first block in row order that holds one decides which error is
-raised.
+no BLAS call, and keeps its own rows of each logits gradient; once every
+block has ended, each gradient is stitched from them in row order. Every
+kernel and reduction works row by row in the same order as the unfused
+formulas, and every block adds its contributions to each key in the same
+order, so values and gradients keep their bits for any block size and
+thread count. An error about a degenerate row names its row in the whole
+batch; with several degenerate rows, the first block in row order that
+holds one decides which error is raised.
 
 The forward also takes inputs with a leading batch axis, ``(B, N, D)``:
 row kernels reduce over the last axis, logits are batched matmuls and a
@@ -164,9 +165,9 @@ class _Graph:
 
     It holds the inputs, the whole ``(N, N)`` logits, cached by (source,
     destination, temperature group) and computed by :meth:`logits` before
-    any block starts, and one whole gradient accumulator per logits key,
-    whose rows the blocks (:class:`_Block`) fill and which :meth:`finalize`
-    pushes through the temperature scaling and row normalization.
+    any block starts, and each logits key's whole gradient, stitched from
+    the blocks' (:class:`_Block`) rows, which :meth:`finalize` pushes
+    through the temperature scaling and row normalization.
     ``targets``, when given, maps ``(first row of the block, *tag)`` to
     that block's softened targets ``(t, log t, s)`` of a term: an entry
     already in it is used as is, a missing one is computed and stored.
@@ -261,9 +262,9 @@ class _Graph:
 class _Block:
     """Rows ``r0 .. r1 - 1`` of a graph's loss terms and their caches.
 
-    A block reads only logits its graph already holds and writes only its
-    own rows of the gradient accumulators and its own entries of the
-    target table, so blocks of one graph can run at the same time. The
+    A block reads only logits its graph already holds, keeps its rows of
+    each logits gradient in :attr:`dz` and writes only its own entries of
+    the target table, so blocks of one graph can run at the same time. The
     row kernels of a logits key are cached as a ``(softmax, log-softmax)``
     pair (:meth:`rows`): a key with a fourth entry, ``"offdiag"``, names
     the same logits with a ``-inf`` diagonal, and building it checks the
@@ -277,8 +278,8 @@ class _Block:
         self.r0, self.r1 = r0, r1
         self._rows: dict = {}
         self._mix: dict = {}
-        # logits keys in the order of their first contribution
-        self.written: list = []
+        # its rows of each logits gradient, in first-contribution key order
+        self.dz: dict = {}
         # without a table (training) a block's targets live only as long
         # as the block
         self.table = {} if graph.targets is None else graph.targets
@@ -317,23 +318,11 @@ class _Block:
 
     def add_dz(self, key, contribution: np.ndarray) -> None:
         """Add a fresh ``contribution`` to the block's rows of the gradient
-        w.r.t. logits ``key``; the graph may keep the array itself."""
-        accumulators = self.graph._dz
-        if key in self.written:
-            accumulators[key][self.r0:self.r1] += contribution
-            return
-        self.written.append(key)
-        if self.r1 - self.r0 == self.n:  # one block: no whole-matrix copy
-            accumulators[key] = contribution
-            return
-        whole = accumulators.get(key)
-        if whole is None:
-            # setdefault keeps the first block's array when two race; the
-            # key's place in finalize's sum is where the first block put it
-            # (_run checks that every block puts its keys in one order)
-            whole = accumulators.setdefault(
-                key, np.empty((self.n, self.n), contribution.dtype))
-        whole[self.r0:self.r1] = contribution
+        w.r.t. logits ``key``; the block may keep the array itself."""
+        if key in self.dz:
+            self.dz[key] += contribution
+        else:
+            self.dz[key] = contribution
 
 
 def _guidance_keys(graph: _Graph, form: str, bundle: str):
@@ -512,7 +501,7 @@ def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
 
 def _direction_value(parts) -> np.ndarray:
     """A direction's value from its blocks' (per-row values, factor)."""
-    rows = np.concatenate([r for r, _ in parts], axis=-1) if len(parts) > 1 else parts[0][0]
+    rows = np.concatenate([r for r, _ in parts], axis=-1)
     return parts[0][1] * rows.mean(axis=-1)
 
 
@@ -586,10 +575,10 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
             for key in keys:
                 graph.logits(key)
 
-    def run_block(r0: int) -> tuple[list, list]:
-        """The block's logits keys in the order of their first gradient
-        contribution, and each term's ((v2l rows, factor), (l2v rows,
-        factor)) on the block."""
+    def run_block(r0: int) -> tuple[dict, list]:
+        """The block's gradient rows (:attr:`_Block.dz`) and each term's
+        ((v2l rows, factor), (l2v rows, factor)) on the block; the block
+        and its row caches end here."""
         block = _Block(graph, r0, min(r0 + _BLOCK_ROWS, n))
         out = []
         for _, bundle, kind, weight in terms:
@@ -606,17 +595,14 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
                                     (bundle, "v2l", kind), disentangled),
                     _soft_direction(block, k_ti, g_l2v, w,
                                     (bundle, "l2v", kind), disentangled)))
-        return block.written, out
+        return block.dz, out
 
-    if n <= _BLOCK_ROWS:
-        blocks = [run_block(0)[1]]
-    else:
-        written, blocks = zip(*_map_blocks(run_block, range(0, n, _BLOCK_ROWS)))
-        # finalize sums the accumulators in the order the blocks created
-        # them, which is the serial order for any schedule only while every
-        # block makes its first contributions to the same keys in the same
-        # order
-        assert all(keys == written[0] for keys in written), written
+    dzs, blocks = zip(*_map_blocks(run_block, range(0, n, _BLOCK_ROWS)))
+    # finalize sums the keys in this order, which every block must share
+    keys = [list(dz) for dz in dzs]
+    assert all(k == keys[0] for k in keys), keys
+    for key in keys[0]:  # each block's rows, in row order, then dropped
+        graph._dz[key] = np.concatenate([dz.pop(key) for dz in dzs])
     # total reports the relation-enhanced part as 0 when lambda_re leaves it out
     components: dict = {"soft_re": 0.0} if selector == "total" else {}
     value = 0.0

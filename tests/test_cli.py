@@ -284,6 +284,19 @@ class TestValidationErrors:
         cfg.write_text(json.dumps({"loss": {"betaa": 0.3}}))
         assert main(["grad-check", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("loss", [{"beta": 0.5}, "nonsense"])
+    def test_loss_key_in_train_section(self, tmp_path, capsys, loss):
+        # the loss section builds the LossConfig; a loss key beside it in
+        # train would be overwritten without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"loss": loss}}))
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(tmp_path / "missing.salb"),
+                     "--out", str(tmp_path / "y.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "'loss' section" in err
+        assert not (tmp_path / "y.ckpt").exists()
+
 
 def test_bad_log_level_rejected(monkeypatch, capsys):
     monkeypatch.setenv("SALB_LOG", "chatty")

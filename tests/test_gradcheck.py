@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,80 @@ def test_graph_matches_reference(selector, divergence, stop_grad, form, split):
                 assert abs(graph - ref) <= 1e-12 * max(1.0, abs(ref)), (n, beta)
 
 
+def _reference_components(selector, v, t, r, a, tau, cfg, g_tau):
+    """Every component the graph reports for ``selector``, from the
+    objectives.py reference forward on unit rows."""
+    value = _reference_value(selector, v, t, r, a, tau, cfg, g_tau)
+    comps = {selector: value, "total": value}
+    if selector == "total":
+        ref = objectives.softclip_total(v, t, r, a, tau, cfg, guidance_tau=g_tau)
+        comps.update(clip=ref.clip, soft=ref.soft, soft_re=ref.soft_re)
+    elif selector == "mixed_gamma":
+        inputs = {"ra": (v, t, r, a), "it": (v, t, v, t)}
+        term = {"soft": objectives.soft_loss,
+                "soft_re": objectives.relation_enhanced_soft_loss}
+        for component, bundle, kind, _ in cfg.terms(selector):
+            dists = objectives.build_distributions(*inputs[bundle], tau, cfg, g_tau)
+            comps[component] = term[kind](dists, cfg)
+    return comps
+
+
+@settings(derandomize=True, deadline=None, max_examples=1200)
+@given(selector=st.sampled_from(SELECTORS),
+       divergence=st.sampled_from(DIVERGENCES),
+       form=st.sampled_from(list(SUPERVISION_FORMS)),
+       stop_grad=st.booleans(), split=st.booleans(),
+       beta=st.sampled_from([0.0, 0.3, 1.0]),
+       n=st.one_of(st.integers(2, 16), st.integers(65, 130)),
+       d=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_graph_matches_reference_property(selector, divergence, form, stop_grad,
+                                          split, beta, n, d, seed):
+    # N from 65 runs the graph in two or three row blocks on every usable
+    # CPU. Values and components come from the per-row values of every
+    # block; without stop-gradient the gradients, stitched from the blocks'
+    # rows, must give the reference's derivative along a random direction
+    rng = np.random.default_rng(seed)
+    raw = [rng.standard_normal((n, d)) for _ in range(4)]
+    tau = Temperature.from_tau(0.07)
+    g_tau = Temperature.from_tau(0.2) if split else None
+    cfg = LossConfig(beta=beta, divergence=divergence, gamma=0.4,
+                     stop_gradient_targets=stop_grad, supervision_form=form,
+                     split_guidance_temperature=split)
+    graph = _outcome(lambda: gradcheck.backward_with_components(
+        selector, *raw, tau, cfg, guidance_tau=g_tau))
+    ref = _outcome(lambda: _reference_components(
+        selector, *map(l2_normalize_rows, raw), tau, cfg, g_tau))
+    if isinstance(ref, type) or isinstance(graph, type):
+        assert graph is ref, (graph, ref)
+        return
+    value, comps, grads = graph
+    assert comps[selector] == comps["total"] == value
+    assert set(comps) == set(ref)
+    # scaled by max(1, |ref|): a component that is exactly 0 (the it bundle
+    # under R2A_A2R at beta 1 targets its own prediction) reads +-1e-17
+    for name, want in ref.items():
+        assert abs(comps[name] - want) <= 1e-12 * max(1.0, abs(want)), name
+    if stop_grad:
+        return
+    step = [rng.standard_normal((n, d)) for _ in range(4)]
+    step_tau, step_g_tau = rng.standard_normal(2)
+    h = 1e-6
+
+    def reference_at(s):
+        moved = [l2_normalize_rows(x + s * h * u) for x, u in zip(raw, step)]
+        tau_s = Temperature(tau.log_inv_tau + s * h * step_tau)
+        g_tau_s = (Temperature(g_tau.log_inv_tau + s * h * step_g_tau)
+                   if split else None)
+        return _reference_value(selector, *moved, tau_s, cfg, g_tau_s)
+    numeric = (reference_at(1) - reference_at(-1)) / (2 * h)
+    analytic = (sum(float((grads.by_name(name) * u).sum())
+                    for name, u in zip("vtra", step))
+                + grads.d_log_inv_tau * step_tau
+                + (grads.d_log_inv_tau_guidance * step_g_tau if split else 0.0))
+    assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(numeric)), (
+        analytic, numeric)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(selector=st.sampled_from(SELECTORS),
        divergence=st.sampled_from(DIVERGENCES),
@@ -616,8 +691,9 @@ def test_threaded_blocks_give_the_serial_bits(divergence, stop_grad, split, n,
 
 
 def test_more_threads_than_cores_lose_no_gradient_rows(cpus, same_bits):
-    # eight one-block threads with a short switch interval race to create
-    # each whole accumulator; a lost one drops its creator's rows
+    # eight one-block threads with a short switch interval run at once,
+    # each keeping its own gradient rows; a block whose rows were lost or
+    # stitched in the wrong place would change the bits
     v, t, r, a = random_inputs(18, n=512, d=6)
     tau = Temperature.from_tau(0.07)
     cfg = LossConfig(stop_gradient_targets=False, lambda_re=1.0, gamma=0.5)
@@ -633,6 +709,24 @@ def test_more_threads_than_cores_lose_no_gradient_rows(cpus, same_bits):
     finally:
         sys.setswitchinterval(interval)
     assert threading.get_ident() not in _threads(seen)
+
+
+def test_blocked_backward_peak_memory_is_bounded():
+    # each block's caches die with it and the gradients are stitched after
+    # the blocks end: the peak stays near 20 (N, N) float64 matrices, where
+    # blocks kept alive until the stitch reach about 45
+    n = 512
+    v, t, r, a = random_inputs(22, n=n, d=16)
+    tau = Temperature.from_tau(0.07)
+    cfg = LossConfig(stop_gradient_targets=False, lambda_re=1.0, gamma=0.5)
+    gradcheck.backward("mixed_gamma", v, t, r, a, tau, cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        gradcheck.backward("mixed_gamma", v, t, r, a, tau, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 8 * n * n, peak / (8 * n * n)
 
 
 @pytest.mark.parametrize("side", ["prediction", "target"])
@@ -694,8 +788,8 @@ def test_one_block_batch_starts_no_thread():
 @pytest.mark.parametrize("selector", ["total", "mixed_gamma"])
 def test_blocks_in_any_order_give_the_serial_bits(selector, cpus, same_bits,
                                                   monkeypatch):
-    # the last block creates every accumulator first; finalize must still
-    # sum them in the first block's order
+    # the last block runs first; the stitch must still put each block's
+    # rows in row order, and finalize sum the keys in the first block's order
     v, t, r, a = random_inputs(19, n=200, d=6)
     tau, g_tau = Temperature.from_tau(0.07), Temperature.from_tau(0.2)
     cfg = LossConfig(stop_gradient_targets=False, lambda_re=1.0, gamma=0.5,
@@ -712,8 +806,8 @@ def test_blocks_in_any_order_give_the_serial_bits(selector, cpus, same_bits,
 
 def test_blocks_that_contribute_in_different_orders_are_refused(cpus,
                                                                 monkeypatch):
-    # finalize's sum follows the order the accumulators were created in,
-    # so a block that skipped a key would make the bits depend on the schedule
+    # finalize sums the keys in the order of the blocks' first
+    # contributions, so a block that skipped a key is refused
     v, t, r, a = random_inputs(20, n=130, d=6)
     add_dz = gradcheck._Block.add_dz
 

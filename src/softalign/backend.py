@@ -8,8 +8,8 @@ a row's result depends on that row alone, so a block of rows gives the
 same bits as the whole matrix. A row that leaves its diagonal out of the
 normalization gets a ``-inf`` diagonal first (:func:`fill_diagonal`): the
 softmax is then exactly 0 there and the log-softmax ``-inf``.
-:func:`softmax_logsoftmax_rows` returns both from one exp pass, bitwise
-equal to the two single kernels.
+:func:`softmax_logsoftmax_rows` returns the softmax and the log-softmax
+from one exp pass.
 
 This is the package's only kernel path. The module keeps its own name
 (rather than living in :mod:`softalign.numkit`) because the benchmark
@@ -53,18 +53,9 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def logsoftmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row log-softmax; the graph runs :func:`softmax_logsoftmax_rows`, and
-    the tests hold that pair to this kernel's bits."""
-    zmax = z.max(axis=-1, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted - lse
-
-
 def softmax_logsoftmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(softmax_rows(z), logsoftmax_rows(z))`` from one max, shift, exp
-    and sum, with the same bits as the two kernels."""
+    """``softmax_rows(z)`` and the row log-softmax from one max, shift, exp
+    and sum; the tests hold both to the bits of the two-pass formulas."""
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)

@@ -17,6 +17,9 @@ through :func:`replacing`. :func:`read` and :func:`unpack` share one
 parser, which checks the whole header against the file's size before it
 allocates any array, then reads each array straight into its own buffer.
 A file with no size (a pipe) is read whole, as :func:`unpack` parses it.
+Each loader hands :func:`check` its format's name -> shape table: a file
+holds exactly the format's metadata keys and the table's arrays, each at
+its table shape with finite entries.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import numkit
 from .errors import FormatError
 
 VERSION = 1
@@ -155,12 +159,24 @@ def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray
     return _parse(io.BytesIO(blob), len(blob), expected_magic)
 
 
-def check_meta(meta: dict, keys: set, what: str) -> None:
-    """Raise FormatError unless ``meta`` holds exactly ``keys``: a key
-    outside the format would load, then vanish on the next save."""
+def check(meta: dict, keys: set, arrays: Mapping[str, np.ndarray],
+          table: Mapping[str, tuple[int, ...]], what: str) -> None:
+    """Raise FormatError unless ``meta`` holds exactly ``keys`` and
+    ``arrays`` exactly the names of ``table``, each at its table shape with
+    finite entries: a key or an array outside the format would load, then
+    vanish on the next save."""
     if meta.keys() != keys:
         raise FormatError(f"{what} metadata holds the keys {sorted(meta)}, "
                           f"expected {sorted(keys)}")
+    if arrays.keys() != table.keys():
+        raise FormatError(f"{what} arrays differ from its table, among them "
+                          f"{sorted(arrays.keys() ^ table.keys())[:3]}")
+    for name, shape in table.items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"{what} array {name!r} has shape {arrays[name].shape}, "
+                              f"expected {shape}")
+        if not numkit.all_finite(arrays[name]):
+            raise FormatError(f"{what} array {name!r} is not finite")
 
 
 @contextlib.contextmanager

@@ -1,7 +1,8 @@
 """Matrix validation, row normalization and rank helpers shared by every module.
 
 A "matrix" throughout the package is a 2-D C-contiguous float64 ndarray
-with finite entries; :func:`as_matrix` is the single validation gate, and
+with finite entries; :func:`as_matrix` is the single validation gate,
+:func:`all_finite` the finite test of training values and loaded files, and
 :func:`l2_normalize_rows` the one row normalizer (embeddings, synthetic
 concept vectors). The row kernels live in :mod:`softalign.backend`.
 """
@@ -29,6 +30,14 @@ def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
+
+
+def all_finite(x) -> bool:
+    """Whether every entry of ``x`` is finite: a finite sum of squares
+    proves it with no temporary; only an overflow needs the elementwise scan."""
+    flat = np.ravel(x)
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(flat @ flat) or np.isfinite(flat).all())
 
 
 def l2_normalize_rows(m) -> np.ndarray:

@@ -30,10 +30,6 @@ from .errors import FormatError, SpecInvalid
 
 MAGIC = "SALB"
 
-_ARRAY_FIELDS = (
-    "image_features", "text_features", "roi_features", "tag_features", "relevance",
-)
-
 # rows of a view that take their noise from one draw; a ROI row is 164 KB
 # at the default spec
 _NOISE_ROWS = 16
@@ -241,8 +237,20 @@ def generate(spec: SynthSpec) -> SynthDataset:
     )
 
 
+def _table(spec: SynthSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each array a dataset of ``spec`` holds, in file order."""
+    n = spec.n_samples
+    return {
+        "image_features": (n, spec.d_image),
+        "text_features": (n, spec.d_text),
+        "roi_features": (n, spec.rois_per_image, spec.d_roi),
+        "tag_features": (n, spec.d_tag),
+        "relevance": (n, n),
+    }
+
+
 def _contents(dataset: SynthDataset) -> tuple[dict, dict[str, np.ndarray]]:
-    arrays = {name: getattr(dataset, name) for name in _ARRAY_FIELDS}
+    arrays = {name: getattr(dataset, name) for name in _table(dataset.spec)}
     return {"spec": dataset.spec.to_dict()}, arrays
 
 
@@ -256,29 +264,14 @@ def save(dataset: SynthDataset, path) -> None:
 
 
 def _dataset(meta: dict, arrays: dict[str, np.ndarray]) -> SynthDataset:
-    """The dataset a parsed container holds: exactly its spec's arrays and
-    shapes, under metadata that holds the spec alone."""
+    """The dataset a parsed container holds: a valid spec alone, and its
+    :func:`_table` under :func:`container.check`. Raises FormatError."""
     try:
         spec = SynthSpec.from_dict(meta["spec"])
     except (KeyError, TypeError, SpecInvalid) as exc:
         raise FormatError(f"dataset header has no valid spec: {exc!r}") from exc
-    container.check_meta(meta, {"spec"}, "dataset")
-    if sorted(arrays) != sorted(_ARRAY_FIELDS):
-        raise FormatError(f"dataset holds the arrays {sorted(arrays)[:8]}, not its "
-                          f"spec's {sorted(_ARRAY_FIELDS)}")
-    expected = {
-        "image_features": (spec.n_samples, spec.d_image),
-        "text_features": (spec.n_samples, spec.d_text),
-        "roi_features": (spec.n_samples, spec.rois_per_image, spec.d_roi),
-        "tag_features": (spec.n_samples, spec.d_tag),
-        "relevance": (spec.n_samples, spec.n_samples),
-    }
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise FormatError(
-                f"array {name!r} has shape {arrays[name].shape}, expected {shape}"
-            )
-    return SynthDataset(spec=spec, **{name: arrays[name] for name in _ARRAY_FIELDS})
+    container.check(meta, {"spec"}, arrays, _table(spec), "dataset")
+    return SynthDataset(spec=spec, **arrays)
 
 
 def from_bytes(blob: bytes) -> SynthDataset:

@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from .numkit import l2_normalize_rows
+from .numkit import all_finite, l2_normalize_rows
 from .objectives import LOSS_VARIANTS, LossConfig
 from .synthgen import ROI_POOLS, SynthDataset
 
@@ -44,6 +44,9 @@ AGGREGATION_MODES = (*ROI_POOLS, "attention")
 METRIC_COLUMNS = ("step", "lr", "total", "clip", "soft", "soft_re", "tau")
 
 _MODALITIES = ("image", "text", "roi", "tag")
+
+# the arrays a checkpoint holds per parameter, as "<slot>/<name>"
+_SLOTS = ("param", "m", "v")
 
 # glibc's malloc maps each block above its mmap threshold (128 KiB at
 # first) afresh and returns free heap tops above its trim threshold to the
@@ -366,13 +369,9 @@ def optimizer_step(state: TrainState, grads: dict, lr: float) -> TrainState:
 
 def _require_finite(values: dict, what: str) -> None:
     """Raise NonFiniteValue naming the first non-finite entry of ``values``."""
-    # a finite sum of squares proves every entry finite; only overflow
-    # needs the elementwise scan
-    with np.errstate(over="ignore"):
-        for name, x in values.items():
-            flat = np.ravel(x)
-            if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
-                raise NonFiniteValue(f"{what} {name!r} is not finite", name=name)
+    for name, x in values.items():
+        if not all_finite(x):
+            raise NonFiniteValue(f"{what} {name!r} is not finite", name=name)
 
 
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -479,21 +478,20 @@ def save_checkpoint(state: TrainState, path) -> None:
         "step": state.step,
         "param_order": list(state.params.keys()),
     }
-    arrays = {}
-    for name, p in state.params.items():
-        arrays[f"param/{name}"] = p
-        arrays[f"m/{name}"] = state.m[name]
-        arrays[f"v/{name}"] = state.v[name]
+    stores = dict(zip(_SLOTS, (state.params, state.m, state.v)))
+    arrays = {f"{slot}/{name}": stores[slot][name]
+              for name in state.params for slot in _SLOTS}
     container.write(path, CKPT_MAGIC, meta, arrays)
 
 
 def load_checkpoint(path) -> TrainState:
     """The state :func:`save_checkpoint` wrote. Raises FormatError unless
-    the metadata holds exactly ``config``, ``step`` and ``param_order``,
-    ``step`` is an int >= 0, the config is a valid mapping, and the file
-    holds the :func:`param_layout` of that config and its ``param/*.w1``
-    widths: ``param_order`` lists its names, each with ``param/``, ``m/``
-    and ``v/`` arrays of its table shape, and no other array."""
+    ``step`` is an int >= 0, the config is a valid mapping, ``param_order``
+    lists the names of the :func:`param_layout` of that config and its
+    ``param/*.w1`` widths, and :func:`container.check` passes: the metadata
+    holds exactly ``config``, ``step`` and ``param_order``, and the arrays
+    are exactly that layout's ``param/``, ``m/`` and ``v/`` entries, each
+    at its table shape with finite entries."""
     meta, arrays = container.read(path, CKPT_MAGIC)
     try:
         cfg = TrainConfig.from_dict(meta["config"])
@@ -505,22 +503,13 @@ def load_checkpoint(path) -> TrainState:
         widths = _widths(arrays, "param/")
     except (KeyError, IndexError, TypeError, ValueError, DegenerateTargets) as exc:
         raise FormatError(f"checkpoint metadata is invalid: {exc!r}") from exc
-    container.check_meta(meta, {"config", "step", "param_order"}, "checkpoint")
     layout = param_layout(widths, cfg)
-    expected = tuple(name for name, _, _ in layout)
-    if tuple(order) != expected:
-        differ = sorted(set(order) ^ set(expected)) or "none, the order differs"
+    names = tuple(name for name, _, _ in layout)
+    if tuple(order) != names:
+        differ = sorted(set(order) ^ set(names)) or "none, the order differs"
         raise FormatError("checkpoint param_order does not list the parameters its "
                           f"config builds (names that differ: {differ})")
-    params, m, v = {}, {}, {}
-    for name, shape, _ in layout:
-        for slot, store in (("param", params), ("m", m), ("v", v)):
-            x = store[name] = arrays.pop(f"{slot}/{name}", None)
-            if x is None or x.shape != shape:
-                got = "missing" if x is None else f"of shape {x.shape}"
-                raise FormatError(f"checkpoint array {slot}/{name} is {got}, "
-                                  f"expected shape {shape}")
-    if arrays:
-        raise FormatError(f"checkpoint holds {len(arrays)} arrays that param_order "
-                          f"does not name, among them {list(arrays)[:3]}")
+    table = {f"{slot}/{name}": shape for name, shape, _ in layout for slot in _SLOTS}
+    container.check(meta, {"config", "step", "param_order"}, arrays, table, "checkpoint")
+    params, m, v = ({name: arrays[f"{slot}/{name}"] for name in names} for slot in _SLOTS)
     return TrainState(params=params, m=m, v=v, step=step, config=cfg)

@@ -332,20 +332,41 @@ class TestRuntimeErrors:
                      "--out", str(tmp_path / "y.ckpt")]) == 2
         assert "FormatError" in capsys.readouterr().err
 
-    def test_non_finite_training_writes_no_checkpoint(self, tmp_path, capsys):
+    @staticmethod
+    def _small_data(tmp_path, text_00=None):
+        """A small dataset file, with ``text_00`` as its first text entry if given."""
         from dataclasses import replace
 
         from softalign.synthgen import SynthSpec, generate, save
 
         ds = generate(SynthSpec(n_samples=60, d_roi=5, rois_per_image=2, seed=2))
         text = ds.text_features.copy()
-        text[:, 0] = np.nan
-        data = tmp_path / "nan.salb"
+        if text_00 is not None:
+            text[0, 0] = text_00
+        data = tmp_path / "data.salb"
         save(replace(ds, text_features=text), data)
+        return data
+
+    def test_non_finite_training_writes_no_checkpoint(self, tmp_path, capsys):
+        # a learning rate this large overflows the parameters on the first
+        # update, so the second step's head outputs are not finite
+        data = self._small_data(tmp_path)
         ckpt = tmp_path / "y.ckpt"
-        assert main(["train", "--data", str(data), "--out", str(ckpt),
-                     *FAST]) == 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--data", str(data), "--out", str(ckpt),
+                         "--peak-lr", "1e300", *FAST]) == 2
         assert "NonFiniteValue" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dataset_is_refused_before_training(self, tmp_path, capsys,
+                                                           value):
+        data = self._small_data(tmp_path, value)
+        ckpt = tmp_path / "y.ckpt"
+        assert main(["train", "--data", str(data), "--out", str(ckpt), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert err == ("runtime error: FormatError: dataset array "
+                       "'text_features' is not finite\n"), err
         assert not ckpt.exists()
 
 

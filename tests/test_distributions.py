@@ -142,6 +142,15 @@ class TestTargets:
         with pytest.raises(ShapeMismatch):
             mix_targets(np.eye(3), np.eye(4), 0.3)
 
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: one_hot_targets(0), BatchTooSmall, "need n >= 1, got 0"),
+        (lambda: mix_targets(np.eye(2), np.eye(2), 1.5), ValueError,
+         r"beta must be in \[0, 1\], got 1.5"),
+    ], ids=["one-hot-empty", "mix-beta"])
+    def test_target_inputs_rejected_naming_them(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
 
 class TestDisentangleNegatives:
     def test_forced_row(self):

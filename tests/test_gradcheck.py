@@ -14,7 +14,13 @@ from softalign.distributions import (
     cross_modal_dist,
     label_smooth_targets,
 )
-from softalign.errors import DegenerateRow, DegenerateTargets, SoftalignError
+from softalign.errors import (
+    BatchTooSmall,
+    DegenerateRow,
+    DegenerateTargets,
+    ShapeMismatch,
+    SoftalignError,
+)
 from softalign.numkit import l2_normalize_rows
 from softalign.objectives import (
     DIVERGENCES,
@@ -303,6 +309,26 @@ class TestCheckGradients:
         with pytest.raises(ValueError):
             backward("cosine", v, t, r, a, Temperature.from_tau(0.07),
                      LossConfig())
+
+    @pytest.mark.parametrize("edit, cfg, error, match", [
+        (lambda x: {**x, "t": x["t"][:3]}, LossConfig(), ShapeMismatch,
+         "v has 4 rows, t has 3"),
+        (lambda x: {k: m[:1] for k, m in x.items()}, LossConfig(), BatchTooSmall,
+         "at least 2 rows, got 1"),
+        (lambda x: {**x, "t": x["t"][:, :5]}, LossConfig(), ShapeMismatch,
+         r"v/t shapes differ: \(4, 8\) vs \(4, 5\)"),
+        (lambda x: {**x, "a": x["a"][:, :5]}, LossConfig(), ShapeMismatch,
+         r"r/a shapes differ: \(4, 8\) vs \(4, 5\)"),
+        (lambda x: {k: np.stack([m, m]) for k, m in x.items()}, LossConfig(),
+         ValueError, r"\(N, D\) inputs, not stacks"),
+        (lambda x: x, LossConfig(split_guidance_temperature=True), ValueError,
+         "needs a guidance_tau"),
+    ], ids=["rows-differ", "one-row", "v-t-widths", "r-a-widths", "stack",
+            "split-without-guidance-tau"])
+    def test_backward_rejects_inputs_naming_them(self, edit, cfg, error, match):
+        inputs = edit(dict(zip("vtra", random_inputs(0))))
+        with pytest.raises(error, match=match):
+            backward("total", *inputs.values(), Temperature.from_tau(0.07), cfg)
 
 
 class TestForwardValueSemantics:

@@ -152,6 +152,14 @@ class TestRetrievalMetrics:
             got = _corrcoef_in_place(np.stack([a, b]))
             assert struct.pack("<d", got) == struct.pack("<d", want)
 
+    @pytest.mark.parametrize("sims, relevance", [
+        ((3, 4), (3, 4)), ((3, 3), (4, 4)),
+    ], ids=["not-square", "mismatched"])
+    def test_non_square_or_mismatched_matrices_named(self, sims, relevance):
+        with pytest.raises(ValueError, match=rf"square matching matrices, got "
+                           rf"\({sims[0]}, {sims[1]}\) and \({relevance[0]}, "):
+            retrieval_metrics(np.ones(sims), np.ones(relevance))
+
     @pytest.mark.parametrize("size", [0, 59 * 60 - 1, 59 * 60 + 1, 2 * 59 * 60])
     def test_wrong_length_relevance_ranks_named(self, size):
         rng = np.random.default_rng(3)

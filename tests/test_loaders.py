@@ -1,13 +1,14 @@
 """Both loaders against mutated files.
 
 Starting from small valid checkpoint and dataset files, one mutation drops,
-renames, adds or reshapes an array entry, sets a metadata value (``step``,
-``param_order``, a config or spec field) to another value or type, adds a
-key to the metadata or to one of its objects, or truncates the file or
-appends bytes. Loading the result must raise
-FormatError or ConfigError, or return what the file holds: every array of
-the shape its parameter table (checkpoint) or spec (dataset) gives, which
-saves back to the file's metadata and arrays.
+renames, adds or reshapes an array entry, sets one array entry to NaN,
++inf or -inf, sets a metadata value (``step``, ``param_order``, a config
+or spec field) to another value or type, adds a key to the metadata or to
+one of its objects, or truncates the file or appends bytes. Loading the
+result must raise FormatError or ConfigError, or return what the file
+holds: every array finite and of the shape its parameter table
+(checkpoint) or spec (dataset) gives, which saves back to the file's
+metadata and arrays.
 """
 
 from dataclasses import fields
@@ -79,6 +80,9 @@ def _mutated(blob: bytes, magic: str, kind: str, arg) -> bytes:
     elif kind == "reshape":
         name, shape = arg
         arrays[name] = np.resize(arrays[name], shape)
+    elif kind == "non-finite":
+        name, index, value = arg
+        arrays[name].reshape(-1)[index] = value
     else:  # "meta" and "meta-add": the value at a key path
         *path, value = arg
         node = meta
@@ -93,14 +97,18 @@ def _draw_mutation(data, blob: bytes, target: str) -> tuple[str, object]:
     names = st.sampled_from(list(arrays))
     new_names = names | st.just("junk") | st.text(max_size=6)
     kind = data.draw(st.sampled_from(
-        ["drop", "rename", "add", "reshape", "meta", "meta-add", "truncate",
-         "append"]))
+        ["drop", "rename", "add", "reshape", "non-finite", "meta", "meta-add",
+         "truncate", "append"]))
     if kind == "drop":
         return kind, data.draw(names)
     if kind == "rename":
         return kind, (data.draw(names), data.draw(new_names))
     if kind in ("add", "reshape"):
         return kind, (data.draw(new_names if kind == "add" else names), data.draw(SHAPES))
+    if kind == "non-finite":
+        name = data.draw(st.sampled_from([n for n, x in arrays.items() if x.size]))
+        return kind, (name, data.draw(st.integers(0, arrays[name].size - 1)),
+                      data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
     if kind == "truncate":
         return kind, data.draw(st.integers(0, len(blob) - 1))
     if kind == "append":
@@ -135,6 +143,7 @@ def _check_ckpt(blob: bytes, path) -> None:
                         (state.v, table.v)):
         assert ([(name, x.shape) for name, x in store.items()]
                 == [(name, x.shape) for name, x in want.items()])
+        assert all(np.isfinite(x).all() for x in store.values())
     trainer.save_checkpoint(state, path)
     assert _contents(path.read_bytes(), MAGIC["ckpt"]) == _contents(blob, MAGIC["ckpt"])
 
@@ -152,6 +161,7 @@ def _check_data(blob: bytes, path) -> None:
               "tag_features": (s.n_samples, s.d_tag),
               "relevance": (s.n_samples, s.n_samples)}
     assert {name: getattr(dataset, name).shape for name in shapes} == shapes
+    assert all(np.isfinite(getattr(dataset, name)).all() for name in shapes)
     synthgen.save(dataset, path)
     assert _contents(path.read_bytes(), MAGIC["data"]) == _contents(blob, MAGIC["data"])
 
@@ -181,6 +191,7 @@ def test_each_mutated_file_is_rejected_or_loads_as_its_table(files, data):
     ("ckpt", "meta-add", ("junk", 1)),
     ("ckpt", "truncate", 100),
     ("ckpt", "append", b"\0"),
+    ("ckpt", "non-finite", ("param/image.w1", 0, np.nan)),
     ("data", "drop", "relevance"),
     ("data", "rename", ("text_features", "texts")),
     ("data", "add", ("junk", (2,))),
@@ -189,11 +200,14 @@ def test_each_mutated_file_is_rejected_or_loads_as_its_table(files, data):
     ("data", "meta-add", ("junk", 1)),
     ("data", "truncate", 100),
     ("data", "append", bytes(8)),
+    ("data", "non-finite", ("relevance", 1, np.nan)),
+    ("data", "non-finite", ("image_features", 0, np.inf)),
 ], ids=["ckpt-drop", "ckpt-rename", "ckpt-add", "ckpt-reshape", "ckpt-step",
         "ckpt-param-order", "ckpt-config-width", "ckpt-config-infeasible",
-        "ckpt-meta-key", "ckpt-truncate", "ckpt-append", "data-drop", "data-rename",
-        "data-add", "data-reshape", "data-spec", "data-meta-key", "data-truncate",
-        "data-append"])
+        "ckpt-meta-key", "ckpt-truncate", "ckpt-append", "ckpt-nan-param",
+        "data-drop", "data-rename", "data-add", "data-reshape", "data-spec",
+        "data-meta-key", "data-truncate", "data-append", "data-nan-relevance",
+        "data-inf-image"])
 def test_eval_exits_2_naming_format_error(files, tmp_path, capsys, target, kind, arg):
     paths = {"ckpt": files / "ckpt", "data": files / "data"}
     paths[target] = tmp_path / target

@@ -10,7 +10,7 @@ from scipy.stats import rankdata
 from softalign import backend, numkit
 from softalign.distributions import Temperature, cross_modal_dist
 from softalign.errors import ShapeMismatch, ZeroRow
-from softalign.numkit import average_ranks, l2_normalize_rows
+from softalign.numkit import all_finite, as_matrix, average_ranks, l2_normalize_rows
 
 # 1/tau = 1, so the logits are the dot products themselves
 TAU_ONE = Temperature(0.0)
@@ -47,6 +47,37 @@ class TestL2NormalizeRows:
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroRow):
             l2_normalize_rows(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("x, match", [
+        (np.ones(3), r"v must be 2-D, got shape \(3,\)"),
+        (np.ones((0, 3)), r"v must be non-empty, got shape \(0, 3\)"),
+        (np.ones((3, 0)), r"v must be non-empty, got shape \(3, 0\)"),
+    ], ids=["1-d", "no-rows", "no-columns"])
+    def test_as_matrix_rejects_shapes_naming_them(self, x, match):
+        with pytest.raises(ShapeMismatch, match=match):
+            as_matrix(x, "v")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    def test_all_finite_finds_one_entry(self, value, at):
+        x = np.arange(12.0).reshape(3, 4)
+        assert all_finite(x)
+        x.reshape(-1)[at] = value
+        assert not all_finite(x)
+        assert not all_finite(x.T)  # a non-contiguous view
+
+    def test_all_finite_past_an_overflowing_sum_of_squares(self):
+        # the squares overflow, so only the elementwise scan can decide
+        x = np.full((2, 3), 1e200)
+        assert all_finite(x) and all_finite(-x)
+        x[1, 2] = np.inf
+        assert not all_finite(x)
+
+    def test_all_finite_on_scalars_and_empty_arrays(self):
+        assert all_finite(1.0) and all_finite(np.zeros((0, 3)))
+        assert not all_finite(float("nan"))
 
 
 class TestGram:

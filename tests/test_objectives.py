@@ -12,7 +12,7 @@ from softalign.distributions import (
     mix_targets,
     one_hot_targets,
 )
-from softalign.errors import DegenerateTargets, ShapeMismatch
+from softalign.errors import BatchTooSmall, DegenerateTargets, ShapeMismatch
 from softalign.numkit import l2_normalize_rows
 from softalign.objectives import (
     DistBundle,
@@ -168,6 +168,22 @@ class TestSoftLoss:
         bundle, _, _ = _bundle(rng)
         with pytest.raises(ValueError):
             soft_loss(bundle, LossConfig(supervision_form="R2A_A2R"))
+
+    def test_unknown_supervision_form_named(self, rng):
+        bundle, _, _ = _bundle(rng)
+        with pytest.raises(ValueError, match="unknown supervision form 'R2T'"):
+            bundle.guidance("R2T")
+
+    @pytest.mark.parametrize("loss, shapes, error, match", [
+        (soft_loss, [(3, 3), (3, 3), (4, 4), (3, 3)], ShapeMismatch,
+         r"shapes differ: \[\(3, 3\), \(4, 4\)\]"),
+        (soft_loss, [(3, 4)] * 4, ShapeMismatch, r"must be square, got \(3, 4\)"),
+        (relation_enhanced_soft_loss, [(1, 1)] * 4, BatchTooSmall, "N >= 2"),
+    ], ids=["shapes-differ", "not-square", "re-one-row"])
+    def test_distributions_rejected_naming_them(self, loss, shapes, error, match):
+        bundle = DistBundle(*(np.full(shape, 1.0 / shape[1]) for shape in shapes))
+        with pytest.raises(error, match=match):
+            loss(bundle, LossConfig())
 
     def test_cross_form_buildable(self, rng):
         cfg = LossConfig(supervision_form="R2A_A2R")

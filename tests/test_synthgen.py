@@ -338,6 +338,24 @@ class TestContainer:
         with pytest.raises(FormatError):
             container.unpack(blob, "SALB")
 
+    def test_header_not_an_object(self):
+        header = json.dumps(["SALB", container.VERSION]).encode()
+        with pytest.raises(FormatError, match="header must be a JSON object"):
+            container.unpack(struct.pack("<I", len(header)) + header, "SALB")
+
+    @pytest.mark.parametrize("meta, arrays, match", [
+        ({"k": 1, "junk": 2}, {"x": np.ones(2)}, r"keys \['junk', 'k'\], expected \['k'\]"),
+        ({"k": 1}, {}, r"arrays differ from its table, among them \['x'\]"),
+        ({"k": 1}, {"x": np.ones(2), "y": np.ones(1)}, r"among them \['y'\]"),
+        ({"k": 1}, {"x": np.ones(3)}, r"'x' has shape \(3,\), expected \(2,\)"),
+        ({"k": 1}, {"x": np.array([1.0, np.nan])}, "'x' is not finite"),
+        ({"k": 1}, {"x": np.array([-np.inf, 1.0])}, "'x' is not finite"),
+    ], ids=["meta-key", "missing", "unnamed", "shape", "nan", "-inf"])
+    def test_check_names_what_breaks_the_table(self, meta, arrays, match):
+        container.check({"k": 1}, {"k"}, {"x": np.ones(2)}, {"x": (2,)}, "thing")
+        with pytest.raises(FormatError, match=f"^thing .*{match}"):
+            container.check(meta, {"k"}, arrays, {"x": (2,)}, "thing")
+
     def test_an_array_named_twice(self):
         # both entries describe the 2-float data section exactly, so only
         # the name decides; the second x used to replace the first

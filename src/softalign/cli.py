@@ -6,9 +6,10 @@ config read an optional JSON file (--config; sections "synth", "train",
 "loss"; unknown keys are rejected, and so is a "loss" key in "train") with
 flags layered on top; --seed overrides the seed everywhere. Each config
 field with help metadata is a flag named after it (``batch_size`` ->
-``--batch-size``). Before any work the config is validated and every
-output path, a suite's JSON mirror included, is checked: no two name the
-same file, and none is overwritten without --force. Each output is
+``--batch-size``); a suite has none for the fields its points set.
+Before any work the config is validated and every output path, a suite's
+JSON mirror included, is checked: no two name the same file, and none is
+overwritten without --force. Each output is
 replaced whole or not at all, keeping its permission bits
 (``container.replacing``). Exit codes: 0 success, 1 validation/usage
 error, 2 runtime error. SALB_LOG (error | info | debug) sets the stderr
@@ -126,8 +127,9 @@ def _make_config(args, cls):
     return make(cls)
 
 
-def _add_config_flags(p, cls, title: str) -> None:
-    """One flag per field of ``cls`` that has help metadata.
+def _add_config_flags(p, cls, title: str, skip: tuple) -> None:
+    """One flag per field of ``cls`` that has help metadata and is not
+    named in ``skip``.
 
     ``--`` plus the field name with ``-`` for ``_``; the type is the
     field's (:func:`config.field_types`), and a bool field takes
@@ -137,7 +139,7 @@ def _add_config_flags(p, cls, title: str) -> None:
     g = p.add_argument_group(title)
     types = config.field_types(cls)
     for f in fields(cls):
-        if "help" not in f.metadata:
+        if "help" not in f.metadata or f.name in skip:
             continue
         kind, _ = types[f.name]
         name = "--" + f.name.replace("_", "-")
@@ -254,7 +256,9 @@ class _Command:
     """A subcommand: all that ``build_parser`` and ``main`` know of it.
 
     Only a command with a ``config`` class takes --config, --seed and the
-    config's flags. A suite's ``points(args, cfg)`` builds its sweep points.
+    config's flags. A suite's ``points(args, cfg)`` builds its sweep points;
+    the config fields every point sets are listed in ``point_fields`` and
+    get no flag.
     """
 
     help: str
@@ -263,6 +267,7 @@ class _Command:
     flags: tuple = ()          # (option strings, add_argument keywords), in order
     outputs: tuple = ("out",)  # dests of the output path flags
     points: Optional[Callable] = None
+    point_fields: tuple = ()
 
 
 def _flag(*names, **kwargs):
@@ -292,19 +297,22 @@ _COMMANDS = {
         flags=(_DATA, _SUITE_OUT, _flag(
             "--seeds", help="comma-separated seeds (default: the config seed)")),
         points=lambda args, cfg: harness.ablation_points(
-            cfg, _parse_values(args.seeds, "--seeds", int) if args.seeds else [cfg.seed])),
+            cfg, _parse_values(args.seeds, "--seeds", int) if args.seeds else [cfg.seed]),
+        point_fields=("loss_variant", "mu_clip", "lambda_re", "divergence")),
     "sweep-beta": _Command(
         "sweep the target-mixing coefficient", _cmd_suite, config=TrainConfig,
         flags=(_DATA, _SUITE_OUT, _flag(
             "--betas", required=True, help="comma-separated values in [0, 1]"), _JOBS),
         points=lambda args, cfg: harness.beta_points(
-            cfg, _parse_values(args.betas, "--betas"))),
+            cfg, _parse_values(args.betas, "--betas")),
+        point_fields=("loss_variant", "beta")),
     "sweep-gamma": _Command(
         "sweep the guidance-mixing weight", _cmd_suite, config=TrainConfig,
         flags=(_DATA, _SUITE_OUT, _flag(
             "--gammas", required=True, help="comma-separated values in [0, 1]"), _JOBS),
         points=lambda args, cfg: harness.gamma_points(
-            cfg, _parse_values(args.gammas, "--gammas"))),
+            cfg, _parse_values(args.gammas, "--gammas")),
+        point_fields=("loss_variant", "gamma")),
     "grad-check": _Command(
         "verify analytic gradients against central differences",
         _cmd_grad_check, config=LossConfig,
@@ -334,14 +342,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        # no abbreviated flags: --gamma must not stand for --gammas
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         cls = command.config
         if cls is not None:
             p.add_argument("--config", help="JSON config file (sections synth/train/loss)")
             p.add_argument("--seed", type=int, help="seed override, applied everywhere")
         p.add_argument("--force", action="store_true", help="overwrite existing output files")
         for group in (cls, *_nested(cls).values()) if cls is not None else ():
-            _add_config_flags(p, group, _SECTIONS[group][1])
+            _add_config_flags(p, group, _SECTIONS[group][1], command.point_fields)
         for names, kwargs in command.flags:
             p.add_argument(*names, **kwargs)
     return parser

@@ -46,7 +46,8 @@ class ConfigError(SoftalignError):
 
 
 class NonFiniteValue(SoftalignError):
-    """Training produced a non-finite head output, loss component or gradient."""
+    """Training produced a non-finite head output, loss component, gradient
+    or parameter."""
 
     def __init__(self, message: str, step: int = -1, name: str = ""):
         super().__init__(message)

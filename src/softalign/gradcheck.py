@@ -12,7 +12,9 @@ fixed (:func:`_clip_direction`) or softened (:func:`_soft_direction`)
 targets; the relation-enhanced case of the latter drops the positive
 from both rows, renormalizes the negatives and chains the target
 gradient through that renormalization. A direction returns its
-unweighted divergence; the weight scales its gradient and the sum.
+unweighted per-row values, already scaled (-1 for cross-entropy, 0.5 for
+symmetric KL and JS; exact in binary); the weight scales its gradient
+and the sum.
 Gradients are hand-derived per stage and composed:
 
 * softmax rows:       dz = p * (g - sum_j p_j g_j)         (vjp)
@@ -33,7 +35,7 @@ back) so both sides differentiate the same function.
 
 The forward makes few passes over the N x N matrices and keeps them in
 cache. Each logits key runs one fused softmax/log-softmax; each guidance
-key builds one target mixture for its plain and disentangled targets;
+key builds one plain target, from which its disentangled one is derived;
 symmetric KL derives both KLs, the prediction VJP and the target
 gradient from one log-ratio. Once the logits exist, the terms walk the
 rows in blocks of ``_BLOCK_ROWS`` (:func:`_run`), so a block's
@@ -168,9 +170,10 @@ class _Graph:
     any block starts, and each logits key's whole gradient, stitched from
     the blocks' (:class:`_Block`) rows, which :meth:`finalize` pushes
     through the temperature scaling and row normalization.
-    ``targets``, when given, maps ``(first row of the block, *tag)`` to
-    that block's softened targets ``(t, log t, s)`` of a term: an entry
-    already in it is used as is, a missing one is computed and stored.
+    ``targets``, when given, maps ``(first row of the block, guidance
+    logits key, disentangled)`` to that block's softened targets
+    ``(t, log t, s)`` (:func:`_targets`): an entry already in it is used
+    as is, a missing one is computed and stored.
     """
 
     def __init__(self, v, t, r, a, tau: Temperature, cfg: LossConfig,
@@ -223,11 +226,8 @@ class _Graph:
         self._z: dict = {}
         self._dz: dict = {}
 
-    def _group(self, guidance: bool) -> str:
-        return "guid" if (guidance and self.split) else "pred"
-
     def key(self, src: str, dst: str, guidance: bool) -> tuple:
-        return (src, dst, self._group(guidance))
+        return (src, dst, "guid" if guidance and self.split else "pred")
 
     def logits(self, key) -> None:
         """Run the whole-matrix matmul of logits ``key`` once."""
@@ -266,10 +266,7 @@ class _Block:
     each logits gradient in :attr:`dz` and writes only its own entries of
     the target table, so blocks of one graph can run at the same time. The
     row kernels of a logits key are cached as a ``(softmax, log-softmax)``
-    pair (:meth:`rows`): a key with a fourth entry, ``"offdiag"``, names
-    the same logits with a ``-inf`` diagonal, and building it checks the
-    plain rows' off-diagonal mass once. Each guidance key's target mixture
-    is built once (:meth:`mixture`).
+    pair per ``(key, offdiag)`` (:meth:`rows`).
     """
 
     def __init__(self, graph: _Graph, r0: int, r1: int):
@@ -277,7 +274,6 @@ class _Block:
         self.cfg, self.n, self.want_grad = graph.cfg, graph.n, graph.want_grad
         self.r0, self.r1 = r0, r1
         self._rows: dict = {}
-        self._mix: dict = {}
         # its rows of each logits gradient, in first-contribution key order
         self.dz: dict = {}
         # without a table (training) a block's targets live only as long
@@ -288,33 +284,24 @@ class _Block:
         """The block's rows of logits ``key``."""
         return self.graph._z[key][..., self.r0:self.r1, :]
 
-    def rows(self, key) -> tuple[np.ndarray, np.ndarray]:
-        """``(softmax, log-softmax)`` of the block's rows of logits ``key``."""
-        if key not in self._rows:
-            if len(key) == 4:  # an "offdiag" key
-                p_full = self.rows(key[:3])[0].copy()
+    def rows(self, key, offdiag: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """``(softmax, log-softmax)`` of the block's rows of logits ``key``;
+        ``offdiag`` gives them for a ``-inf`` diagonal, after checking the
+        plain rows' off-diagonal mass, with the diagonal's log zeroed."""
+        if (key, offdiag) not in self._rows:
+            if offdiag:
+                p_full = self.rows(key)[0].copy()
                 backend.fill_diagonal(p_full, 0.0, self.r0)
                 _require_negative_mass(p_full.sum(axis=-1), "prediction", self.r0)
-                z = self.z(key[:3]).copy()
+                z = self.z(key).copy()
                 backend.fill_diagonal(z, -np.inf, self.r0)
                 p, ln_p = backend.softmax_logsoftmax_rows(z)
                 # the dropped positive's log is -inf: zeroed like t's
                 backend.fill_diagonal(ln_p, 0.0, self.r0)
             else:
                 p, ln_p = backend.softmax_logsoftmax_rows(self.z(key))
-            self._rows[key] = (p, ln_p)
-        return self._rows[key]
-
-    def mixture(self, guid_key) -> np.ndarray:
-        """``t = (1 - beta) I + beta G`` on the block's rows of ``guid_key``,
-        built as ``beta G`` plus ``1 - beta`` on the diagonal."""
-        if guid_key not in self._mix:
-            beta = self.cfg.beta
-            t = beta * self.rows(guid_key)[0]
-            diagonal = np.diagonal(t, self.r0, -2, -1)
-            backend.fill_diagonal(t, diagonal + (1.0 - beta), self.r0)
-            self._mix[guid_key] = t
-        return self._mix[guid_key]
+            self._rows[key, offdiag] = (p, ln_p)
+        return self._rows[key, offdiag]
 
     def add_dz(self, key, contribution: np.ndarray) -> None:
         """Add a fresh ``contribution`` to the block's rows of the gradient
@@ -325,29 +312,22 @@ class _Block:
             self.dz[key] = contribution
 
 
-def _guidance_keys(graph: _Graph, form: str, bundle: str):
-    """Logit keys of a bundle's (v2l, l2v) guidance distributions for a form."""
-    names = _BUNDLE_INPUTS[bundle]
-    return tuple(graph.key(names[src], names[dst], guidance=True)
-                 for src, dst in SUPERVISION_FORMS[form])
-
-
 # ---------------------------------------------------------------------------
 # per-direction terms
 # ---------------------------------------------------------------------------
 
 def _clip_direction(block: _Block, pred_key, weight: float,
-                    targets: np.ndarray):
+                    targets: np.ndarray) -> np.ndarray:
     """Cross-entropy of fixed targets (the block's rows) against one
-    softmax direction: the per-row sums of ``targets * log p`` and -1, the
-    factor of their mean. ``weight`` scales the gradient only."""
+    softmax direction: the per-row values ``-sum targets * log p``.
+    ``weight`` scales the gradient only."""
     p, ln_p = block.rows(pred_key)
-    rows = (targets * ln_p).sum(axis=-1)
+    rows = -(targets * ln_p).sum(axis=-1)
     if block.want_grad and weight != 0.0:
         dz = p - targets
         dz *= weight / block.n
         block.add_dz(pred_key, dz)
-    return rows, -1.0
+    return rows
 
 
 def _require_negative_mass(mass: np.ndarray, side: str, r0: int) -> None:
@@ -363,20 +343,22 @@ def _require_negative_mass(mass: np.ndarray, side: str, r0: int) -> None:
         )
 
 
-def _targets(block: _Block, guid_key, tag, disentangled: bool):
-    """The block's softened targets of one direction as (t, log t, s).
+def _targets(block: _Block, guid_key, disentangled: bool):
+    """The block's softened targets from guidance ``guid_key`` as
+    (t, log t, s), kept in the target table under
+    ``(block.r0, guid_key, disentangled)``.
 
-    ``t`` is the guidance key's :meth:`_Block.mixture`. Disentangled, the
-    diagonal is dropped and the rest divided by the off-diagonal mass
-    ``s`` (diagonals of ``t`` and ``log t`` are 0); plain, ``s`` is None.
+    Plain, ``t = (1 - beta) I + beta G`` is built as ``beta G`` plus
+    ``1 - beta`` on the diagonal, and ``s`` is None. Disentangled, the
+    plain ``t``'s diagonal is dropped and the rest divided by the
+    off-diagonal mass ``s`` (diagonals of ``t`` and ``log t`` are 0).
     """
-    key = (block.r0, *tag)
+    key = (block.r0, guid_key, disentangled)
     if key in block.table:
         return block.table[key]
     floor = block.cfg.target_floor
-    t = block.mixture(guid_key)
     if disentangled:
-        q = t.copy()
+        q = _targets(block, guid_key, False)[0].copy()
         backend.fill_diagonal(q, 0.0, block.r0)
         # sum the off-diagonal entries directly: computing 1 - t_ii instead
         # loses ~8 digits when the guidance softmax saturates
@@ -389,15 +371,19 @@ def _targets(block: _Block, guid_key, tag, disentangled: bool):
         backend.fill_diagonal(q, 0.0, block.r0)
         entry = (q, ln_q, s)
     else:
+        beta = block.cfg.beta
+        t = beta * block.rows(guid_key)[0]
+        diagonal = np.diagonal(t, block.r0, -2, -1)
+        backend.fill_diagonal(t, diagonal + (1.0 - beta), block.r0)
         entry = (t, floored_log(t, floor), None)
     block.table[key] = entry
     return entry
 
 
-def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
-                    disentangled: bool):
+def _soft_direction(block: _Block, pred_key, guid_key, weight: float,
+                    disentangled: bool) -> np.ndarray:
     """One direction of the softened-target divergence on the block's rows:
-    the per-row divergences and the factor of their mean.
+    the per-row divergences, scaled by 0.5 for symmetric KL and JS.
 
     ``weight`` scales the gradient only. ``disentangled`` gives the
     relation-enhanced term: the positive is dropped from both rows and
@@ -409,8 +395,8 @@ def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
     updated in place; every value keeps the bits of the unfused formulas.
     """
     cfg = block.cfg
-    p, ln_p = block.rows((*pred_key, "offdiag") if disentangled else pred_key)
-    t, ln_t, s = _targets(block, guid_key, tag, disentangled)
+    p, ln_p = block.rows(pred_key, offdiag=disentangled)
+    t, ln_t, s = _targets(block, guid_key, disentangled)
     # the finite-difference oracle runs this forward-only, so gradient
     # terms are built only when asked for
     grad_p = block.want_grad and weight != 0.0
@@ -422,7 +408,7 @@ def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
     mode = cfg.divergence
     if mode == "forward_kl":
         log_ratio = ln_t - ln_p
-        rows, scale = (t * log_ratio).sum(axis=-1), 1.0
+        rows = (t * log_ratio).sum(axis=-1)
         if grad_p:
             dz = p - t
         if grad_t:
@@ -434,7 +420,7 @@ def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
         gm = ln_p - ln_t
         pg = p * gm
         kl_pt = pg.sum(axis=-1)
-        rows, scale = -(t * gm).sum(axis=-1) + kl_pt, 0.5
+        rows = 0.5 * (kl_pt - (t * gm).sum(axis=-1))
         if grad_p:
             # 0.5 (p - t) + 0.5 vjp(p, gm)
             dz = p - t
@@ -462,7 +448,7 @@ def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
             backend.fill_diagonal(ln_m, 1.0, block.r0)
         np.log(ln_m, out=ln_m)
         kl = backend.kl_term_rows
-        rows, scale = kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m), 0.5
+        rows = 0.5 * (kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m))
         if grad_p:
             g = ln_p - ln_m
             g *= 0.5
@@ -492,7 +478,7 @@ def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
         h = backend.softmax_vjp_rows(block.rows(guid_key)[0], h, out=h)
         h *= c
         block.add_dz(guid_key, h)
-    return rows, scale
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +486,8 @@ def _soft_direction(block: _Block, pred_key, guid_key, weight: float, tag,
 # ---------------------------------------------------------------------------
 
 def _direction_value(parts) -> np.ndarray:
-    """A direction's value from its blocks' (per-row values, factor)."""
-    rows = np.concatenate([r for r, _ in parts], axis=-1)
-    return parts[0][1] * rows.mean(axis=-1)
+    """A direction's value: the mean of its blocks' per-row values."""
+    return np.concatenate(parts, axis=-1).mean(axis=-1)
 
 
 def _usable_cpus() -> int:
@@ -567,7 +552,10 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
         elif kind == "label_smooth":
             fixed[kind] = label_smooth_targets(n, cfg.alpha)
         else:
-            guidance[bundle] = _guidance_keys(graph, cfg.supervision_form, bundle)
+            names = _BUNDLE_INPUTS[bundle]
+            guidance[bundle] = tuple(
+                graph.key(names[src], names[dst], guidance=True)
+                for src, dst in SUPERVISION_FORMS[cfg.supervision_form])
     graph.logits(k_it)
     graph.logits(k_ti)
     if not targets:  # a filled table holds every softened target already
@@ -577,8 +565,8 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
 
     def run_block(r0: int) -> tuple[dict, list]:
         """The block's gradient rows (:attr:`_Block.dz`) and each term's
-        ((v2l rows, factor), (l2v rows, factor)) on the block; the block
-        and its row caches end here."""
+        (v2l rows, l2v rows) on the block; the block and its row caches
+        end here."""
         block = _Block(graph, r0, min(r0 + _BLOCK_ROWS, n))
         out = []
         for _, bundle, kind, weight in terms:
@@ -591,10 +579,8 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
                 g_v2l, g_l2v = guidance[bundle]
                 disentangled = kind == "soft_re"
                 out.append((
-                    _soft_direction(block, k_it, g_v2l, w,
-                                    (bundle, "v2l", kind), disentangled),
-                    _soft_direction(block, k_ti, g_l2v, w,
-                                    (bundle, "l2v", kind), disentangled)))
+                    _soft_direction(block, k_it, g_v2l, w, disentangled),
+                    _soft_direction(block, k_ti, g_l2v, w, disentangled)))
         return block.dz, out
 
     dzs, blocks = zip(*_map_blocks(run_block, range(0, n, _BLOCK_ROWS)))

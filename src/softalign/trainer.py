@@ -416,7 +416,10 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     early without changing the schedule (checkpoint and resume later).
     A non-finite head output, loss component or gradient raises
     NonFiniteValue before the update, leaving the state at the last
-    finite step. A resumed ``state`` must have been trained under ``cfg``
+    finite step; a parameter that an update leaves non-finite raises it
+    at that step, with the failing update in the state (the CLI then
+    writes no checkpoint).
+    A resumed ``state`` must have been trained under ``cfg``
     up to ``max_steps``; any other difference raises ConfigError.
     The first call in a process raises glibc's malloc mmap and trim
     thresholds, process-wide, so each step reuses its temporaries' pages:
@@ -450,16 +453,18 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             value, comps, grads = loss_and_grads(state, dataset, indices)
             _require_finite(comps, "loss component")
             _require_finite(grads, "gradient")
+            if cfg.grad_clip is not None:
+                norm = math.sqrt(sum(float((g * g).sum())
+                                     for g in grads.values()))
+                if norm > cfg.grad_clip:
+                    scale = cfg.grad_clip / norm
+                    grads = {k: g * scale for k, g in grads.items()}
+            lr = lr_at(step, total, cfg)
+            optimizer_step(state, grads, lr)
+            _require_finite(state.params, "parameter")
         except NonFiniteValue as exc:
             raise NonFiniteValue(f"step {step}: {exc}", step=step,
                                  name=exc.name) from exc
-        if cfg.grad_clip is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if norm > cfg.grad_clip:
-                scale = cfg.grad_clip / norm
-                grads = {k: g * scale for k, g in grads.items()}
-        lr = lr_at(step, total, cfg)
-        optimizer_step(state, grads, lr)
         record = {**comps, "step": step, "lr": lr, "total": value,
                   "tau": state.temperature.tau}
         # a column the variant has no component for reads 0

@@ -169,9 +169,8 @@ def test_ablate_emits_csv_and_json(workdir):
 
 
 @pytest.mark.parametrize("argv, error", [
-    # soft_re_fkl turns the relation-enhanced term on, undefined at beta=0
-    (["ablate", "--seeds", "0", "--beta", "0", "--divergence", "forward_kl",
-      "--lambda-re", "0"], "DegenerateTargets"),
+    # the base config's relation-enhanced term is undefined at beta=0
+    (["ablate", "--seeds", "0", "--beta", "0"], "DegenerateTargets"),
     (["sweep-beta", "--betas", "0.3,1.5"], "ValueError"),
     (["sweep-gamma", "--gammas", "0,-0.1"], "ValueError"),
     # every point skipped or none given: nothing to run
@@ -586,6 +585,13 @@ _DATA_OUT = [
     (("--out",), "out", "_StoreAction", None),
 ]
 _SWEEP_JOBS = [(("--jobs",), "jobs", "int", None)]
+
+
+def _without(flags, *dests):
+    """``flags`` less the config fields a suite's points set."""
+    return [f for f in flags if f[1] not in dests]
+
+
 EXPECTED_FLAGS = {
     "gen-data": _COMMON_FLAGS + _SYNTH_FLAGS
     + [(("--out",), "out", "_StoreAction", None)],
@@ -593,11 +599,14 @@ EXPECTED_FLAGS = {
         (("--resume",), "resume", "_StoreAction", None),
         (("--metrics",), "metrics", "_StoreAction", None),
     ],
-    "ablate": _COMMON_FLAGS + _TRAIN_FLAGS + _LOSS_FLAGS + _DATA_OUT
+    "ablate": _COMMON_FLAGS + _without(_TRAIN_FLAGS, "loss_variant")
+    + _without(_LOSS_FLAGS, "mu_clip", "lambda_re", "divergence") + _DATA_OUT
     + [(("--seeds",), "seeds", "_StoreAction", None)],
-    "sweep-beta": _COMMON_FLAGS + _TRAIN_FLAGS + _LOSS_FLAGS + _DATA_OUT
+    "sweep-beta": _COMMON_FLAGS + _without(_TRAIN_FLAGS, "loss_variant")
+    + _without(_LOSS_FLAGS, "beta") + _DATA_OUT
     + [(("--betas",), "betas", "_StoreAction", None)] + _SWEEP_JOBS,
-    "sweep-gamma": _COMMON_FLAGS + _TRAIN_FLAGS + _LOSS_FLAGS + _DATA_OUT
+    "sweep-gamma": _COMMON_FLAGS + _without(_TRAIN_FLAGS, "loss_variant")
+    + _without(_LOSS_FLAGS, "gamma") + _DATA_OUT
     + [(("--gammas",), "gammas", "_StoreAction", None)] + _SWEEP_JOBS,
     "grad-check": _COMMON_FLAGS + _LOSS_FLAGS + [
         (("--loss",), "loss", "_StoreAction", _VARIANTS),
@@ -635,6 +644,27 @@ def test_flag_set(command):
         for a in subparsers.choices[command]._actions if a.dest != "help"
     ]
     assert table == EXPECTED_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-gamma", "--gammas", "0.5"], ["--gamma", "0.1"]),
+    (["sweep-gamma", "--gammas", "0.5"], ["--loss-variant", "clip"]),
+    (["sweep-beta", "--betas", "0.3"], ["--beta", "0"]),
+    (["sweep-beta", "--betas", "0.3"], ["--loss-variant", "clip"]),
+    (["ablate"], ["--loss-variant", "clip"]),
+    (["ablate"], ["--mu-clip", "0.9"]),
+    (["ablate"], ["--lambda-re", "0"]),
+    (["ablate"], ["--divergence", "js"]),
+], ids=lambda x: x[0].lstrip("-"))
+def test_suite_refuses_flags_its_points_set(workdir, tmp_path, monkeypatch,
+                                            capsys, argv, flag):
+    # every point overwrites the field, so a flag for it would be ignored
+    _no_loading(monkeypatch)
+    out = tmp_path / "suite.csv"
+    assert main([*argv, *flag, "--data", str(workdir / "data.salb"), *FAST,
+                 "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))

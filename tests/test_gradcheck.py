@@ -10,6 +10,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from softalign.distributions import (
+    TAU_MAX,
+    TAU_MIN,
     Temperature,
     cross_modal_dist,
     label_smooth_targets,
@@ -508,6 +510,15 @@ def _reference_components(selector, v, t, r, a, tau, cfg, g_tau):
     return comps
 
 
+# log(1/tau) at the clamp edges, tau = TAU_MAX and tau = TAU_MIN
+_CLAMP_EDGES = (float(-np.log(TAU_MAX)), float(-np.log(TAU_MIN)))
+# tau 0.07 and 0.2, both clamp edges, and the whole range between and
+# beyond them
+_LOG_INV_TAUS = st.one_of(
+    st.sampled_from([float(-np.log(0.07)), float(-np.log(0.2)), *_CLAMP_EDGES]),
+    st.floats(_CLAMP_EDGES[0] - 2.0, _CLAMP_EDGES[1] + 2.0))
+
+
 @settings(derandomize=True, deadline=None, max_examples=1200)
 @given(selector=st.sampled_from(SELECTORS),
        divergence=st.sampled_from(DIVERGENCES),
@@ -515,17 +526,22 @@ def _reference_components(selector, v, t, r, a, tau, cfg, g_tau):
        stop_grad=st.booleans(), split=st.booleans(),
        beta=st.sampled_from([0.0, 0.3, 1.0]),
        n=st.one_of(st.integers(2, 16), st.integers(65, 130)),
-       d=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+       d=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+       log_inv_tau=_LOG_INV_TAUS, log_inv_tau_g=_LOG_INV_TAUS)
 def test_graph_matches_reference_property(selector, divergence, form, stop_grad,
-                                          split, beta, n, d, seed):
+                                          split, beta, n, d, seed,
+                                          log_inv_tau, log_inv_tau_g):
     # N from 65 runs the graph in two or three row blocks on every usable
     # CPU. Values and components come from the per-row values of every
     # block; without stop-gradient the gradients, stitched from the blocks'
-    # rows, must give the reference's derivative along a random direction
+    # rows, must give the reference's derivative along a random direction.
+    # Values and errors are compared at every temperature, clamped or not;
+    # a temperature's gradient only where the central difference stays on
+    # one side of its clamp
     rng = np.random.default_rng(seed)
     raw = [rng.standard_normal((n, d)) for _ in range(4)]
-    tau = Temperature.from_tau(0.07)
-    g_tau = Temperature.from_tau(0.2) if split else None
+    tau = Temperature(log_inv_tau)
+    g_tau = Temperature(log_inv_tau_g) if split else None
     cfg = LossConfig(beta=beta, divergence=divergence, gamma=0.4,
                      stop_gradient_targets=stop_grad, supervision_form=form,
                      split_guidance_temperature=split)
@@ -549,13 +565,25 @@ def test_graph_matches_reference_property(selector, divergence, form, stop_grad,
     step_tau, step_g_tau = rng.standard_normal(2)
     h = 1e-6
 
+    def one_sided(temp, u):
+        """Whether log(1/tau) +- 2 h u lie on one side of the clamp."""
+        return (Temperature(temp.log_inv_tau + 2 * h * u).clamp_active
+                == Temperature(temp.log_inv_tau - 2 * h * u).clamp_active)
+    if not one_sided(tau, step_tau):
+        step_tau = 0.0
+    if split and not one_sided(g_tau, step_g_tau):
+        step_g_tau = 0.0
+
     def reference_at(s):
         moved = [l2_normalize_rows(x + s * h * u) for x, u in zip(raw, step)]
         tau_s = Temperature(tau.log_inv_tau + s * h * step_tau)
         g_tau_s = (Temperature(g_tau.log_inv_tau + s * h * step_g_tau)
                    if split else None)
         return _reference_value(selector, *moved, tau_s, cfg, g_tau_s)
-    numeric = (reference_at(1) - reference_at(-1)) / (2 * h)
+    # the fourth-order stencil: a raw row of small norm makes the third
+    # derivative large enough to defeat the plain central difference
+    numeric = (8 * (reference_at(1) - reference_at(-1))
+               - (reference_at(2) - reference_at(-2))) / (12 * h)
     analytic = (sum(float((grads.by_name(name) * u).sum())
                     for name, u in zip("vtra", step))
                 + grads.d_log_inv_tau * step_tau

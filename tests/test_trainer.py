@@ -377,6 +377,22 @@ class TestTrainLoop:
         for k in clean.params:
             np.testing.assert_array_equal(state.params[k], clean.params[k])
 
+    def test_overflowing_update_raises_at_its_step(self, tiny_resume_dataset):
+        # the second update overflows the parameters; it is named at its own
+        # step, not by the head output of the step after it, and stays in
+        # the state
+        cfg = TrainConfig(epochs=2, batch_size=30, peak_lr=1e300)
+        state = init_state(tiny_resume_dataset.spec, cfg)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteValue) as info:
+            train(tiny_resume_dataset, cfg, state=state)
+        assert str(info.value) == "step 1: parameter 'image.w1' is not finite"
+        assert (info.value.step, info.value.name) == (1, "image.w1")
+        assert state.step == 2
+        assert not np.isfinite(state.params["image.w1"]).all()
+        before, _ = train(tiny_resume_dataset, cfg, stop_at_step=1)
+        assert all(np.isfinite(p).all() for p in before.params.values())
+
     def test_non_finite_gradient_named(self):
         grads = {"image.w1": np.ones((2, 2)), "text.b1": np.array([0.0, np.inf])}
         with pytest.raises(NonFiniteValue, match="text.b1") as info:

@@ -6,8 +6,9 @@ bitwise neutral:
     PYTHONPATH=src python3 tools/graph_digest.py
 
 It prints one line per selector, then one multi-block line per selector,
-two N=512 lines, then the lines of the non-graph paths. Each selector
-line holds three sha256 digests:
+two N=512 lines, one multi-block oracle line per selector, then the
+lines of the non-graph paths. Each selector line holds three sha256
+digests:
 
 * ``grads``: the four input gradients and both temperature gradients of
   ``gradcheck.backward_with_components``, or the exception type it raises;
@@ -30,7 +31,13 @@ divergence x stop-gradient at the default loss config with gamma 0.4:
 6 cases per selector. A ``blocks512[selector]`` line does the same for
 ``total`` and ``mixed_gamma`` at N=512, the loss_heavy batch, which the
 graph runs in eight row blocks on every usable CPU, with lambda_re 1 and
-gamma 0.5: 6 cases per selector.
+gamma 0.5: 6 cases per selector. A ``fd_blocks[selector]`` line digests
+``fd`` at N=66 and d=1, which the graph runs in a 64-row block and a
+2-row one, with stop-gradient on and off at the default loss config with
+gamma 0.4: under stop-gradient the oracle's frozen target table then
+holds entries for both blocks. At d=1 every unit row is +-1, so the
+input columns read about 0 and the temperature derivative, which runs
+against that table, carries the content.
 
 The other lines cover the data, training, eval and report paths on a
 small fixed dataset spec:
@@ -107,6 +114,7 @@ FD_WEIGHTS = [dict(lambda_re=0.0, mu_clip=0.0, gamma=0.0),
 FD_SHAPES = ((3, 3), (4, 2), (5, 3))
 BLOCKS_N = 130  # two full row blocks of the graph and a 2-row one
 BLOCKS512_SELECTORS = ("total", "mixed_gamma")
+FD_BLOCKS_N = 66  # a 64-row block and a 2-row one
 SPEC = synthgen.SynthSpec(n_samples=120, n_concepts=8, latent_dim=12, d_image=10,
                           d_text=9, d_roi=11, d_tag=7, rois_per_image=3, seed=3)
 
@@ -186,6 +194,12 @@ def main() -> None:
             _graph_case(selector, 512, cfg, False, grads, values)
         print(f"blocks512[{selector}] grads={grads.hexdigest()} "
               f"values={values.hexdigest()}")
+    for selector in gradcheck.SELECTORS:
+        fd = hashlib.sha256()
+        for sg in (True, False):
+            cfg = LossConfig(stop_gradient_targets=sg, gamma=0.4)
+            _fd_case(selector, cfg, FD_BLOCKS_N, 1, fd)
+        print(f"fd_blocks[{selector}] fd={fd.hexdigest()}")
     _paths()
 
 

@@ -6,14 +6,15 @@ config read an optional JSON file (--config; sections "synth", "train",
 "loss"; unknown keys are rejected, and so is a "loss" key in "train") with
 flags layered on top; --seed overrides the seed everywhere. Each config
 field with help metadata is a flag named after it (``batch_size`` ->
-``--batch-size``); a suite has none for the fields its points set.
+``--batch-size``). A suite takes neither a flag nor a file key for the
+fields its points set (``_Command.point_fields``; ablate's seed is one).
 Before any work the config is validated and every output path, a suite's
 JSON mirror included, is checked: no two name the same file, and none is
-overwritten without --force. Each output is
-replaced whole or not at all, keeping its permission bits
-(``container.replacing``). Exit codes: 0 success, 1 validation/usage
-error, 2 runtime error. SALB_LOG (error | info | debug) sets the stderr
-log level. Only grad-check without --out writes to stdout.
+overwritten without --force. Each output is replaced whole or not at all,
+keeping its permission bits (``container.replacing``). Exit codes: 0
+success, 1 validation/usage error, 2 runtime error. SALB_LOG (error |
+info | debug) sets the stderr log level. Only grad-check without --out
+writes to stdout.
 """
 
 from __future__ import annotations
@@ -96,35 +97,33 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _build(args, cls, section: dict, **fixed):
-    """A config from its file section, overridden by flags, then ``fixed``.
-
-    ``cls.from_dict`` rejects unknown keys.
-    """
-    merged = dict(section)
-    for f in fields(cls):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            merged[f.name] = value
-    merged.update(fixed)
-    return cls.from_dict(merged)
-
-
 def _nested(cls) -> dict[str, type]:
     """The fields of ``cls`` that hold a config of their own (TrainConfig.loss)."""
     return {name: kind for name, (kind, _) in config.field_types(cls).items()
             if kind in _SECTIONS}
 
 
-def _make_config(args, cls):
-    """``cls`` from the ``--config`` file (read once) and the flags."""
+def _make_config(args, command):
+    """``command.config`` from the ``--config`` file (read once), each
+    section overridden by the flags and built after its nested config. A
+    file key for one of ``command.point_fields`` raises ConfigError before
+    its config is built; ``from_dict`` rejects unknown keys."""
     sections = _load_config_file(args.config) if args.config else {}
 
-    def make(kind):
-        inner = {name: make(sub) for name, sub in _nested(kind).items()}
-        return _build(args, kind, sections.get(_SECTIONS[kind][0], {}), **inner)
+    def build(cls):
+        inner = {name: build(sub) for name, sub in _nested(cls).items()}
+        merged = dict(sections.get(_SECTIONS[cls][0], {}))
+        for f in fields(cls):
+            if f.name in command.point_fields and f.name in merged:
+                raise ConfigError(
+                    f"config section {_SECTIONS[cls][0]!r} cannot hold "
+                    f"{f.name!r}: every {args.command} point sets it")
+            value = getattr(args, f.name, None)
+            if value is not None:
+                merged[f.name] = value
+        return cls.from_dict({**merged, **inner})
 
-    return make(cls)
+    return build(command.config)
 
 
 def _add_config_flags(p, cls, title: str, skip: tuple) -> None:
@@ -257,8 +256,8 @@ class _Command:
 
     Only a command with a ``config`` class takes --config, --seed and the
     config's flags. A suite's ``points(args, cfg)`` builds its sweep points;
-    the config fields every point sets are listed in ``point_fields`` and
-    get no flag.
+    ``point_fields`` names the config fields every point sets, and no
+    input reaches them: no flag (--seed included) and no config-file key.
     """
 
     help: str
@@ -295,10 +294,11 @@ _COMMANDS = {
     "ablate": _Command(
         "train and score the objective variants", _cmd_suite, config=TrainConfig,
         flags=(_DATA, _SUITE_OUT, _flag(
-            "--seeds", help="comma-separated seeds (default: the config seed)")),
+            "--seeds", default=str(TrainConfig.seed),
+            help="comma-separated seeds (default: %(default)s)")),
         points=lambda args, cfg: harness.ablation_points(
-            cfg, _parse_values(args.seeds, "--seeds", int) if args.seeds else [cfg.seed]),
-        point_fields=("loss_variant", "mu_clip", "lambda_re", "divergence")),
+            cfg, _parse_values(args.seeds, "--seeds", int)),
+        point_fields=("loss_variant", "seed", "mu_clip", "lambda_re", "divergence")),
     "sweep-beta": _Command(
         "sweep the target-mixing coefficient", _cmd_suite, config=TrainConfig,
         flags=(_DATA, _SUITE_OUT, _flag(
@@ -347,7 +347,8 @@ def build_parser() -> _Parser:
         cls = command.config
         if cls is not None:
             p.add_argument("--config", help="JSON config file (sections synth/train/loss)")
-            p.add_argument("--seed", type=int, help="seed override, applied everywhere")
+            if "seed" not in command.point_fields:
+                p.add_argument("--seed", type=int, help="seed override, applied everywhere")
         p.add_argument("--force", action="store_true", help="overwrite existing output files")
         for group in (cls, *_nested(cls).values()) if cls is not None else ():
             _add_config_flags(p, group, _SECTIONS[group][1], command.point_fields)
@@ -372,7 +373,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:  # the config, then every output path, both before any work
         command = _COMMANDS[args.command]
-        cfg = _make_config(args, command.config) if command.config else None
+        cfg = _make_config(args, command) if command.config else None
         paths = _outputs(args, command)
         for path in paths:
             if path.exists() and not args.force:

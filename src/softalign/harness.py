@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import backend, container, numkit, synthgen, trainer
+from . import container, distributions, numkit, synthgen, trainer
 from .errors import ConfigError, DegenerateTargets, GalleryTooSmall
 from .synthgen import SynthDataset
 from .trainer import TrainConfig, TrainState
@@ -205,7 +205,7 @@ def logit_profile(state: TrainState, dataset: SynthDataset,
         raise GalleryTooSmall(f"need at least {PROFILE_POSITIONS} samples, got {dataset.n}")
     v, t, _, _ = trainer.forward_batch(state, dataset, np.arange(dataset.n))
     q, g = (v, t) if direction == "v2t" else (t, v)
-    probs = backend.softmax_rows((q @ g.T) * state.temperature.inv_tau)
+    probs = distributions.cross_modal_dist(q, g, state.temperature)
     sorted_desc = -np.sort(-probs, axis=1)
     mean_profile = sorted_desc.mean(axis=0)
     positions = mean_profile[:PROFILE_POSITIONS].copy()
@@ -241,29 +241,28 @@ def train_and_eval(dataset: SynthDataset, cfg: TrainConfig,
     return row, state
 
 
+def _point(base: TrainConfig, variant: str, loss_variant: str, **loss):
+    """A suite point: ``base`` with ``loss_variant`` and the ``loss`` fields set."""
+    return variant, replace(base, loss_variant=loss_variant,
+                            loss=replace(base.loss, **loss))
+
+
 def ablation_variants(base: TrainConfig) -> list[tuple[str, TrainConfig]]:
     """The five objective variants, in emission order.
 
     1. contrastive baseline alone; 2. + label-smoothed targets;
     3. softened targets via forward KL; 4. + relation-enhanced term;
-    5. + symmetric KL (full objective, the defaults).
+    5. + symmetric KL (full objective, the defaults). Each sets the loss
+    variant, divergence, lambda_re and mu_clip; the first two read no
+    divergence and take the default.
     """
-    loss = base.loss
-    return [
-        ("clip", replace(base, loss_variant="clip",
-                         loss=replace(loss, mu_clip=1.0, lambda_re=0.0))),
-        ("label_smooth", replace(base, loss_variant="label_smooth",
-                                 loss=replace(loss, mu_clip=1.0, lambda_re=0.0))),
-        ("soft_fkl", replace(base, loss_variant="total",
-                             loss=replace(loss, divergence="forward_kl",
-                                          lambda_re=0.0, mu_clip=0.5))),
-        ("soft_re_fkl", replace(base, loss_variant="total",
-                                loss=replace(loss, divergence="forward_kl",
-                                             lambda_re=1.0, mu_clip=0.5))),
-        ("softclip", replace(base, loss_variant="total",
-                             loss=replace(loss, divergence="symmetric_kl",
-                                          lambda_re=1.0, mu_clip=0.5))),
-    ]
+    return [_point(base, name, variant, divergence=div, lambda_re=lam, mu_clip=mu)
+            for name, variant, div, lam, mu in (
+                ("clip", "clip", "symmetric_kl", 0.0, 1.0),
+                ("label_smooth", "label_smooth", "symmetric_kl", 0.0, 1.0),
+                ("soft_fkl", "total", "forward_kl", 0.0, 0.5),
+                ("soft_re_fkl", "total", "forward_kl", 1.0, 0.5),
+                ("softclip", "total", "symmetric_kl", 1.0, 0.5))]
 
 
 def ablation_suite(dataset: SynthDataset, base: TrainConfig
@@ -279,7 +278,7 @@ def ablation_suite(dataset: SynthDataset, base: TrainConfig
 
 def ablation_points(base: TrainConfig, seeds: Sequence[int]
                     ) -> list[tuple[str, TrainConfig]]:
-    """:func:`ablation_variants` under each seed in turn, as sweep points."""
+    """:func:`ablation_variants` under each seed in turn (which each point sets)."""
     points = [point for seed in seeds
               for point in ablation_variants(replace(base, seed=seed))]
     return _require_points(points, seeds)
@@ -289,31 +288,30 @@ def beta_points(base: TrainConfig, betas: Sequence[float]
                 ) -> list[tuple[str, TrainConfig]]:
     """Target-mixing sweep points, with and without the relation-enhanced term.
 
-    Points whose targets are degenerate (beta=0, see
-    :meth:`LossConfig.check`) are skipped with a logged reason; any other
-    invalid value raises, as does a sweep with no point left.
+    Each point sets the loss variant and beta; lambda_re is ``base``'s,
+    raised to 1, with the term and 0 without it. Points whose targets are
+    degenerate (beta=0, see :meth:`LossConfig.check`) are skipped with a
+    logged reason; any other invalid value raises, as does a sweep with no
+    point left.
     """
     points = []
     for beta in betas:
         for variant, lam in (("with_re", max(base.loss.lambda_re, 1.0)),
                              ("without_re", 0.0)):
             try:
-                cfg = replace(base, loss_variant="total",
-                              loss=replace(base.loss, beta=beta, lambda_re=lam))
+                points.append(_point(base, variant, "total",
+                                     beta=beta, lambda_re=lam))
             except DegenerateTargets as exc:
                 log.warning("skipping beta=%s (%s): %s: %s",
                             beta, variant, type(exc).__name__, exc)
-                continue
-            points.append((variant, cfg))
     return _require_points(points, betas)
 
 
 def gamma_points(base: TrainConfig, gammas: Sequence[float]
                  ) -> list[tuple[str, TrainConfig]]:
-    """Guidance-mixing sweep points (contrastive term excluded by construction)."""
-    points = [("mixed", replace(base, loss_variant="mixed_gamma",
-                                loss=replace(base.loss, gamma=gamma)))
-              for gamma in gammas]
+    """Guidance-mixing sweep points (contrastive term excluded by construction);
+    each sets the loss variant and gamma."""
+    points = [_point(base, "mixed", "mixed_gamma", gamma=gamma) for gamma in gammas]
     return _require_points(points, gammas)
 
 

@@ -8,14 +8,16 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from softalign import cli, container, harness, synthgen, trainer
+from softalign import cli, config, container, harness, synthgen, trainer
 from softalign.cli import build_parser, main
 from softalign.harness import RESULT_COLUMNS
+from softalign.objectives import LossConfig
 
 TINY = ["--n-samples", "120", "--n-concepts", "8", "--latent-dim", "12",
         "--d-image", "10", "--d-text", "9", "--d-roi", "11", "--d-tag", "7",
@@ -599,7 +601,7 @@ EXPECTED_FLAGS = {
         (("--resume",), "resume", "_StoreAction", None),
         (("--metrics",), "metrics", "_StoreAction", None),
     ],
-    "ablate": _COMMON_FLAGS + _without(_TRAIN_FLAGS, "loss_variant")
+    "ablate": _without(_COMMON_FLAGS, "seed") + _without(_TRAIN_FLAGS, "loss_variant")
     + _without(_LOSS_FLAGS, "mu_clip", "lambda_re", "divergence") + _DATA_OUT
     + [(("--seeds",), "seeds", "_StoreAction", None)],
     "sweep-beta": _COMMON_FLAGS + _without(_TRAIN_FLAGS, "loss_variant")
@@ -655,6 +657,7 @@ def test_flag_set(command):
     (["ablate"], ["--mu-clip", "0.9"]),
     (["ablate"], ["--lambda-re", "0"]),
     (["ablate"], ["--divergence", "js"]),
+    (["ablate"], ["--seed", "3"]),
 ], ids=lambda x: x[0].lstrip("-"))
 def test_suite_refuses_flags_its_points_set(workdir, tmp_path, monkeypatch,
                                             capsys, argv, flag):
@@ -665,6 +668,69 @@ def test_suite_refuses_flags_its_points_set(workdir, tmp_path, monkeypatch,
                  "--out", str(out)]) == 1
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# each suite's own flags, giving every point a valid value
+_SUITE_ARGS = {"ablate": [], "sweep-beta": ["--betas", "0.5"],
+               "sweep-gamma": ["--gammas", "0.5"]}
+_SUITES = [name for name, command in cli._COMMANDS.items() if command.points]
+# (config class, field) of every field a suite's base config holds
+_BASE_FIELDS = [(cls, f) for cls in (trainer.TrainConfig, LossConfig)
+                for f in fields(cls) if f.name != "loss"]
+
+
+def _moved(cls, f):
+    """A valid value of the field ``f`` of ``cls`` other than its default,
+    from the choices or bounds its ``config.flag`` declares."""
+    if isinstance(f.default, bool):
+        return not f.default
+    if "choices" in f.metadata:
+        return next(c for c in f.metadata["choices"] if c != f.default)
+    if f.default is None:  # Optional[int] or Optional[float]
+        return config.field_types(cls)[f.name][0](1)
+    top = f.metadata.get("le", f.metadata.get("lt"))
+    if top is None:  # lambda_re 1 -> 2: beta_points reads it only above 1
+        return f.default + 1
+    return (f.default + top) / 2 if f.default < top else f.default / 2
+
+
+def _moved_base(cls, f) -> trainer.TrainConfig:
+    """The default TrainConfig with ``f`` of ``cls`` moved by :func:`_moved`."""
+    if cls is LossConfig:
+        return trainer.TrainConfig(loss=LossConfig(**{f.name: _moved(cls, f)}))
+    return trainer.TrainConfig(**{f.name: _moved(cls, f)})
+
+
+@pytest.mark.parametrize("suite", _SUITES)
+def test_point_fields_are_the_fields_every_point_sets(suite):
+    # a field is declared exactly when moving it in the base leaves every
+    # point as it was; builds configs only, trains nothing
+    command = cli._COMMANDS[suite]
+    args = build_parser().parse_args(
+        [suite, *_SUITE_ARGS[suite], "--data", "d.salb", "--out", "o.csv"])
+    default = command.points(args, trainer.TrainConfig())
+    unread = {f.name for cls, f in _BASE_FIELDS
+              if command.points(args, _moved_base(cls, f)) == default}
+    assert unread == set(command.point_fields)
+
+
+@pytest.mark.parametrize("suite, field", [
+    (suite, field) for suite in _SUITES for field in cli._COMMANDS[suite].point_fields])
+def test_suite_refuses_config_keys_its_points_set(workdir, tmp_path, monkeypatch,
+                                                  capsys, suite, field):
+    # every point overwrites the field, so a base config must not hold it
+    _no_loading(monkeypatch)
+    cls, f = next((cls, f) for cls, f in _BASE_FIELDS if f.name == field)
+    section = cli._SECTIONS[cls][0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {field: _moved(cls, f)}}))
+    out = tmp_path / "suite.csv"
+    assert main([suite, *_SUITE_ARGS[suite], "--config", str(cfg), "--data",
+                 str(workdir / "data.salb"), *FAST, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert f"config section {section!r} cannot hold {field!r}" in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))

@@ -74,6 +74,8 @@ small fixed dataset spec:
 * ``outputs``: the sha256 of every file that ``cli.main`` writes in a
   tiny run on the same spec: ``gen-data``, an 8-step ``train`` with
   ``--metrics``, ``eval``, ``ablate`` (the CSV and its JSON mirror),
+  ``sweep-beta`` over betas 0 and 0.5 (both files; beta 0 is skipped
+  under the default divergence, so a skipped point shows),
   ``sweep-gamma`` with ``--jobs 2`` (both files), ``grad-check --out``
   and ``logit-profile``;
 * ``eval``: on the default ``SynthSpec`` (seed 0, n 2000), whose 4M
@@ -332,6 +334,8 @@ def _outputs() -> str:
             ["eval", "--data", data, "--ckpt", ckpt, "--out", str(out / "eval.json")],
             ["ablate", "--data", data, *steps, "--seeds", "0",
              "--out", str(out / "ablate.csv")],
+            ["sweep-beta", "--data", data, *steps, "--betas", "0,0.5",
+             "--out", str(out / "beta.csv")],
             ["sweep-gamma", "--data", data, *steps, "--gammas", "0,0.5,1",
              "--jobs", "2", "--out", str(out / "gamma.csv")],
             ["grad-check", "--loss", "total", "--n", "4", "--d", "3", "--seed", "0",

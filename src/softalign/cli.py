@@ -2,12 +2,13 @@
 
 Each subcommand is declared once in ``_COMMANDS``: its handler, the config
 class it builds, its flags and its output paths. The commands that build a
-config read an optional JSON file (--config; sections "synth", "train",
-"loss"; unknown keys are rejected, and so is a "loss" key in "train") with
-flags layered on top; --seed overrides the seed everywhere. Each config
-field with help metadata is a flag named after it (``batch_size`` ->
-``--batch-size``). A suite takes neither a flag nor a file key for the
-fields its points set (``_Command.point_fields``; ablate's seed is one).
+config read an optional JSON file (--config) with flags layered on top: one
+section per config built ("synth"; "train" and "loss"; or "loss" alone),
+and any other section, unknown key or "loss" key in "train" is rejected;
+--seed overrides the seed everywhere. Each config field with help metadata
+is a flag named after it (``batch_size`` -> ``--batch-size``). A suite
+takes neither a flag nor a file key for the fields its points set
+(``_Command.point_fields``; ablate's seed is one).
 Before any work the config is validated and every output path, a suite's
 JSON mirror included, is checked: no two name the same file, and none is
 overwritten without --force. Each output is replaced whole or not at all,
@@ -80,20 +81,6 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    classes = {name: cls for cls, (name, _) in _SECTIONS.items()}
-    unknown = set(data) - set(classes)
-    if unknown:
-        raise ConfigError(
-            f"unknown config sections {sorted(unknown)}; expected synth/train/loss"
-        )
-    for key, section in data.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        for name, kind in _nested(classes[key]).items():
-            if name in section:  # the nested config is built from its own section
-                raise ConfigError(
-                    f"config section {key!r} cannot hold {name!r}; put its "
-                    f"fields in the {_SECTIONS[kind][0]!r} section")
     return data
 
 
@@ -104,26 +91,36 @@ def _nested(cls) -> dict[str, type]:
 
 
 def _make_config(args, command):
-    """``command.config`` from the ``--config`` file (read once), each
-    section overridden by the flags and built after its nested config. A
-    file key for one of ``command.point_fields`` raises ConfigError before
-    its config is built; ``from_dict`` rejects unknown keys."""
+    """``command.config`` from the ``--config`` file (read once). Building a
+    config takes out its section, which must be an object holding no nested
+    config's key (built first, from its own section) and no key of
+    ``command.point_fields``; the flags override it. A section that no
+    built config takes raises ConfigError; ``from_dict`` rejects unknown keys."""
     sections = _load_config_file(args.config) if args.config else {}
 
     def build(cls):
         inner = {name: build(sub) for name, sub in _nested(cls).items()}
-        merged = dict(sections.get(_SECTIONS[cls][0], {}))
+        key = _SECTIONS[cls][0]
+        merged = sections.pop(key, {})
+        if not isinstance(merged, dict):
+            raise ConfigError(f"config section {key!r} must be an object")
         for f in fields(cls):
-            if f.name in command.point_fields and f.name in merged:
+            if f.name in inner and f.name in merged:
                 raise ConfigError(
-                    f"config section {_SECTIONS[cls][0]!r} cannot hold "
-                    f"{f.name!r}: every {args.command} point sets it")
+                    f"config section {key!r} cannot hold {f.name!r}; put its fields "
+                    f"in the {_SECTIONS[type(inner[f.name])][0]!r} section")
+            if f.name in command.point_fields and f.name in merged:
+                raise ConfigError(f"config section {key!r} cannot hold {f.name!r}: "
+                                  f"every {args.command} point sets it")
             value = getattr(args, f.name, None)
             if value is not None:
                 merged[f.name] = value
         return cls.from_dict({**merged, **inner})
 
-    return build(command.config)
+    cfg = build(command.config)
+    if sections:
+        raise ConfigError(f"{args.command} reads no config sections {sorted(sections)}")
+    return cfg
 
 
 def _add_config_flags(p, cls, title: str, skip: tuple) -> None:
@@ -345,12 +342,14 @@ def build_parser() -> _Parser:
         # no abbreviated flags: --gamma must not stand for --gammas
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         cls = command.config
-        if cls is not None:
-            p.add_argument("--config", help="JSON config file (sections synth/train/loss)")
+        groups = (cls, *_nested(cls).values()) if cls is not None else ()
+        if groups:
+            p.add_argument("--config", help="JSON config file (sections "
+                           + "/".join(_SECTIONS[g][0] for g in groups) + ")")
             if "seed" not in command.point_fields:
                 p.add_argument("--seed", type=int, help="seed override, applied everywhere")
         p.add_argument("--force", action="store_true", help="overwrite existing output files")
-        for group in (cls, *_nested(cls).values()) if cls is not None else ():
+        for group in groups:
             _add_config_flags(p, group, _SECTIONS[group][1], command.point_fields)
         for names, kwargs in command.flags:
             p.add_argument(*names, **kwargs)

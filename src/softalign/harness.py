@@ -288,15 +288,15 @@ def beta_points(base: TrainConfig, betas: Sequence[float]
                 ) -> list[tuple[str, TrainConfig]]:
     """Target-mixing sweep points, with and without the relation-enhanced term.
 
-    Each point sets the loss variant and beta; lambda_re is ``base``'s,
-    raised to 1, with the term and 0 without it. Points whose targets are
-    degenerate (beta=0, see :meth:`LossConfig.check`) are skipped with a
-    logged reason; any other invalid value raises, as does a sweep with no
-    point left.
+    Each point sets the loss variant and beta; lambda_re is ``base``'s as
+    it is (0 included) with the term and 0 without it. Points whose
+    targets are degenerate (beta=0, see :meth:`LossConfig.check`) are
+    skipped with a logged reason; any other invalid value raises, as does
+    a sweep with no point left.
     """
     points = []
     for beta in betas:
-        for variant, lam in (("with_re", max(base.loss.lambda_re, 1.0)),
+        for variant, lam in (("with_re", base.loss.lambda_re),
                              ("without_re", 0.0)):
             try:
                 points.append(_point(base, variant, "total",

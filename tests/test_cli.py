@@ -440,8 +440,9 @@ def test_train_metrics_csv(workdir, tmp_path):
     assert all(np.isfinite(float(x)) for r in rows for x in r)
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"train": 3}'],
-                         ids=["invalid-json", "not-an-object", "section-not-an-object"])
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"train": 3}', '{"loss": 3}'],
+                         ids=["invalid-json", "not-an-object", "section-not-an-object",
+                              "built-section-not-an-object"])
 def test_malformed_config_file(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -689,7 +690,7 @@ def _moved(cls, f):
     if f.default is None:  # Optional[int] or Optional[float]
         return config.field_types(cls)[f.name][0](1)
     top = f.metadata.get("le", f.metadata.get("lt"))
-    if top is None:  # lambda_re 1 -> 2: beta_points reads it only above 1
+    if top is None:  # lambda_re, which has no upper bound: 1 -> 2
         return f.default + 1
     return (f.default + top) / 2 if f.default < top else f.default / 2
 
@@ -731,6 +732,49 @@ def test_suite_refuses_config_keys_its_points_set(workdir, tmp_path, monkeypatch
     assert "ConfigError" in err
     assert f"config section {section!r} cannot hold {field!r}" in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+# (command, section) for every section a config-building command does not
+# build: neither its config's nor that of a config nested in it
+_UNBUILT = [(name, section) for name, command in cli._COMMANDS.items()
+            if command.config is not None
+            for cls, (section, _) in cli._SECTIONS.items()
+            if cls is not command.config
+            and cls not in {kind for kind, _ in config.field_types(command.config).values()}]
+# a valid value in each section, so that only the section itself is wrong
+_SECTION_VALUES = {"synth": {"n_samples": 90}, "train": {"epochs": 1},
+                   "loss": {"alpha": 0.2}}
+# each config-building command's own arguments but --data and --out
+_COMMAND_ARGS = {"gen-data": [], "train": [], "grad-check": [], **_SUITE_ARGS}
+
+
+@pytest.mark.parametrize("command, section", _UNBUILT,
+                         ids=[f"{c}-{s}" for c, s in _UNBUILT])
+def test_config_section_a_command_does_not_build_is_refused(
+        workdir, tmp_path, monkeypatch, capsys, command, section):
+    # a section no built config reads would be dropped without a word
+    _no_loading(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: _SECTION_VALUES[section]}))
+    data = [] if command in ("gen-data", "grad-check") else [
+        "--data", str(workdir / "data.salb")]
+    assert main([command, "--config", str(cfg), *_COMMAND_ARGS[command], *data,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and repr(section) in err and command in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("gen-data", "synth"), ("train", "train/loss"), ("ablate", "train/loss"),
+    ("sweep-beta", "train/loss"), ("sweep-gamma", "train/loss"),
+    ("grad-check", "loss")])
+def test_config_help_names_the_sections_read(command, sections):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in subparsers.choices[command]._actions
+                  if a.dest == "config")
+    assert action.help == f"JSON config file (sections {sections})"
 
 
 @pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))

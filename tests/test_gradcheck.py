@@ -593,6 +593,65 @@ def test_graph_matches_reference_property(selector, divergence, form, stop_grad,
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
+@given(form=st.sampled_from(list(SUPERVISION_FORMS)),
+       stop_grad=st.booleans(), split=st.booleans(),
+       n=st.one_of(st.integers(2, 16), st.integers(65, 130)),
+       d=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+       log_inv_tau=_LOG_INV_TAUS, log_inv_tau_g=_LOG_INV_TAUS)
+def test_total_reduces_to_clip_property(form, stop_grad, split, n, d, seed,
+                                        log_inv_tau, log_inv_tau_g):
+    # criterion 2 on the graph that trains: at beta=0 the softened targets
+    # are one-hot, so forward KL is the contrastive cross-entropy, and
+    # lambda_re=mu_clip=0 leaves that term alone in the total
+    rng = np.random.default_rng(seed)
+    raw = [rng.standard_normal((n, d)) for _ in range(4)]
+    tau = Temperature(log_inv_tau)
+    g_tau = Temperature(log_inv_tau_g) if split else None
+    cfg = LossConfig(beta=0.0, divergence="forward_kl", lambda_re=0.0,
+                     mu_clip=0.0, stop_gradient_targets=stop_grad,
+                     supervision_form=form, split_guidance_temperature=split)
+    total, _, _ = gradcheck.backward_with_components(
+        "total", *raw, tau, cfg, guidance_tau=g_tau)
+    clip, _, _ = gradcheck.backward_with_components(
+        "clip", *raw, tau, cfg, guidance_tau=g_tau)
+    assert abs(total - clip) <= 1e-12 * max(1.0, abs(clip)), (total, clip)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(selector=st.sampled_from(["soft_re", "total", "mixed_gamma"]),
+       divergence=st.sampled_from(DIVERGENCES),
+       form=st.sampled_from(list(SUPERVISION_FORMS)),
+       stop_grad=st.booleans(), split=st.booleans(),
+       beta=st.sampled_from([0.3, 1.0]) | st.floats(1e-3, 1.0),
+       d=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+       log_inv_tau=_LOG_INV_TAUS, log_inv_tau_g=_LOG_INV_TAUS)
+def test_two_sample_relation_term_is_zero_property(selector, divergence, form,
+                                                   stop_grad, split, beta, d,
+                                                   seed, log_inv_tau,
+                                                   log_inv_tau_g):
+    # criterion 4 on the graph that trains: at N=2 each row keeps one
+    # negative, so both renormalized rows are [0, 1] and every relation-
+    # enhanced component is exactly 0, or both forwards find a degenerate row
+    rng = np.random.default_rng(seed)
+    raw = [rng.standard_normal((2, d)) for _ in range(4)]
+    tau = Temperature(log_inv_tau)
+    g_tau = Temperature(log_inv_tau_g) if split else None
+    cfg = LossConfig(beta=beta, divergence=divergence, gamma=0.4,
+                     stop_gradient_targets=stop_grad, supervision_form=form,
+                     split_guidance_temperature=split)
+    graph = _outcome(lambda: gradcheck.backward_with_components(
+        selector, *raw, tau, cfg, guidance_tau=g_tau))
+    ref = _outcome(lambda: _reference_value(
+        selector, *map(l2_normalize_rows, raw), tau, cfg, g_tau))
+    if isinstance(ref, type) or isinstance(graph, type):
+        assert graph is ref, (graph, ref)
+        return
+    _, comps, _ = graph
+    relation = {name: x for name, x in comps.items() if name.startswith("soft_re")}
+    assert relation and all(x == 0.0 for x in relation.values()), relation
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(selector=st.sampled_from(SELECTORS),
        divergence=st.sampled_from(DIVERGENCES),
        stop_grad=st.booleans(),

@@ -305,6 +305,13 @@ class TestSweeps:
         assert with_re.result == direct.result
         assert with_re.final_loss == direct.final_loss
 
+    @pytest.mark.parametrize("lambda_re", [0.5, 0.0])
+    def test_with_re_points_take_lambda_re_as_given(self, tiny_config, lambda_re):
+        base = replace(tiny_config, loss=replace(tiny_config.loss, lambda_re=lambda_re))
+        points = beta_points(base, [0.3])
+        assert [(name, cfg.loss.lambda_re) for name, cfg in points] == [
+            ("with_re", lambda_re), ("without_re", 0.0)]
+
     def test_beta_zero_skipped_under_symmetric(self, tiny_dataset, tiny_config, caplog):
         with caplog.at_level("WARNING", logger="softalign"):
             rows = sweep(tiny_dataset, beta_points(tiny_config, [0.0, 0.5]))

@@ -10,25 +10,32 @@ layout or name one array twice raises ``FormatError``, as do bytes after
 the last array.
 
 Every output file of the package goes through :func:`replacing`, which
-renames a complete temporary file over its target. Reads and writes
-stream array by array, so neither holds the file image as well as the
-arrays: :func:`write` sends the header and then each array's own buffer
-through :func:`replacing`. :func:`read` and :func:`unpack` share one
-parser, which checks the whole header against the file's size before it
-allocates any array, then reads each array straight into its own buffer.
-A file with no size (a pipe) is read whole, as :func:`unpack` parses it.
-Each loader hands :func:`check` its format's name -> shape table: a file
-holds exactly the format's metadata keys and the table's arrays, each at
-its table shape with finite entries.
+renames a complete temporary file over its target. :func:`read` maps a
+regular file read-only; a pipe or an empty file is read whole. It and
+:func:`unpack` share one parser over the buffer, which checks the whole
+header against the buffer's size, then returns each array as a read-only
+view of the buffer: loading copies no array. A file must therefore not
+be rewritten in place while arrays read from it are alive (reading a
+truncated mapping faults); the package's own writers always rename, so
+they never do this.
+
+Every whole pass over an array walks it in blocks of rows
+(:func:`row_blocks`): the finite test of :func:`check`, :func:`write`,
+and in :mod:`softalign.synthgen` the ROI pooling and the dataset hash.
+After each block of a mapped array the walk releases the block's pages,
+so a pass holds about one block of the file. Each loader hands
+:func:`check` its format's name -> shape table: a file holds exactly the
+format's metadata keys and the table's arrays, each at its table shape
+with finite entries.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import itertools
 import json
 import math
+import mmap
 import os
 import stat
 import struct
@@ -40,6 +47,11 @@ from . import numkit
 from .errors import FormatError
 
 VERSION = 1
+
+# bytes per block of a whole pass over an array (row_blocks)
+_BLOCK_BYTES = 8 << 20
+# absent where the platform cannot release a mapping's pages; passes then keep them
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
 
 
 def _scalar(value):
@@ -103,18 +115,19 @@ def _check_entry(entry, offset: int) -> tuple[str, tuple[int, ...]]:
     return name, tuple(shape)
 
 
-def _parse(fh, size: int, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """(meta, arrays) of the ``size``-byte container that ``fh`` reads from
-    its start. Raises FormatError."""
+def _parse(buf, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of the container that ``buf`` (a mapping or bytes)
+    holds, each array a read-only view of ``buf``. Raises FormatError."""
+    size = len(buf)
     if size < 4:
         raise FormatError("container shorter than the 4-byte header length")
-    (header_len,) = struct.unpack("<I", fh.read(4))
+    (header_len,) = struct.unpack_from("<I", buf)
     if size < 4 + header_len:
         raise FormatError(
             f"truncated header: need {header_len} bytes, have {size - 4}"
         )
     try:
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = json.loads(buf[4:4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -145,18 +158,18 @@ def _parse(fh, size: int, expected_magic: str) -> tuple[dict, dict[str, np.ndarr
         offset = end
     if start + offset != size:
         raise FormatError(f"{size - start - offset} bytes trail the last array")
-    # the header fits the file, so every buffer below is one the file fills
     arrays = {}
     for name, shape in shapes.items():
-        arr = arrays[name] = np.empty(shape, dtype="<f8")
-        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-            raise FormatError(f"truncated data: array {name!r} ends early")
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(buf, "<f8", count, start).reshape(shape)
+        start += 8 * count
     return header.get("meta", {}), arrays
 
 
 def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a container held in memory; returns (meta, arrays). Raises FormatError."""
-    return _parse(io.BytesIO(blob), len(blob), expected_magic)
+    """Parse a container held in memory; returns (meta, arrays), each array
+    a read-only view of ``blob``. Raises FormatError."""
+    return _parse(blob, expected_magic)
 
 
 def check(meta: dict, keys: set, arrays: Mapping[str, np.ndarray],
@@ -175,8 +188,45 @@ def check(meta: dict, keys: set, arrays: Mapping[str, np.ndarray],
         if arrays[name].shape != shape:
             raise FormatError(f"{what} array {name!r} has shape {arrays[name].shape}, "
                               f"expected {shape}")
-        if not numkit.all_finite(arrays[name]):
+        if not all(map(numkit.all_finite, row_blocks(arrays[name]))):
             raise FormatError(f"{what} array {name!r} is not finite")
+
+
+def _mapping(arr: np.ndarray):
+    """The mapping whose memory ``arr`` views, or None."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    if isinstance(arr, memoryview):
+        arr = arr.obj
+    return arr if isinstance(arr, mmap.mmap) else None
+
+
+def row_blocks(arr: np.ndarray):
+    """``arr`` as consecutive blocks of whole rows, about 8 MB each.
+
+    A 0-d array is one block of one entry. After each block of an array
+    that a mapping backs, the block's whole pages are released, so one
+    pass over a mapped file holds about one block of it: reading the
+    pages again faults them back in from the file. Raises TypeError
+    unless ``arr`` is an array.
+    """
+    if not isinstance(arr, np.ndarray):
+        raise TypeError(f"expected an array, got {type(arr).__name__}")
+    rows = arr.reshape(-1) if arr.ndim == 0 else arr
+    step = max(1, _BLOCK_BYTES // max(1, rows[:1].nbytes))
+    mapping = _mapping(arr) if _DONTNEED is not None else None
+    if mapping is not None:
+        origin = np.frombuffer(mapping, np.uint8).ctypes.data
+    for r0 in range(0, len(rows), step):
+        block = rows[r0:r0 + step]
+        try:
+            yield block
+        finally:
+            if mapping is not None:  # the pages wholly inside the block
+                start, page = block.ctypes.data - origin, mmap.PAGESIZE
+                first, end = -(-start // page), (start + block.nbytes) // page
+                if end > first:
+                    mapping.madvise(_DONTNEED, first * page, (end - first) * page)
 
 
 @contextlib.contextmanager
@@ -218,13 +268,23 @@ def write(path, magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> Non
     """Write a container to ``path`` through :func:`replacing`."""
     prefix, datas = layout(magic, meta, arrays)
     with replacing(path) as fh:
-        for chunk in (prefix, *datas):
-            fh.write(chunk)
+        fh.write(prefix)
+        for data in datas:
+            for block in row_blocks(data):
+                fh.write(block)
 
 
 def read(path, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of the container at ``path``; raises FormatError.
+
+    A regular file is mapped read-only and each array is a read-only view
+    of the mapping; a pipe, or an empty file, which cannot be mapped, is
+    read whole.
+    """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to check against
-            return unpack(fh.read(), expected_magic)
-        return _parse(fh, info.st_size, expected_magic)
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        else:
+            buf = fh.read()
+    return _parse(buf, expected_magic)

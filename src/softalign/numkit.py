@@ -33,11 +33,12 @@ def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
 
 
 def all_finite(x) -> bool:
-    """Whether every entry of ``x`` is finite: a finite sum of squares
-    proves it with no temporary; only an overflow needs the elementwise scan."""
+    """Whether every entry of ``x`` is finite: a finite sum proves it with
+    no temporary, where a dot product would copy an unaligned view of a
+    mapped file; only an overflow needs the elementwise scan."""
     flat = np.ravel(x)
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(flat @ flat) or np.isfinite(flat).all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.add.reduce(flat)) or np.isfinite(flat).all())
 
 
 def l2_normalize_rows(m) -> np.ndarray:

@@ -15,6 +15,14 @@ every full-set retrieval eval correlates against, and its content hash,
 which every result row carries. The cache is read-only and is not
 pickled. A forking sweep fills it in the parent, before the pool starts,
 and the workers inherit it.
+
+A dataset that :func:`load` reads holds read-only views of a read-only
+mapping of its file, so the ROI sequences stay on disk: pooling and
+hashing walk them in blocks and release each block's pages, and
+attention pooling gathers the rows of each batch from the mapping.
+Forked workers inherit the mapping; a pickled copy holds plain arrays.
+Do not rewrite the file in place while such a dataset is alive:
+:func:`save` renames a new file over the old one, which leaves it intact.
 """
 
 from __future__ import annotations
@@ -97,9 +105,10 @@ class SynthDataset:
     def pooled_rois(self, mode: str) -> np.ndarray:
         """The (n, d_roi) ROI view pooled over its regions by a ROI_POOLS mode.
 
-        Pooled once per dataset and mode, on first use; the cached array is
-        read-only. Its rows equal pooling each sample's sequence on its own,
-        bit for bit, because the reduction runs over the region axis.
+        Pooled once per dataset and mode, on first use, in row blocks
+        (:func:`container.row_blocks`); the cached array is read-only. Its
+        rows equal pooling each sample's sequence on its own, bit for bit,
+        because the reduction runs over the region axis.
         """
         pooled = self._cache.get(mode)
         if pooled is None:
@@ -107,7 +116,12 @@ class SynthDataset:
                 raise ValueError(
                     f"mode must be one of {tuple(ROI_POOLS)}, got {mode!r}"
                 )
-            pooled = ROI_POOLS[mode](self.roi_features, axis=1)
+            rois = self.roi_features
+            pooled = np.empty((len(rois), rois.shape[-1]))
+            r0 = 0
+            for block in container.row_blocks(rois):
+                pooled[r0:r0 + len(block)] = ROI_POOLS[mode](block, axis=1)
+                r0 += len(block)
             pooled.flags.writeable = False
             self._cache[mode] = pooled
         return pooled
@@ -190,8 +204,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
     concept picks, the faulty-positive mask, replacement latents for
     faulty samples, then per-view Gaussian noise (image, text, tag, ROI),
     drawn in row blocks from the same stream and added in place. Relevance
-    uses the pre-corruption latents, so raising the faulty rate never
-    changes it.
+    uses no draws, and it uses the pre-corruption latents, so raising the
+    faulty rate never changes it.
     """
     rng = np.random.default_rng(spec.seed)
     n, k, latent = spec.n_samples, spec.n_concepts, spec.latent_dim
@@ -223,13 +237,14 @@ def generate(spec: SynthSpec) -> SynthDataset:
     tag_base = concepts[subsets].mean(axis=1)
     tag = tag_base @ w_tag
     _add_noise(rng, tag, spec.noise_sigma_tag)
-    roi = concepts[roi_concepts] @ w_roi
-    _add_noise(rng, roi, spec.noise_sigma_roi)
-
+    # before the ROI array, so its temporaries are gone when that is built
     relevance = latents @ latents.T
     relevance = 0.5 * (relevance + relevance.T)
     np.clip(relevance, -1.0, 1.0, out=relevance)
     np.fill_diagonal(relevance, 1.0)
+
+    roi = concepts[roi_concepts] @ w_roi
+    _add_noise(rng, roi, spec.noise_sigma_roi)
 
     return SynthDataset(
         image_features=image, text_features=text, roi_features=roi,
@@ -285,15 +300,17 @@ def load(path) -> SynthDataset:
 def dataset_hash(dataset: SynthDataset) -> str:
     """Short stable content hash used in result metadata.
 
-    The sha256 of the dataset's container bytes, fed piece by piece so the
-    file image is never assembled in memory. Hashed once per dataset, on
-    first use, and cached with its other derived values.
+    The sha256 of the dataset's container bytes, fed block by block
+    (:func:`container.row_blocks`) so the file image is never assembled
+    in memory. Hashed once per dataset, on first use, and cached with its
+    other derived values.
     """
     hexdigest = dataset._cache.get("hash")
     if hexdigest is None:
         prefix, datas = container.layout(MAGIC, *_contents(dataset))
         digest = hashlib.sha256(prefix)
         for data in datas:
-            digest.update(data)
+            for block in container.row_blocks(data):
+                digest.update(block)
         hexdigest = dataset._cache["hash"] = digest.hexdigest()[:16]
     return hexdigest

@@ -496,7 +496,9 @@ def load_checkpoint(path) -> TrainState:
     ``param/*.w1`` widths, and :func:`container.check` passes: the metadata
     holds exactly ``config``, ``step`` and ``param_order``, and the arrays
     are exactly that layout's ``param/``, ``m/`` and ``v/`` entries, each
-    at its table shape with finite entries."""
+    at its table shape with finite entries. The state holds writable
+    copies of the arrays, which AdamW updates in place, not views of the
+    file's read-only mapping."""
     meta, arrays = container.read(path, CKPT_MAGIC)
     try:
         cfg = TrainConfig.from_dict(meta["config"])
@@ -516,5 +518,6 @@ def load_checkpoint(path) -> TrainState:
                           f"config builds (names that differ: {differ})")
     table = {f"{slot}/{name}": shape for name, shape, _ in layout for slot in _SLOTS}
     container.check(meta, {"config", "step", "param_order"}, arrays, table, "checkpoint")
-    params, m, v = ({name: arrays[f"{slot}/{name}"] for name in names} for slot in _SLOTS)
+    params, m, v = ({name: arrays[f"{slot}/{name}"].copy() for name in names}
+                    for slot in _SLOTS)
     return TrainState(params=params, m=m, v=v, step=step, config=cfg)

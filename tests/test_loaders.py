@@ -11,7 +11,9 @@ holds: every array finite and of the shape its parameter table
 metadata and arrays.
 """
 
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +84,7 @@ def _mutated(blob: bytes, magic: str, kind: str, arg) -> bytes:
         arrays[name] = np.resize(arrays[name], shape)
     elif kind == "non-finite":
         name, index, value = arg
+        arrays[name] = arrays[name].copy()  # unpack gives read-only views of the blob
         arrays[name].reshape(-1)[index] = value
     else:  # "meta" and "meta-add": the value at a key path
         *path, value = arg
@@ -173,10 +176,13 @@ def test_each_mutated_file_is_rejected_or_loads_as_its_table(files, data):
     blob = (files / target).read_bytes()
     kind, arg = _draw_mutation(data, blob, target)
     mutated = _mutated(blob, MAGIC[target], kind, arg)
+    # a path of its own: a dataset an earlier example left mapped would
+    # fault (SIGBUS) on reading a file truncated under it
+    path = Path(tempfile.mkdtemp(dir=files)) / f"mutated.{target}"
     if target == "ckpt":
-        _check_ckpt(mutated, files / "mutated.ckpt")
+        _check_ckpt(mutated, path)
     else:
-        _check_data(mutated, files / "mutated.data")
+        _check_data(mutated, path)
 
 
 @pytest.mark.parametrize("target,kind,arg", [

@@ -75,6 +75,26 @@ class TestValidation:
         x[1, 2] = np.inf
         assert not all_finite(x)
 
+    def test_all_finite_past_an_overflowing_sum(self):
+        # the sum overflows, so only the elementwise scan can decide
+        x = np.full((2, 3), 1e308)
+        assert all_finite(x) and all_finite(-x)
+        x[1, 2] = -np.inf
+        assert not all_finite(x)
+
+    def test_all_finite_on_an_unaligned_view_copies_nothing(self):
+        # a dot product would copy the view (twice); the sum buffers it
+        buf = bytearray(8 * 100_000 + 2)
+        x = np.frombuffer(buf, np.float64, 100_000, 2)
+        assert not x.flags.aligned
+        tracemalloc.start()
+        try:
+            assert all_finite(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2 * x.nbytes
+
     def test_all_finite_on_scalars_and_empty_arrays(self):
         assert all_finite(1.0) and all_finite(np.zeros((0, 3)))
         assert not all_finite(float("nan"))

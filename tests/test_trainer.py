@@ -558,6 +558,19 @@ class TestCheckpointFormat:
         for k in state.params:
             np.testing.assert_array_equal(back.params[k], state.params[k])
 
+    def test_loaded_state_is_writable_and_resuming_leaves_the_file(
+            self, small_dataset, small_config, tmp_path):
+        # the file is mapped read-only; AdamW updates the loaded arrays in place
+        part, _ = train(small_dataset, small_config, stop_at_step=3)
+        path = tmp_path / "part.ckpt"
+        save_checkpoint(part, path)
+        blob = path.read_bytes()
+        back = load_checkpoint(path)
+        assert all(x.flags.writeable and x.flags.owndata
+                   for store in (back.params, back.m, back.v) for x in store.values())
+        train(small_dataset, small_config, state=back, stop_at_step=6)
+        assert back.step == 6 and path.read_bytes() == blob
+
     def test_numpy_scalar_seed_saves_and_loads(self, small_dataset, small_config,
                                                tmp_path):
         state, _ = train(small_dataset,

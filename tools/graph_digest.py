@@ -56,6 +56,10 @@ small fixed dataset spec:
   dataset and ``trainer.save_checkpoint`` writes for the attention-pool
   state, and ``synthgen.dataset_hash`` of the dataset that
   ``synthgen.load`` reads back;
+* ``loaded[mode]``: for the mean, max, min and attention ROI pools, the
+  sha256 of the embeddings (as in ``train[mode]``) after an 8-step
+  ``train`` on the dataset that ``synthgen.load`` reads back, and whether
+  the same run on the generated dataset gives the same digest;
 * ``grad_check``: the sha256 of ``gradcheck.check_gradients(...).to_json()``
   for every selector at the default loss config, seed 0, n 4 and d 3 (the
   exception type where the config cannot evaluate a selector);
@@ -213,9 +217,7 @@ def _paths() -> None:
         cfg = trainer.TrainConfig(max_steps=20, batch_size=30, seed=1,
                                   roi_aggregation=mode)
         state, _ = trainer.train(dataset, cfg)
-        embeddings = hashlib.sha256()
-        for m in trainer.forward_batch(state, dataset, range(dataset.n)):
-            embeddings.update(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        embeddings = _embeddings(state, dataset)
         profiles = hashlib.sha256()
         for direction in harness.DIRECTIONS:
             prof = harness.logit_profile(state, dataset, direction=direction)
@@ -224,9 +226,10 @@ def _paths() -> None:
                                   prof.full_sum)).encode())
         result = harness.retrieval_eval(state, dataset)
         fields = " ".join(f"{k}={v!r}" for k, v in result.to_dict().items())
-        print(f"train[{mode}] embeddings={embeddings.hexdigest()} "
+        print(f"train[{mode}] embeddings={embeddings} "
               f"profiles={profiles.hexdigest()} {fields}")
     print(f"files={_files(dataset, state)}")
+    _loaded(dataset)
     report = hashlib.sha256()
     for selector in gradcheck.SELECTORS:
         try:
@@ -258,6 +261,26 @@ def _files(dataset, state) -> str:
         return (f"data:{hashlib.sha256(data.read_bytes()).hexdigest()} "
                 f"ckpt:{hashlib.sha256(ckpt.read_bytes()).hexdigest()} "
                 f"loaded_hash:{synthgen.dataset_hash(synthgen.load(data))}")
+
+
+def _embeddings(state, dataset) -> str:
+    digest = hashlib.sha256()
+    for m in trainer.forward_batch(state, dataset, range(dataset.n)):
+        digest.update(np.ascontiguousarray(m, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def _loaded(dataset) -> None:
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root, "data")
+        synthgen.save(dataset, path)
+        loaded = synthgen.load(path)
+        for mode in ("mean", "max", "min", "attention"):
+            cfg = trainer.TrainConfig(max_steps=8, batch_size=30, seed=1,
+                                      roi_aggregation=mode)
+            got, want = (_embeddings(trainer.train(ds, cfg)[0], ds)
+                         for ds in (loaded, dataset))
+            print(f"loaded[{mode}] embeddings={got} in_memory={got == want}")
 
 
 def _init() -> str:

@@ -11,10 +11,10 @@ the last array.
 
 Every output file of the package goes through :func:`replacing`, which
 renames a complete temporary file over its target. :func:`read` maps a
-regular file read-only; a pipe or an empty file is read whole. It and
-:func:`unpack` share one parser over the buffer, which checks the whole
-header against the buffer's size, then returns each array as a read-only
-view of the buffer: loading copies no array. A file must therefore not
+regular file read-only; a pipe or an empty file is read whole. The one
+parser, :func:`unpack`, takes that buffer or bytes held in memory, checks
+the whole header against its size, then returns each array as a
+read-only view of it: loading copies no array. A file must therefore not
 be rewritten in place while arrays read from it are alive (reading a
 truncated mapping faults); the package's own writers always rename, so
 they never do this.
@@ -115,9 +115,10 @@ def _check_entry(entry, offset: int) -> tuple[str, tuple[int, ...]]:
     return name, tuple(shape)
 
 
-def _parse(buf, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
+def unpack(buf, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(meta, arrays) of the container that ``buf`` (a mapping or bytes)
-    holds, each array a read-only view of ``buf``. Raises FormatError."""
+    holds, each array a read-only view of ``buf``: the one parser, which
+    checks the whole header against the buffer's size. Raises FormatError."""
     size = len(buf)
     if size < 4:
         raise FormatError("container shorter than the 4-byte header length")
@@ -164,12 +165,6 @@ def _parse(buf, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
         arrays[name] = np.frombuffer(buf, "<f8", count, start).reshape(shape)
         start += 8 * count
     return header.get("meta", {}), arrays
-
-
-def unpack(blob: bytes, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a container held in memory; returns (meta, arrays), each array
-    a read-only view of ``blob``. Raises FormatError."""
-    return _parse(blob, expected_magic)
 
 
 def check(meta: dict, keys: set, arrays: Mapping[str, np.ndarray],
@@ -277,9 +272,9 @@ def write(path, magic: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> Non
 def read(path, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(meta, arrays) of the container at ``path``; raises FormatError.
 
-    A regular file is mapped read-only and each array is a read-only view
-    of the mapping; a pipe, or an empty file, which cannot be mapped, is
-    read whole.
+    A regular file is mapped read-only; a pipe, or an empty file, which
+    cannot be mapped, is read whole. Either buffer goes to :func:`unpack`,
+    so each array is a read-only view of it.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -287,4 +282,4 @@ def read(path, expected_magic: str) -> tuple[dict, dict[str, np.ndarray]]:
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         else:
             buf = fh.read()
-    return _parse(buf, expected_magic)
+    return unpack(buf, expected_magic)

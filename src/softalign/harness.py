@@ -116,33 +116,27 @@ def _pair_ranks(sims: np.ndarray) -> np.ndarray:
     return greater + ties_before
 
 
-def retrieval_metrics(sims: np.ndarray, relevance: np.ndarray, *,
-                      relevance_ranks: Optional[np.ndarray] = None
+def retrieval_metrics(sims: np.ndarray, relevance_ranks: np.ndarray
                       ) -> RetrievalResult:
     """Metrics from an explicit similarity matrix (rows: v queries).
 
-    ``relevance_ranks``, when given, are the n(n - 1) average ranks of the
-    off-diagonal ``relevance`` entries (:meth:`SynthDataset.relevance_ranks`)
-    and spare ranking them again; otherwise they are ranked here, by
-    :func:`numkit.off_diagonal_ranks`. The result is the same bit for bit.
-    The similarities are ranked through a strided view, with no copy.
-    Spearman's rho is ``np.corrcoef``'s arithmetic on one (2, n(n - 1))
-    array of both rank vectors, so it keeps ``np.corrcoef``'s bits.
+    ``relevance_ranks`` are the n(n - 1) average ranks of the off-diagonal
+    relevance entries in row-major order, as
+    :meth:`SynthDataset.relevance_ranks` caches them
+    (:func:`numkit.off_diagonal_ranks`). The similarities are ranked
+    through a strided view, with no copy. Spearman's rho is
+    ``np.corrcoef``'s arithmetic on one (2, n(n - 1)) array of both rank
+    vectors, so it keeps ``np.corrcoef``'s bits.
 
     Raises:
-        ValueError: for non-square or mismatched matrices, or
-            ``relevance_ranks`` of another length than n(n - 1).
+        ValueError: for a non-square ``sims``, or ``relevance_ranks`` of
+            another shape than (n(n - 1),).
     """
     sims = np.asarray(sims, dtype=np.float64)
-    relevance = np.asarray(relevance, dtype=np.float64)
-    if sims.shape != relevance.shape or sims.shape[0] != sims.shape[1]:
-        raise ValueError(
-            f"need square matching matrices, got {sims.shape} and {relevance.shape}"
-        )
+    if sims.ndim != 2 or sims.shape[0] != sims.shape[1]:
+        raise ValueError(f"need a square similarity matrix, got {sims.shape}")
     n = sims.shape[0]
     pairs = n * (n - 1)
-    if relevance_ranks is None:
-        relevance_ranks = numkit.off_diagonal_ranks(relevance)
     relevance_ranks = np.asarray(relevance_ranks)
     if relevance_ranks.shape != (pairs,):
         raise ValueError(
@@ -188,12 +182,12 @@ def _corrcoef_in_place(x: np.ndarray) -> float:
 
 
 def retrieval_eval(state: TrainState, dataset: SynthDataset) -> RetrievalResult:
-    """Retrieval over the whole dataset, against its cached relevance ranks."""
+    """Retrieval over the whole dataset, against the relevance ranks the
+    dataset caches: the relevance is ranked once per dataset, not per eval."""
     if dataset.n < 10:
         raise GalleryTooSmall(f"need at least 10 eval samples, got {dataset.n}")
     v, t, _, _ = trainer.forward_batch(state, dataset, np.arange(dataset.n))
-    return retrieval_metrics(v @ t.T, dataset.relevance,
-                             relevance_ranks=dataset.relevance_ranks())
+    return retrieval_metrics(v @ t.T, dataset.relevance_ranks())
 
 
 def logit_profile(state: TrainState, dataset: SynthDataset,

@@ -71,14 +71,6 @@ def floored_log(m: np.ndarray, floor: float) -> np.ndarray:
     return np.log(m)
 
 
-def off_diagonal(m: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of a square matrix, in row-major order.
-
-    A copy of :func:`off_diagonal_view`, flattened.
-    """
-    return off_diagonal_view(m).reshape(-1)
-
-
 def off_diagonal_view(m: np.ndarray) -> np.ndarray:
     """An (n - 1, n) view of a square matrix's off-diagonal entries.
 
@@ -92,7 +84,7 @@ def off_diagonal_view(m: np.ndarray) -> np.ndarray:
 
 
 def off_diagonal_ranks(m: np.ndarray) -> np.ndarray:
-    """``average_ranks(off_diagonal(m))``, bit for bit, from half the sort.
+    """``average_ranks(off_diagonal_view(m))``, bit for bit, from half the sort.
 
     A symmetric ``m`` (``np.array_equal(m, m.T)``, so no NaN) holds each
     off-diagonal value twice, at (i, j) and (j, i). Its strict upper
@@ -100,10 +92,12 @@ def off_diagonal_ranks(m: np.ndarray) -> np.ndarray:
     k there is a group of size 2k in the full set, with the k smaller
     twin pairs below it, so its mean rank r becomes 2r - 1/2. The ranks
     are integers or halves, so that is exact. Each triangle rank is then
-    written to both twins. Any other ``m`` is ranked in full.
+    written to both twins. Any other ``m`` has its whole view ranked as
+    it lies, since :func:`average_ranks` reads any strides (a NaN sends it
+    to its argsort path, on a flat copy).
     """
     if not np.array_equal(m, m.T):
-        return average_ranks(off_diagonal(m))
+        return average_ranks(off_diagonal_view(m))
     n = m.shape[0]
     upper = np.empty(n * (n - 1) // 2, dtype=m.dtype)
     start = 0

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from softalign.distributions import (
@@ -649,6 +649,170 @@ def test_two_sample_relation_term_is_zero_property(selector, divergence, form,
     _, comps, _ = graph
     relation = {name: x for name, x in comps.items() if name.startswith("soft_re")}
     assert relation and all(x == 0.0 for x in relation.values()), relation
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(selector=st.sampled_from(SELECTORS),
+       divergence=st.sampled_from(DIVERGENCES),
+       form=st.sampled_from(list(SUPERVISION_FORMS)),
+       split=st.booleans(), beta=st.sampled_from([0.3, 1.0]),
+       dtype=st.sampled_from([np.float64, np.longdouble]),
+       stacked=st.tuples(st.just(True), st.booleans(), st.booleans(), st.booleans()),
+       b=st.integers(1, 3),
+       n=st.one_of(st.integers(2, 16), st.integers(65, 100)),
+       d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       log_inv_tau=_LOG_INV_TAUS, log_inv_tau_g=_LOG_INV_TAUS)
+def test_stacked_run_equals_each_slice_property(selector, divergence, form, split,
+                                                beta, dtype, stacked, b, n, d,
+                                                seed, log_inv_tau, log_inv_tau_g,
+                                                same_bits):
+    # the oracle stacks the perturbations of one input into a (B, N, D)
+    # forward and reads entry i as the forward of perturbation i: each
+    # entry's value and components must be that slice's, bit for bit, with
+    # the unstacked inputs broadcast. v, which every selector reads, is
+    # always stacked; N from 65 spans two row blocks
+    rng = np.random.default_rng(seed)
+    inputs = [rng.standard_normal((b, n, d) if s else (n, d)).astype(dtype)
+              for s in stacked]
+    tau = Temperature(log_inv_tau)
+    g_tau = Temperature(log_inv_tau_g) if split else None
+    cfg = LossConfig(beta=beta, divergence=divergence, gamma=0.4,
+                     supervision_form=form, split_guidance_temperature=split)
+
+    def run(xs):
+        return _outcome(lambda: gradcheck._run(selector, *xs, tau, cfg, g_tau,
+                                               dtype=dtype)[:2])
+    whole = run(inputs)
+    slices = [run([x[i] if s else x for x, s in zip(inputs, stacked)])
+              for i in range(b)]
+    errors = {s for s in slices if isinstance(s, type)}
+    if errors or isinstance(whole, type):
+        assert whole in errors, (whole, slices)
+        return
+    value, comps = whole
+    assert value.shape == (b,)
+    for i, (value_i, comps_i) in enumerate(slices):
+        assert same_bits(value[i], value_i), i
+        assert set(comps) == set(comps_i)
+        for name, x in comps.items():
+            assert same_bits(np.broadcast_to(x, (b,))[i], comps_i[name]), (i, name)
+
+
+def _softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _divergence_rows(divergence, beta, disentangled, pred, guid):
+    """The graph's per-row divergences of one direction: prediction logits
+    ``pred`` against the targets it softens from guidance logits ``guid``."""
+    n = pred.shape[0]
+    cfg = LossConfig(beta=beta, divergence=divergence)
+    graph = gradcheck._Graph(*np.ones((4, n, 1)), Temperature(0.0), cfg)
+    k_pred, k_guid = graph.key("v", "t", False), graph.key("r", "a", True)
+    graph._z[k_pred], graph._z[k_guid] = pred, guid
+    block = gradcheck._Block(graph, 0, n)
+    return gradcheck._soft_direction(block, k_pred, k_guid, 0.0, disentangled)
+
+
+def _distributions(beta, disentangled, pred, guid):
+    """(p, t) of that direction, computed here: the softmax rows of
+    ``pred``, and ``beta`` times those of ``guid`` plus ``1 - beta`` on the
+    diagonal; disentangled, both lose their diagonal and are renormalized."""
+    n = pred.shape[0]
+    p, t = _softmax(pred), beta * _softmax(guid) + (1.0 - beta) * np.eye(n)
+    if disentangled:
+        off = 1.0 - np.eye(n)
+        p, t = p * off, t * off
+        p /= p.sum(axis=1, keepdims=True)
+        t /= t.sum(axis=1, keepdims=True)
+    return p, t
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(divergence=st.sampled_from(DIVERGENCES), disentangled=st.booleans(),
+       same=st.booleans(),
+       beta=st.sampled_from([1.0]) | st.floats(0.05, 1.0),
+       scale=st.sampled_from([1.0, 30.0, 300.0]) | st.floats(0.0, 300.0),
+       n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_divergence_rows_property(divergence, disentangled, same, beta, scale,
+                                  n, seed):
+    # criterion 5 on the graph's rows. KL >= 0, and 0 only for equal rows,
+    # as Pinsker's bound KL(t || p) >= |t - p|_1^2 / 2: symmetric KL
+    # averages two such KLs, JS two halves against the mixture, so
+    # JS >= |t - p|_1^2 / 8. Symmetric KL is symmetric, and JS lies in
+    # [0, ln 2]. Logits up to +-300 saturate rows without underflowing a
+    # probability to 0; ``same`` makes the targets the prediction itself
+    rng = np.random.default_rng(seed)
+    pred = scale * rng.uniform(-1.0, 1.0, (n, n))
+    guid = pred.copy() if same else scale * rng.uniform(-1.0, 1.0, (n, n))
+    if same:
+        beta = 1.0
+    try:
+        rows = _divergence_rows(divergence, beta, disentangled, pred, guid)
+    except DegenerateRow:
+        return  # a saturated row has no negative mass to renormalize
+    p, t = _distributions(beta, disentangled, pred, guid)
+    l1 = np.abs(p - t).sum(axis=1)
+    bound = 0.125 * l1 ** 2 if divergence == "js" else 0.5 * l1 ** 2
+    assert (rows >= bound - 1e-12).all(), (rows, bound)
+    if same:
+        assert (np.abs(rows) <= 1e-12).all(), rows
+    if divergence == "js":
+        assert (rows <= np.log(2.0) + 1e-12).all(), rows
+    elif divergence == "symmetric_kl" and beta == 1.0:
+        # the same rows with the prediction and guidance logits swapped
+        swapped = _divergence_rows(divergence, beta, disentangled, guid, pred)
+        assert (np.abs(rows - swapped) <= 1e-12 * np.maximum(1.0, rows)).all()
+
+
+def _near_duplicates(n, cos, noise, rng):
+    """Two (n, n + 1) batches whose rows, within and across them, all meet
+    at cosine about ``cos``, plus Gaussian ``noise``."""
+    base = np.hstack([np.full((n, 1), np.sqrt(cos)), np.sqrt(1.0 - cos) * np.eye(n)])
+    return [base + noise * rng.standard_normal(base.shape) for _ in range(2)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(selector=st.sampled_from(SELECTORS),
+       divergence=st.sampled_from(DIVERGENCES),
+       form=st.sampled_from(list(SUPERVISION_FORMS)),
+       stop_grad=st.booleans(), split=st.booleans(),
+       beta=st.sampled_from([0.3, 1.0]) | st.floats(1e-3, 1.0),
+       gap=st.floats(10.0, 35.0), gap_g=st.floats(10.0, 35.0),
+       log_noise=st.floats(-12.0, -2.0),
+       n=st.one_of(st.integers(2, 16), st.integers(65, 80)),
+       seed=st.integers(0, 2**32 - 1),
+       log_inv_tau=st.floats(3.0, 5.5), log_inv_tau_g=st.floats(3.0, 5.5))
+def test_near_saturated_rows_match_reference_property(
+        selector, divergence, form, stop_grad, split, beta, gap, gap_g,
+        log_noise, n, seed, log_inv_tau, log_inv_tau_g):
+    # drawn on purpose: v and t are near duplicates, and so are r and a,
+    # so a softmax row's positive outweighs each negative by about e^gap
+    # (e^gap_g for the guidance). Off-diagonal masses then fall near the
+    # 1e-12 floor, on either side of it, for the prediction and the
+    # guidance apart. The graph's forward must equal the reference's, or
+    # both must raise the same error
+    rng = np.random.default_rng(seed)
+    tau = Temperature(log_inv_tau)
+    g_tau = Temperature(log_inv_tau_g) if split else None
+    noise = 10.0 ** log_noise
+    raw = [*_near_duplicates(n, max(0.0, 1.0 - gap * tau.tau), noise, rng),
+           *_near_duplicates(n, max(0.0, 1.0 - gap_g * (g_tau or tau).tau),
+                             noise, rng)]
+    cfg = LossConfig(beta=beta, divergence=divergence, gamma=0.4,
+                     stop_gradient_targets=stop_grad, supervision_form=form,
+                     split_guidance_temperature=split)
+    graph = _outcome(lambda: gradcheck._run(selector, *raw, tau, cfg, g_tau)[1])
+    ref = _outcome(lambda: _reference_components(
+        selector, *map(l2_normalize_rows, raw), tau, cfg, g_tau))
+    if isinstance(ref, type) or isinstance(graph, type):
+        assert graph is ref, (graph, ref)
+        return
+    assert set(graph) == set(ref)
+    for name, want in ref.items():
+        assert abs(graph[name] - want) <= 1e-12 * max(1.0, abs(want)), name
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -68,7 +68,7 @@ def _assert_states_equal(got, want):
 class TestRetrievalMetrics:
     def test_oracle_model_is_perfect(self, tiny_dataset):
         rel = tiny_dataset.relevance
-        res = retrieval_metrics(rel, rel)
+        res = retrieval_metrics(rel, tiny_dataset.relevance_ranks())
         assert res.r1_v2t == 1.0 and res.r1_t2v == 1.0
         assert abs(res.spearman - 1.0) < 1e-12
 
@@ -91,7 +91,7 @@ class TestRetrievalMetrics:
         sims = np.array([[0.5, 0.5, 0.1],
                          [0.2, 0.9, 0.1],
                          [0.3, 0.3, 0.3]])
-        res = retrieval_metrics(sims, np.eye(3))
+        res = retrieval_metrics(sims, numkit.off_diagonal_ranks(np.eye(3)))
         # row 0: tie at rank 0 resolved to column 0 -> hit
         # row 2: ties at columns 0,1 come before column 2 -> rank 2
         assert res.r1_v2t == pytest.approx(2 / 3)
@@ -104,7 +104,7 @@ class TestRetrievalMetrics:
     @pytest.mark.parametrize("tied", [False, True])
     def test_spearman_matches_scipy(self, tied):
         # the shipped column, over the off-diagonal entries, with the
-        # relevance ranked inside the call and passed in ranked
+        # relevance ranked by scipy and by the dataset's ranker
         stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(5)
         n = 60
@@ -115,9 +115,9 @@ class TestRetrievalMetrics:
             sims, rel = np.round(sims, 1), np.round(rel)
         off = ~np.eye(n, dtype=bool)
         want = stats.spearmanr(sims[off], rel[off]).statistic
-        ranks = stats.rankdata(rel[off], method="average")
-        for kwargs in ({}, {"relevance_ranks": ranks}):
-            got = retrieval_metrics(sims, rel, **kwargs).spearman
+        for ranks in (stats.rankdata(rel[off], method="average"),
+                      numkit.off_diagonal_ranks(rel)):
+            got = retrieval_metrics(sims, ranks).spearman
             assert abs(got - want) < 1e-12
 
 
@@ -129,11 +129,11 @@ class TestRetrievalMetrics:
         rng = np.random.default_rng(8)
         rel = rng.standard_normal((n, n))
         rel += rel.T
-        ranks = numkit.average_ranks(numkit.off_diagonal(rel))
+        ranks = numkit.off_diagonal_ranks(rel)
         sims = rng.standard_normal((n, n))
         tracemalloc.start()
         try:
-            retrieval_metrics(sims, rel, relevance_ranks=ranks)
+            retrieval_metrics(sims, ranks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -152,21 +152,22 @@ class TestRetrievalMetrics:
             got = _corrcoef_in_place(np.stack([a, b]))
             assert struct.pack("<d", got) == struct.pack("<d", want)
 
-    @pytest.mark.parametrize("sims, relevance", [
-        ((3, 4), (3, 4)), ((3, 3), (4, 4)),
+    @pytest.mark.parametrize("sims, relevance, message", [
+        ((3, 4), (3, 4), r"square similarity matrix, got \(3, 4\)"),
+        ((3, 3), (4, 4), r"n\(n - 1\) = 6 ranks, got shape \(12,\)"),
     ], ids=["not-square", "mismatched"])
-    def test_non_square_or_mismatched_matrices_named(self, sims, relevance):
-        with pytest.raises(ValueError, match=rf"square matching matrices, got "
-                           rf"\({sims[0]}, {sims[1]}\) and \({relevance[0]}, "):
-            retrieval_metrics(np.ones(sims), np.ones(relevance))
+    def test_non_square_or_mismatched_matrices_named(self, sims, relevance, message):
+        # mismatched: the ranks of another relevance than the similarities'
+        ranks = np.arange(1.0, relevance[0] * (relevance[1] - 1) + 1)
+        with pytest.raises(ValueError, match=message):
+            retrieval_metrics(np.ones(sims), ranks)
 
     @pytest.mark.parametrize("size", [0, 59 * 60 - 1, 59 * 60 + 1, 2 * 59 * 60])
     def test_wrong_length_relevance_ranks_named(self, size):
         rng = np.random.default_rng(3)
-        rel = rng.standard_normal((60, 60))
         with pytest.raises(ValueError, match=rf"n\(n - 1\) = 3540 ranks, got shape \({size},\)"):
-            retrieval_metrics(rng.standard_normal((60, 60)), rel,
-                              relevance_ranks=np.arange(size, dtype=np.float64))
+            retrieval_metrics(rng.standard_normal((60, 60)),
+                              np.arange(size, dtype=np.float64))
 
 
 class TestRelevanceRankCache:
@@ -178,7 +179,9 @@ class TestRelevanceRankCache:
                                 rois_per_image=3, seed=4))
         state, _ = train(ds, tiny_config)
         v, t, _, _ = forward_batch(state, ds, np.arange(ds.n))
-        expected = retrieval_metrics(v @ t.T, ds.relevance).to_dict()
+        # the relevance ranked here, in full, by the eye mask
+        full = numkit.average_ranks(ds.relevance[~np.eye(ds.n, dtype=bool)])
+        expected = retrieval_metrics(v @ t.T, full).to_dict()
         ranked = []
         average_ranks = numkit.average_ranks
 
@@ -376,7 +379,7 @@ class TestSweeps:
                          d_text=5, d_roi=7, d_tag=4, rois_per_image=3, seed=21)
         dataset = generate(spec)
         # the relevance is ranked in full, or from its upper triangle
-        relevance_entries = (numkit.off_diagonal(dataset.relevance),
+        relevance_entries = (numkit.off_diagonal_view(dataset.relevance),
                              dataset.relevance[np.triu_indices(spec.n_samples, 1)])
         parent = os.getpid()
         rank, pools = numkit.average_ranks, dict(synthgen.ROI_POOLS)

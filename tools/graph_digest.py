@@ -56,6 +56,10 @@ small fixed dataset spec:
   dataset and ``trainer.save_checkpoint`` writes for the attention-pool
   state, and ``synthgen.dataset_hash`` of the dataset that
   ``synthgen.load`` reads back;
+* ``ranks``: the sha256 of ``numkit.off_diagonal_ranks`` of a symmetric
+  40x40 matrix with ties, of the same matrix with one entry nudged by an
+  ulp (ranked in full) and with one NaN (the argsort path), and of
+  ``relevance_ranks()`` of the dataset that ``synthgen.load`` reads back;
 * ``loaded[mode]``: for the mean, max, min and attention ROI pools, the
   sha256 of the embeddings (as in ``train[mode]``) after an 8-step
   ``train`` on the dataset that ``synthgen.load`` reads back, and whether
@@ -101,7 +105,7 @@ from pathlib import Path
 
 import numpy as np
 
-from softalign import cli, gradcheck, harness, objectives, synthgen, trainer
+from softalign import cli, gradcheck, harness, numkit, objectives, synthgen, trainer
 from softalign.distributions import Temperature
 from softalign.errors import SoftalignError
 from softalign.numkit import l2_normalize_rows
@@ -229,6 +233,7 @@ def _paths() -> None:
         print(f"train[{mode}] embeddings={embeddings} "
               f"profiles={profiles.hexdigest()} {fields}")
     print(f"files={_files(dataset, state)}")
+    print(f"ranks={_ranks(dataset)}")
     _loaded(dataset)
     report = hashlib.sha256()
     for selector in gradcheck.SELECTORS:
@@ -261,6 +266,21 @@ def _files(dataset, state) -> str:
         return (f"data:{hashlib.sha256(data.read_bytes()).hexdigest()} "
                 f"ckpt:{hashlib.sha256(ckpt.read_bytes()).hexdigest()} "
                 f"loaded_hash:{synthgen.dataset_hash(synthgen.load(data))}")
+
+
+def _ranks(dataset) -> str:
+    a = np.round(np.random.default_rng(40).standard_normal((40, 40)), 1)
+    symmetric = a + a.T
+    nudged, nan = symmetric.copy(), symmetric.copy()
+    nudged[3, 7] = np.nextafter(nudged[3, 7], np.inf)
+    nan[5, 2] = np.nan
+    digest = hashlib.sha256()
+    for m in (symmetric, nudged, nan):
+        digest.update(numkit.off_diagonal_ranks(m).tobytes())
+    with tempfile.TemporaryDirectory() as root:
+        synthgen.save(dataset, Path(root, "data"))
+        digest.update(synthgen.load(Path(root, "data")).relevance_ranks().tobytes())
+    return digest.hexdigest()
 
 
 def _embeddings(state, dataset) -> str:

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: row (log-)softmax, its VJP, KL rows and AdamW.
+"""Hot numeric kernels: the row softmax and log-softmax, its VJP and AdamW.
 
 Plain numpy, dtype-generic: the trainer runs them on float64 and the
 finite-difference oracle on ``longdouble``. Every row kernel reduces over
@@ -8,8 +8,8 @@ a row's result depends on that row alone, so a block of rows gives the
 same bits as the whole matrix. A row that leaves its diagonal out of the
 normalization gets a ``-inf`` diagonal first (:func:`fill_diagonal`): the
 softmax is then exactly 0 there and the log-softmax ``-inf``.
-:func:`softmax_logsoftmax_rows` returns the softmax and the log-softmax
-from one exp pass.
+:func:`softmax_logsoftmax_rows` is the one softmax: it returns the
+softmax and the log-softmax from one exp pass.
 
 This is the package's only kernel path. The module keeps its own name
 (rather than living in :mod:`softalign.numkit`) because the benchmark
@@ -47,15 +47,9 @@ def fill_diagonal(x: np.ndarray, value, offset: int = 0) -> None:
     x.reshape(*x.shape[:-2], r * n)[..., offset::n + 1] = value
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - zmax)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_logsoftmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax_rows(z)`` and the row log-softmax from one max, shift, exp
-    and sum; the tests hold both to the bits of the two-pass formulas."""
+    """The row softmax and log-softmax of ``z`` from one max, shift, exp and
+    sum; the tests hold both to the bits of the two-pass formulas."""
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
@@ -70,11 +64,6 @@ def softmax_vjp_rows(p: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
     out = np.subtract(g, inner, out=out)
     out *= p
     return out
-
-
-def kl_term_rows(a: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    # sum_j a_ij * (log_a_ij - log_b_ij); entries with a_ij == 0 contribute 0
-    return (a * (log_a - log_b)).sum(axis=-1)
 
 
 def adamw_update(p, g, m, v, lr, wd, beta1, beta2, eps, bc1, bc2):

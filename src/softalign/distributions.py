@@ -90,7 +90,7 @@ def cross_modal_dist(v, t, tau: Temperature) -> np.ndarray:
     v = as_matrix(v, "v")
     t = as_matrix(t, "t")
     _check_pair(v, t)
-    return backend.softmax_rows((v @ t.T) * tau.inv_tau)
+    return backend.softmax_logsoftmax_rows((v @ t.T) * tau.inv_tau)[0]
 
 
 def one_hot_targets(n: int) -> np.ndarray:

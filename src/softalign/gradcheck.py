@@ -37,7 +37,8 @@ The forward makes few passes over the N x N matrices and keeps them in
 cache. Each logits key runs one fused softmax/log-softmax; each guidance
 key builds one plain target, from which its disentangled one is derived;
 symmetric KL derives both KLs, the prediction VJP and the target
-gradient from one log-ratio. Once the logits exist, the terms walk the
+gradient from one log-ratio, and JS each side's KL and gradient from one
+log-ratio to the mixture. Once the logits exist, the terms walk the
 rows in blocks of ``_BLOCK_ROWS`` (:func:`_run`), so a block's
 temporaries fit a core's L2 cache at N=512; the matmuls on either side
 stay whole-matrix and serial. A batch of several blocks runs them on a
@@ -76,8 +77,8 @@ from .distributions import (
     Temperature,
     label_smooth_targets,
 )
-from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch, ZeroRow
-from .numkit import _MIN_ROW_NORM, as_matrix, floored_log
+from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
+from .numkit import as_matrix, floored_log, row_norms
 from .objectives import LOSS_VARIANTS, SUPERVISION_FORMS, LossConfig
 
 SELECTORS = LOSS_VARIANTS
@@ -206,10 +207,7 @@ class _Graph:
         self.targets = targets
 
         self.raw = raw
-        self.norms = {k: np.sqrt((m * m).sum(axis=-1)) for k, m in raw.items()}
-        for name, nr in self.norms.items():
-            if (nr < _MIN_ROW_NORM).any():
-                raise ZeroRow(f"input {name} has a row of norm below {_MIN_ROW_NORM:g}")
+        self.norms = {k: row_norms(m, f"input {k}") for k, m in raw.items()}
         self.unit = {k: raw[k] / self.norms[k][..., None] for k in raw}
 
         self.split = cfg.split_guidance_temperature
@@ -290,9 +288,7 @@ class _Block:
         plain rows' off-diagonal mass, with the diagonal's log zeroed."""
         if (key, offdiag) not in self._rows:
             if offdiag:
-                p_full = self.rows(key)[0].copy()
-                backend.fill_diagonal(p_full, 0.0, self.r0)
-                _require_negative_mass(p_full.sum(axis=-1), "prediction", self.r0)
+                _off_diagonal(self.rows(key)[0], "prediction", self.r0)
                 z = self.z(key).copy()
                 backend.fill_diagonal(z, -np.inf, self.r0)
                 p, ln_p = backend.softmax_logsoftmax_rows(z)
@@ -330,9 +326,13 @@ def _clip_direction(block: _Block, pred_key, weight: float,
     return rows
 
 
-def _require_negative_mass(mass: np.ndarray, side: str, r0: int) -> None:
-    """Reject rows of ``mass``, ``(R,)`` or ``(B, R)`` for the block of rows
-    from ``r0``, below the floor."""
+def _off_diagonal(rows: np.ndarray, side: str, r0: int) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of the block ``rows`` from ``r0`` with its diagonal zeroed and
+    each row's off-diagonal mass; rejects rows below the floor."""
+    q = rows.copy()
+    backend.fill_diagonal(q, 0.0, r0)
+    # summed directly: 1 - rows_ii loses ~8 digits when the softmax saturates
+    mass = q.sum(axis=-1)
     low = mass < MIN_NEGATIVE_MASS
     if low.any():
         bad = np.unravel_index(int(np.argmax(low)), mass.shape)
@@ -341,6 +341,7 @@ def _require_negative_mass(mass: np.ndarray, side: str, r0: int) -> None:
             f"{side} {where} has off-diagonal mass {mass[bad]:.3e}; "
             "cannot renormalize negatives"
         )
+    return q, mass
 
 
 def _targets(block: _Block, guid_key, disentangled: bool):
@@ -358,12 +359,7 @@ def _targets(block: _Block, guid_key, disentangled: bool):
         return block.table[key]
     floor = block.cfg.target_floor
     if disentangled:
-        q = _targets(block, guid_key, False)[0].copy()
-        backend.fill_diagonal(q, 0.0, block.r0)
-        # sum the off-diagonal entries directly: computing 1 - t_ii instead
-        # loses ~8 digits when the guidance softmax saturates
-        s = q.sum(axis=-1)
-        _require_negative_mass(s, "target", block.r0)
+        q, s = _off_diagonal(_targets(block, guid_key, False)[0], "target", block.r0)
         q /= s[..., None]
         # a 1 on the diagonal gives the 0 of log t there (log 1 is +0)
         backend.fill_diagonal(q, 1.0, block.r0)
@@ -447,15 +443,15 @@ def _soft_direction(block: _Block, pred_key, guid_key, weight: float,
         if disentangled:  # log 1 = +0 on the diagonal, as for p and t
             backend.fill_diagonal(ln_m, 1.0, block.r0)
         np.log(ln_m, out=ln_m)
-        kl = backend.kl_term_rows
-        rows = 0.5 * (kl(t, ln_t, ln_m) + kl(p, ln_p, ln_m))
+        # one log-ratio per side gives its KL to m and, halved, its gradient
+        gt = ln_t - ln_m
+        gp = np.subtract(ln_p, ln_m, out=ln_m)
+        rows = 0.5 * ((t * gt).sum(axis=-1) + (p * gp).sum(axis=-1))
         if grad_p:
-            g = ln_p - ln_m
-            g *= 0.5
-            dz = backend.softmax_vjp_rows(p, g, out=g)
+            gp *= 0.5
+            dz = backend.softmax_vjp_rows(p, gp, out=gp)
         if grad_t:
-            h = ln_t - ln_m
-            h *= 0.5
+            h = np.multiply(gt, 0.5, out=gt)
     else:  # pragma: no cover - LossConfig validates
         raise ValueError(f"unknown divergence {mode!r}")
 
@@ -589,8 +585,7 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     assert all(k == keys[0] for k in keys), keys
     for key in keys[0]:  # each block's rows, in row order, then dropped
         graph._dz[key] = np.concatenate([dz.pop(key) for dz in dzs])
-    # total reports the relation-enhanced part as 0 when lambda_re leaves it out
-    components: dict = {"soft_re": 0.0} if selector == "total" else {}
+    components: dict = {}
     value = 0.0
     for i, (component, _, _, weight) in enumerate(terms):
         w = 0.5 * weight
@@ -598,6 +593,8 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
         l2v = _direction_value([out[i][1] for out in blocks])
         components[component] = 0.5 * v2l + 0.5 * l2v
         value += w * v2l + w * l2v
+    if selector == "total":  # soft_re reads 0 when lambda_re leaves it out
+        components.setdefault("soft_re", np.zeros_like(value))
     components[selector] = value
     components["total"] = value
     return value, components, graph

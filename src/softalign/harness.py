@@ -129,13 +129,16 @@ def retrieval_metrics(sims: np.ndarray, relevance_ranks: np.ndarray
     vectors, so it keeps ``np.corrcoef``'s bits.
 
     Raises:
-        ValueError: for a non-square ``sims``, or ``relevance_ranks`` of
-            another shape than (n(n - 1),).
+        ValueError: for a non-square ``sims``, one of fewer than 2 samples
+            (no off-diagonal pair), or ``relevance_ranks`` of another shape
+            than (n(n - 1),).
     """
     sims = np.asarray(sims, dtype=np.float64)
     if sims.ndim != 2 or sims.shape[0] != sims.shape[1]:
         raise ValueError(f"need a square similarity matrix, got {sims.shape}")
     n = sims.shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 samples for an off-diagonal pair, got {sims.shape}")
     pairs = n * (n - 1)
     relevance_ranks = np.asarray(relevance_ranks)
     if relevance_ranks.shape != (pairs,):

@@ -4,7 +4,8 @@ A "matrix" throughout the package is a 2-D C-contiguous float64 ndarray
 with finite entries; :func:`as_matrix` is the single validation gate,
 :func:`all_finite` the finite test of training values and loaded files, and
 :func:`l2_normalize_rows` the one row normalizer (embeddings, synthetic
-concept vectors). The row kernels live in :mod:`softalign.backend`.
+concept vectors); its :func:`row_norms` is the zero-row rule the loss graph
+shares. The row kernels live in :mod:`softalign.backend`.
 """
 
 from __future__ import annotations
@@ -41,18 +42,26 @@ def all_finite(x) -> bool:
         return bool(np.isfinite(np.add.reduce(flat)) or np.isfinite(flat).all())
 
 
-def l2_normalize_rows(m) -> np.ndarray:
-    """Scale every row to unit Euclidean norm.
+def row_norms(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Euclidean norms over the last axis of ``m``, a matrix or a stack.
 
     Raises:
-        ZeroRow: if any row norm is below 1e-300 (direction undefined).
+        ZeroRow: naming ``name`` and the first row whose norm is below
+            1e-300 (direction undefined).
     """
+    norms = np.sqrt((m * m).sum(axis=-1))
+    low = norms < _MIN_ROW_NORM
+    if low.any():
+        bad = np.unravel_index(int(np.argmax(low)), norms.shape)
+        where = f"row {bad[-1]}" + (f" of stack entry {bad[0]}" if len(bad) > 1 else "")
+        raise ZeroRow(f"{name}: {where} has norm {norms[bad]:.3e}, cannot normalize")
+    return norms
+
+
+def l2_normalize_rows(m) -> np.ndarray:
+    """Scale every row to unit Euclidean norm (``ZeroRow``: :func:`row_norms`)."""
     m = as_matrix(m)
-    norms = np.sqrt((m * m).sum(axis=1))
-    if (norms < _MIN_ROW_NORM).any():
-        bad = int(np.argmax(norms < _MIN_ROW_NORM))
-        raise ZeroRow(f"row {bad} has norm {norms[bad]:.3e}, cannot normalize")
-    return m / norms[:, None]
+    return m / row_norms(m)[:, None]
 
 
 def floored_log(m: np.ndarray, floor: float) -> np.ndarray:

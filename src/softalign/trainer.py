@@ -182,7 +182,7 @@ def _attention_batch(rois: np.ndarray, params: dict):
     d_att = query.shape[0]
     keys = rois @ params["roi_pool.key_proj"]      # (N, M, d_att)
     scores = (keys @ query) / math.sqrt(d_att)     # (N, M)
-    weights = backend.softmax_rows(scores)
+    weights = backend.softmax_logsoftmax_rows(scores)[0]
     values = rois @ params["roi_pool.value_proj"]  # (N, M, d)
     pooled = np.einsum("nm,nmd->nd", weights, values)
     cache = {"keys": keys, "weights": weights, "values": values, "rois": rois}

@@ -6,11 +6,21 @@ import sys
 import numpy as np
 import pytest
 
-from softalign import backend
+from softalign import backend, gradcheck
+from softalign.distributions import Temperature
+from softalign.objectives import LossConfig
 
 
 def test_active_backend_reported():
     assert backend.active_backend() == "numpy"
+
+
+def softmax_rows(z):
+    """Row softmax by its two-pass formula: the reference the fused
+    kernel's softmax is held to, bit for bit."""
+    zmax = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - zmax)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logsoftmax_rows(z):
@@ -20,6 +30,18 @@ def logsoftmax_rows(z):
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
+
+
+def kl_term_rows(a, log_a, log_b):
+    """``sum_j a_ij (log a_ij - log b_ij)``: the reference each side of the
+    graph's JS rows is held to, bit for bit; entries with ``a_ij == 0``
+    contribute 0."""
+    return (a * (log_a - log_b)).sum(axis=-1)
+
+
+def _softmax(z):
+    """The library's row softmax: the fused kernel's first array."""
+    return backend.softmax_logsoftmax_rows(z)[0]
 
 
 def _offdiag(kernel):
@@ -33,14 +55,15 @@ def _offdiag(kernel):
 
 
 # name -> (kernel, number of inputs); the masked cases are the plain
-# softmax kernels on -inf-diagonal logits
+# softmax kernels on -inf-diagonal logits, and the log-softmax and KL-row
+# cases are the references above
 ROW_KERNELS = {
-    "softmax_rows": (backend.softmax_rows, 1),
+    "softmax_rows": (_softmax, 1),
     "logsoftmax_rows": (logsoftmax_rows, 1),
-    "masked_softmax_rows": (_offdiag(backend.softmax_rows), 1),
+    "masked_softmax_rows": (_offdiag(_softmax), 1),
     "masked_logsoftmax_rows": (_offdiag(logsoftmax_rows), 1),
     "softmax_vjp_rows": (backend.softmax_vjp_rows, 2),
-    "kl_term_rows": (backend.kl_term_rows, 3),
+    "kl_term_rows": (kl_term_rows, 3),
 }
 
 
@@ -68,7 +91,7 @@ def test_row_kernel_on_stack_matches_each_slice(name, dtype, rng):
     kernel, n_args = ROW_KERNELS[name]
     args = [rng.standard_normal((7, 5, 5)).astype(dtype) for _ in range(n_args)]
     if name == "kl_term_rows":
-        args[0] = backend.softmax_rows(args[0])
+        args[0] = _softmax(args[0])
     stacked = kernel(*args)
     for b in range(7):
         one = kernel(*(x[b] for x in args))
@@ -88,7 +111,7 @@ def test_fused_kernel_equals_the_single_kernels(dtype, shape, masked, rng,
     if masked:
         backend.fill_diagonal(z, -np.inf)
     p, ln_p = backend.softmax_logsoftmax_rows(z)
-    assert same_bits(p, backend.softmax_rows(z))
+    assert same_bits(p, softmax_rows(z))
     assert same_bits(ln_p, logsoftmax_rows(z))
     # a block of rows gives the bits of the same rows of the whole matrix
     p_rows, ln_rows = backend.softmax_logsoftmax_rows(z[..., 2:5, :])
@@ -96,9 +119,35 @@ def test_fused_kernel_equals_the_single_kernels(dtype, shape, masked, rng,
     assert same_bits(ln_rows, ln_p[..., 2:5, :])
 
 
+@pytest.mark.parametrize("disentangled", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_js_rows_equal_the_kl_row_formula(dtype, disentangled, rng, same_bits):
+    # JS takes each side's KL to the mixture m from the one log-ratio it
+    # also scales into that side's gradient; its rows keep the KL rows' bits
+    n = 6
+    pred, guid = (4.0 * rng.standard_normal((2, n, n))).astype(dtype)
+    cfg = LossConfig(beta=0.3, divergence="js")
+    graph = gradcheck._Graph(*np.ones((4, n, 1)), Temperature(0.0), cfg,
+                             want_grad=True, dtype=dtype)
+    k_pred, k_guid = graph.key("v", "t", False), graph.key("r", "a", True)
+    graph._z[k_pred], graph._z[k_guid] = pred, guid
+    block = gradcheck._Block(graph, 0, n)
+    rows = gradcheck._soft_direction(block, k_pred, k_guid, 1.0, disentangled)
+    p, ln_p = block.rows(k_pred, offdiag=disentangled)
+    t, ln_t, _ = gradcheck._targets(block, k_guid, disentangled)
+    m = t + p
+    m *= 0.5
+    if disentangled:  # the graph's log 1 = +0 on the diagonal
+        backend.fill_diagonal(m, 1.0)
+    ln_m = np.log(m)
+    assert rows.dtype == dtype
+    assert same_bits(rows, 0.5 * (kl_term_rows(t, ln_t, ln_m)
+                                  + kl_term_rows(p, ln_p, ln_m)))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_softmax_vjp_into_its_input(dtype, rng, same_bits):
-    p = backend.softmax_rows(rng.standard_normal((3, 5, 5)).astype(dtype))
+    p = _softmax(rng.standard_normal((3, 5, 5)).astype(dtype))
     g = rng.standard_normal((3, 5, 5)).astype(dtype)
     expected = backend.softmax_vjp_rows(p, g)
     assert backend.softmax_vjp_rows(p, g, out=g) is g

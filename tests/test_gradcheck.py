@@ -58,8 +58,8 @@ class TestClosedForms:
             zp[0, j] += eps
             zm[0, j] -= eps
             grad[j] = (
-                cross_entropy_rows(y, backend.softmax_rows(zp))
-                - cross_entropy_rows(y, backend.softmax_rows(zm))
+                cross_entropy_rows(y, backend.softmax_logsoftmax_rows(zp)[0])
+                - cross_entropy_rows(y, backend.softmax_logsoftmax_rows(zm)[0])
             ) / (2 * eps)
         np.testing.assert_allclose(grad, [-0.2, 0.2], atol=1e-9)
 
@@ -692,11 +692,13 @@ def test_stacked_run_equals_each_slice_property(selector, divergence, form, spli
         return
     value, comps = whole
     assert value.shape == (b,)
+    for name, x in comps.items():
+        assert x.shape == (b,) and x.dtype == dtype, (name, x.shape, x.dtype)
     for i, (value_i, comps_i) in enumerate(slices):
         assert same_bits(value[i], value_i), i
         assert set(comps) == set(comps_i)
         for name, x in comps.items():
-            assert same_bits(np.broadcast_to(x, (b,))[i], comps_i[name]), (i, name)
+            assert same_bits(x[i], comps_i[name]), (i, name)
 
 
 def _softmax(z):

@@ -155,7 +155,9 @@ class TestRetrievalMetrics:
     @pytest.mark.parametrize("sims, relevance, message", [
         ((3, 4), (3, 4), r"square similarity matrix, got \(3, 4\)"),
         ((3, 3), (4, 4), r"n\(n - 1\) = 6 ranks, got shape \(12,\)"),
-    ], ids=["not-square", "mismatched"])
+        ((1, 1), (1, 1), r"at least 2 samples for an off-diagonal pair, got \(1, 1\)"),
+        ((0, 0), (0, 0), r"at least 2 samples for an off-diagonal pair, got \(0, 0\)"),
+    ], ids=["not-square", "mismatched", "one-sample", "no-sample"])
     def test_non_square_or_mismatched_matrices_named(self, sims, relevance, message):
         # mismatched: the ranks of another relevance than the similarities'
         ranks = np.arange(1.0, relevance[0] * (relevance[1] - 1) + 1)

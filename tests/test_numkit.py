@@ -45,8 +45,16 @@ class TestL2NormalizeRows:
         assert (scale > 0).all()
 
     def test_zero_row_rejected(self):
-        with pytest.raises(ZeroRow):
+        with pytest.raises(ZeroRow, match=r"^matrix: row 1 has norm 0\.000e\+00"):
             l2_normalize_rows(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    def test_zero_row_of_a_stack_names_its_entry(self, rng):
+        # the loss graph's (B, N, D) inputs take the same rule
+        m = rng.standard_normal((3, 4, 2))
+        np.testing.assert_array_equal(numkit.row_norms(m), np.sqrt((m * m).sum(axis=-1)))
+        m[1, 2] = 0.0
+        with pytest.raises(ZeroRow, match=r"^input v: row 2 of stack entry 1 has norm 0\.000e\+00"):
+            numkit.row_norms(m, "input v")
 
 
 class TestValidation:
@@ -152,36 +160,37 @@ class TestGram:
 
 
 class TestStableRowSoftmax:
-    """``backend.softmax_rows``, the max-subtracted row softmax."""
+    """The max-subtracted row softmax: ``backend.softmax_logsoftmax_rows``'s
+    first array."""
 
     def test_equal_logits(self):
         for c in (-1000.0, 0.0, 3.7, 1e8):
-            out = backend.softmax_rows(np.array([[c, c]]))
+            out = backend.softmax_logsoftmax_rows(np.array([[c, c]]))[0]
             np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_log_two_closed_form(self):
-        out = backend.softmax_rows(np.array([[np.log(2.0), 0.0]]))
+        out = backend.softmax_logsoftmax_rows(np.array([[np.log(2.0), 0.0]]))[0]
         np.testing.assert_allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
     def test_extreme_logits_no_overflow(self):
         # exp(-1000) / (1 + exp(-1000)) = 5.0759588975e-435 exactly, which
         # underflows float64; the stable path must give [1, 0] with no NaN
-        out = backend.softmax_rows(np.array([[1000.0, 0.0]]))
+        out = backend.softmax_logsoftmax_rows(np.array([[1000.0, 0.0]]))[0]
         assert np.isfinite(out).all()
         assert out[0, 0] == 1.0
         assert abs(out[0, 1] - 5.0759588975e-435) < 1e-300
 
     def test_rows_sum_to_one(self, rng):
-        out = backend.softmax_rows(rng.standard_normal((10, 6)) * 30)
+        out = backend.softmax_logsoftmax_rows(rng.standard_normal((10, 6)) * 30)[0]
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert (out > 0).all()
 
     def test_shift_invariance(self, rng):
         z = rng.standard_normal((7, 5)) * 5
         shift = rng.standard_normal((7, 1)) * 100
-        np.testing.assert_allclose(
-            backend.softmax_rows(z), backend.softmax_rows(z + shift), atol=1e-12
-        )
+        np.testing.assert_allclose(backend.softmax_logsoftmax_rows(z)[0],
+                                   backend.softmax_logsoftmax_rows(z + shift)[0],
+                                   atol=1e-12)
 
 
 def _off_diagonal(m):

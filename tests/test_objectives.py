@@ -270,8 +270,8 @@ class TestRelationEnhancedSoftLoss:
         # not the disentangled distributions
         cfg = LossConfig()
         z = rng.standard_normal((4, 4)) * 3
-        p1 = backend.softmax_rows(z)
-        p2 = backend.softmax_rows(z + 1.7 * np.eye(4))
+        p1 = backend.softmax_logsoftmax_rows(z)[0]
+        p2 = backend.softmax_logsoftmax_rows(z + 1.7 * np.eye(4))[0]
         guid = rng.dirichlet(np.ones(4), size=4)
         b1 = DistBundle(p_it=p1, p_ti=p1, p_rr=guid, p_aa=guid)
         b2 = DistBundle(p_it=p2, p_ti=p2, p_rr=guid, p_aa=guid)

@@ -6,8 +6,8 @@ bitwise neutral:
     PYTHONPATH=src python3 tools/graph_digest.py
 
 It prints one line per selector, then one multi-block line per selector,
-two N=512 lines, one multi-block oracle line per selector, then the
-lines of the non-graph paths. Each selector line holds three sha256
+two N=512 lines, one multi-block oracle line per selector, one line of
+error messages, then the lines of the non-graph paths. Each selector line holds three sha256
 digests:
 
 * ``grads``: the four input gradients and both temperature gradients of
@@ -38,6 +38,17 @@ gamma 0.4: under stop-gradient the oracle's frozen target table then
 holds entries for both blocks. At d=1 every unit row is +-1, so the
 input columns read about 0 and the temperature derivative, which runs
 against that table, carries the content.
+
+The ``errors`` line digests the type and the message, ``"Type: text"``,
+of every exception that ``backward_with_components`` raises on the
+selector grid, then of ``gradcheck.backward`` of ``soft_re`` at beta 1 on
+two saturated batches (a 5-row one whose row 3 has an off-diagonal mass
+of about 4 exp(-2 / 0.05), and a 130-row one whose rows 70 and 129 have
+about 129 exp(-1 / 0.02)), with the batch as the prediction and as the
+guidance inputs, at ``_BLOCK_ROWS`` 1, 3 and 64 and at 1 and 2 usable
+CPUs: a change to a ``DegenerateRow`` message or to which row a blocked
+or threaded graph names shows here, where the selector lines keep only
+the exception type.
 
 The other lines cover the data, training, eval and report paths on a
 small fixed dataset spec:
@@ -144,7 +155,11 @@ def _grads(bundle) -> bytes:
             + _scalar(bundle.d_log_inv_tau) + _scalar(bundle.d_log_inv_tau_guidance))
 
 
-def _graph_case(selector, n, cfg, split, grads, values) -> None:
+def _error(exc) -> bytes:
+    return f"{type(exc).__name__}: {exc}".encode()
+
+
+def _graph_case(selector, n, cfg, split, grads, values, errors=None) -> None:
     v, t, r, a = _inputs(n, 6)
     g_tau = Temperature.from_tau(0.2) if split else None
     try:
@@ -154,6 +169,8 @@ def _graph_case(selector, n, cfg, split, grads, values) -> None:
     except (SoftalignError, ValueError) as exc:
         grads.update(type(exc).__name__.encode())
         values.update(type(exc).__name__.encode())
+        if errors is not None:
+            errors.update(_error(exc))
         return
     grads.update(_grads(bundle))
     values.update(_scalar(value))
@@ -172,7 +189,39 @@ def _fd_case(selector, cfg, n, d, fd) -> None:
     fd.update(_grads(bundle))
 
 
+def _saturated(errors) -> None:
+    """The degenerate-row errors of two saturated batches, for both sides,
+    at several row-block sizes and usable-CPU counts."""
+    # n=5: row 3 points away from four equal rows; n=130: rows 70 and 129
+    # each point along an axis of their own, away from 128 equal rows
+    small = np.zeros((5, 4))
+    small[:, 0] = [-1.0, -1.0, -1.0, 1.0, -1.0]
+    large = np.zeros((130, 3))
+    large[:, 0] = -1.0
+    large[70] = [0.0, 1.0, 0.0]
+    large[129] = [0.0, 0.0, 1.0]
+    saved = gradcheck._BLOCK_ROWS, gradcheck._usable_cpus
+    try:
+        for far, tau in ((small, 0.05), (large, 0.02)):
+            v, t, r, a = _inputs(*far.shape)
+            for side, block, cpus in itertools.product(
+                    ("prediction", "target"), (1, 3, 64), (1, 2)):
+                gradcheck._BLOCK_ROWS = block
+                gradcheck._usable_cpus = lambda cpus=cpus: cpus
+                inputs = ((far, far.copy(), r, a) if side == "prediction"
+                          else (v, t, far, far.copy()))
+                try:
+                    gradcheck.backward("soft_re", *inputs, Temperature.from_tau(tau),
+                                       LossConfig(beta=1.0))
+                    errors.update(b"no error")
+                except (SoftalignError, ValueError) as exc:
+                    errors.update(_error(exc))
+    finally:
+        gradcheck._BLOCK_ROWS, gradcheck._usable_cpus = saved
+
+
 def main() -> None:
+    errors = hashlib.sha256()
     for selector in gradcheck.SELECTORS:
         grads, values, fd = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
         base = itertools.product(DIVERGENCES, (True, False), SUPERVISION_FORMS,
@@ -182,7 +231,7 @@ def main() -> None:
             cfg = LossConfig(divergence=div, stop_gradient_targets=sg,
                              supervision_form=form, beta=beta,
                              split_guidance_temperature=split, **extra)
-            _graph_case(selector, n, cfg, split, grads, values)
+            _graph_case(selector, n, cfg, split, grads, values, errors)
         for sg, div, weights, (n, d) in itertools.product(
                 (True, False), DIVERGENCES, FD_WEIGHTS, FD_SHAPES):
             cfg = LossConfig(divergence=div, stop_gradient_targets=sg, **weights)
@@ -210,6 +259,8 @@ def main() -> None:
             cfg = LossConfig(stop_gradient_targets=sg, gamma=0.4)
             _fd_case(selector, cfg, FD_BLOCKS_N, 1, fd)
         print(f"fd_blocks[{selector}] fd={fd.hexdigest()}")
+    _saturated(errors)
+    print(f"errors={errors.hexdigest()}")
     _paths()
 
 

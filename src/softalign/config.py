@@ -4,7 +4,8 @@ A field's declaration is the one source of its rule: its annotation gives
 the type (:func:`field_types`) and its :func:`flag` metadata the help
 text, allowed values and bounds. :func:`check` enforces the rule on every
 value, whether from a flag, a config file or :func:`from_dict` (the one
-unknown-key rule); each field with help text is a command-line flag.
+unknown-key rule; it builds nested configs); each field with help text is
+a command-line flag.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import operator
 import sys
 import typing
 from collections.abc import Mapping
-from dataclasses import field, fields
+from dataclasses import field, fields, is_dataclass
 
 # bound keyword -> (symbol, test the value must pass)
 _BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
@@ -91,9 +92,13 @@ def check(cfg, error=ValueError) -> None:
 
 def from_dict(cls, d: dict, error=ValueError):
     """``cls(**d)``, raising ``error`` first for a ``d`` that is not a
-    mapping and for keys that are not fields."""
+    mapping and for keys that are not fields. A mapping for a field whose
+    type is a config dataclass is built first, by that class's ``from_dict``."""
     if not isinstance(d, Mapping):
         raise error(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
+    kinds = {name: kind for name, (kind, _) in field_types(cls).items()}
+    d = {k: kinds[k].from_dict(v) if isinstance(v, Mapping) and is_dataclass(kinds.get(k))
+         else v for k, v in d.items()}
     unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise error(f"unknown {cls.__name__} keys: {sorted(unknown)}")

@@ -31,7 +31,8 @@ With ``stop_gradient_targets`` the softened targets are treated as
 constants: their branches receive no gradient, and the finite-difference
 oracle evaluates the forward against targets frozen at the base point
 (one ``targets`` table, filled by a :func:`_run` at that point and passed
-back) so both sides differentiate the same function.
+back) so both sides differentiate the same function. The oracle perturbs
+only the inputs :meth:`LossConfig.live_inputs` names.
 
 The forward makes few passes over the N x N matrices and keeps them in
 cache. Each logits key runs one fused softmax/log-softmax; each guidance
@@ -76,16 +77,15 @@ from .distributions import (
     MIN_NEGATIVE_MASS,
     Temperature,
     label_smooth_targets,
+    one_hot_targets,
 )
 from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
 from .numkit import as_matrix, floored_log, row_norms
-from .objectives import LOSS_VARIANTS, SUPERVISION_FORMS, LossConfig
+from .objectives import BUNDLE_INPUTS, LOSS_VARIANTS, SUPERVISION_FORMS, LossConfig
 
 SELECTORS = LOSS_VARIANTS
 
 _INPUT_NAMES = ("v", "t", "r", "a")
-# the inputs each guidance bundle puts in place of the ROI and tag batches
-_BUNDLE_INPUTS = {"ra": {"r": "r", "a": "a"}, "it": {"r": "v", "a": "t"}}
 
 
 def _as_input(x, name: str, dtype) -> np.ndarray:
@@ -544,11 +544,11 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     guidance = {}  # each guidance bundle's (v2l, l2v) logits keys
     for _, bundle, kind, _ in terms:
         if kind == "clip":
-            fixed[kind] = np.eye(n, dtype=dtype)
+            fixed[kind] = one_hot_targets(n)
         elif kind == "label_smooth":
             fixed[kind] = label_smooth_targets(n, cfg.alpha)
         else:
-            names = _BUNDLE_INPUTS[bundle]
+            names = BUNDLE_INPUTS[bundle]
             guidance[bundle] = tuple(
                 graph.key(names[src], names[dst], guidance=True)
                 for src, dst in SUPERVISION_FORMS[cfg.supervision_form])
@@ -631,21 +631,6 @@ def backward_with_components(
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _live_inputs(selector: str, cfg: LossConfig) -> set:
-    """Inputs the differentiated forward actually consumes.
-
-    With ``stop_gradient_targets`` the guidance branch is frozen at the
-    base point, so perturbing a pure-guidance input cannot change the
-    forward; its central difference is exactly zero and is recorded
-    without evaluation.
-    """
-    live = {"v", "t"}
-    if not cfg.stop_gradient_targets and any(
-            bundle == "ra" for _, bundle, _, _ in cfg.terms(selector)):
-        live |= {"r", "a"}
-    return live
-
-
 def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
                            cfg: LossConfig, epsilon: float = 1e-5,
                            guidance_tau: Optional[Temperature] = None
@@ -653,7 +638,9 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
     """Central-difference gradients, one batched forward per input.
 
     Perturbations are applied to the pre-normalization inputs. For each
-    input the forward consumes, the ``2k`` copies perturbed by ``+eps``
+    input the forward differentiates (:meth:`LossConfig.live_inputs`; the
+    difference of any other is exactly zero and is recorded without a
+    forward), the ``2k`` copies perturbed by ``+eps``
     (stack rows ``0..k-1``) and ``-eps`` (rows ``k..2k-1``) at each of its
     ``k`` coordinates are stacked along a leading axis and evaluated in
     one :func:`_run`; the temperature derivatives take two scalar
@@ -683,7 +670,7 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
                            dtype=dtype)
         return value
 
-    live = _live_inputs(selector, cfg)
+    live = cfg.live_inputs(selector)
     grads = {}
     for name in _INPUT_NAMES:
         x = inputs[name]
@@ -699,18 +686,17 @@ def finite_difference_grad(selector: str, v, t, r, a, tau: Temperature,
         diff = (values[:k] - values[k:]) / (2.0 * epsilon)
         grads[name] = diff.astype(np.float64).reshape(x.shape)
 
-    ell = tau.log_inv_tau
-    d_log = float(
-        (f(Temperature(ell + epsilon), guidance_tau)
-         - f(Temperature(ell - epsilon), guidance_tau)) / (2.0 * epsilon)
-    )
+    def d_log_inv(temp: Temperature, at) -> float:
+        """The central difference in ``temp``'s log(1/tau); ``at(shifted)``
+        is the forward with ``shifted`` in ``temp``'s place."""
+        ell = temp.log_inv_tau
+        return float((at(Temperature(ell + epsilon)) - at(Temperature(ell - epsilon)))
+                     / (2.0 * epsilon))
+
+    d_log = d_log_inv(tau, lambda shifted: f(shifted, guidance_tau))
     d_log_g = None
     if cfg.split_guidance_temperature and guidance_tau is not None:
-        ell_g = guidance_tau.log_inv_tau
-        d_log_g = float(
-            (f(tau, Temperature(ell_g + epsilon))
-             - f(tau, Temperature(ell_g - epsilon))) / (2.0 * epsilon)
-        )
+        d_log_g = d_log_inv(guidance_tau, lambda shifted: f(tau, shifted))
     return GradientBundle(
         d_v=grads["v"], d_t=grads["t"], d_r=grads["r"], d_a=grads["a"],
         d_log_inv_tau=d_log, d_log_inv_tau_guidance=d_log_g,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,12 +40,6 @@ from .synthgen import SynthDataset
 from .trainer import TrainConfig, TrainState
 
 log = logging.getLogger("softalign")
-
-RESULT_COLUMNS = (
-    "variant", "beta", "gamma", "seed", "dataset_hash",
-    "r1_v2t", "r5_v2t", "r10_v2t", "r1_t2v", "r5_t2v", "r10_t2v",
-    "spearman", "final_loss",
-)
 
 PROFILE_POSITIONS = 50
 
@@ -82,7 +76,9 @@ class LogitProfile:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One line of an emitted results table."""
+    """One line of an emitted results table: its fields in order, with the
+    :class:`RetrievalResult` fields in place of ``result``. ``final_loss``
+    is None for a run that trained no step."""
 
     variant: str
     beta: float
@@ -90,16 +86,16 @@ class ResultRow:
     seed: int
     dataset_hash: str
     result: RetrievalResult
-    final_loss: float
+    final_loss: Optional[float]
 
     def to_dict(self) -> dict:
-        d = {
-            "variant": self.variant, "beta": self.beta, "gamma": self.gamma,
-            "seed": self.seed, "dataset_hash": self.dataset_hash,
-        }
-        d.update(self.result.to_dict())
-        d["final_loss"] = self.final_loss
-        return d
+        row = {**asdict(self), **self.result.to_dict()}
+        return {name: row[name] for name in RESULT_COLUMNS}
+
+
+# the columns of a results table: ResultRow's fields, result's spread in place
+RESULT_COLUMNS = tuple(name for f in fields(ResultRow) for name in (
+    (g.name for g in fields(RetrievalResult)) if f.name == "result" else (f.name,)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +142,7 @@ def retrieval_metrics(sims: np.ndarray, relevance_ranks: np.ndarray
             f"relevance_ranks must hold n(n - 1) = {pairs} ranks, got "
             f"shape {relevance_ranks.shape}"
         )
-    ranks_v2t = _pair_ranks(sims)
-    ranks_t2v = _pair_ranks(sims.T)
+    pair_ranks = {"v2t": _pair_ranks(sims), "t2v": _pair_ranks(sims.T)}
     sims_off = numkit.off_diagonal_view(sims)
     # ranks are constant exactly where the ranked values are
     if np.ptp(sims_off) == 0.0 or np.ptp(relevance_ranks) == 0.0:
@@ -161,14 +156,9 @@ def retrieval_metrics(sims: np.ndarray, relevance_ranks: np.ndarray
         both[1] = relevance_ranks
         rho = _corrcoef_in_place(both)
     return RetrievalResult(
-        r1_v2t=float((ranks_v2t < 1).mean()),
-        r5_v2t=float((ranks_v2t < 5).mean()),
-        r10_v2t=float((ranks_v2t < 10).mean()),
-        r1_t2v=float((ranks_t2v < 1).mean()),
-        r5_t2v=float((ranks_t2v < 5).mean()),
-        r10_t2v=float((ranks_t2v < 10).mean()),
-        spearman=float(rho),
-    )
+        **{f"r{k}_{d}": float((pair_ranks[d] < k).mean())
+           for d in DIRECTIONS for k in (1, 5, 10)},
+        spearman=float(rho))
 
 
 def _corrcoef_in_place(x: np.ndarray) -> float:
@@ -219,9 +209,10 @@ def logit_profile(state: TrainState, dataset: SynthDataset,
 # experiment suites
 # ---------------------------------------------------------------------------
 
-def _final_loss(metrics: list[dict]) -> float:
+def _final_loss(metrics: list[dict]) -> Optional[float]:
+    """The mean total of the last 20 steps; None when no step ran."""
     if not metrics:
-        return float("nan")
+        return None
     tail = metrics[-min(20, len(metrics)):]
     return float(np.mean([row["total"] for row in tail]))
 
@@ -398,9 +389,10 @@ def _run_points(dataset: SynthDataset, points, jobs: int, task) -> list:
 # ---------------------------------------------------------------------------
 
 def write_json(payload, path) -> None:
-    """``payload`` as indented JSON and a newline, as ``path``."""
+    """``payload`` as indented JSON and a newline, as ``path``; a NaN or
+    infinite float, which JSON cannot hold, raises ValueError instead."""
     with container.replacing(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -2,10 +2,11 @@
 
 A "matrix" throughout the package is a 2-D C-contiguous float64 ndarray
 with finite entries; :func:`as_matrix` is the single validation gate,
-:func:`all_finite` the finite test of training values and loaded files, and
-:func:`l2_normalize_rows` the one row normalizer (embeddings, synthetic
-concept vectors); its :func:`row_norms` is the zero-row rule the loss graph
-shares. The row kernels live in :mod:`softalign.backend`.
+:func:`all_finite` the one finite test (of that gate, training values and
+loaded files), and :func:`l2_normalize_rows` the one row normalizer
+(embeddings, synthetic concept vectors); its :func:`row_norms` is the
+zero-row rule the loss graph shares. The row kernels live in
+:mod:`softalign.backend`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"{name} must be non-empty, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not all_finite(m):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
 

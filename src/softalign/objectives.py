@@ -10,10 +10,11 @@ forward: training and the gradients run on the log-space graph in
 against the values computed here.
 
 It also holds the rules of the objective's configuration: which loss
-variants exist, which weighted terms each one sums
-(:meth:`LossConfig.terms`, which the graph evaluates and
-:meth:`LossConfig.check` reads), and which guidance distributions each
-supervision form assigns (``SUPERVISION_FORMS``).
+variants exist, which weighted terms each one sums (:meth:`LossConfig.terms`,
+which the graph evaluates and :meth:`LossConfig.check` reads), which
+guidance distributions each supervision form assigns (``SUPERVISION_FORMS``),
+which batches each guidance bundle reads (``BUNDLE_INPUTS``), and so which
+inputs a variant differentiates (:meth:`LossConfig.live_inputs`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ SUPERVISION_FORMS = {
     "R2A_A2R": (("r", "a"), ("a", "r")),
     "A2R_R2A": (("a", "r"), ("r", "a")),
 }
+# guidance bundle -> the batches it reads in place of the ROI ("r") and tag
+# ("a") batches: ``ra`` those batches, ``it`` the image and text batches
+BUNDLE_INPUTS = {"ra": {"r": "r", "a": "a"}, "it": {"r": "v", "a": "t"}}
 LOSS_VARIANTS = ("clip", "label_smooth", "soft", "soft_re", "total", "mixed_gamma")
 
 Dist = Union[np.ndarray, NegDisentangled]
@@ -103,6 +107,15 @@ class LossConfig:
         return tuple((f"{kind}_{bundle}", bundle, kind, gw * w)
                      for bundle, gw in bundles if gw > 0.0
                      for kind, w in guided)
+
+    def live_inputs(self, variant: str) -> set:
+        """The inputs ("v", "t", "r", "a") ``variant`` differentiates: v and t,
+        and unless ``stop_gradient_targets`` freezes the guidance, the
+        batches each guided term's bundle reads (``BUNDLE_INPUTS``)."""
+        guided = () if self.stop_gradient_targets else (
+            BUNDLE_INPUTS[bundle].values()
+            for _, bundle, kind, _ in self.terms(variant) if kind in ("soft", "soft_re"))
+        return {"v", "t"}.union(*guided)
 
     def check(self, variant: str) -> None:
         """Reject a loss variant this config cannot evaluate.

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -92,8 +91,6 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        if isinstance(d, Mapping) and isinstance(d.get("loss"), Mapping):
-            d = {**d, "loss": LossConfig.from_dict(d["loss"])}
         return config.from_dict(cls, d)
 
 

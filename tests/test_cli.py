@@ -240,6 +240,28 @@ def test_sweep_gamma(workdir):
     assert all(np.isfinite(float(r["final_loss"])) for r in rows)
 
 
+def _strict_json(text: str):
+    """``json.loads`` that refuses NaN and the infinities, as RFC 8259 does."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [["ablate", "--seeds", "0"],
+                                  ["sweep-beta", "--betas", "0.5"],
+                                  ["sweep-gamma", "--gammas", "0.5"]],
+                         ids=["ablate", "sweep-beta", "sweep-gamma"])
+def test_suite_that_trains_no_step_writes_strict_json(workdir, tmp_path, argv):
+    # a point with no step has no final loss: null in JSON, an empty CSV cell
+    out = tmp_path / "suite.csv"
+    assert main([*argv, "--data", str(workdir / "data.salb"), "--max-steps", "0",
+                 "--batch-size", "30", "--out", str(out)]) == 0
+    mirror = _strict_json(out.with_suffix(".json").read_text())
+    assert mirror and all(row["final_loss"] is None for row in mirror)
+    with open(out) as fh:
+        assert [row["final_loss"] for row in csv.DictReader(fh)] == [""] * len(mirror)
+
+
 class TestValidationErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

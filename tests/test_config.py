@@ -144,3 +144,14 @@ def test_field_types_unwrap_optional():
     assert types["grad_clip"] == (float, True)
     assert types["batch_size"] == (int, False)
     assert types["loss"] == (LossConfig, False)
+
+
+def test_from_dict_builds_nested_configs():
+    # a mapping for a config-typed field goes through that class's from_dict
+    cfg = config.from_dict(TrainConfig, {"epochs": 2, "loss": {"beta": 0.5}})
+    assert cfg == TrainConfig(epochs=2, loss=LossConfig(beta=0.5))
+    assert config.from_dict(TrainConfig, {"loss": cfg.loss}).loss is cfg.loss
+    with pytest.raises(ValueError, match=r"^unknown LossConfig keys: \['bogus'\]"):
+        config.from_dict(TrainConfig, {"loss": {"bogus": 1}})
+    with pytest.raises(ValueError, match="^loss must be LossConfig, got"):
+        config.from_dict(TrainConfig, {"loss": [("beta", 0.5)]})

@@ -416,7 +416,7 @@ def test_live_inputs_match_analytic_gradients(selector, stop_grad, gamma,
                      lambda_re=lambda_re)
     v, t, r, a = random_inputs(12, n=4, d=5)
     _, g = backward(selector, v, t, r, a, Temperature.from_tau(0.07), cfg)
-    live = gradcheck._live_inputs(selector, cfg)
+    live = cfg.live_inputs(selector)
     for name in ("v", "t", "r", "a"):
         assert bool(g.by_name(name).any()) == (name in live), name
 

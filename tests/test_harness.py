@@ -473,6 +473,25 @@ class TestEmission:
         assert len(payload) == 5
         assert set(payload[0]) == set(RESULT_COLUMNS)
 
+    def test_row_columns_follow_the_fields(self, tiny_dataset, tiny_config):
+        assert RESULT_COLUMNS == (
+            "variant", "beta", "gamma", "seed", "dataset_hash",
+            "r1_v2t", "r5_v2t", "r10_v2t", "r1_t2v", "r5_t2v", "r10_t2v",
+            "spearman", "final_loss")
+        row, _ = train_and_eval(tiny_dataset, tiny_config, "x")
+        want = {"variant": "x", "beta": row.beta, "gamma": row.gamma,
+                "seed": row.seed, "dataset_hash": row.dataset_hash,
+                **row.result.to_dict(), "final_loss": row.final_loss}
+        assert list(row.to_dict().items()) == list(want.items())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_refuses_non_finite_floats(self, tmp_path, value):
+        path = tmp_path / "r.json"
+        path.write_text("old")
+        with pytest.raises(ValueError):
+            write_json({"final_loss": value}, path)
+        assert path.read_text() == "old" and os.listdir(tmp_path) == ["r.json"]
+
     def test_json_through_a_link_replaces_its_target(self, tmp_path):
         (tmp_path / "real.json").write_text("old")
         (tmp_path / "link.json").symlink_to("real.json")

@@ -22,7 +22,7 @@ from softalign.errors import (
     SpecInvalid,
     ZeroRow,
 )
-from softalign.objectives import LossConfig
+from softalign.objectives import LOSS_VARIANTS, LossConfig
 from softalign.synthgen import ROI_POOLS, SynthSpec, generate
 from softalign.trainer import (
     TrainConfig,
@@ -494,6 +494,57 @@ class TestAttentionTraining:
         _, _, grads = loss_and_grads(state, small_dataset, np.arange(25))
         assert not grads["roi_pool.query"].any()
         assert not grads["roi.w1"].any()
+
+
+# the loss graph input each head's output is
+_HEAD_INPUT = {"image": "v", "text": "t", "roi": "r", "tag": "a"}
+
+
+def _live_groups(cfg: TrainConfig) -> set:
+    """The parameter groups (a head, ``roi_pool``, ``tau_log_inv``) whose
+    gradient can be nonzero under ``cfg``, from :meth:`LossConfig.live_inputs`."""
+    live = cfg.loss.live_inputs(cfg.loss_variant)
+    groups = {head for head, x in _HEAD_INPUT.items() if x in live} | {"tau_log_inv"}
+    if "r" in live and cfg.roi_aggregation == "attention":
+        groups.add("roi_pool")
+    return groups
+
+
+class TestFrozenTeacher:
+    """A head whose input no differentiated term reads is frozen: its
+    gradient is exactly zero, and AdamW moves it by weight decay alone."""
+
+    @pytest.mark.parametrize("aggregation", ["mean", "attention"])
+    @pytest.mark.parametrize("stop_grad", [True, False])
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_zero_gradients_follow_live_inputs(self, small_dataset, variant,
+                                               stop_grad, aggregation):
+        cfg = TrainConfig(batch_size=25, seed=3, loss_variant=variant,
+                          roi_aggregation=aggregation, attention_dim=8,
+                          loss=LossConfig(stop_gradient_targets=stop_grad))
+        state = init_state(small_dataset.spec, cfg)
+        _, _, grads = loss_and_grads(state, small_dataset, np.arange(25))
+        moved = {name.partition(".")[0] for name, g in grads.items() if g.any()}
+        assert moved == _live_groups(cfg)
+
+    def test_default_attention_teacher_moves_by_decay_alone(self):
+        # the zero query (uniform weights) and the identity value_proj stay
+        # as they are up to decay, so default attention is a scaled mean pool
+        spec = SynthSpec(n_samples=120, n_concepts=8, latent_dim=12, d_image=10,
+                         d_text=9, d_roi=11, d_tag=7, rois_per_image=3, seed=3)
+        cfg = TrainConfig(max_steps=12, roi_aggregation="attention")
+        state, _ = train(generate(spec), cfg)
+        c = 1.0
+        for step in range(12):
+            c *= 1.0 - lr_at(step, 12, cfg) * cfg.weight_decay
+        assert c == pytest.approx(0.99641, abs=5e-6)
+        assert not state.params["roi_pool.query"].any()
+        assert state.params["roi_pool.value_proj"].tobytes() == (c * np.eye(11)).tobytes()
+        frozen = [name for name in state.params
+                  if name.partition(".")[0] not in _live_groups(cfg)]
+        assert {name.partition(".")[0] for name in frozen} == {"roi", "tag", "roi_pool"}
+        for name in frozen:
+            assert not state.m[name].any() and not state.v[name].any(), name
 
 
 class TestEncoderGradients:

@@ -1,14 +1,20 @@
-"""Digest the loss graph and the paths around it, to compare two trees.
+"""Digest the loss graph and the paths around it, to hold a tree to its bits.
 
-Run it on two trees and compare the lines to check that a refactor is
-bitwise neutral:
+Its output is committed as ``tools/graph_digest.txt``, and
+``tests/test_graph_digest.py`` runs it and names every line that differs
+from that file. A change that moves bits on purpose regenerates the file,
+and the file's diff shows which lines moved:
 
-    PYTHONPATH=src python3 tools/graph_digest.py
+    PYTHONPATH=src python3 tools/graph_digest.py > tools/graph_digest.txt
 
-It prints one line per selector, then one multi-block line per selector,
+The first line is a header, ``# numpy=<version> openblas=<version>
+core=<name>`` (:func:`environment_line`): the bits depend on numpy and on
+the BLAS kernels its bundled OpenBLAS picks for the CPU, so the test
+compares lines only where the header matches the running environment.
+Then come 36 lines: one per selector, one multi-block line per selector,
 two N=512 lines, one multi-block oracle line per selector, one line of
-error messages, then the lines of the non-graph paths. Each selector line holds three sha256
-digests:
+error messages, then the lines of the non-graph paths. Each selector
+line holds three sha256 digests:
 
 * ``grads``: the four input gradients and both temperature gradients of
   ``gradcheck.backward_with_components``, or the exception type it raises;
@@ -106,6 +112,7 @@ small fixed dataset spec:
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import json
@@ -138,6 +145,20 @@ BLOCKS512_SELECTORS = ("total", "mixed_gamma")
 FD_BLOCKS_N = 66  # a 64-row block and a 2-row one
 SPEC = synthgen.SynthSpec(n_samples=120, n_concepts=8, latent_dim=12, d_image=10,
                           d_text=9, d_roi=11, d_tag=7, rois_per_image=3, seed=3)
+
+
+def environment_line() -> str:
+    """The header: numpy's version, and the version and the core of the
+    OpenBLAS that numpy bundles (``unknown`` without that library)."""
+    version = core = "unknown"
+    libs = Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*")
+    for lib in map(ctypes.CDLL, map(str, libs)):
+        config, corename = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+        for call in (config, corename):
+            call.argtypes, call.restype = (), ctypes.c_char_p
+        version = config().decode().split()[1]  # "OpenBLAS <version> <options>"
+        core = corename().decode()
+    return f"# numpy={np.__version__} openblas={version} core={core}"
 
 
 def _inputs(n: int, d: int):
@@ -221,6 +242,7 @@ def _saturated(errors) -> None:
 
 
 def main() -> None:
+    print(environment_line())
     errors = hashlib.sha256()
     for selector in gradcheck.SELECTORS:
         grads, values, fd = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()

@@ -44,6 +44,13 @@ METRIC_COLUMNS = ("step", "lr", "total", "clip", "soft", "soft_re", "tau")
 
 _MODALITIES = ("image", "text", "roi", "tag")
 
+# the loss graph input each head's output is (LossConfig.live_inputs)
+_GRAPH_INPUT = {"image": "v", "text": "t", "roi": "r", "tag": "a"}
+
+# the gradient of every parameter no live graph input reads: one shared,
+# read-only zero array per shape, which optimizer_step knows by identity
+_FROZEN_ZEROS: dict[tuple[int, ...], np.ndarray] = {}
+
 # the arrays a checkpoint holds per parameter, as "<slot>/<name>"
 _SLOTS = ("param", "m", "v")
 
@@ -297,9 +304,25 @@ def forward_batch(state: TrainState, dataset: SynthDataset, indices):
     return tuple(l2_normalize_rows(raw[mod]) for mod in _MODALITIES)
 
 
+def _frozen_zero(shape: tuple[int, ...]) -> np.ndarray:
+    """The shared read-only +0.0 array of ``shape`` (see ``_FROZEN_ZEROS``)."""
+    zero = _FROZEN_ZEROS.get(shape)
+    if zero is None:
+        zero = np.zeros(shape)
+        zero.flags.writeable = False
+        _FROZEN_ZEROS[shape] = zero
+    return zero
+
+
 def loss_and_grads(state: TrainState, dataset: SynthDataset, indices):
     """(loss value, components, parameter gradients) for one batch.
 
+    Every parameter gets a gradient. A head whose graph input is not live
+    (:meth:`LossConfig.live_inputs`: under ``stop_gradient_targets`` the
+    ROI and tag heads are a fixed teacher) has an exactly zero gradient, so
+    its backward, and the attention pool's when the ROI head is frozen, is
+    skipped: each of those parameters gets the shared read-only zero of its
+    shape, which :func:`optimizer_step` turns into weight decay alone.
     Raises NonFiniteValue if a head output is not finite.
     """
     cfg = state.config
@@ -312,8 +335,15 @@ def loss_and_grads(state: TrainState, dataset: SynthDataset, indices):
     )
     d_raw = {"image": bundle.d_v, "text": bundle.d_t,
              "roi": bundle.d_r, "tag": bundle.d_a}
-    grads: dict[str, np.ndarray] = {}
+    live = cfg.loss.live_inputs(cfg.loss_variant)
+    frozen = {mod for mod in _MODALITIES if _GRAPH_INPUT[mod] not in live}
+    if "roi" in frozen:
+        frozen.add("roi_pool")
+    grads = {name: _frozen_zero(p.shape) for name, p in state.params.items()
+             if name.partition(".")[0] in frozen}
     for mod in _MODALITIES:
+        if mod in frozen:
+            continue
         need_input = mod == "roi" and cfg.roi_aggregation == "attention"
         head_grads, d_x = _head_backward(state, mod, d_raw[mod], caches[mod],
                                          need_input_grad=need_input)
@@ -341,23 +371,48 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+def _decays_only(p, g, m, v, lr: float) -> bool:
+    """Whether AdamW on ``p`` is its weight decay alone, bit for bit: ``g``
+    is the shared frozen zero of ``p``'s shape, both moments are +0.0
+    throughout, which a zero gradient keeps them, and ``lr`` is +0.0 or
+    positive and finite, so the kernel's step ``lr * 0 / eps`` is +0.0 and
+    subtracting it changes no bit."""
+    # an all-zero bit pattern is +0.0 alone; an unsigned max is the
+    # fastest whole-array test of it
+    return (g is _FROZEN_ZEROS.get(p.shape)
+            and lr < math.inf and math.copysign(1.0, lr) > 0.0
+            and not m.view(np.uint64).max(initial=0)
+            and not v.view(np.uint64).max(initial=0))
+
+
 def optimizer_step(state: TrainState, grads: dict, lr: float) -> TrainState:
     """One AdamW update under ``state.config`` (in place); decay is decoupled.
-    ``grads`` needs every parameter: a missing one raises KeyError naming it."""
+    ``grads`` needs every parameter: a missing one raises KeyError naming it.
+
+    A frozen parameter's gradient from :func:`loss_and_grads`, the shared
+    read-only zero of its shape, on moments still all +0.0, takes the
+    decay-only path ``p *= 1 - lr*wd``, which equals the full update bit
+    for bit. Any other gradient, a fresh zero array or a clipped copy
+    included, and a frozen parameter with nonzero moments take the full
+    ``backend.adamw_update``."""
     cfg = state.config
     t = state.step + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     for name, _, decays in param_layout(_widths(state.params, ""), cfg):
-        p, g = state.params[name], np.asarray(grads[name], dtype=np.float64)
+        p, g, m, v = state.params[name], grads[name], state.m[name], state.v[name]
+        wd = cfg.weight_decay if decays else 0.0
+        if _decays_only(p, g, m, v, lr):
+            p *= 1.0 - lr * wd
+            continue
+        g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeMismatch(
                 f"gradient for {name} has shape {g.shape}, expected {p.shape}"
             )
-        wd = cfg.weight_decay if decays else 0.0
         backend.adamw_update(
             p.reshape(-1), np.ascontiguousarray(g).reshape(-1),
-            state.m[name].reshape(-1), state.v[name].reshape(-1),
+            m.reshape(-1), v.reshape(-1),
             lr, wd, cfg.beta1, cfg.beta2, cfg.adam_eps, bc1, bc2,
         )
     state.step = t
@@ -449,13 +504,18 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
         try:
             value, comps, grads = loss_and_grads(state, dataset, indices)
             _require_finite(comps, "loss component")
-            _require_finite(grads, "gradient")
+            # the shared frozen zeros are finite, add +0.0 to the norm and
+            # scale to zero: leaving them out changes no bit and keeps them
+            # on the decay-only path
+            live = {k: g for k, g in grads.items()
+                    if g is not _FROZEN_ZEROS.get(g.shape)}
+            _require_finite(live, "gradient")
             if cfg.grad_clip is not None:
                 norm = math.sqrt(sum(float((g * g).sum())
-                                     for g in grads.values()))
+                                     for g in live.values()))
                 if norm > cfg.grad_clip:
                     scale = cfg.grad_clip / norm
-                    grads = {k: g * scale for k, g in grads.items()}
+                    grads = {**grads, **{k: g * scale for k, g in live.items()}}
             lr = lr_at(step, total, cfg)
             optimizer_step(state, grads, lr)
             _require_finite(state.params, "parameter")

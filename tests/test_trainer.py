@@ -2,15 +2,17 @@ import math
 import subprocess
 import sys
 import tempfile
+from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softalign import container, trainer
+from softalign import backend, container, trainer
 from softalign.errors import (
     BatchTooSmall,
     ConfigError,
@@ -545,6 +547,154 @@ class TestFrozenTeacher:
         assert {name.partition(".")[0] for name in frozen} == {"roi", "tag", "roi_pool"}
         for name in frozen:
             assert not state.m[name].any() and not state.v[name].any(), name
+
+
+# -0.0, subnormals, the largest finite values and ordinary ones
+_DECAY_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                          1.7976931348623157e308, -1.7976931348623157e308, 1e300,
+                          1.0, -3.5, 0.125])
+
+
+def _state_bytes(state):
+    return {(slot, name): store[name].tobytes()
+            for slot, store in (("param", state.params), ("m", state.m), ("v", state.v))
+            for name in store}
+
+
+class TestDecayOnlyPath:
+    """A frozen parameter's shared zero gradient takes ``p *= 1 - lr*wd``
+    instead of the full AdamW kernel, and nothing else does."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(lr=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+           wd=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           step=st.integers(0, 10**6),
+           widths=st.tuples(*[st.integers(1, 5)] * 6),
+           attention=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_kernel_bitwise(self, lr, wd, step, widths, attention, seed):
+        *views, hidden, embed = widths
+        cfg = TrainConfig(batch_size=2, weight_decay=wd, hidden_dim=hidden,
+                          embed_dim=embed, attention_dim=2,
+                          roi_aggregation="attention" if attention else "mean")
+        spec = dict(zip(("d_image", "d_text", "d_roi", "d_tag"), views))
+        state = init_state(SimpleNamespace(**spec), cfg)
+        rng = np.random.default_rng(seed)
+        for p in state.params.values():
+            p[...] = rng.choice(_DECAY_VALUES, size=p.shape)
+        state.step = step
+        twin = deepcopy(state)
+        shared = {name: trainer._frozen_zero(p.shape) for name, p in state.params.items()}
+        assert all(trainer._decays_only(p, shared[name], state.m[name], state.v[name], lr)
+                   for name, p in state.params.items())
+        optimizer_step(state, shared, lr)
+        optimizer_step(twin, {name: np.zeros_like(p) for name, p in twin.params.items()},
+                       lr)
+        assert _state_bytes(state) == _state_bytes(twin)
+        assert state.step == twin.step == step + 1
+
+    @pytest.mark.parametrize("lr", [-0.0, -1e-3])
+    def test_a_signed_rate_takes_the_kernel(self, lr):
+        # the kernel's step lr * 0 / eps is -0.0 here, which turns a -0.0
+        # parameter into +0.0; decay alone would keep it
+        cfg = TrainConfig(batch_size=2, hidden_dim=2, embed_dim=2)
+        state = init_state(SimpleNamespace(d_image=2, d_text=2, d_roi=2, d_tag=2), cfg)
+        for p in state.params.values():
+            p[...] = -0.0
+        twin = deepcopy(state)
+        optimizer_step(state, {name: trainer._frozen_zero(p.shape)
+                               for name, p in state.params.items()}, lr)
+        optimizer_step(twin, {name: np.zeros_like(p) for name, p in twin.params.items()},
+                       lr)
+        assert _state_bytes(state) == _state_bytes(twin)
+        assert not np.signbit(state.params["roi.w1"]).any()
+
+    @staticmethod
+    def _step(state, grads, lr=1e-3):
+        return optimizer_step(deepcopy(state), grads, lr)
+
+    def test_nothing_passed_for_a_frozen_parameter_is_dropped(self, small_dataset):
+        cfg = TrainConfig(batch_size=25, seed=3)
+        state = init_state(small_dataset.spec, cfg)
+        _, _, grads = loss_and_grads(state, small_dataset, np.arange(25))
+        shared = grads["roi.w1"]
+        assert shared is trainer._frozen_zero(shared.shape)
+        lr, w0 = 1e-3, state.params["roi.w1"]
+        decayed = self._step(state, grads, lr)
+        assert (decayed.params["roi.w1"].tobytes()
+                == (w0 * (1.0 - lr * cfg.weight_decay)).tobytes())
+
+        # a caller's nonzero gradient moves it beyond decay
+        moved = self._step(state, {**grads, "roi.w1": np.full_like(w0, 0.5)}, lr)
+        assert (np.abs(moved.params["roi.w1"] - decayed.params["roi.w1"]) > 1e-4).all()
+        assert moved.m["roi.w1"].all() and moved.v["roi.w1"].all()
+
+        # a fresh zero array takes the full kernel, to the same bits
+        fresh = self._step(state, {**grads, "roi.w1": np.zeros_like(w0)}, lr)
+        assert _state_bytes(fresh) == _state_bytes(decayed)
+
+        # nonzero moments take the full update even with the shared zero
+        state.m["roi.w1"][0, 0] = 1e-3
+        assert not trainer._decays_only(w0, shared, state.m["roi.w1"],
+                                        state.v["roi.w1"], lr)
+        kept = self._step(state, grads, lr)
+        full = self._step(state, {**grads, "roi.w1": np.zeros_like(w0)}, lr)
+        assert _state_bytes(kept) == _state_bytes(full)
+        assert kept.params["roi.w1"][0, 0] != decayed.params["roi.w1"][0, 0]
+
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
+        assert not shared.any()
+
+    def test_grad_clip_keeps_the_decay_only_path(self, small_dataset, monkeypatch):
+        cfg = TrainConfig(max_steps=6, batch_size=25, seed=3, grad_clip=1e-6)
+        calls = []
+        kernel = backend.adamw_update
+        monkeypatch.setattr(backend, "adamw_update",
+                            lambda *args: calls.append(1) or kernel(*args))
+        fast, fast_rows = train(small_dataset, cfg)
+        assert len(calls) == 9 * 6
+        monkeypatch.setattr(trainer, "_decays_only", lambda *args: False)
+        full, full_rows = train(small_dataset, cfg)
+        assert len(calls) == (9 + 17) * 6
+        assert _state_bytes(fast) == _state_bytes(full)
+        assert [list(map(_float_bits, r.values())) for r in fast_rows] == \
+            [list(map(_float_bits, r.values())) for r in full_rows]
+
+
+def _float_bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("stop_grad, aggregation, heads, attention_calls, adamw_calls", [
+    (True, "mean", ["image", "text"], 0, 9),
+    (True, "attention", ["image", "text"], 0, 9),
+    # 4 x 4 head parameters, 3 for the pool, 1 for the temperature
+    (False, "attention", ["image", "text", "roi", "tag"], 1, 20),
+], ids=["stop_grad-mean", "stop_grad-attention", "live_teacher-attention"])
+def test_a_step_runs_only_the_live_backward_and_adamw(
+        small_dataset, monkeypatch, stop_grad, aggregation, heads,
+        attention_calls, adamw_calls):
+    calls = {"head": [], "attention": 0, "adamw": 0}
+    head_backward, attention_backward = trainer._head_backward, trainer._attention_backward
+    kernel = backend.adamw_update
+
+    def count_head(state, mod, *args, **kwargs):
+        calls["head"].append(mod)
+        return head_backward(state, mod, *args, **kwargs)
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(trainer, "_head_backward", count_head)
+    monkeypatch.setattr(trainer, "_attention_backward", count("attention", attention_backward))
+    monkeypatch.setattr(backend, "adamw_update", count("adamw", kernel))
+    cfg = TrainConfig(max_steps=1, batch_size=25, seed=3, roi_aggregation=aggregation,
+                      attention_dim=8, loss=LossConfig(stop_gradient_targets=stop_grad))
+    train(small_dataset, cfg)
+    assert calls == {"head": heads, "attention": attention_calls, "adamw": adamw_calls}
 
 
 class TestEncoderGradients:

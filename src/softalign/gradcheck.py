@@ -41,13 +41,19 @@ symmetric KL derives both KLs, the prediction VJP and the target
 gradient from one log-ratio, and JS each side's KL and gradient from one
 log-ratio to the mixture. Once the logits exist, the terms walk the
 rows in blocks of ``_BLOCK_ROWS`` (:func:`_run`), so a block's
-temporaries fit a core's L2 cache at N=512; the matmuls on either side
-stay whole-matrix and serial. A batch of several blocks runs them on a
-thread pool with up to one thread per usable CPU; a one-block batch
-starts no thread. A block does only elementwise work and row reductions,
-no BLAS call, and keeps its own rows of each logits gradient; once every
-block has ended, each gradient is stitched from them in row order. Every
-kernel and reduction works row by row in the same order as the unfused
+temporaries fit a core's L2 cache at N=512. A batch of several blocks
+runs three stages as tasks on the package's one thread pool
+(:func:`softalign.cpus.map_tasks`, at most one thread per usable CPU):
+each logits key's whole-matrix matmul, then the blocks, then, in
+:meth:`_Graph.finalize`, each logits gradient's two whole-matrix
+products and its temperature sum. A one-block batch runs all of them in
+the calling thread and starts no task. Each BLAS call runs on one BLAS
+thread (the package pins it), so a product has the same bits on any
+thread. A block does only elementwise work and row reductions, no BLAS
+call, and keeps its own rows of each logits gradient; once every block
+has ended, each gradient is stitched from them in row order, and the
+products are added up in the calling thread, in key order. Every kernel
+and reduction works row by row in the same order as the unfused
 formulas, and every block adds its contributions to each key in the same
 order, so values and gradients keep their bits for any block size and
 thread count. An error about a degenerate row names its row in the whole
@@ -66,13 +72,12 @@ takes plain ``(N, D)`` matrices only.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import backend
+from . import backend, cpus
 from .distributions import (
     MIN_NEGATIVE_MASS,
     Temperature,
@@ -236,14 +241,26 @@ class _Graph:
             self._z[key] = z
 
     def finalize(self) -> GradientBundle:
+        """The gradients w.r.t. the raw inputs and the temperatures.
+
+        Each logits gradient's products ``dz @ unit[dst]`` and
+        ``dz.T @ unit[src]``, and its temperature sum ``(dz * z).sum()``
+        unless the clamp is active, run as tasks (:func:`_map`); they are
+        then added up here, in key order."""
+        tasks = []
+        for (src, dst, group), dz in self._dz.items():
+            tasks += [(np.matmul, dz, self.unit[dst]), (np.matmul, dz.T, self.unit[src])]
+            if not self.temps[group].clamp_active:
+                tasks.append((_sum_of_product, dz, self._z[(src, dst, group)]))
+        products = iter(_map(self, _apply, tasks))
         d_unit = {k: np.zeros_like(m) for k, m in self.unit.items()}
         d_log = {"pred": 0.0, "guid": 0.0}
-        for (src, dst, group), dz in self._dz.items():
+        for src, dst, group in self._dz:
             inv_tau = self._inv_tau[group]
-            d_unit[src] += inv_tau * (dz @ self.unit[dst])
-            d_unit[dst] += inv_tau * (dz.T @ self.unit[src])
+            d_unit[src] += inv_tau * next(products)
+            d_unit[dst] += inv_tau * next(products)
             if not self.temps[group].clamp_active:
-                d_log[group] += float((dz * self._z[(src, dst, group)]).sum())
+                d_log[group] += next(products)
         d_raw = {}
         for name in _INPUT_NAMES:
             x = self.unit[name]
@@ -486,35 +503,23 @@ def _direction_value(parts) -> np.ndarray:
     return np.concatenate(parts, axis=-1).mean(axis=-1)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _apply(task):
+    """``op(x, y)`` of a task ``(op, x, y)``."""
+    op, x, y = task
+    return op(x, y)
 
 
-def _map_blocks(run_block, starts: range) -> list:
-    """``run_block(r0)`` for each block start, in row order.
+def _sum_of_product(x: np.ndarray, y: np.ndarray) -> float:
+    return float((x * y).sum())
 
-    The blocks run on a thread pool of one thread per usable CPU, at most
-    one per block, that lives for this call; each block runs under the
-    caller's ``np.errstate``. Every block runs to its end; the error of
-    the first failing block in row order is raised, as the serial loop
-    would raise it.
-    """
-    workers = min(len(starts), _usable_cpus())
-    if workers == 1:
-        return [run_block(r0) for r0 in starts]
-    from concurrent.futures import ThreadPoolExecutor
-    err = np.geterr()
 
-    def run_under_errstate(r0: int):
-        with np.errstate(**err):
-            return run_block(r0)
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(run_under_errstate, r0) for r0 in starts]
-    return [f.result() for f in futures]
+def _map(graph: _Graph, fn, items) -> list:
+    """``fn(item)`` for each of ``items``, in order: as tasks on the thread
+    pool (:func:`softalign.cpus.map_tasks`) when ``graph``'s batch has
+    several row blocks, in the calling thread when it has one."""
+    if graph.n > _BLOCK_ROWS:
+        return cpus.map_tasks(fn, items)
+    return [fn(item) for item in items]
 
 
 def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
@@ -528,10 +533,10 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
     name, and the value under the selector's name and ``total``. With a
     ``(B, N, D)`` stack among the inputs, each of them is a ``(B,)`` array.
     ``targets`` is the graph's softened-target table (see :class:`_Graph`).
-    The logits every term reads are computed first; then each block of
-    ``_BLOCK_ROWS`` rows runs both directions of every term
-    (:func:`_map_blocks`), and a direction's per-row values are averaged
-    over the blocks in row order.
+    The logits every term reads are computed first, one task per key;
+    then each block of ``_BLOCK_ROWS`` rows runs both directions of every
+    term, one task per block (:func:`_map`), and a direction's per-row
+    values are averaged over the blocks in row order.
     """
     cfg.check(selector)
     graph = _Graph(v, t, r, a, tau, cfg, guidance_tau, want_grad=want_grad,
@@ -552,12 +557,11 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
             guidance[bundle] = tuple(
                 graph.key(names[src], names[dst], guidance=True)
                 for src, dst in SUPERVISION_FORMS[cfg.supervision_form])
-    graph.logits(k_it)
-    graph.logits(k_ti)
+    keys = [k_it, k_ti]
     if not targets:  # a filled table holds every softened target already
-        for keys in guidance.values():
-            for key in keys:
-                graph.logits(key)
+        keys += [key for pair in guidance.values() for key in pair]
+    # each key once, so no two tasks compute or store the same logits
+    _map(graph, graph.logits, dict.fromkeys(keys))
 
     def run_block(r0: int) -> tuple[dict, list]:
         """The block's gradient rows (:attr:`_Block.dz`) and each term's
@@ -579,7 +583,7 @@ def _run(selector: str, v, t, r, a, tau: Temperature, cfg: LossConfig,
                     _soft_direction(block, k_ti, g_l2v, w, disentangled)))
         return block.dz, out
 
-    dzs, blocks = zip(*_map_blocks(run_block, range(0, n, _BLOCK_ROWS)))
+    dzs, blocks = zip(*_map(graph, run_block, range(0, n, _BLOCK_ROWS)))
     # finalize sums the keys in this order, which every block must share
     keys = [list(dz) for dz in dzs]
     assert all(k == keys[0] for k in keys), keys

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import container, distributions, numkit, synthgen, trainer
+from . import container, cpus, distributions, numkit, synthgen, trainer
 from .errors import ConfigError, DegenerateTargets, GalleryTooSmall
 from .synthgen import SynthDataset
 from .trainer import TrainConfig, TrainState
@@ -258,9 +258,12 @@ def ablation_suite(dataset: SynthDataset, base: TrainConfig
     """Train and evaluate all five variants under one shared seed.
 
     Returns the rows and each variant's trained state. Every variant's
-    config is built, and so validated, before any training.
+    config is built, and so validated, before any training. The points
+    run on as many worker processes as the CPU budget
+    (:func:`softalign.cpus.budget`) allows; the rows and states are those
+    of the serial run.
     """
-    runs = _run_points(dataset, ablation_variants(base), 1, _run_one_point)
+    runs = _run_points(dataset, ablation_variants(base), cpus.budget(), _run_one_point)
     return [row for row, _ in runs], {row.variant: state for row, state in runs}
 
 
@@ -329,9 +332,11 @@ def gamma_sweep(dataset: SynthDataset, base: TrainConfig,
 _worker_dataset: Optional[SynthDataset] = None
 
 
-def _init_worker(dataset: SynthDataset) -> None:
+def _init_worker(dataset: SynthDataset, workers: int) -> None:
+    """A pool worker keeps the dataset and its share of the CPUs."""
     global _worker_dataset
     _worker_dataset = dataset
+    cpus.divide(workers)
 
 
 def _run_one_point(point, dataset: Optional[SynthDataset] = None
@@ -362,7 +367,9 @@ def _run_points(dataset: SynthDataset, points, jobs: int, task) -> list:
     and the pooled ROI view of each parameter-free aggregation among the
     points. So no worker ranks the relevance, hashes the dataset or pools
     the ROIs itself. A pool task ships only its point, and only what
-    ``task`` returns comes back.
+    ``task`` returns comes back. Each worker's graphs get
+    ``max(1, cpus // workers)`` threads (:func:`softalign.cpus.divide`),
+    and this process stops its own thread pool before the workers fork.
     """
     workers = min(jobs, len(points))
     if workers <= 1:
@@ -378,9 +385,10 @@ def _run_points(dataset: SynthDataset, points, jobs: int, task) -> list:
         for mode in {cfg.roi_aggregation for _, cfg in points}:
             if mode in synthgen.ROI_POOLS:
                 dataset.pooled_rois(mode)
+    cpus.shutdown()
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork" if fork else None),
-            initializer=_init_worker, initargs=(dataset,)) as pool:
+            initializer=_init_worker, initargs=(dataset, workers)) as pool:
         return list(pool.map(task, points))
 
 

@@ -394,16 +394,26 @@ def optimizer_step(state: TrainState, grads: dict, lr: float) -> TrainState:
     decay-only path ``p *= 1 - lr*wd``, which equals the full update bit
     for bit. Any other gradient, a fresh zero array or a clipped copy
     included, and a frozen parameter with nonzero moments take the full
-    ``backend.adamw_update``."""
+    ``backend.adamw_update``.
+
+    After the whole update, with the step counted, NonFiniteValue names
+    the first parameter, in layout order, that it left non-finite. Only
+    the parameters the full kernel updated are scanned, and a decay-only
+    one only when ``|1 - lr*wd| > 1`` (or the factor is NaN): a finite
+    parameter times a factor no larger than 1 in size stays finite."""
     cfg = state.config
     t = state.step + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
+    updated = {}  # the parameters the update may have left non-finite
     for name, _, decays in param_layout(_widths(state.params, ""), cfg):
         p, g, m, v = state.params[name], grads[name], state.m[name], state.v[name]
         wd = cfg.weight_decay if decays else 0.0
         if _decays_only(p, g, m, v, lr):
-            p *= 1.0 - lr * wd
+            factor = 1.0 - lr * wd
+            p *= factor
+            if not abs(factor) <= 1.0:
+                updated[name] = p
             continue
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
@@ -415,7 +425,9 @@ def optimizer_step(state: TrainState, grads: dict, lr: float) -> TrainState:
             m.reshape(-1), v.reshape(-1),
             lr, wd, cfg.beta1, cfg.beta2, cfg.adam_eps, bc1, bc2,
         )
+        updated[name] = p
     state.step = t
+    _require_finite(updated, "parameter")
     return state
 
 
@@ -469,8 +481,8 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     A non-finite head output, loss component or gradient raises
     NonFiniteValue before the update, leaving the state at the last
     finite step; a parameter that an update leaves non-finite raises it
-    at that step, with the failing update in the state (the CLI then
-    writes no checkpoint).
+    at that step (:func:`optimizer_step`), with the failing update in the
+    state (the CLI then writes no checkpoint).
     A resumed ``state`` must have been trained under ``cfg``
     up to ``max_steps``; any other difference raises ConfigError.
     The first call in a process raises glibc's malloc mmap and trim
@@ -518,7 +530,6 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
                     grads = {**grads, **{k: g * scale for k, g in live.items()}}
             lr = lr_at(step, total, cfg)
             optimizer_step(state, grads, lr)
-            _require_finite(state.params, "parameter")
         except NonFiniteValue as exc:
             raise NonFiniteValue(f"step {step}: {exc}", step=step,
                                  name=exc.name) from exc

@@ -31,6 +31,7 @@ from softalign.objectives import (
     cross_entropy_rows,
 )
 from softalign import backend, gradcheck, objectives
+from softalign import cpus as cpu_owner
 from softalign.gradcheck import (
     SELECTORS,
     backward,
@@ -938,7 +939,7 @@ def cpus(monkeypatch):
     monkeypatch.setattr(backend, "softmax_logsoftmax_rows", _recording_kernel(seen))
 
     def use(count: int) -> set:
-        monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(cpu_owner, "_usable_cpus", lambda: count)
         seen.clear()
         return seen
     return use
@@ -1076,9 +1077,9 @@ def test_blocks_in_any_order_give_the_serial_bits(selector, cpus, same_bits,
     cpus(1)
     serial = _graph_bits(selector, v, t, r, a, tau, cfg, g_tau)
 
-    def backwards(run_block, starts):
-        return [run_block(r0) for r0 in reversed(starts)][::-1]
-    monkeypatch.setattr(gradcheck, "_map_blocks", backwards)
+    def backwards(fn, items):
+        return [fn(item) for item in reversed(list(items))][::-1]
+    monkeypatch.setattr(cpu_owner, "map_tasks", backwards)
     _assert_all_same_bits(_graph_bits(selector, v, t, r, a, tau, cfg, g_tau),
                           serial, same_bits)
 

@@ -395,6 +395,36 @@ class TestTrainLoop:
         before, _ = train(tiny_resume_dataset, cfg, stop_at_step=1)
         assert all(np.isfinite(p).all() for p in before.params.values())
 
+    def test_overflowing_decay_of_a_frozen_parameter_is_named(self, small_dataset):
+        # under the default stop-gradient roi.w1 is a frozen teacher on the
+        # decay-only path; lr * wd = 3 at step 0 makes its factor -2, which
+        # overflows the one huge entry, while that entry only saturates the
+        # ROI head's tanh and every live parameter stays finite
+        cfg = TrainConfig(max_steps=4, batch_size=25, seed=3, peak_lr=0.03,
+                          weight_decay=100.0, warmup_fraction=0.0)
+        state = init_state(small_dataset.spec, cfg)
+        state.params["roi.w1"][0, 0] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue) as info:
+            train(small_dataset, cfg, state=state)
+        assert str(info.value) == "step 0: parameter 'roi.w1' is not finite"
+        assert (info.value.step, info.value.name) == (0, "roi.w1")
+        assert state.step == 1
+
+    def test_only_updated_parameters_are_scanned(self, small_dataset, monkeypatch):
+        # a decay factor in [0, 1] keeps a finite frozen parameter finite, so
+        # the post-update scan reads only what the full kernel updated
+        scanned = []
+        require_finite = trainer._require_finite
+
+        def recording(values, what):
+            if what == "parameter":
+                scanned.append(list(values))
+            return require_finite(values, what)
+        monkeypatch.setattr(trainer, "_require_finite", recording)
+        train(small_dataset, TrainConfig(max_steps=2, batch_size=25, seed=3))
+        live = [f"{mod}.{p}" for mod in ("image", "text") for p in ("w1", "b1", "w2", "b2")]
+        assert scanned == [live + ["tau_log_inv"]] * 2
+
     def test_non_finite_gradient_named(self):
         grads = {"image.w1": np.ones((2, 2)), "text.b1": np.array([0.0, np.inf])}
         with pytest.raises(NonFiniteValue, match="text.b1") as info:

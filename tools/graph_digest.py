@@ -36,14 +36,18 @@ N=130, which the graph runs in three row blocks (64, 64 and 2 rows), over
 divergence x stop-gradient at the default loss config with gamma 0.4:
 6 cases per selector. A ``blocks512[selector]`` line does the same for
 ``total`` and ``mixed_gamma`` at N=512, the loss_heavy batch, which the
-graph runs in eight row blocks on every usable CPU, with lambda_re 1 and
-gamma 0.5: 6 cases per selector. A ``fd_blocks[selector]`` line digests
-``fd`` at N=66 and d=1, which the graph runs in a 64-row block and a
-2-row one, with stop-gradient on and off at the default loss config with
-gamma 0.4: under stop-gradient the oracle's frozen target table then
-holds entries for both blocks. At d=1 every unit row is +-1, so the
-input columns read about 0 and the temperature derivative, which runs
-against that table, carries the content.
+graph runs in eight row blocks, with lambda_re 1 and gamma 0.5: 6 cases
+per selector. Each of these lines is computed twice, with the graph
+seeing 1 usable CPU (every matmul, block and product in the calling
+thread) and 2 (each on the package's thread pool); the tool exits
+non-zero if the two differ, and prints the line once. A
+``fd_blocks[selector]`` line digests ``fd`` at N=66 and d=1, which the
+graph runs in a 64-row block and a 2-row one, with stop-gradient on and
+off at the default loss config with gamma 0.4: under stop-gradient the
+oracle's frozen target table then holds entries for both blocks. At
+d=1 every unit row is +-1, so the input columns read about 0 and the
+temperature derivative, which runs against that table, carries the
+content.
 
 The ``errors`` line digests the type and the message, ``"Type: text"``,
 of every exception that ``backward_with_components`` raises on the
@@ -119,11 +123,12 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from softalign import cli, gradcheck, harness, numkit, objectives, synthgen, trainer
+from softalign import cli, cpus, gradcheck, harness, numkit, objectives, synthgen, trainer
 from softalign.distributions import Temperature
 from softalign.errors import SoftalignError
 from softalign.numkit import l2_normalize_rows
@@ -221,24 +226,51 @@ def _saturated(errors) -> None:
     large[:, 0] = -1.0
     large[70] = [0.0, 1.0, 0.0]
     large[129] = [0.0, 0.0, 1.0]
-    saved = gradcheck._BLOCK_ROWS, gradcheck._usable_cpus
+    saved = gradcheck._BLOCK_ROWS
     try:
         for far, tau in ((small, 0.05), (large, 0.02)):
             v, t, r, a = _inputs(*far.shape)
-            for side, block, cpus in itertools.product(
+            for side, block, count in itertools.product(
                     ("prediction", "target"), (1, 3, 64), (1, 2)):
                 gradcheck._BLOCK_ROWS = block
-                gradcheck._usable_cpus = lambda cpus=cpus: cpus
                 inputs = ((far, far.copy(), r, a) if side == "prediction"
                           else (v, t, far, far.copy()))
                 try:
-                    gradcheck.backward("soft_re", *inputs, Temperature.from_tau(tau),
-                                       LossConfig(beta=1.0))
+                    with _usable_cpus(count):
+                        gradcheck.backward("soft_re", *inputs, Temperature.from_tau(tau),
+                                           LossConfig(beta=1.0))
                     errors.update(b"no error")
                 except (SoftalignError, ValueError) as exc:
                     errors.update(_error(exc))
     finally:
-        gradcheck._BLOCK_ROWS, gradcheck._usable_cpus = saved
+        gradcheck._BLOCK_ROWS = saved
+
+
+@contextmanager
+def _usable_cpus(count: int):
+    """The graph sees ``count`` usable CPUs (``cpus._usable_cpus``)."""
+    saved = cpus._usable_cpus
+    cpus._usable_cpus = lambda: count
+    try:
+        yield
+    finally:
+        cpus._usable_cpus = saved
+
+
+def _blocks_line(label: str, cases) -> str:
+    """The ``grads`` and ``values`` digests of ``cases``, each a
+    ``(selector, n, cfg)``, computed at 1 and at 2 usable CPUs: the
+    serial graph and the pooled one. Exits non-zero if they differ."""
+    lines = set()
+    for count in (1, 2):
+        grads, values = hashlib.sha256(), hashlib.sha256()
+        with _usable_cpus(count):
+            for selector, n, cfg in cases:
+                _graph_case(selector, n, cfg, False, grads, values)
+        lines.add(f"{label} grads={grads.hexdigest()} values={values.hexdigest()}")
+    if len(lines) != 1:
+        raise SystemExit(f"{label} differs between 1 and 2 usable CPUs")
+    return lines.pop()
 
 
 def main() -> None:
@@ -261,20 +293,15 @@ def main() -> None:
         print(f"{selector:<13} grads={grads.hexdigest()} "
               f"values={values.hexdigest()} fd={fd.hexdigest()}")
     for selector in gradcheck.SELECTORS:
-        grads, values = hashlib.sha256(), hashlib.sha256()
-        for div, sg in itertools.product(DIVERGENCES, (True, False)):
-            cfg = LossConfig(divergence=div, stop_gradient_targets=sg, gamma=0.4)
-            _graph_case(selector, BLOCKS_N, cfg, False, grads, values)
-        print(f"blocks[{selector}] grads={grads.hexdigest()} "
-              f"values={values.hexdigest()}")
+        print(_blocks_line(f"blocks[{selector}]", [
+            (selector, BLOCKS_N, LossConfig(divergence=div, stop_gradient_targets=sg,
+                                            gamma=0.4))
+            for div, sg in itertools.product(DIVERGENCES, (True, False))]))
     for selector in BLOCKS512_SELECTORS:
-        grads, values = hashlib.sha256(), hashlib.sha256()
-        for div, sg in itertools.product(DIVERGENCES, (True, False)):
-            cfg = LossConfig(divergence=div, stop_gradient_targets=sg,
-                             lambda_re=1.0, gamma=0.5)
-            _graph_case(selector, 512, cfg, False, grads, values)
-        print(f"blocks512[{selector}] grads={grads.hexdigest()} "
-              f"values={values.hexdigest()}")
+        print(_blocks_line(f"blocks512[{selector}]", [
+            (selector, 512, LossConfig(divergence=div, stop_gradient_targets=sg,
+                                       lambda_re=1.0, gamma=0.5))
+            for div, sg in itertools.product(DIVERGENCES, (True, False))]))
     for selector in gradcheck.SELECTORS:
         fd = hashlib.sha256()
         for sg in (True, False):

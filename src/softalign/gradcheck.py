@@ -85,7 +85,7 @@ from .distributions import (
     one_hot_targets,
 )
 from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
-from .numkit import as_matrix, floored_log, row_norms
+from .numkit import as_matrix, first_flagged_row, floored_log, row_norms
 from .objectives import BUNDLE_INPUTS, LOSS_VARIANTS, SUPERVISION_FORMS, LossConfig
 
 SELECTORS = LOSS_VARIANTS
@@ -352,8 +352,7 @@ def _off_diagonal(rows: np.ndarray, side: str, r0: int) -> tuple[np.ndarray, np.
     mass = q.sum(axis=-1)
     low = mass < MIN_NEGATIVE_MASS
     if low.any():
-        bad = np.unravel_index(int(np.argmax(low)), mass.shape)
-        where = f"row {r0 + bad[-1]}" + (f" of stack entry {bad[0]}" if len(bad) > 1 else "")
+        bad, where = first_flagged_row(low, r0)
         raise DegenerateRow(
             f"{side} {where} has off-diagonal mass {mass[bad]:.3e}; "
             "cannot renormalize negatives"

@@ -5,8 +5,9 @@ with finite entries; :func:`as_matrix` is the single validation gate,
 :func:`all_finite` the one finite test (of that gate, training values and
 loaded files), and :func:`l2_normalize_rows` the one row normalizer
 (embeddings, synthetic concept vectors); its :func:`row_norms` is the
-zero-row rule the loss graph shares. The row kernels live in
-:mod:`softalign.backend`.
+zero-row rule the loss graph shares, and :func:`first_flagged_row` names
+the row that rule or the graph's negative-mass rule rejects. The row
+kernels live in :mod:`softalign.backend`.
 """
 
 from __future__ import annotations
@@ -53,10 +54,17 @@ def row_norms(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     norms = np.sqrt((m * m).sum(axis=-1))
     low = norms < _MIN_ROW_NORM
     if low.any():
-        bad = np.unravel_index(int(np.argmax(low)), norms.shape)
-        where = f"row {bad[-1]}" + (f" of stack entry {bad[0]}" if len(bad) > 1 else "")
+        bad, where = first_flagged_row(low)
         raise ZeroRow(f"{name}: {where} has norm {norms[bad]:.3e}, cannot normalize")
     return norms
+
+
+def first_flagged_row(low: np.ndarray, r0: int = 0) -> tuple[tuple, str]:
+    """The index of the first True entry of ``low``, a flag per row (of a
+    stack, on its first axis), and its label ``"row i"`` or ``"row i of
+    stack entry b"``, with the row counted from the block's first row ``r0``."""
+    bad = np.unravel_index(int(np.argmax(low)), low.shape)
+    return bad, f"row {r0 + bad[-1]}" + (f" of stack entry {bad[0]}" if len(bad) > 1 else "")
 
 
 def l2_normalize_rows(m) -> np.ndarray:

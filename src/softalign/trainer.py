@@ -12,7 +12,6 @@ uninterrupted trajectory.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -53,14 +52,6 @@ _FROZEN_ZEROS: dict[tuple[int, ...], np.ndarray] = {}
 
 # the arrays a checkpoint holds per parameter, as "<slot>/<name>"
 _SLOTS = ("param", "m", "v")
-
-# glibc's malloc maps each block above its mmap threshold (128 KiB at
-# first) afresh and returns free heap tops above its trim threshold to the
-# kernel, so every step faulted in and zeroed its N x N loss temporaries
-# anew (2 MB each at N=512). Set above any block a step allocates, these
-# keep them on the heap for reuse; they move memory, never values.
-_MMAP_THRESHOLD = 64 << 20
-_TRIM_THRESHOLD = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -258,10 +249,15 @@ def _gather_views(dataset: SynthDataset, indices: np.ndarray,
 
     The ROI view is the (N, M, d_roi) sequence for attention pooling and
     rows of the dataset's pooled (n, d_roi) cache for the other modes.
+    Indices of a non-integer dtype (a boolean mask, floats) raise
+    IndexOutOfRange rather than being cast to rows they do not name.
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size < 2:
         raise BatchTooSmall(f"need at least 2 indices, got {idx.size}")
+    if idx.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if (idx < 0).any() or (idx >= dataset.n).any():
         raise IndexOutOfRange(
             f"indices must be in [0, {dataset.n}), got range "
@@ -451,24 +447,6 @@ def total_steps_for(dataset: SynthDataset, cfg: TrainConfig) -> int:
     return cfg.max_steps if cfg.max_steps is not None else cfg.epochs * batches
 
 
-@functools.cache
-def _apply_malloc_policy() -> bool:
-    """Raise glibc's mmap and trim thresholds, once per process.
-
-    Returns whether both took; without glibc's ``mallopt`` it does nothing.
-    """
-    import ctypes
-
-    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # no C library handle, or no mallopt
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return bool(mallopt(m_mmap_threshold, _MMAP_THRESHOLD)
-                and mallopt(m_trim_threshold, _TRIM_THRESHOLD))
-
-
 def train(dataset: SynthDataset, cfg: TrainConfig,
           state: Optional[TrainState] = None,
           stop_at_step: Optional[int] = None):
@@ -485,11 +463,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     state (the CLI then writes no checkpoint).
     A resumed ``state`` must have been trained under ``cfg``
     up to ``max_steps``; any other difference raises ConfigError.
-    The first call in a process raises glibc's malloc mmap and trim
-    thresholds, process-wide, so each step reuses its temporaries' pages:
-    that moves memory, never results, and does nothing off glibc.
     """
-    _apply_malloc_policy()
     total = total_steps_for(dataset, cfg)
     batches = dataset.n // cfg.batch_size
     if state is None:

@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 import tempfile
 from copy import deepcopy
 from dataclasses import replace
@@ -95,6 +93,30 @@ class TestForwardBatch:
         state = init_state(small_dataset.spec, small_config)
         with pytest.raises(IndexOutOfRange):
             forward_batch(state, small_dataset, [0, small_dataset.n])
+
+    @pytest.mark.parametrize("indices, dtype", [
+        (np.isin(np.arange(200), [5, 9, 20]), "bool"),
+        ([0.9, 1.7, 2.2], "float64"),
+        (np.array([3, 5, 7], dtype=np.float32), "float32"),
+        (np.array([3, 5, 7], dtype=object), "object"),
+    ])
+    def test_non_integer_indices_are_refused(self, small_dataset, small_config,
+                                             indices, dtype):
+        # a cast would read a mask as rows 0 and 1 and floor the floats
+        state = init_state(small_dataset.spec, small_config)
+        for call in (forward_batch, loss_and_grads):
+            with pytest.raises(IndexOutOfRange, match=f"got dtype {dtype}$"):
+                call(state, small_dataset, indices)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_every_integer_dtype_selects_its_rows(self, small_dataset,
+                                                  small_config, dtype):
+        state = init_state(small_dataset.spec, small_config)
+        want = forward_batch(state, small_dataset, [5, 9, 20])
+        got = forward_batch(state, small_dataset, np.array([5, 9, 20], dtype=dtype))
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
 
     def test_batch_too_small(self, small_dataset, small_config):
         state = init_state(small_dataset.spec, small_config)
@@ -470,40 +492,6 @@ def test_every_parameter_has_a_gradient(small_dataset, aggregation, split,
             == [(name, p.shape) for name, p in state.params.items()])
     assert ([name for name, _, decays in layout if not decays]
             == [name for name in state.params if name.startswith("tau_log_inv")])
-
-
-# N=256 mixed_gamma with both guidance bundles: each N x N loss temporary
-# is 512 KB, above glibc's default mmap threshold
-_FAULT_PROBE = """
-import resource
-from dataclasses import replace
-from softalign import synthgen, trainer
-from softalign.objectives import LossConfig
-from softalign.trainer import TrainConfig
-
-dataset = synthgen.generate(synthgen.SynthSpec(
-    n_samples=256, d_roi=16, rois_per_image=2, seed=7))
-cfg = TrainConfig(batch_size=256, loss_variant="mixed_gamma",
-                  loss=LossConfig(gamma=0.5, lambda_re=1.0))
-trainer.train(dataset, replace(cfg, max_steps=2))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-trainer.train(dataset, replace(cfg, max_steps=4))
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(trainer._apply_malloc_policy(), faults / 4)
-"""
-
-
-def test_steps_reuse_their_pages():
-    # a fresh process: in this one, earlier tests have set the policy and
-    # their frees may have moved glibc's thresholds
-    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    applied, per_step = proc.stdout.split()
-    if applied != "True":
-        pytest.skip("glibc's mallopt is unavailable: the malloc policy is not applied")
-    # about 6,900 minor faults per step under glibc's default thresholds
-    assert float(per_step) < 100
 
 
 class TestAttentionTraining:

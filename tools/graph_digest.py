@@ -128,6 +128,7 @@ from pathlib import Path
 
 import numpy as np
 
+import softalign
 from softalign import cli, cpus, gradcheck, harness, numkit, objectives, synthgen, trainer
 from softalign.distributions import Temperature
 from softalign.errors import SoftalignError
@@ -154,10 +155,11 @@ SPEC = synthgen.SynthSpec(n_samples=120, n_concepts=8, latent_dim=12, d_image=10
 
 def environment_line() -> str:
     """The header: numpy's version, and the version and the core of the
-    OpenBLAS that numpy bundles (``unknown`` without that library)."""
+    OpenBLAS that numpy bundles, the library the package pins to one
+    thread (``softalign._openblas``; ``unknown`` without it)."""
     version = core = "unknown"
-    libs = Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*")
-    for lib in map(ctypes.CDLL, map(str, libs)):
+    lib = softalign._openblas()
+    if lib is not None:
         config, corename = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
         for call in (config, corename):
             call.argtypes, call.restype = (), ctypes.c_char_p

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 from . import config, gradcheck, harness, synthgen, trainer
 from .errors import ConfigError, DegenerateTargets, SoftalignError, SpecInvalid
-from .objectives import LossConfig
+from .objectives import LOSS_VARIANTS, LossConfig
 from .synthgen import SynthSpec
 from .trainer import TrainConfig
 
@@ -313,7 +313,7 @@ _COMMANDS = {
     "grad-check": _Command(
         "verify analytic gradients against central differences",
         _cmd_grad_check, config=LossConfig,
-        flags=(_flag("--loss", default="total", choices=gradcheck.SELECTORS,
+        flags=(_flag("--loss", default="total", choices=LOSS_VARIANTS,
                      help="loss selector (default: total)"),
                _flag("--n", type=int, default=4, help="batch size (default: 4)"),
                _flag("--d", type=int, default=8, help="embedding dim (default: 8)"),

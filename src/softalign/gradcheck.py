@@ -86,9 +86,7 @@ from .distributions import (
 )
 from .errors import BatchTooSmall, DegenerateRow, ShapeMismatch
 from .numkit import as_matrix, first_flagged_row, floored_log, row_norms
-from .objectives import BUNDLE_INPUTS, LOSS_VARIANTS, SUPERVISION_FORMS, LossConfig
-
-SELECTORS = LOSS_VARIANTS
+from .objectives import BUNDLE_INPUTS, SUPERVISION_FORMS, LossConfig
 
 _INPUT_NAMES = ("v", "t", "r", "a")
 

@@ -317,7 +317,8 @@ def sweep(dataset: SynthDataset, points: Sequence[tuple[str, TrainConfig]],
     """Train and evaluate built sweep points, one row each, in order.
 
     At most ``jobs`` worker processes run, and never more than there are
-    points; a single worker is this process.
+    points; a single worker is this process. A ``jobs`` below 1 raises
+    ValueError.
     """
     return _run_points(dataset, points, jobs, _point_row)
 
@@ -370,7 +371,10 @@ def _run_points(dataset: SynthDataset, points, jobs: int, task) -> list:
     ``task`` returns comes back. Each worker's graphs get
     ``max(1, cpus // workers)`` threads (:func:`softalign.cpus.divide`),
     and this process stops its own thread pool before the workers fork.
+    A ``jobs`` below 1 raises ValueError before any point runs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(points))
     if workers <= 1:
         return [task(point, dataset) for point in points]

@@ -46,10 +46,6 @@ _MODALITIES = ("image", "text", "roi", "tag")
 # the loss graph input each head's output is (LossConfig.live_inputs)
 _GRAPH_INPUT = {"image": "v", "text": "t", "roi": "r", "tag": "a"}
 
-# the gradient of every parameter no live graph input reads: one shared,
-# read-only zero array per shape, which optimizer_step knows by identity
-_FROZEN_ZEROS: dict[tuple[int, ...], np.ndarray] = {}
-
 # the arrays a checkpoint holds per parameter, as "<slot>/<name>"
 _SLOTS = ("param", "m", "v")
 
@@ -114,24 +110,34 @@ class TrainState:
 
 
 def param_layout(widths: dict[str, int], cfg: TrainConfig
-                 ) -> tuple[tuple[str, tuple[int, ...], bool], ...]:
-    """``(name, shape, decays)`` of each parameter ``cfg`` builds over views
-    of these widths (modality -> width), in :func:`init_state`'s order, which
-    a checkpoint's ``param_order`` must equal. ``decays`` says whether weight
-    decay applies: the temperatures are adapted but never decayed."""
+                 ) -> tuple[tuple[str, tuple[int, ...], bool, bool], ...]:
+    """``(name, shape, decays, trains)`` of each parameter ``cfg`` builds
+    over views of these widths (modality -> width), in :func:`init_state`'s
+    order, which a checkpoint's ``param_order`` must equal. ``decays`` says
+    whether weight decay applies: the temperatures are adapted but never
+    decayed. ``trains`` says whether the parameter can get a nonzero
+    gradient: a head trains when its graph input is live
+    (:meth:`LossConfig.live_inputs`; under ``stop_gradient_targets`` the ROI
+    and tag heads are a fixed teacher), the attention pool when the ROI head
+    does, and the temperatures always. A parameter that does not train moves
+    by weight decay alone (:func:`optimizer_step`)."""
     h, d_out = cfg.hidden_dim, cfg.embed_dim
+    live = cfg.loss.live_inputs(cfg.loss_variant)
+    trains = {mod: _GRAPH_INPUT[mod] in live for mod in _MODALITIES}
     layout = []
     for mod in _MODALITIES:
-        layout += [(f"{mod}.w1", (widths[mod], h), True), (f"{mod}.b1", (h,), True),
-                   (f"{mod}.w2", (h, d_out), True), (f"{mod}.b2", (d_out,), True)]
+        layout += [(f"{mod}.w1", (widths[mod], h), True, trains[mod]),
+                   (f"{mod}.b1", (h,), True, trains[mod]),
+                   (f"{mod}.w2", (h, d_out), True, trains[mod]),
+                   (f"{mod}.b2", (d_out,), True, trains[mod])]
     if cfg.roi_aggregation == "attention":
         d_roi, d_att = widths["roi"], cfg.attention_dim
-        layout += [("roi_pool.query", (d_att,), True),
-                   ("roi_pool.key_proj", (d_roi, d_att), True),
-                   ("roi_pool.value_proj", (d_roi, d_roi), True)]
-    layout.append(("tau_log_inv", (1,), False))
+        layout += [("roi_pool.query", (d_att,), True, trains["roi"]),
+                   ("roi_pool.key_proj", (d_roi, d_att), True, trains["roi"]),
+                   ("roi_pool.value_proj", (d_roi, d_roi), True, trains["roi"])]
+    layout.append(("tau_log_inv", (1,), False, True))
     if cfg.loss.split_guidance_temperature:
-        layout.append(("tau_log_inv_guidance", (1,), False))
+        layout.append(("tau_log_inv_guidance", (1,), False, True))
     return tuple(layout)
 
 
@@ -147,7 +153,7 @@ def init_state(spec, cfg: TrainConfig) -> TrainState:
     rng = np.random.default_rng((cfg.seed, 1))
     widths = {mod: getattr(spec, f"d_{mod}") for mod in _MODALITIES}
     params: dict[str, np.ndarray] = {}
-    for name, shape, _ in param_layout(widths, cfg):
+    for name, shape, _, _ in param_layout(widths, cfg):
         part = name.rpartition(".")[2]
         if part in ("w1", "w2", "key_proj"):
             params[name] = rng.standard_normal(shape) / math.sqrt(shape[0])
@@ -250,9 +256,12 @@ def _gather_views(dataset: SynthDataset, indices: np.ndarray,
     The ROI view is the (N, M, d_roi) sequence for attention pooling and
     rows of the dataset's pooled (n, d_roi) cache for the other modes.
     Indices of a non-integer dtype (a boolean mask, floats) raise
-    IndexOutOfRange rather than being cast to rows they do not name.
+    IndexOutOfRange rather than being cast to rows they do not name, and
+    an index array of two or more dimensions raises ShapeMismatch.
     """
     idx = np.asarray(indices)
+    if idx.ndim > 1:
+        raise ShapeMismatch(f"indices must be one-dimensional, got shape {idx.shape}")
     if idx.ndim != 1 or idx.size < 2:
         raise BatchTooSmall(f"need at least 2 indices, got {idx.size}")
     if idx.dtype.kind not in "iu":
@@ -300,28 +309,17 @@ def forward_batch(state: TrainState, dataset: SynthDataset, indices):
     return tuple(l2_normalize_rows(raw[mod]) for mod in _MODALITIES)
 
 
-def _frozen_zero(shape: tuple[int, ...]) -> np.ndarray:
-    """The shared read-only +0.0 array of ``shape`` (see ``_FROZEN_ZEROS``)."""
-    zero = _FROZEN_ZEROS.get(shape)
-    if zero is None:
-        zero = np.zeros(shape)
-        zero.flags.writeable = False
-        _FROZEN_ZEROS[shape] = zero
-    return zero
-
-
 def loss_and_grads(state: TrainState, dataset: SynthDataset, indices):
     """(loss value, components, parameter gradients) for one batch.
 
-    Every parameter gets a gradient. A head whose graph input is not live
-    (:meth:`LossConfig.live_inputs`: under ``stop_gradient_targets`` the
-    ROI and tag heads are a fixed teacher) has an exactly zero gradient, so
-    its backward, and the attention pool's when the ROI head is frozen, is
-    skipped: each of those parameters gets the shared read-only zero of its
-    shape, which :func:`optimizer_step` turns into weight decay alone.
+    The gradients are those of the parameters that train
+    (:func:`param_layout`), and only their backward passes run: a frozen
+    head's gradient is exactly zero, and it has no entry.
     Raises NonFiniteValue if a head output is not finite.
     """
     cfg = state.config
+    trained = {name for name, _, _, trains
+               in param_layout(_widths(state.params, ""), cfg) if trains}
     raw, caches, agg_cache = _forward_raw(state, dataset, indices)
     _require_finite(raw, "head output")
     value, comps, bundle = gradcheck.backward_with_components(
@@ -331,16 +329,11 @@ def loss_and_grads(state: TrainState, dataset: SynthDataset, indices):
     )
     d_raw = {"image": bundle.d_v, "text": bundle.d_t,
              "roi": bundle.d_r, "tag": bundle.d_a}
-    live = cfg.loss.live_inputs(cfg.loss_variant)
-    frozen = {mod for mod in _MODALITIES if _GRAPH_INPUT[mod] not in live}
-    if "roi" in frozen:
-        frozen.add("roi_pool")
-    grads = {name: _frozen_zero(p.shape) for name, p in state.params.items()
-             if name.partition(".")[0] in frozen}
+    grads = {}
     for mod in _MODALITIES:
-        if mod in frozen:
+        if f"{mod}.w1" not in trained:
             continue
-        need_input = mod == "roi" and cfg.roi_aggregation == "attention"
+        need_input = mod == "roi" and "roi_pool.query" in trained
         head_grads, d_x = _head_backward(state, mod, d_raw[mod], caches[mod],
                                          need_input_grad=need_input)
         grads.update(head_grads)
@@ -367,58 +360,51 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def _decays_only(p, g, m, v, lr: float) -> bool:
-    """Whether AdamW on ``p`` is its weight decay alone, bit for bit: ``g``
-    is the shared frozen zero of ``p``'s shape, both moments are +0.0
-    throughout, which a zero gradient keeps them, and ``lr`` is +0.0 or
-    positive and finite, so the kernel's step ``lr * 0 / eps`` is +0.0 and
-    subtracting it changes no bit."""
-    # an all-zero bit pattern is +0.0 alone; an unsigned max is the
-    # fastest whole-array test of it
-    return (g is _FROZEN_ZEROS.get(p.shape)
-            and lr < math.inf and math.copysign(1.0, lr) > 0.0
-            and not m.view(np.uint64).max(initial=0)
-            and not v.view(np.uint64).max(initial=0))
-
-
 def optimizer_step(state: TrainState, grads: dict, lr: float) -> TrainState:
     """One AdamW update under ``state.config`` (in place); decay is decoupled.
-    ``grads`` needs every parameter: a missing one raises KeyError naming it.
-
-    A frozen parameter's gradient from :func:`loss_and_grads`, the shared
-    read-only zero of its shape, on moments still all +0.0, takes the
-    decay-only path ``p *= 1 - lr*wd``, which equals the full update bit
-    for bit. Any other gradient, a fresh zero array or a clipped copy
-    included, and a frozen parameter with nonzero moments take the full
-    ``backend.adamw_update``.
+    ``grads`` needs every parameter that trains (:func:`param_layout`): a
+    missing one raises KeyError naming it. A parameter that does not train
+    takes ``p *= 1 - lr*wd`` alone. Its gradient is exactly zero and its
+    moments stay +0.0, and ``lr`` is +0.0 or positive and finite, so the
+    full update's step ``lr * 0 / eps`` is +0.0 and decay alone equals it
+    bit for bit. Those conditions are enforced where their inputs arrive:
+    a gradient passed for a frozen parameter, and an ``lr`` that is NaN,
+    infinite or below zero (-0.0 included), raise ValueError before
+    anything moves; :func:`load_checkpoint` refuses nonzero frozen moments.
 
     After the whole update, with the step counted, NonFiniteValue names
     the first parameter, in layout order, that it left non-finite. Only
-    the parameters the full kernel updated are scanned, and a decay-only
-    one only when ``|1 - lr*wd| > 1`` (or the factor is NaN): a finite
+    the parameters the full kernel updated are scanned, and a frozen one
+    only when ``|1 - lr*wd| > 1`` (or the factor is NaN): a finite
     parameter times a factor no larger than 1 in size stays finite."""
     cfg = state.config
+    if not (0.0 <= lr < math.inf and math.copysign(1.0, lr) > 0.0):
+        raise ValueError(f"lr must be +0.0 or positive and finite, got {lr!r}")
+    layout = param_layout(_widths(state.params, ""), cfg)
+    for name, _, _, trains in layout:
+        if not trains and name in grads:
+            raise ValueError(f"got a gradient for {name}, which this config freezes")
     t = state.step + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     updated = {}  # the parameters the update may have left non-finite
-    for name, _, decays in param_layout(_widths(state.params, ""), cfg):
-        p, g, m, v = state.params[name], grads[name], state.m[name], state.v[name]
+    for name, _, decays, trains in layout:
+        p = state.params[name]
         wd = cfg.weight_decay if decays else 0.0
-        if _decays_only(p, g, m, v, lr):
+        if not trains:
             factor = 1.0 - lr * wd
             p *= factor
             if not abs(factor) <= 1.0:
                 updated[name] = p
             continue
-        g = np.asarray(g, dtype=np.float64)
+        g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeMismatch(
                 f"gradient for {name} has shape {g.shape}, expected {p.shape}"
             )
         backend.adamw_update(
             p.reshape(-1), np.ascontiguousarray(g).reshape(-1),
-            m.reshape(-1), v.reshape(-1),
+            state.m[name].reshape(-1), state.v[name].reshape(-1),
             lr, wd, cfg.beta1, cfg.beta2, cfg.adam_eps, bc1, bc2,
         )
         updated[name] = p
@@ -490,18 +476,12 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
         try:
             value, comps, grads = loss_and_grads(state, dataset, indices)
             _require_finite(comps, "loss component")
-            # the shared frozen zeros are finite, add +0.0 to the norm and
-            # scale to zero: leaving them out changes no bit and keeps them
-            # on the decay-only path
-            live = {k: g for k, g in grads.items()
-                    if g is not _FROZEN_ZEROS.get(g.shape)}
-            _require_finite(live, "gradient")
+            _require_finite(grads, "gradient")
             if cfg.grad_clip is not None:
-                norm = math.sqrt(sum(float((g * g).sum())
-                                     for g in live.values()))
+                norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
                 if norm > cfg.grad_clip:
                     scale = cfg.grad_clip / norm
-                    grads = {**grads, **{k: g * scale for k, g in live.items()}}
+                    grads = {k: g * scale for k, g in grads.items()}
             lr = lr_at(step, total, cfg)
             optimizer_step(state, grads, lr)
         except NonFiniteValue as exc:
@@ -538,7 +518,9 @@ def load_checkpoint(path) -> TrainState:
     ``param/*.w1`` widths, and :func:`container.check` passes: the metadata
     holds exactly ``config``, ``step`` and ``param_order``, and the arrays
     are exactly that layout's ``param/``, ``m/`` and ``v/`` entries, each
-    at its table shape with finite entries. The state holds writable
+    at its table shape with finite entries. The moments of a parameter that
+    does not train must be all +0.0 bits, as every run leaves them, since
+    :func:`optimizer_step` never reads them. The state holds writable
     copies of the arrays, which AdamW updates in place, not views of the
     file's read-only mapping."""
     meta, arrays = container.read(path, CKPT_MAGIC)
@@ -553,13 +535,19 @@ def load_checkpoint(path) -> TrainState:
     except (KeyError, IndexError, TypeError, ValueError, DegenerateTargets) as exc:
         raise FormatError(f"checkpoint metadata is invalid: {exc!r}") from exc
     layout = param_layout(widths, cfg)
-    names = tuple(name for name, _, _ in layout)
+    names = tuple(name for name, _, _, _ in layout)
     if tuple(order) != names:
         differ = sorted(set(order) ^ set(names)) or "none, the order differs"
         raise FormatError("checkpoint param_order does not list the parameters its "
                           f"config builds (names that differ: {differ})")
-    table = {f"{slot}/{name}": shape for name, shape, _ in layout for slot in _SLOTS}
+    table = {f"{slot}/{name}": shape for name, shape, _, _ in layout for slot in _SLOTS}
     container.check(meta, {"config", "step", "param_order"}, arrays, table, "checkpoint")
     params, m, v = ({name: arrays[f"{slot}/{name}"].copy() for name in names}
                     for slot in _SLOTS)
+    for name, _, _, trains in layout:
+        for slot, store in (("m", m), ("v", v)):
+            # an all-zero bit pattern is +0.0 alone
+            if not trains and store[name].view(np.uint64).any():
+                raise FormatError(f"checkpoint {slot}/{name} is not all +0.0, but "
+                                  "its config freezes the parameter")
     return TrainState(params=params, m=m, v=v, step=step, config=cfg)

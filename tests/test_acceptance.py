@@ -31,6 +31,7 @@ from softalign.harness import (
 )
 from softalign.numkit import l2_normalize_rows
 from softalign.objectives import (
+    LOSS_VARIANTS,
     DistBundle,
     LossConfig,
     clip_loss,
@@ -91,7 +92,7 @@ def test_criterion_1_gradient_fidelity():
     t0 = time.time()
     worst = 0.0
     failures = []
-    for selector in gradcheck.SELECTORS:
+    for selector in LOSS_VARIANTS:
         for stop_grad in (True, False):
             cfg = LossConfig(stop_gradient_targets=stop_grad)
             for seed, n, d in itertools.product(range(10), (2, 4, 8), (4, 16)):

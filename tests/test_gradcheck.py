@@ -26,6 +26,7 @@ from softalign.errors import (
 from softalign.numkit import l2_normalize_rows
 from softalign.objectives import (
     DIVERGENCES,
+    LOSS_VARIANTS,
     SUPERVISION_FORMS,
     LossConfig,
     cross_entropy_rows,
@@ -33,7 +34,6 @@ from softalign.objectives import (
 from softalign import backend, gradcheck, objectives
 from softalign import cpus as cpu_owner
 from softalign.gradcheck import (
-    SELECTORS,
     backward,
     check_gradients,
     finite_difference_grad,
@@ -78,7 +78,7 @@ class TestClosedForms:
         tau = Temperature.from_tau(0.07)
         cfg = LossConfig(stop_gradient_targets=False)
         sigma = np.random.default_rng(2).permutation(6)
-        for selector in SELECTORS:
+        for selector in LOSS_VARIANTS:
             val, g = backward(selector, v, t, r, a, tau, cfg)
             val_p, g_p = backward(selector, v[sigma], t[sigma], r[sigma],
                                   a[sigma], tau, cfg)
@@ -91,7 +91,7 @@ class TestClosedForms:
 
 
 class TestBackwardAgainstFiniteDifferences:
-    @pytest.mark.parametrize("selector", SELECTORS)
+    @pytest.mark.parametrize("selector", LOSS_VARIANTS)
     @pytest.mark.parametrize("stop_grad", [True, False])
     def test_default_config(self, selector, stop_grad):
         cfg = LossConfig(stop_gradient_targets=stop_grad)
@@ -243,7 +243,7 @@ def _per_coordinate_fd(selector, v, t, r, a, tau, cfg, epsilon=1e-5):
 
 @pytest.mark.parametrize("divergence", DIVERGENCES)
 @pytest.mark.parametrize("stop_grad", [True, False])
-@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("selector", LOSS_VARIANTS)
 def test_batched_oracle_matches_per_coordinate_loop(selector, stop_grad,
                                                     divergence):
     # n != d, so a perturbation written at the transposed index would
@@ -345,7 +345,7 @@ class TestForwardValueSemantics:
         v, t, r, a = random_inputs(4)
         cfg = LossConfig()
         tau = Temperature.from_tau(0.07)
-        for selector in SELECTORS:
+        for selector in LOSS_VARIANTS:
             val, _ = backward(selector, v, t, r, a, tau, cfg)
             assert abs(val - forward_value(selector, v, t, r, a, tau, cfg)) < 1e-12
 
@@ -360,7 +360,7 @@ class TestForwardValueSemantics:
 @pytest.mark.parametrize("lambda_re", [0.0, 1.0])
 @pytest.mark.parametrize("divergence", DIVERGENCES)
 @pytest.mark.parametrize("beta", [0.0, 0.3])
-@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("selector", LOSS_VARIANTS)
 def test_loss_config_check_matches_graph(selector, beta, divergence, lambda_re):
     degenerate = (
         beta == 0.0
@@ -409,7 +409,7 @@ def test_loss_config_terms():
 @pytest.mark.parametrize("lambda_re", [0.0, 1.0])
 @pytest.mark.parametrize("gamma", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("stop_grad", [True, False])
-@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("selector", LOSS_VARIANTS)
 def test_live_inputs_match_analytic_gradients(selector, stop_grad, gamma,
                                               lambda_re):
     # the oracle skips exactly the inputs whose analytic gradient is zero
@@ -470,7 +470,7 @@ def _outcome(fn):
 @pytest.mark.parametrize("form", list(SUPERVISION_FORMS))
 @pytest.mark.parametrize("stop_grad", [True, False])
 @pytest.mark.parametrize("divergence", DIVERGENCES)
-@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("selector", LOSS_VARIANTS)
 def test_graph_matches_reference(selector, divergence, stop_grad, form, split):
     # beta=0 makes some combinations infeasible: both paths must then
     # raise the same error
@@ -521,7 +521,7 @@ _LOG_INV_TAUS = st.one_of(
 
 
 @settings(derandomize=True, deadline=None, max_examples=1200)
-@given(selector=st.sampled_from(SELECTORS),
+@given(selector=st.sampled_from(LOSS_VARIANTS),
        divergence=st.sampled_from(DIVERGENCES),
        form=st.sampled_from(list(SUPERVISION_FORMS)),
        stop_grad=st.booleans(), split=st.booleans(),
@@ -654,7 +654,7 @@ def test_two_sample_relation_term_is_zero_property(selector, divergence, form,
 
 @settings(derandomize=True, deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(selector=st.sampled_from(SELECTORS),
+@given(selector=st.sampled_from(LOSS_VARIANTS),
        divergence=st.sampled_from(DIVERGENCES),
        form=st.sampled_from(list(SUPERVISION_FORMS)),
        split=st.booleans(), beta=st.sampled_from([0.3, 1.0]),
@@ -778,7 +778,7 @@ def _near_duplicates(n, cos, noise, rng):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(selector=st.sampled_from(SELECTORS),
+@given(selector=st.sampled_from(LOSS_VARIANTS),
        divergence=st.sampled_from(DIVERGENCES),
        form=st.sampled_from(list(SUPERVISION_FORMS)),
        stop_grad=st.booleans(), split=st.booleans(),
@@ -819,7 +819,7 @@ def test_near_saturated_rows_match_reference_property(
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(selector=st.sampled_from(SELECTORS),
+@given(selector=st.sampled_from(LOSS_VARIANTS),
        divergence=st.sampled_from(DIVERGENCES),
        stop_grad=st.booleans(),
        n=st.integers(2, 8), d=st.integers(1, 16),
@@ -874,9 +874,9 @@ def test_row_blocks_give_the_one_block_bits(divergence, stop_grad, split, block,
     cfg = LossConfig(divergence=divergence, stop_gradient_targets=stop_grad,
                      gamma=0.4, split_guidance_temperature=split)
     assert gradcheck._BLOCK_ROWS >= n  # the reference runs as one block
-    whole = {s: _graph_bits(s, v, t, r, a, tau, cfg, g_tau) for s in SELECTORS}
+    whole = {s: _graph_bits(s, v, t, r, a, tau, cfg, g_tau) for s in LOSS_VARIANTS}
     monkeypatch.setattr(gradcheck, "_BLOCK_ROWS", block)
-    for selector in SELECTORS:
+    for selector in LOSS_VARIANTS:
         _assert_all_same_bits(_graph_bits(selector, v, t, r, a, tau, cfg, g_tau),
                               whole[selector], same_bits)
 
@@ -961,10 +961,10 @@ def test_threaded_blocks_give_the_serial_bits(divergence, stop_grad, split, n,
     cfg = LossConfig(divergence=divergence, stop_gradient_targets=stop_grad,
                      gamma=0.4, split_guidance_temperature=split)
     seen = cpus(1)
-    serial = {s: _graph_bits(s, v, t, r, a, tau, cfg, g_tau) for s in SELECTORS}
+    serial = {s: _graph_bits(s, v, t, r, a, tau, cfg, g_tau) for s in LOSS_VARIANTS}
     assert _threads(seen) == {threading.get_ident()}
     seen = cpus(2)
-    for selector in SELECTORS:
+    for selector in LOSS_VARIANTS:
         _assert_all_same_bits(_graph_bits(selector, v, t, r, a, tau, cfg, g_tau),
                               serial[selector], same_bits)
     assert seen and threading.get_ident() not in _threads(seen)

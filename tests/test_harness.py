@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from softalign import cli, numkit, synthgen
+from softalign import cli, numkit, synthgen, trainer
 from softalign.errors import ConfigError, GalleryTooSmall
 from softalign.harness import (
     RESULT_COLUMNS,
@@ -449,6 +449,19 @@ class TestSweeps:
         assert [r.to_dict() for r in rows] == want
         for (_, got), (_, want) in zip(runs, serial):
             _assert_states_equal(got, want)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_refused_before_training(self, tiny_dataset,
+                                                      tiny_config, monkeypatch, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point trained")
+
+        monkeypatch.setattr(trainer, "train", refuse)
+        points = gamma_points(tiny_config, [0.0, 1.0])
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            sweep(tiny_dataset, points, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            gamma_sweep(tiny_dataset, tiny_config, [0.0, 1.0], jobs=jobs)
 
 
 class TestEmission:

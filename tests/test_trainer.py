@@ -120,8 +120,17 @@ class TestForwardBatch:
 
     def test_batch_too_small(self, small_dataset, small_config):
         state = init_state(small_dataset.spec, small_config)
-        with pytest.raises(BatchTooSmall):
-            forward_batch(state, small_dataset, [0])
+        for indices in (3, [], [0]):
+            with pytest.raises(BatchTooSmall):
+                forward_batch(state, small_dataset, indices)
+
+    def test_index_array_of_two_dimensions_is_refused(self, small_dataset,
+                                                      small_config):
+        # four indices, so the batch is not too small: the shape is wrong
+        state = init_state(small_dataset.spec, small_config)
+        for call in (forward_batch, loss_and_grads):
+            with pytest.raises(ShapeMismatch, match=r"got shape \(2, 2\)$"):
+                call(state, small_dataset, [[0, 1], [2, 3]])
 
     @pytest.mark.parametrize("mode", ["mean", "attention"])
     @pytest.mark.parametrize("mod", ["image", "text", "roi", "tag"])
@@ -217,10 +226,12 @@ class TestSchedule:
 
 class TestOptimizerStep:
     def _tiny_state(self, wd=0.0, lr_unused=None):
+        # no stop-gradient: every parameter trains, so each takes a gradient
         spec = SynthSpec(n_samples=4, n_concepts=2, latent_dim=4, d_image=3,
                          d_text=3, d_roi=3, d_tag=3, rois_per_image=2,
                          concepts_per_sample=1, seed=0)
-        cfg = TrainConfig(batch_size=2, weight_decay=wd, seed=0)
+        cfg = TrainConfig(batch_size=2, weight_decay=wd, seed=0,
+                          loss=LossConfig(stop_gradient_targets=False))
         return init_state(spec, cfg)
 
     @staticmethod
@@ -262,8 +273,8 @@ class TestOptimizerStep:
         with pytest.raises(ShapeMismatch):
             optimizer_step(state, {"image.w1": np.zeros(3)}, lr=0.1)
         grads = self._zero_grads(state)
-        del grads["tag.b2"]
-        with pytest.raises(KeyError, match="tag.b2"):
+        del grads["image.b2"]
+        with pytest.raises(KeyError, match="image.b2"):
             optimizer_step(state, grads, lr=0.1)
 
 
@@ -371,8 +382,7 @@ class TestTrainLoop:
                         if k.startswith(("roi.", "tag."))]
         before = {k: init.params[k].copy() for k in frozen_names}
         _, comps, grads = loss_and_grads(init, small_dataset, np.arange(25))
-        for k in frozen_names:
-            assert not grads[k].any()
+        assert set(grads) == set(init.params) - set(frozen_names)
         state, _ = train(small_dataset, cfg)
         for k in frozen_names:
             np.testing.assert_array_equal(state.params[k], before[k])
@@ -481,17 +491,22 @@ def test_every_parameter_has_a_gradient(small_dataset, aggregation, split,
                       roi_aggregation=aggregation, attention_dim=8)
     state = init_state(small_dataset.spec, cfg)
     _, _, grads = loss_and_grads(state, small_dataset, np.arange(25))
-    assert set(grads) == set(state.params)
+    # every parameter that trains has a gradient, and no frozen one has
+    assert set(grads) == {name for name in state.params
+                          if _group(name) in _live_groups(cfg)}
     for name, g in grads.items():
         assert g.shape == state.params[name].shape and np.isfinite(g).all(), name
-    # the parameters are the table's, in its order; only the temperatures skip decay
+    # the parameters are the table's, in its order; only the temperatures skip
+    # decay; the table's trains column is the live groups
     spec = small_dataset.spec
     layout = trainer.param_layout({"image": spec.d_image, "text": spec.d_text,
                                    "roi": spec.d_roi, "tag": spec.d_tag}, cfg)
-    assert ([(name, shape) for name, shape, _ in layout]
+    assert ([(name, shape) for name, shape, _, _ in layout]
             == [(name, p.shape) for name, p in state.params.items()])
-    assert ([name for name, _, decays in layout if not decays]
+    assert ([name for name, _, decays, _ in layout if not decays]
             == [name for name in state.params if name.startswith("tau_log_inv")])
+    assert ([name for name, _, _, trains in layout if trains]
+            == [name for name in state.params if _group(name) in _live_groups(cfg)])
 
 
 class TestAttentionTraining:
@@ -512,8 +527,8 @@ class TestAttentionTraining:
                           roi_aggregation="attention", attention_dim=8)
         state = init_state(small_dataset.spec, cfg)
         _, _, grads = loss_and_grads(state, small_dataset, np.arange(25))
-        assert not grads["roi_pool.query"].any()
-        assert not grads["roi.w1"].any()
+        assert set(grads) == {name for name in state.params
+                              if name.startswith(("image.", "text.", "tau_log_inv"))}
 
 
 # the loss graph input each head's output is
@@ -530,6 +545,11 @@ def _live_groups(cfg: TrainConfig) -> set:
     return groups
 
 
+def _group(name: str) -> str:
+    """A parameter's group: its head, ``roi_pool`` or ``tau_log_inv``."""
+    return "tau_log_inv" if name.startswith("tau_log_inv") else name.partition(".")[0]
+
+
 class TestFrozenTeacher:
     """A head whose input no differentiated term reads is frozen: its
     gradient is exactly zero, and AdamW moves it by weight decay alone."""
@@ -544,7 +564,9 @@ class TestFrozenTeacher:
                           loss=LossConfig(stop_gradient_targets=stop_grad))
         state = init_state(small_dataset.spec, cfg)
         _, _, grads = loss_and_grads(state, small_dataset, np.arange(25))
-        moved = {name.partition(".")[0] for name, g in grads.items() if g.any()}
+        assert set(grads) == {name for name in state.params
+                              if _group(name) in _live_groups(cfg)}
+        moved = {_group(name) for name, g in grads.items() if g.any()}
         assert moved == _live_groups(cfg)
 
     def test_default_attention_teacher_moves_by_decay_alone(self):
@@ -580,8 +602,9 @@ def _state_bytes(state):
 
 
 class TestDecayOnlyPath:
-    """A frozen parameter's shared zero gradient takes ``p *= 1 - lr*wd``
-    instead of the full AdamW kernel, and nothing else does."""
+    """A parameter its config freezes takes ``p *= 1 - lr*wd`` instead of
+    the full AdamW kernel, to the same bits; the inputs under which that
+    would not hold are refused."""
 
     @settings(derandomize=True, deadline=None, max_examples=120)
     @given(lr=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
@@ -590,6 +613,7 @@ class TestDecayOnlyPath:
            widths=st.tuples(*[st.integers(1, 5)] * 6),
            attention=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_equals_the_kernel_bitwise(self, lr, wd, step, widths, attention, seed):
+        # the default stop-gradient freezes roi.*, tag.* and roi_pool.*
         *views, hidden, embed = widths
         cfg = TrainConfig(batch_size=2, weight_decay=wd, hidden_dim=hidden,
                           embed_dim=embed, attention_dim=2,
@@ -601,67 +625,44 @@ class TestDecayOnlyPath:
             p[...] = rng.choice(_DECAY_VALUES, size=p.shape)
         state.step = step
         twin = deepcopy(state)
-        shared = {name: trainer._frozen_zero(p.shape) for name, p in state.params.items()}
-        assert all(trainer._decays_only(p, shared[name], state.m[name], state.v[name], lr)
-                   for name, p in state.params.items())
-        optimizer_step(state, shared, lr)
-        optimizer_step(twin, {name: np.zeros_like(p) for name, p in twin.params.items()},
-                       lr)
+        live = _live_groups(cfg)
+        optimizer_step(state, {name: np.zeros_like(p) for name, p in state.params.items()
+                               if _group(name) in live}, lr)
+        _full_adamw(twin, {}, lr)
         assert _state_bytes(state) == _state_bytes(twin)
         assert state.step == twin.step == step + 1
 
-    @pytest.mark.parametrize("lr", [-0.0, -1e-3])
-    def test_a_signed_rate_takes_the_kernel(self, lr):
-        # the kernel's step lr * 0 / eps is -0.0 here, which turns a -0.0
-        # parameter into +0.0; decay alone would keep it
+    @pytest.mark.parametrize("lr", [-0.0, -1e-3, math.nan, math.inf])
+    def test_a_signed_or_non_finite_rate_is_refused(self, lr):
+        # the kernel's step lr * 0 / eps would be -0.0 or NaN here, which decay
+        # alone would not reproduce; nothing moves
         cfg = TrainConfig(batch_size=2, hidden_dim=2, embed_dim=2)
         state = init_state(SimpleNamespace(d_image=2, d_text=2, d_roi=2, d_tag=2), cfg)
-        for p in state.params.values():
-            p[...] = -0.0
-        twin = deepcopy(state)
-        optimizer_step(state, {name: trainer._frozen_zero(p.shape)
-                               for name, p in state.params.items()}, lr)
-        optimizer_step(twin, {name: np.zeros_like(p) for name, p in twin.params.items()},
-                       lr)
-        assert _state_bytes(state) == _state_bytes(twin)
-        assert not np.signbit(state.params["roi.w1"]).any()
-
-    @staticmethod
-    def _step(state, grads, lr=1e-3):
-        return optimizer_step(deepcopy(state), grads, lr)
+        before = _state_bytes(state)
+        grads = {name: np.zeros_like(p) for name, p in state.params.items()
+                 if _group(name) in _live_groups(cfg)}
+        with pytest.raises(ValueError, match=f"lr must be .*, got {lr!r}$"):
+            optimizer_step(state, grads, lr)
+        assert _state_bytes(state) == before and state.step == 0
 
     def test_nothing_passed_for_a_frozen_parameter_is_dropped(self, small_dataset):
+        # a caller's gradient for a frozen parameter is refused by name, not
+        # dropped, before anything moves
         cfg = TrainConfig(batch_size=25, seed=3)
         state = init_state(small_dataset.spec, cfg)
         _, _, grads = loss_and_grads(state, small_dataset, np.arange(25))
-        shared = grads["roi.w1"]
-        assert shared is trainer._frozen_zero(shared.shape)
-        lr, w0 = 1e-3, state.params["roi.w1"]
-        decayed = self._step(state, grads, lr)
-        assert (decayed.params["roi.w1"].tobytes()
+        assert "roi.w1" not in grads
+        before = _state_bytes(state)
+        w0 = state.params["roi.w1"].copy()
+        for g in (np.full_like(w0, 0.5), np.zeros_like(w0)):
+            with pytest.raises(ValueError, match="gradient for roi.w1, which this "
+                                                 "config freezes"):
+                optimizer_step(state, {**grads, "roi.w1": g}, 1e-3)
+            assert _state_bytes(state) == before and state.step == 0
+        lr = 1e-3
+        optimizer_step(state, grads, lr)
+        assert (state.params["roi.w1"].tobytes()
                 == (w0 * (1.0 - lr * cfg.weight_decay)).tobytes())
-
-        # a caller's nonzero gradient moves it beyond decay
-        moved = self._step(state, {**grads, "roi.w1": np.full_like(w0, 0.5)}, lr)
-        assert (np.abs(moved.params["roi.w1"] - decayed.params["roi.w1"]) > 1e-4).all()
-        assert moved.m["roi.w1"].all() and moved.v["roi.w1"].all()
-
-        # a fresh zero array takes the full kernel, to the same bits
-        fresh = self._step(state, {**grads, "roi.w1": np.zeros_like(w0)}, lr)
-        assert _state_bytes(fresh) == _state_bytes(decayed)
-
-        # nonzero moments take the full update even with the shared zero
-        state.m["roi.w1"][0, 0] = 1e-3
-        assert not trainer._decays_only(w0, shared, state.m["roi.w1"],
-                                        state.v["roi.w1"], lr)
-        kept = self._step(state, grads, lr)
-        full = self._step(state, {**grads, "roi.w1": np.zeros_like(w0)}, lr)
-        assert _state_bytes(kept) == _state_bytes(full)
-        assert kept.params["roi.w1"][0, 0] != decayed.params["roi.w1"][0, 0]
-
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0, 0] = 1.0
-        assert not shared.any()
 
     def test_grad_clip_keeps_the_decay_only_path(self, small_dataset, monkeypatch):
         cfg = TrainConfig(max_steps=6, batch_size=25, seed=3, grad_clip=1e-6)
@@ -671,12 +672,75 @@ class TestDecayOnlyPath:
                             lambda *args: calls.append(1) or kernel(*args))
         fast, fast_rows = train(small_dataset, cfg)
         assert len(calls) == 9 * 6
-        monkeypatch.setattr(trainer, "_decays_only", lambda *args: False)
-        full, full_rows = train(small_dataset, cfg)
-        assert len(calls) == (9 + 17) * 6
+        full, full_rows = _reference_train(small_dataset, cfg)
         assert _state_bytes(fast) == _state_bytes(full)
         assert [list(map(_float_bits, r.values())) for r in fast_rows] == \
             [list(map(_float_bits, r.values())) for r in full_rows]
+
+
+def _full_adamw(state, grads, lr):
+    """The full ``backend.adamw_update`` on every parameter, in place; a
+    parameter ``grads`` has no entry for gets a zero gradient."""
+    cfg, t = state.config, state.step + 1
+    bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+    for name, p in state.params.items():
+        g = grads.get(name, np.zeros_like(p))
+        wd = 0.0 if name.startswith("tau_log_inv") else cfg.weight_decay
+        backend.adamw_update(p.reshape(-1), np.ascontiguousarray(g).reshape(-1),
+                             state.m[name].reshape(-1), state.v[name].reshape(-1),
+                             lr, wd, cfg.beta1, cfg.beta2, cfg.adam_eps, bc1, bc2)
+    state.step = t
+
+
+def _reference_train(dataset, cfg):
+    """:func:`train` from a fresh state, written out: the same batches,
+    schedule and clip, then the full AdamW on every parameter, with a zero
+    gradient for each one outside :func:`_live_groups`."""
+    state = init_state(dataset.spec, cfg)
+    total, batches = total_steps_for(dataset, cfg), dataset.n // cfg.batch_size
+    trained = {name for name in state.params if _group(name) in _live_groups(cfg)}
+    rows = []
+    for step in range(total):
+        epoch, b = divmod(step, batches)
+        perm = trainer._epoch_permutation(cfg.seed, epoch, dataset.n)
+        indices = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+        value, comps, grads = loss_and_grads(state, dataset, indices)
+        assert set(grads) == trained
+        if cfg.grad_clip is not None:
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            if norm > cfg.grad_clip:
+                grads = {k: g * (cfg.grad_clip / norm) for k, g in grads.items()}
+        lr = lr_at(step, total, cfg)
+        _full_adamw(state, grads, lr)
+        record = {**comps, "step": step, "lr": lr, "total": value,
+                  "tau": state.temperature.tau}
+        rows.append({key: record.get(key, 0.0) for key in trainer.METRIC_COLUMNS})
+    return state, rows
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["shared_tau", "split_tau"])
+@pytest.mark.parametrize("grad_clip", [None, 1e-3], ids=["no_clip", "clip"])
+@pytest.mark.parametrize("aggregation", ["mean", "attention"])
+@pytest.mark.parametrize("stop_grad", [True, False], ids=["stop_grad", "live_teacher"])
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(seed=st.integers(0, 2**16), peak_lr=st.floats(1e-4, 0.3),
+       weight_decay=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_train_equals_the_full_adamw_reference(tiny_resume_dataset, variant, stop_grad,
+                                               aggregation, grad_clip, split, seed,
+                                               peak_lr, weight_decay):
+    # four steps over an epoch boundary; lr is +0.0 at step 0 (one warmup step)
+    loss = LossConfig(stop_gradient_targets=stop_grad, gamma=0.5,
+                      split_guidance_temperature=split)
+    cfg = TrainConfig(max_steps=4, batch_size=20, seed=seed, peak_lr=peak_lr,
+                      weight_decay=weight_decay, warmup_fraction=0.25,
+                      hidden_dim=6, embed_dim=4, attention_dim=3, grad_clip=grad_clip,
+                      roi_aggregation=aggregation, loss_variant=variant, loss=loss)
+    state, rows = train(tiny_resume_dataset, cfg)
+    want, want_rows = _reference_train(tiny_resume_dataset, cfg)
+    assert _state_bytes(state) == _state_bytes(want)
+    assert [list(map(_float_bits, r.values())) for r in rows] == \
+        [list(map(_float_bits, r.values())) for r in want_rows]
 
 
 def _float_bits(x) -> bytes:
@@ -741,10 +805,9 @@ class TestEncoderGradients:
         if stop_grad:
             checked = [n for n in state.params
                        if n.startswith(("image.", "text."))]
-            for name in state.params:
-                if name.startswith(("roi.", "tag.", "roi_pool.")):
-                    assert not grads[name].any()
+            assert set(grads) == {*checked, "tau_log_inv"}
         else:
+            assert set(grads) == set(state.params)
             checked = list(state.params)
 
         eps = 1e-6
@@ -855,6 +918,23 @@ class TestCheckpointFormat:
         edit(meta, arrays)
         container.write(path, trainer.CKPT_MAGIC, meta, arrays)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [1e-3, -0.0])
+    @pytest.mark.parametrize("slot", ["m", "v"])
+    def test_nonzero_moment_of_a_frozen_parameter_is_refused(self, small_state,
+                                                             tmp_path, slot, value):
+        # small_config keeps the default stop-gradient, so roi.w1 is frozen and
+        # optimizer_step never reads its moments; a file written by a run
+        # holds +0.0 there
+        path = tmp_path / "ck.salb"
+        save_checkpoint(small_state[0], path)
+        meta, arrays = container.read(path, trainer.CKPT_MAGIC)
+        assert not arrays[f"{slot}/roi.w1"].view(np.uint64).any()
+        moment = arrays[f"{slot}/roi.w1"].copy()
+        moment[0, 0] = value
+        container.write(path, trainer.CKPT_MAGIC, meta, {**arrays, f"{slot}/roi.w1": moment})
+        with pytest.raises(FormatError, match=f"{slot}/roi.w1 is not all \\+0.0"):
             load_checkpoint(path)
 
     def test_config_unknown_keys_rejected(self):

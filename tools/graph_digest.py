@@ -133,7 +133,7 @@ from softalign import cli, cpus, gradcheck, harness, numkit, objectives, synthge
 from softalign.distributions import Temperature
 from softalign.errors import SoftalignError
 from softalign.numkit import l2_normalize_rows
-from softalign.objectives import DIVERGENCES, SUPERVISION_FORMS, LossConfig
+from softalign.objectives import DIVERGENCES, LOSS_VARIANTS, SUPERVISION_FORMS, LossConfig
 
 WEIGHTS = (0.0, 0.7, 1.0)
 EXTRA = {
@@ -278,7 +278,7 @@ def _blocks_line(label: str, cases) -> str:
 def main() -> None:
     print(environment_line())
     errors = hashlib.sha256()
-    for selector in gradcheck.SELECTORS:
+    for selector in LOSS_VARIANTS:
         grads, values, fd = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
         base = itertools.product(DIVERGENCES, (True, False), SUPERVISION_FORMS,
                                  (False, True), (0.0, 0.3), (2, 5))
@@ -294,7 +294,7 @@ def main() -> None:
             _fd_case(selector, cfg, n, d, fd)
         print(f"{selector:<13} grads={grads.hexdigest()} "
               f"values={values.hexdigest()} fd={fd.hexdigest()}")
-    for selector in gradcheck.SELECTORS:
+    for selector in LOSS_VARIANTS:
         print(_blocks_line(f"blocks[{selector}]", [
             (selector, BLOCKS_N, LossConfig(divergence=div, stop_gradient_targets=sg,
                                             gamma=0.4))
@@ -304,7 +304,7 @@ def main() -> None:
             (selector, 512, LossConfig(divergence=div, stop_gradient_targets=sg,
                                        lambda_re=1.0, gamma=0.5))
             for div, sg in itertools.product(DIVERGENCES, (True, False))]))
-    for selector in gradcheck.SELECTORS:
+    for selector in LOSS_VARIANTS:
         fd = hashlib.sha256()
         for sg in (True, False):
             cfg = LossConfig(stop_gradient_targets=sg, gamma=0.4)
@@ -338,7 +338,7 @@ def _paths() -> None:
     print(f"ranks={_ranks(dataset)}")
     _loaded(dataset)
     report = hashlib.sha256()
-    for selector in gradcheck.SELECTORS:
+    for selector in LOSS_VARIANTS:
         try:
             text = gradcheck.check_gradients(selector, seed=0, n=4, d=3).to_json()
         except (SoftalignError, ValueError) as exc:
